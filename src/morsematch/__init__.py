@@ -1,10 +1,10 @@
 """Complexes of discrete Morse matchings at desk scale.
 
-Build small simplicial complexes, enumerate the matchings on their Hasse
-diagrams (all, acyclic, and maximum acyclic), materialize the associated
-complexes of matchings, compute exact integral homology through sparse
-Smith normal forms, and mechanically check the structural statements that
-tie all of it together.
+Build small simplicial complexes, count and enumerate the matchings on their
+Hasse diagrams (all, acyclic, and maximum acyclic) layer by layer,
+materialize the associated complexes of matchings, compute exact integral
+homology through sparse Smith normal forms, and mechanically check the
+structural statements that tie all of it together.
 """
 
 __version__ = "0.1.0"
@@ -14,8 +14,7 @@ from .complexes import (BudgetExceededError, SimplicialComplex, build_boundary,
                         is_full_subcomplex, is_isomorphic, relabel, skeleton,
                         star_link)
 from .hasse import (CriticalReport, HasseDiagram, build_hasse, critical_faces,
-                    enumerate_matchings, enumerate_optimal_dfs, is_acyclic,
-                    is_matching)
+                    is_acyclic, is_matching)
 from .homology import (ChainComplex, HomologyResult, SparseIntMatrix,
                        boundary_matrices, homology, relative_homology,
                        smith_normal_form)
@@ -31,7 +30,7 @@ __all__ = [
     "build_simplex", "cone", "euler_characteristic", "f_vector",
     "is_full_subcomplex", "is_isomorphic", "relabel", "skeleton", "star_link",
     "CriticalReport", "HasseDiagram", "build_hasse", "critical_faces",
-    "enumerate_matchings", "enumerate_optimal_dfs", "is_acyclic", "is_matching",
+    "is_acyclic", "is_matching",
     "ChainComplex", "HomologyResult", "SparseIntMatrix", "boundary_matrices",
     "homology", "relative_homology", "smith_normal_form",
     "LayerSystem", "enumerate_optimal", "matching_counts",

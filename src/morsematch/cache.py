@@ -109,5 +109,9 @@ def document_to_faces(blob: bytes) -> tuple[list[int], int]:
     masks = []
     for ln in lines[1:]:
         if ln:
-            masks.append(int.from_bytes(bytes.fromhex(ln), "little"))
+            mask = int.from_bytes(bytes.fromhex(ln), "little")
+            if mask >> edge_count:
+                raise ValueError(f"face {ln} has a bit at or above edge "
+                                 f"count {edge_count}")
+            masks.append(mask)
     return masks, edge_count

@@ -6,12 +6,13 @@ are integers or strings, and nothing time-dependent enters the payload.
 
 Exit codes: 0 success or all checks pass, 1 verification failure, 2 usage
 error, 3 budget exceeded (including the refusal to run long 4-simplex jobs
-without --allow-long).
+without --allow-long, and complexes too wide for the layer transfer).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -22,10 +23,10 @@ from .cache import (cache_get, cache_key, cache_put, default_cache_dir,
 from .complexes import BudgetExceededError, f_vector
 from .hasse import build_hasse
 from .homology import homology, relative_homology
-from .layers import enumerate_optimal
+from .layers import LayeredInfeasibleError, enumerate_optimal
 from .morse import (MaterializationLimitError, build_matching_complex,
                     embed_faces, induced_inclusion, matching_complex_f_vector)
-from .specs import SpecError, build_from_spec, canonical_spec
+from .specs import SpecError, build_from_spec, canonical_spec, spec_file
 from .verify import default_suite, CHECK_NAMES
 
 EXIT_OK = 0
@@ -58,8 +59,23 @@ def _require_allow_long(command: str, spec: str, args) -> None:
             f"{command} on {spec} is a long-running job; pass --allow-long")
 
 
+def _file_digest(spec: str):
+    """SHA-256 of the facet file a spec reads; None when unreadable (the
+    build reports that)."""
+    try:
+        return hashlib.sha256(Path(spec_file(spec)).read_bytes()).hexdigest()
+    except OSError:
+        return None
+
+
 def _cached_json(args, operation: str, spec: str, variant: str, extra=None):
     cdir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
+    extra = dict(extra or {})
+    # a file spec names mutable content: key it by the bytes too
+    digests = {s: _file_digest(s) for s in (spec, extra.get("relative"))
+               if s and "file:" in s}
+    if digests:
+        extra["file-sha256"] = digests
     key = cache_key(operation, spec, variant, __version__, extra)
     blob = cache_get(cdir, key)
     if blob is not None:
@@ -82,8 +98,7 @@ def cmd_build(args) -> int:
         cx = mc.complex
         if args.out:
             masks = [sum(1 << v for v in face) for face in cx.faces()]
-            edge_count = mc.hasse.edge_count if mc.hasse else 0
-            Path(args.out).write_bytes(faces_to_document(masks, edge_count))
+            Path(args.out).write_bytes(faces_to_document(masks, mc.edge_count))
         result = {"variant": args.variant, "f_vector": f_vector(cx),
                   "faces": cx.total_faces(), "void": cx.is_void,
                   "out": args.out}
@@ -103,8 +118,7 @@ def cmd_fvector(args) -> int:
         _emit("fvector", spec, cached, args.out)
         return EXIT_OK
     K = build_from_spec(spec)
-    fv = matching_complex_f_vector(K, args.variant, threads=args.threads,
-                                   max_faces=args.budget)
+    fv = matching_complex_f_vector(K, args.variant, max_faces=args.budget)
     chi = sum((-1) ** d * v for d, v in enumerate(fv))
     result = {"variant": args.variant, "f_vector": fv,
               "euler_characteristic": chi}
@@ -135,7 +149,7 @@ def cmd_homology(args) -> int:
             sub = build_from_spec(rel_spec)
             msub = build_matching_complex(sub, args.variant, max_faces=args.budget)
             mapping = induced_inclusion(sub, K)
-            emb = embed_faces(msub.complex, mapping, mc.hasse.edge_count)
+            emb = embed_faces(msub.complex, mapping, mc.edge_count)
             h = relative_homology(mc.complex, emb, reduced=reduced)
         else:
             h = homology(mc.complex, reduced=reduced)
@@ -170,8 +184,7 @@ def cmd_euler(args) -> int:
     else:
         _require_allow_long("euler", spec, args)
         K = build_from_spec(spec)
-        fv = matching_complex_f_vector(K, args.variant, threads=args.threads,
-                                       max_faces=args.budget)
+        fv = matching_complex_f_vector(K, args.variant, max_faces=args.budget)
         chi0 = sum((-1) ** d * v for d, v in enumerate(fv))
         _store_json(cdir, key, {"variant": args.variant, "f_vector": fv,
                                 "euler_characteristic": chi0})
@@ -195,7 +208,7 @@ def cmd_verify(args) -> int:
         if cached is not None:
             cached_fvec = cached["f_vector"]
     reports = default_suite(max_n=args.max_n, budget=args.budget,
-                            allow_long=args.allow_long, threads=args.threads,
+                            allow_long=args.allow_long,
                             cached_n4_fvector=cached_fvec, only=only)
     for r in reports:
         print(f"morsematch: {r.status:15s} {r.name} {r.instance} "
@@ -226,7 +239,6 @@ def _parser() -> argparse.ArgumentParser:
                              "skeleton:simplex:4:2, cone:boundary:2, file:PATH")
         sp.add_argument("--variant", default=variant_default,
                         choices=list(variant_choices))
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--budget", type=int, default=10 ** 8)
         sp.add_argument("--cache-dir", default=None)
         sp.add_argument("--allow-long", action="store_true")
@@ -260,7 +272,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run named checks or all of them")
     sp.add_argument("check", help="check name or 'all'")
     sp.add_argument("--max-n", type=int, default=3)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--budget", type=int, default=10 ** 7)
     sp.add_argument("--cache-dir", default=None)
     sp.add_argument("--allow-long", action="store_true")
@@ -283,7 +294,8 @@ def main(argv=None) -> int:
     except BudgetRefused as e:
         print(f"morsematch: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (MaterializationLimitError, BudgetExceededError) as e:
+    except (MaterializationLimitError, BudgetExceededError,
+            LayeredInfeasibleError) as e:
         print(f"morsematch: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as e:

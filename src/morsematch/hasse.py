@@ -1,4 +1,4 @@
-"""Hasse diagrams, matchings, acyclicity, and exhaustive enumeration.
+"""Hasse diagrams, matchings, acyclicity, and critical faces.
 
 Faces get global ids in canonical order (dimension, then lex position), and
 Hasse edges are indexed by (layer p, lex lower, lex upper).  That edge order
@@ -8,17 +8,17 @@ Matchings are edge-index bitmasks (Python ints).  A directed cycle in a
 modified Hasse diagram can only alternate between two adjacent dimensions,
 so acyclicity is decided layer by layer: adding a pair (lo, up) creates a
 cycle exactly when the layer digraph already has a directed path from `up`
-back down to `lo` through matched pairs.
+back down to `lo` through matched pairs.  `_layer_path_exists` is that one
+test; the layer enumerator in `layers` and `is_acyclic` both use it.
+Enumeration and counting live in `layers`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Sequence
 
 from .complexes import Face, SimplicialComplex
-
-Visitor = Callable[[int, int], None]  # (edge mask, cardinality)
 
 
 @dataclass
@@ -33,7 +33,7 @@ class HasseDiagram:
 
     __slots__ = ("base", "offsets", "face_of_gid", "dim_of_gid", "facets_of",
                  "edges", "edge_count", "lower", "upper", "layer_of",
-                 "edge_face_mask", "conflict", "edges_up", "edges_down",
+                 "edge_face_mask", "edges_up", "edges_down",
                  "edge_index")
 
     def __init__(self, K: SimplicialComplex):
@@ -85,15 +85,6 @@ class HasseDiagram:
         for i, (lo, up) in enumerate(edges):
             self.edges_up[lo].append(i)
             self.edges_down[up].append(i)
-        touching = [0] * len(self.face_of_gid)
-        for g in range(len(self.face_of_gid)):
-            m = 0
-            for j in self.edges_up[g]:
-                m |= 1 << j
-            for j in self.edges_down[g]:
-                m |= 1 << j
-            touching[g] = m
-        self.conflict = [touching[lo] | touching[up] for lo, up in edges]
 
     def edge_faces(self, e: int) -> tuple[Face, Face]:
         lo, up = self.edges[e]
@@ -136,26 +127,17 @@ def is_matching(H: HasseDiagram, mask: int) -> bool:
     return True
 
 
-def _matched_up(H: HasseDiagram, mask: int) -> dict[int, int]:
-    out = {}
-    m = mask
-    while m:
-        b = m & -m
-        e = b.bit_length() - 1
-        m ^= b
-        out[H.lower[e]] = H.upper[e]
-    return out
-
-
-def _layer_path_exists(H: HasseDiagram, matched_up: dict[int, int],
+def _layer_path_exists(facets: Sequence[Sequence[int]],
+                       matched_up: dict[int, int],
                        start_up: int, target_lo: int) -> bool:
     """Would matching (target_lo, start_up) close a directed cycle?
 
     Searches for a path from start_up back down to target_lo through already
-    matched pairs.  The first hop may not use the cover edge being reversed,
+    matched pairs.  `facets[u]` lists the facets of upper face u, and
+    `matched_up` maps matched lower faces to their partners, all in one
+    index space.  The first hop may not use the cover edge being reversed,
     so facet target_lo is skipped when leaving start_up.
     """
-    facets = H.facets_of
     stack = []
     seen = set()
     for s in facets[start_up]:
@@ -177,37 +159,19 @@ def _layer_path_exists(H: HasseDiagram, matched_up: dict[int, int],
 
 
 def is_acyclic(H: HasseDiagram, mask: int) -> bool:
-    """Gradient vector field test; rejects non-matchings outright."""
+    """Gradient vector field test; rejects non-matchings outright.
+
+    Inserts the pairs one at a time: a cycle exists exactly when some
+    insertion finds a path back to its own lower face.
+    """
     if not is_matching(H, mask):
         raise ValueError("input is not a matching")
-    matched = _matched_up(H, mask)
-    # white/grey/black DFS over matched pairs, one layer at a time implicitly:
-    # successors of a pair (lo, up) are the matched facets of up other than lo
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {lo: WHITE for lo in matched}
-    facets = H.facets_of
-    for root in matched:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(facets[matched[root]]))]
-        color[root] = GREY
-        while stack:
-            lo, it = stack[-1]
-            advanced = False
-            for s in it:
-                if s == lo or s not in matched:
-                    continue
-                c = color[s]
-                if c == GREY:
-                    return False
-                if c == WHITE:
-                    color[s] = GREY
-                    stack.append((s, iter(facets[matched[s]])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[lo] = BLACK
-                stack.pop()
+    matched: dict[int, int] = {}
+    for e in H.edges_from_mask(mask):
+        lo, up = H.lower[e], H.upper[e]
+        if _layer_path_exists(H.facets_of, matched, up, lo):
+            return False
+        matched[lo] = up
     return True
 
 
@@ -227,152 +191,3 @@ def critical_faces(H: HasseDiagram, mask: int) -> CriticalReport:
         if not (used >> g) & 1:
             by_dim[H.dim_of_gid[g]].append(f)
     return CriticalReport(by_dim, [len(lst) for lst in by_dim])
-
-
-# -- exhaustive enumeration -------------------------------------------------
-
-def _enumerate_subtree(H: HasseDiagram, acyclic: bool, start_mask: int,
-                       avail: int, start_card: int, counts: list[int],
-                       visitor: Optional[Visitor]) -> None:
-    """Canonical DFS over supersets of start_mask using edges from `avail`.
-
-    Edges are taken in increasing index order; `avail` must already exclude
-    conflicts with start_mask and all indices at or below its highest edge.
-    """
-    lower = H.lower
-    upper = H.upper
-    conflict = H.conflict
-    matched = _matched_up(H, start_mask) if acyclic else None
-
-    def rec(avail: int, mask: int, card: int) -> None:
-        sub = avail
-        while sub:
-            bit = sub & -sub
-            sub ^= bit
-            e = bit.bit_length() - 1
-            lo = lower[e]
-            up = upper[e]
-            if acyclic and _layer_path_exists(H, matched, up, lo):
-                continue
-            new_mask = mask | bit
-            counts[card + 1] += 1
-            if visitor is not None:
-                visitor(new_mask, card + 1)
-            if acyclic:
-                matched[lo] = up
-            rec(avail & ~conflict[e] & ~((bit << 1) - 1), new_mask, card + 1)
-            if acyclic:
-                del matched[lo]
-
-    rec(avail, start_mask, start_card)
-
-
-_PAR_STATE: dict = {}
-
-
-def _parallel_init(faces_by_dim, vertex_count, mode):
-    from .complexes import SimplicialComplex
-    index = {}
-    for d, lst in enumerate(faces_by_dim):
-        for i, f in enumerate(lst):
-            index[f] = (d, i)
-    K = SimplicialComplex(vertex_count, faces_by_dim, index)
-    _PAR_STATE["H"] = HasseDiagram(K)
-    _PAR_STATE["acyclic"] = mode == "acyclic"
-
-
-def _parallel_subtree(e: int) -> list[int]:
-    H = _PAR_STATE["H"]
-    acyclic = _PAR_STATE["acyclic"]
-    counts = [0] * (H.edge_count + 1)
-    bit = 1 << e
-    counts[1] += 1
-    _enumerate_subtree(H, acyclic, bit,
-                       ~((bit << 1) - 1) & ((1 << H.edge_count) - 1) & ~H.conflict[e],
-                       1, counts, None)
-    return counts
-
-
-def enumerate_matchings(H: HasseDiagram, mode: str = "acyclic",
-                        visitor: Optional[Visitor] = None,
-                        threads: int = 1) -> list[int]:
-    """Visit every non-empty matching exactly once in canonical DFS order.
-
-    Returns counts by cardinality as a dense f-vector: entry d is the number
-    of matchings of cardinality d+1, i.e. the number of d-faces of the
-    complex of matchings (acyclic ones for mode="acyclic", all for "all").
-
-    With threads > 1 the index-prefix subtrees are distributed to worker
-    processes and their counts summed in fixed subtree order; only pure
-    counting is allowed in that mode, so `visitor` must be None.
-    """
-    if mode not in ("acyclic", "all"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if H.edge_count == 0:
-        return []
-    if threads > 1:
-        if visitor is not None:
-            raise ValueError("visitors run single-threaded; use threads=1")
-        import multiprocessing as mp
-        with mp.Pool(threads, initializer=_parallel_init,
-                     initargs=(H.base.faces_by_dim, H.base.vertex_count, mode)) as pool:
-            per_edge = pool.map(_parallel_subtree, range(H.edge_count))
-        counts = [0] * (H.edge_count + 1)
-        for sub in per_edge:  # fixed order, deterministic totals
-            for k, c in enumerate(sub):
-                counts[k] += c
-    else:
-        counts = [0] * (H.edge_count + 1)
-        full = (1 << H.edge_count) - 1
-        _enumerate_subtree(H, mode == "acyclic", 0, full, 0, counts, visitor)
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return counts[1:]
-
-
-def enumerate_optimal_dfs(H: HasseDiagram, visitor: Optional[Visitor] = None,
-                          ) -> tuple[int, int]:
-    """Branch-and-bound over the canonical DFS tree.
-
-    The bound is exact but simple: the number of remaining candidate edges
-    cannot lift the current cardinality to the best found.  Suitable for
-    desk-scale diagrams; the layered enumerator covers the rest.
-    """
-    if H.edge_count == 0:
-        return 0, 1  # the empty matching is the unique optimum
-    lower = H.lower
-    upper = H.upper
-    conflict = H.conflict
-    matched: dict[int, int] = {}
-    best = 0
-    found: list[int] = []
-
-    def rec(avail: int, mask: int, card: int) -> None:
-        nonlocal best
-        if card + bin(avail).count("1") < best:
-            return
-        if card > best:
-            best = card
-            found.clear()
-        if card == best:
-            found.append(mask)
-        sub = avail
-        while sub:
-            bit = sub & -sub
-            sub ^= bit
-            e = bit.bit_length() - 1
-            if card + 1 + bin(sub).count("1") < best:
-                break
-            lo = lower[e]
-            up = upper[e]
-            if _layer_path_exists(H, matched, up, lo):
-                continue
-            matched[lo] = up
-            rec(avail & ~conflict[e] & ~((bit << 1) - 1), mask | bit, card + 1)
-            del matched[lo]
-
-    rec((1 << H.edge_count) - 1, 0, 0)
-    if visitor is not None:
-        for mask in found:
-            visitor(mask, best)
-    return best, len(found)

@@ -1,16 +1,22 @@
-"""Layer-by-layer transfer counting of matchings on a Hasse diagram.
+"""Layer-by-layer transfer: the one engine that counts, walks and
+materializes matchings on a Hasse diagram.
 
 A matching decomposes uniquely into per-layer matchings (layer p holds the
 pairs joining dimensions p and p+1), adjacent layers interact only through
 the faces of the shared dimension, and acyclicity is a per-layer condition.
 Counting therefore reduces to a transfer computation over subsets of each
-dimension's face set: enumerate the matchings of every layer once, then
+dimension's shared faces: enumerate the matchings of every layer once, then
 convolve counts across layers with a subset-sum (zeta) transform.
 
-This gives exact matching counts by cardinality in time polynomial in the
-per-layer matching lists, which is what makes the 4-simplex tractable where
-a flat backtracking enumeration is not.  The suffix tables double as exact
-lookahead for enumerating only the matchings of a prescribed cardinality.
+Only a face that is an upper face of layer d-1 and a lower face of layer d
+(dimension >= 1, at least one coface) can be claimed from both sides, so
+only those faces are tracked by the subset tables.  A dimension with more
+than WIDTH_LIMIT tracked faces is refused with LayeredInfeasibleError.
+Vertices and top faces are never tracked, so every 1-dimensional complex
+is admitted.
+
+The suffix tables double as exact lookahead for walking only the matchings
+of a prescribed cardinality; `iter_matchings` walks all of them.
 """
 
 from __future__ import annotations
@@ -19,11 +25,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .hasse import HasseDiagram
+from .hasse import HasseDiagram, _layer_path_exists
+
+WIDTH_LIMIT = 18  # largest subset table: 2^WIDTH_LIMIT entries
 
 
 class LayeredInfeasibleError(RuntimeError):
-    """A dimension's face count exceeds the subset-table width limit."""
+    """A dimension has more tracked faces than a subset table may index."""
 
 
 @dataclass
@@ -39,7 +47,7 @@ class Layer:
     upper_facets: list[list[int]]
 
 
-@dataclass
+@dataclass(slots=True)
 class LayerMatching:
     edge_mask: int   # global edge-index bitmask
     lower: int       # local bitmask over the layer's lower faces
@@ -48,26 +56,37 @@ class LayerMatching:
 
 
 class LayerSystem:
-    """Cached per-layer matching lists and their (lower, upper, size) classes."""
+    """Cached per-layer matching lists and their (lower, upper, size) classes.
 
-    def __init__(self, H: HasseDiagram, width_limit: int = 18):
+    Local indices of each dimension list its tracked faces first, so a local
+    mask projects onto the subset-table index with `& tracked_mask[d]`.
+    """
+
+    def __init__(self, H: HasseDiagram):
         self.H = H
-        K = H.base
-        self.widths = [len(lst) for lst in K.faces_by_dim]
-        if any(w > width_limit for w in self.widths):
-            raise LayeredInfeasibleError(
-                f"face counts {self.widths} exceed width limit {width_limit}")
-        self.D = K.dim  # number of layers
+        self.D = H.base.dim  # number of layers
+        order: list[list[int]] = []
+        self.tracked: list[int] = []
+        for d in range(self.D + 1):
+            gids = range(H.offsets[d], H.offsets[d + 1])
+            shared = [g for g in gids if d and H.edges_up[g]]
+            if len(shared) > WIDTH_LIMIT:
+                raise LayeredInfeasibleError(
+                    f"dimension {d} has {len(shared)} tracked faces; its "
+                    f"subset table would need 2^{len(shared)} entries "
+                    f"(limit 2^{WIDTH_LIMIT})")
+            order.append(shared + [g for g in gids if not (d and H.edges_up[g])])
+            self.tracked.append(len(shared))
+        self.tracked_mask = [(1 << t) - 1 for t in self.tracked]
+        index = [{g: i for i, g in enumerate(gids)} for gids in order]
         self.layers: list[Layer] = []
         for p in range(self.D):
-            lo_g = list(range(H.offsets[p], H.offsets[p + 1]))
-            up_g = list(range(H.offsets[p + 1], H.offsets[p + 2]))
-            lo_i = {g: i for i, g in enumerate(lo_g)}
-            up_i = {g: i for i, g in enumerate(up_g)}
+            lo_i, up_i = index[p], index[p + 1]
             edges_local = [(e, lo_i[H.lower[e]], up_i[H.upper[e]])
                            for e in range(H.edge_count) if H.layer_of[e] == p]
-            upper_facets = [[lo_i[s] for s in H.facets_of[g]] for g in up_g]
-            self.layers.append(Layer(p, lo_g, up_g, lo_i, up_i,
+            upper_facets = [[lo_i[s] for s in H.facets_of[g]]
+                            for g in order[p + 1]]
+            self.layers.append(Layer(p, order[p], order[p + 1], lo_i, up_i,
                                      edges_local, upper_facets))
         self._matchings: dict[tuple[int, bool], list[LayerMatching]] = {}
         self._classes: dict[tuple[int, bool], dict] = {}
@@ -98,33 +117,12 @@ def _enumerate_layer(layer: Layer, acyclic: bool) -> list[LayerMatching]:
     facets = layer.upper_facets
     matched: dict[int, int] = {}  # lower local -> upper local
 
-    def creates_cycle(lo: int, up: int) -> bool:
-        # first hop must not reuse the cover edge being reversed
-        stack = []
-        seen = set()
-        for s in facets[up]:
-            if s != lo:
-                nxt = matched.get(s)
-                if nxt is not None and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        while stack:
-            t = stack.pop()
-            for s in facets[t]:
-                if s == lo:
-                    return True
-                nxt = matched.get(s)
-                if nxt is not None and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
     def rec(start: int, emask: int, lmask: int, umask: int, size: int) -> None:
         for i in range(start, n):
             e, lo, up = edges[i]
             if (lmask >> lo) & 1 or (umask >> up) & 1:
                 continue
-            if acyclic and creates_cycle(lo, up):
+            if acyclic and _layer_path_exists(facets, matched, up, lo):
                 continue
             nm = LayerMatching(emask | (1 << e), lmask | (1 << lo),
                                umask | (1 << up), size + 1)
@@ -150,17 +148,19 @@ def _vec_add_scaled(dst: list[int], src: list[int], mult: int, shift: int) -> No
 
 def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
     """S[d][U][k]: number of ways to match layers d.. with k pairs total,
-    avoiding the lower faces in U (a bitmask over dimension-d faces)."""
+    avoiding the lower faces in U (a bitmask over dimension d's tracked
+    faces).  S[0] and S[D] have a single entry."""
     D = ls.D
     S: list = [None] * (D + 1)
-    S[D] = [[1]] * (1 << ls.widths[D])
+    S[D] = [[1]]
     for d in range(D - 1, -1, -1):
-        w = ls.widths[d]
+        w = ls.tracked[d]
         size = 1 << w
+        low, up_low = ls.tracked_mask[d], ls.tracked_mask[d + 1]
         q: list[list[int]] = [[] for _ in range(size)]
         nxt = S[d + 1]
         for (lmask, umask, s), mult in ls.classes(d, acyclic).items():
-            _vec_add_scaled(q[lmask], nxt[umask], mult, s)
+            _vec_add_scaled(q[lmask & low], nxt[umask & up_low], mult, s)
         # zeta transform: q[V] becomes the sum over all L subset of V
         for i in range(w):
             bit = 1 << i
@@ -170,16 +170,6 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
         full = size - 1
         S[d] = [q[full ^ u] for u in range(size)]
     return S
-
-
-def count_vector(H: HasseDiagram, mode: str = "acyclic",
-                 width_limit: int = 18) -> list[int]:
-    """Matching counts by cardinality (entry 0 is the empty matching)."""
-    if H.edge_count == 0:
-        return [1]
-    ls = LayerSystem(H, width_limit)
-    S = suffix_tables(ls, mode == "acyclic")
-    return list(S[0][0])
 
 
 def max_cardinality_info(vec: list[int]) -> tuple[int, int]:
@@ -202,7 +192,7 @@ def profile_counts(ls: LayerSystem, S: list, target: int, acyclic: bool,
     for d in range(D):
         idx: dict[int, list[tuple[int, int, int]]] = {}
         for (lmask, umask, s), mult in ls.classes(d, acyclic).items():
-            idx.setdefault(lmask, []).append((umask, s, mult))
+            idx.setdefault(lmask & ls.tracked_mask[d], []).append((umask, s, mult))
         by_lower.append(idx)
     out: Counter = Counter()
 
@@ -211,8 +201,9 @@ def profile_counts(ls: LayerSystem, S: list, target: int, acyclic: bool,
         if d == D:
             out[profile] += mult_acc
             return
-        comp = ((1 << ls.widths[d]) - 1) ^ avoid
+        comp = ls.tracked_mask[d] & ~avoid
         nxt = S[d + 1]
+        up_low = ls.tracked_mask[d + 1]
         idx = by_lower[d]
         sub = comp
         while True:
@@ -220,7 +211,7 @@ def profile_counts(ls: LayerSystem, S: list, target: int, acyclic: bool,
             if classes:
                 for umask, s, mult in classes:
                     need = target - k_acc - s
-                    vec = nxt[umask]
+                    vec = nxt[umask & up_low]
                     if 0 <= need < len(vec) and vec[need]:
                         walk(d + 1, umask, k_acc + s, profile + (s,),
                              mult_acc * mult)
@@ -230,6 +221,26 @@ def profile_counts(ls: LayerSystem, S: list, target: int, acyclic: bool,
 
     walk(0, 0, 0, (), 1)
     return dict(out)
+
+
+def iter_matchings(ls: LayerSystem, acyclic: bool) -> Iterator[int]:
+    """Yield the edge mask of every matching, the empty matching first.
+
+    A product walk over the per-layer matchings: a layer's matching joins
+    when its lower faces avoid the upper faces matched by the layer below.
+    """
+    D = ls.D
+    per_layer = [ls.matchings(d, acyclic) for d in range(D)]
+
+    def rec(d: int, avoid: int, acc_mask: int) -> Iterator[int]:
+        if d == D:
+            yield acc_mask
+            return
+        for m in per_layer[d]:
+            if not m.lower & avoid:
+                yield from rec(d + 1, m.upper, acc_mask | m.edge_mask)
+
+    yield from rec(0, 0, 0)
 
 
 def iter_matchings_of_cardinality(ls: LayerSystem, S: list, target: int,
@@ -253,6 +264,7 @@ def iter_matchings_of_cardinality(ls: LayerSystem, S: list, target: int,
             yield acc_mask
             return
         nxt = S[d + 1]
+        up_low = ls.tracked_mask[d + 1]
         for s, bucket in by_size[d].items():
             need = target - k_acc - s
             if need < 0:
@@ -260,7 +272,7 @@ def iter_matchings_of_cardinality(ls: LayerSystem, S: list, target: int,
             for m in bucket:
                 if m.lower & avoid:
                     continue
-                vec = nxt[m.upper]
+                vec = nxt[m.upper & up_low]
                 if need < len(vec) and vec[need]:
                     yield from rec(d + 1, m.upper, k_acc + s,
                                    acc_mask | m.edge_mask)
@@ -268,49 +280,22 @@ def iter_matchings_of_cardinality(ls: LayerSystem, S: list, target: int,
     yield from rec(0, 0, 0, 0)
 
 
-# -- dispatchers -------------------------------------------------------------
-
-def matching_counts(H: HasseDiagram, mode: str = "acyclic", threads: int = 1,
-                    width_limit: int = 18) -> list[int]:
+def matching_counts(H: HasseDiagram, mode: str = "acyclic") -> list[int]:
     """f-vector of the complex of matchings (counts by cardinality >= 1).
 
-    Uses the layer transfer when the per-dimension face counts permit, and
-    falls back to the flat canonical enumeration otherwise.  Both routes
-    produce identical counts.
+    Raises LayeredInfeasibleError when a dimension has more than
+    WIDTH_LIMIT tracked faces.
     """
-    from .hasse import enumerate_matchings
-    try:
-        vec = count_vector(H, mode, width_limit)
-        out = vec[1:]
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-    except LayeredInfeasibleError:
-        return enumerate_matchings(H, mode, threads=threads)
+    return suffix_tables(LayerSystem(H), mode == "acyclic")[0][0][1:]
 
 
-def enumerate_optimal(H: HasseDiagram, visitor=None, method: str = "auto",
-                      width_limit: int = 18) -> tuple[int, int]:
+def enumerate_optimal(H: HasseDiagram, visitor=None) -> tuple[int, int]:
     """Maximum acyclic matching cardinality, their count, optional visit.
 
-    method "layered" counts through the layer transfer and, when a visitor
-    is supplied, walks exactly the maximum matchings using suffix-table
-    lookahead.  method "dfs" is the flat branch-and-bound.  "auto" prefers
-    the layered route and falls back to the branch-and-bound.
+    Counts through the layer transfer and, when a visitor is supplied,
+    walks exactly the maximum matchings using suffix-table lookahead.
     """
-    from .hasse import enumerate_optimal_dfs
-    if H.edge_count == 0:
-        return 0, 1
-    if method not in ("auto", "layered", "dfs"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "dfs":
-        return enumerate_optimal_dfs(H, visitor)
-    try:
-        ls = LayerSystem(H, width_limit)
-    except LayeredInfeasibleError:
-        if method == "layered":
-            raise
-        return enumerate_optimal_dfs(H, visitor)
+    ls = LayerSystem(H)
     S = suffix_tables(ls, acyclic=True)
     best, count = max_cardinality_info(S[0][0])
     if visitor is not None:

@@ -7,8 +7,10 @@ canonical edge order.  Three variants are built:
   MP  the subcomplex generated by the maximum-cardinality acyclic matchings
   GM  faces are all matchings, acyclicity dropped (hereditary)
 
-Materialization is guarded by a projected-size cap so that bases whose
-matching complex only admits streamed counting are refused loudly.
+All three are built from one layer system (see `layers`): its suffix
+tables give the exact face count first, so a complex over the cap is
+refused before anything is walked; M and GM then walk every per-layer
+product, and MP closes the maximum matchings downward.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import SimplicialComplex, cone, relabel
-from .hasse import HasseDiagram, build_hasse, enumerate_matchings
-from .layers import (LayeredInfeasibleError, count_vector, enumerate_optimal,
-                     matching_counts, max_cardinality_info)
+from .hasse import HasseDiagram, build_hasse
+from .layers import (LayerSystem, iter_matchings, iter_matchings_of_cardinality,
+                     matching_counts, max_cardinality_info, suffix_tables)
 
 VARIANTS = ("M", "MP", "GM")
 
@@ -39,6 +41,11 @@ class MatchingComplex:
     def is_void(self) -> bool:
         return self.complex.is_void
 
+    @property
+    def edge_count(self) -> int:
+        """Size of the vertex universe: the base's Hasse edge count."""
+        return self.hasse.edge_count if self.hasse else 0
+
 
 def _masks_to_faces(masks) -> list[tuple[int, ...]]:
     faces = []
@@ -53,18 +60,6 @@ def _masks_to_faces(masks) -> list[tuple[int, ...]]:
     return faces
 
 
-def _projected_size(H: HasseDiagram, variant: str) -> Optional[int]:
-    """Cheap upper bound on the number of faces, or None if unavailable."""
-    try:
-        vec = count_vector(H, "all" if variant == "GM" else "acyclic")
-    except LayeredInfeasibleError:
-        return None
-    if variant == "MP":
-        best, cnt = max_cardinality_info(vec)
-        return cnt * (1 << best)  # closure upper bound
-    return sum(vec[1:])
-
-
 def build_matching_complex(K: SimplicialComplex, variant: str,
                            max_faces: int = 10 ** 8) -> MatchingComplex:
     """Materialize the complex of matchings of K for the given variant.
@@ -72,24 +67,30 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
     A base without Hasse edges (isolated vertices, the void complex) yields
     a void matching complex rather than an error.  Raises
     MaterializationLimitError when the projected face count exceeds
-    `max_faces`.
+    `max_faces`, and LayeredInfeasibleError when the base is too wide for
+    the layer transfer.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if K.is_void or K.dim == 0:
         return MatchingComplex(variant, K, None, SimplicialComplex.void(0))
     H = build_hasse(K)
-    projected = _projected_size(H, variant)
-    if projected is not None and projected > max_faces:
+    ls = LayerSystem(H)
+    acyclic = variant != "GM"
+    S = suffix_tables(ls, acyclic)
+    if variant == "MP":
+        best, cnt = max_cardinality_info(S[0][0])
+        projected = cnt * (1 << best)  # closure upper bound
+    else:
+        projected = sum(S[0][0]) - 1  # exact: every non-empty matching
+    if projected > max_faces:
         raise MaterializationLimitError(
             f"projected face count {projected} exceeds cap {max_faces}; "
             "use the streamed counting interface instead")
 
     if variant == "MP":
-        maxima: list[int] = []
-        enumerate_optimal(H, visitor=lambda mask, card: maxima.append(mask))
         closed: set[int] = set()
-        for mask in maxima:
+        for mask in iter_matchings_of_cardinality(ls, S, best, acyclic=True):
             sub = mask
             while sub:
                 closed.add(sub)
@@ -99,26 +100,13 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
                 sub = (sub - 1) & mask
         masks = closed
     else:
-        mode = "all" if variant == "GM" else "acyclic"
-        collected: list[int] = []
-        cap_holder = [0]
-
-        def visit(mask: int, card: int) -> None:
-            cap_holder[0] += 1
-            if cap_holder[0] > max_faces:
-                raise MaterializationLimitError(
-                    f"face count exceeded cap {max_faces} during enumeration")
-            collected.append(mask)
-
-        enumerate_matchings(H, mode, visitor=visit)
-        masks = collected
+        masks = [m for m in iter_matchings(ls, acyclic) if m]
 
     cx = SimplicialComplex.from_faces(_masks_to_faces(masks), H.edge_count)
     return MatchingComplex(variant, K, H, cx)
 
 
 def matching_complex_f_vector(K: SimplicialComplex, variant: str,
-                              threads: int = 1,
                               max_faces: int = 10 ** 8) -> list[int]:
     """f-vector of the matching complex, streamed where possible.
 
@@ -134,8 +122,7 @@ def matching_complex_f_vector(K: SimplicialComplex, variant: str,
         from .complexes import f_vector
         return f_vector(build_matching_complex(K, "MP", max_faces).complex)
     H = build_hasse(K)
-    return matching_counts(H, "all" if variant == "GM" else "acyclic",
-                           threads=threads)
+    return matching_counts(H, "all" if variant == "GM" else "acyclic")
 
 
 def induced_inclusion(K: SimplicialComplex, L: SimplicialComplex) -> list[int]:

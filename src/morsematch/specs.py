@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Optional
 
 from .complexes import SimplicialComplex, build_boundary, build_simplex, cone, skeleton
 
@@ -112,6 +113,14 @@ def _render(ast) -> str:
     if tag == "cone":
         return f"cone:{_render(ast[1])}"
     return f"file:{ast[1]}"
+
+
+def spec_file(spec: str) -> Optional[str]:
+    """Path of the facet file a spec reads, if any (nesting is linear)."""
+    ast = parse_spec(spec)
+    while ast[0] in ("skeleton", "cone"):
+        ast = ast[1]
+    return ast[1] if ast[0] == "file" else None
 
 
 def build_from_spec(spec: str) -> SimplicialComplex:

@@ -17,8 +17,9 @@ from .complexes import (SimplicialComplex, build_boundary, build_simplex,
                         cone, euler_characteristic, f_vector, is_full_subcomplex,
                         is_isomorphic, skeleton)
 from .hasse import HasseDiagram, build_hasse, critical_faces, is_acyclic, is_matching
-from .layers import (LayerSystem, enumerate_optimal, iter_matchings_of_cardinality,
-                     max_cardinality_info, profile_counts, suffix_tables)
+from .layers import (LayeredInfeasibleError, LayerSystem, enumerate_optimal,
+                     iter_matchings_of_cardinality, max_cardinality_info,
+                     profile_counts, suffix_tables)
 from .homology import HomologyResult, homology, relative_homology
 from .morse import (build_matching_complex, cone_pair, embed_faces,
                     induced_inclusion)
@@ -72,7 +73,7 @@ def _run(name: str, instance: dict, fn: Callable[[], dict]) -> VerificationRepor
         status, witness = "pass", None
     except CheckFailure as f:
         status, witness, details = "fail", f.witness, {"message": str(f)}
-    except BudgetSkip as b:
+    except (BudgetSkip, LayeredInfeasibleError) as b:
         status, witness, details = "skipped-budget", None, {"reason": str(b)}
     return VerificationReport(name, instance, status, witness, details,
                               time.perf_counter() - t0)
@@ -564,8 +565,7 @@ def verify_reference_tables(budget: int = DEFAULT_BUDGET) -> VerificationReport:
 
 
 def verify_euler_obstruction_n4(fvec: Optional[list[int]] = None,
-                                allow_long: bool = False,
-                                threads: int = 1) -> VerificationReport:
+                                allow_long: bool = False) -> VerificationReport:
     """Consistency of the 4-simplex face vector: alternating sum, reduced
     Euler characteristic, top entry, and the parity obstruction."""
     def check() -> dict:
@@ -575,8 +575,7 @@ def verify_euler_obstruction_n4(fvec: Optional[list[int]] = None,
             if not allow_long:
                 raise BudgetSkip("no cached f-vector and long enumeration disabled")
             from .morse import matching_complex_f_vector
-            vec = matching_complex_f_vector(build_simplex(4), "M",
-                                            threads=threads)
+            vec = matching_complex_f_vector(build_simplex(4), "M")
             computed = True
         _ensure(list(vec) == list(N4_F_VECTOR),
                 "f-vector differs from the 15-entry reference",
@@ -620,7 +619,7 @@ def verify_conjecture_evidence(variant: str, n: int,
 # -- suite assembly ------------------------------------------------------------
 
 def default_suite(max_n: int = 3, budget: int = DEFAULT_BUDGET,
-                  allow_long: bool = False, threads: int = 1,
+                  allow_long: bool = False,
                   cached_n4_fvector: Optional[list[int]] = None,
                   only: Optional[str] = None) -> list[VerificationReport]:
     """Run the named check (or all of them) for every instance with n up to
@@ -678,7 +677,7 @@ def default_suite(max_n: int = 3, budget: int = DEFAULT_BUDGET,
             reports.append(verify_conjecture_evidence("GM", n, budget))
     if want("euler-n4") and (max_n >= 4 or explicit):
         reports.append(verify_euler_obstruction_n4(cached_n4_fvector,
-                                                   allow_long, threads))
+                                                   allow_long))
     return reports
 
 

@@ -76,6 +76,32 @@ def brute_force_counts(H, mode: str) -> list[int]:
     return counts[1:]
 
 
+def all_matchings(H, mode: str) -> list[int]:
+    """Every non-empty matching as an edge mask, by plain recursion over
+    face-disjoint edge sets; mode "acyclic" keeps those whose modified
+    digraph is acyclic."""
+    out: list[int] = []
+
+    def rec(start: int, mask: int, used: frozenset) -> None:
+        for e in range(start, H.edge_count):
+            lo, up = H.lower[e], H.upper[e]
+            if lo in used or up in used:
+                continue
+            out.append(mask | (1 << e))
+            rec(e + 1, mask | (1 << e), used | {lo, up})
+
+    rec(0, 0, frozenset())
+    if mode == "acyclic":
+        out = [m for m in out if modified_digraph_acyclic(H, m)]
+    return out
+
+
+def counts_by_cardinality(masks) -> list[int]:
+    """Dense f-vector: entry k-1 counts the masks with k bits."""
+    sizes = [bin(m).count("1") for m in masks]
+    return [sizes.count(k) for k in range(1, max(sizes, default=0) + 1)]
+
+
 def snf_divisors_sympy(dense: list[list[int]]) -> tuple[int, ...]:
     """Elementary divisor chain of an integer matrix via sympy."""
     from sympy import Matrix, ZZ

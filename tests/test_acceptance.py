@@ -11,11 +11,10 @@ import pytest
 
 from morsematch.complexes import (build_boundary, build_simplex,
                                   euler_characteristic, f_vector, skeleton)
-from morsematch.hasse import (build_hasse, critical_faces, enumerate_matchings,
-                              is_acyclic)
+from morsematch.hasse import build_hasse, critical_faces, is_acyclic
 from morsematch.homology import (boundary_matrices, homology,
                                  smith_normal_form, SparseIntMatrix)
-from morsematch.layers import (LayerSystem, enumerate_optimal,
+from morsematch.layers import (LayerSystem, enumerate_optimal, iter_matchings,
                                max_cardinality_info, profile_counts,
                                suffix_tables)
 from morsematch.morse import build_matching_complex
@@ -27,6 +26,13 @@ from morsematch.verify import (N4_F_VECTOR, verify_cone_contiguity,
                                verify_top_facet_bijection)
 
 from oracles import snf_divisors_sympy
+
+
+def acyclic_matchings(H) -> list[int]:
+    """Non-empty acyclic matchings from the layer walk, in canonical edge
+    order."""
+    masks = [m for m in iter_matchings(LayerSystem(H), acyclic=True) if m]
+    return sorted(masks, key=H.edges_from_mask)
 
 
 def report(criterion: int, text: str) -> None:
@@ -189,8 +195,7 @@ def test_criterion_10_property_suites():
 
     # matching heredity on sampled faces
     H = build_hasse(build_simplex(3))
-    masks = []
-    enumerate_matchings(H, "acyclic", visitor=lambda m_, c: masks.append(m_))
+    masks = acyclic_matchings(H)
     for mask in rng.sample(masks, 200):
         sub = 0
         for e in H.edges_from_mask(mask):
@@ -202,9 +207,7 @@ def test_criterion_10_property_suites():
     for K in (build_boundary(2), build_boundary(3)):
         HK = build_hasse(K)
         betti = [homology(K, reduced=False).betti(d) for d in range(K.dim + 1)]
-        all_masks = []
-        enumerate_matchings(HK, "acyclic",
-                            visitor=lambda m_, c: all_masks.append(m_))
+        all_masks = acyclic_matchings(HK)
         for mask in rng.sample(all_masks, min(200, len(all_masks))):
             rep = critical_faces(HK, mask)
             assert all(mi >= bi for mi, bi in zip(rep.counts, betti))
@@ -215,11 +218,4 @@ def test_criterion_10_property_suites():
         assert sum((-1) ** d * h.betti(d) for d in range(K.dim + 1)) \
             == euler_characteristic(K)
 
-    # determinism under varying thread counts
-    for K in (build_simplex(3), build_boundary(3)):
-        HK = build_hasse(K)
-        assert enumerate_matchings(HK, "acyclic") \
-            == enumerate_matchings(HK, "acyclic", threads=2) \
-            == enumerate_matchings(HK, "acyclic", threads=4)
-
-    report(10, "closure, dd=0, SNF oracle, heredity, Morse bounds, determinism")
+    report(10, "closure, dd=0, SNF oracle, heredity, Morse bounds")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -57,6 +58,12 @@ def test_faces_document_round_trip():
     assert parsed == masks and edge_count == 11
     with pytest.raises(ValueError):
         document_to_faces(b"something else\n")
+
+
+def test_faces_document_rejects_bits_beyond_edge_count():
+    with pytest.raises(ValueError, match="edge count 2"):
+        document_to_faces(b"morsematch-faces v1 2\nff\n")
+    assert document_to_faces(b"morsematch-faces v1 2\n03\n") == ([3], 2)
 
 
 # -- CLI -----------------------------------------------------------------
@@ -161,6 +168,40 @@ def test_file_spec(capsys, tmp_path):
                            "--variant", "M", "--cache-dir", str(tmp_path))
     assert code == 0
     assert json.loads(out)["result"]["f_vector"] == [6, 9]
+
+
+def test_file_spec_cache_follows_file_content(capsys, tmp_path):
+    p = tmp_path / "k.json"
+    argv = ("fvector", "--complex", f"file:{p}", "--variant", "M",
+            "--cache-dir", str(tmp_path / "cache"))
+    p.write_text(json.dumps({"vertices": 3, "facets": [[0, 1], [1, 2], [0, 2]]}))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["result"]["f_vector"] == [6, 9]
+    p.write_text(json.dumps({"vertices": 4, "facets": [[0, 1, 2], [1, 2, 3]]}))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["result"]["f_vector"] == [16, 88, 196, 158, 32]
+
+
+def test_relative_homology_of_void_matching_complexes(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "homology", "--complex", "simplex:0",
+                             "--variant", "M", "--relative", "simplex:0",
+                             "--cache-dir", str(tmp_path))
+    assert code == 0 and "Traceback" not in err
+    result = json.loads(out)["result"]
+    assert result["relative"] == "simplex:0"
+    assert all(not g["betti"] and not g["torsion"] for g in result["degrees"])
+
+
+def test_wide_complexes_refused(capsys, tmp_path):
+    for spec in ("simplex:5", "boundary:5"):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "fvector", "--complex", spec,
+                                 "--cache-dir", str(tmp_path))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and out == ""
+        assert "dimension 2 has 20 tracked faces" in err
+        assert "2^20" in err
 
 
 def test_euler_command(capsys, tmp_path):

@@ -4,14 +4,21 @@ import pytest
 
 from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, skeleton)
-from morsematch.hasse import (build_hasse, critical_faces, enumerate_matchings,
-                              enumerate_optimal_dfs, is_acyclic, is_matching)
+from morsematch.hasse import build_hasse, critical_faces, is_acyclic, is_matching
 from morsematch.homology import homology
+from morsematch.layers import (LayerSystem, enumerate_optimal, iter_matchings,
+                               matching_counts)
 
 from oracles import brute_force_counts, modified_digraph_acyclic
 
 TABLE1_M_D3 = [28, 300, 1544, 3932, 4632, 2128, 256]
 TABLE1_M_BD3 = [24, 216, 896, 1692, 1248, 256]
+
+
+def walked(H, acyclic: bool) -> list[int]:
+    """Non-empty matchings from the layer walk, in canonical edge order."""
+    masks = [m for m in iter_matchings(LayerSystem(H), acyclic) if m]
+    return sorted(masks, key=H.edges_from_mask)
 
 
 def edge_of(H, lo, up):
@@ -108,10 +115,10 @@ def test_layered_agrees_with_whole_digraph_oracle():
 
 
 def test_enumerate_matchings_counts():
-    assert enumerate_matchings(build_hasse(build_simplex(1))) == [2]
-    assert enumerate_matchings(build_hasse(build_boundary(2))) == [6, 9]
-    assert enumerate_matchings(build_hasse(build_simplex(3))) == TABLE1_M_D3
-    assert enumerate_matchings(build_hasse(build_boundary(3))) == TABLE1_M_BD3
+    assert matching_counts(build_hasse(build_simplex(1))) == [2]
+    assert matching_counts(build_hasse(build_boundary(2))) == [6, 9]
+    assert matching_counts(build_hasse(build_simplex(3))) == TABLE1_M_D3
+    assert matching_counts(build_hasse(build_boundary(3))) == TABLE1_M_BD3
 
 
 def test_enumerate_against_brute_force():
@@ -120,50 +127,23 @@ def test_enumerate_against_brute_force():
     for K in complexes:
         H = build_hasse(K)
         for mode in ("acyclic", "all"):
-            assert enumerate_matchings(H, mode) == brute_force_counts(H, mode)
+            assert matching_counts(H, mode) == brute_force_counts(H, mode)
 
 
 def test_gm_dominates_and_matches_low_dims():
     H = build_hasse(build_simplex(3))
-    m = enumerate_matchings(H, "acyclic")
-    gm = enumerate_matchings(H, "all")
+    m = matching_counts(H, "acyclic")
+    gm = matching_counts(H, "all")
     assert len(gm) >= len(m)
     assert all(g >= a for g, a in zip(gm, m))
     assert gm[0] == m[0] and gm[1] == m[1]  # 1-skeletons coincide
-
-
-def test_canonical_visit_order():
-    H = build_hasse(build_boundary(2))
-    seen = []
-    enumerate_matchings(H, "acyclic", visitor=lambda mask, card: seen.append(mask))
-    as_tuples = [tuple(H.edges_from_mask(m)) for m in seen]
-    assert as_tuples == sorted(as_tuples)
-    assert len(set(seen)) == len(seen)
-
-
-def test_thread_determinism():
-    for K in (build_simplex(3), build_boundary(3)):
-        H = build_hasse(K)
-        for mode in ("acyclic", "all"):
-            c1 = enumerate_matchings(H, mode, threads=1)
-            c2 = enumerate_matchings(H, mode, threads=2)
-            c3 = enumerate_matchings(H, mode, threads=3)
-            assert c1 == c2 == c3
-
-
-def test_visitor_requires_single_thread():
-    H = build_hasse(build_simplex(2))
-    with pytest.raises(ValueError):
-        enumerate_matchings(H, visitor=lambda m, c: None, threads=2)
 
 
 def test_matching_heredity():
     # every subset of an acyclic matching is acyclic
     rng = random.Random(5)
     H = build_hasse(build_simplex(3))
-    acyclic_masks = []
-    enumerate_matchings(H, "acyclic",
-                        visitor=lambda m, c: acyclic_masks.append(m))
+    acyclic_masks = walked(H, acyclic=True)
     for mask in rng.sample(acyclic_masks, 400):
         sub = mask
         keep = rng.randrange(1 << bin(mask).count("1"))
@@ -177,10 +157,10 @@ def test_matching_heredity():
 def test_critical_faces():
     d3 = build_simplex(3)
     H = build_hasse(d3)
-    best, count = enumerate_optimal_dfs(H)
+    best, count = enumerate_optimal(H)
     assert (best, count) == (7, 256)
     masks = []
-    enumerate_optimal_dfs(H, visitor=lambda m, c: masks.append(m))
+    enumerate_optimal(H, visitor=lambda m, c: masks.append(m))
     for mask in masks:
         rep = critical_faces(H, mask)
         assert rep.counts == [1, 0, 0, 0]
@@ -188,7 +168,7 @@ def test_critical_faces():
 
     Hb = build_hasse(build_boundary(3))
     opt_b = []
-    enumerate_optimal_dfs(Hb, visitor=lambda m, c: opt_b.append(m))
+    enumerate_optimal(Hb, visitor=lambda m, c: opt_b.append(m))
     for mask in opt_b:
         rep = critical_faces(Hb, mask)
         assert rep.counts == [1, 0, 1]  # one vertex and one top face
@@ -205,8 +185,7 @@ def test_weak_morse_inequalities():
               skeleton(build_simplex(3), 1)):
         H = build_hasse(K)
         betti = [homology(K, reduced=False).betti(d) for d in range(K.dim + 1)]
-        masks = []
-        enumerate_matchings(H, "acyclic", visitor=lambda m, c: masks.append(m))
+        masks = walked(H, acyclic=True)
         sample = masks if len(masks) <= 300 else rng.sample(masks, 300)
         for mask in sample:
             rep = critical_faces(H, mask)
@@ -216,5 +195,5 @@ def test_weak_morse_inequalities():
 def test_optimal_counts_small():
     for n, best_want, count_want in [(1, 1, 2), (2, 3, 9), (3, 7, 256)]:
         H = build_hasse(build_simplex(n))
-        assert enumerate_optimal_dfs(H) == (best_want, count_want)
+        assert enumerate_optimal(H) == (best_want, count_want)
         assert best_want == 2 ** n - 1

@@ -1,29 +1,41 @@
+import time
+from math import comb
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, cone, skeleton)
-from morsematch.hasse import build_hasse, enumerate_matchings, enumerate_optimal_dfs
-from morsematch.layers import (LayerSystem, LayeredInfeasibleError,
-                               enumerate_optimal, iter_matchings_of_cardinality,
-                               matching_counts, max_cardinality_info,
-                               profile_counts, suffix_tables)
+from morsematch.hasse import build_hasse
+from morsematch.layers import (WIDTH_LIMIT, LayerSystem, LayeredInfeasibleError,
+                               enumerate_optimal, iter_matchings,
+                               iter_matchings_of_cardinality, matching_counts,
+                               max_cardinality_info, profile_counts,
+                               suffix_tables)
+
+from oracles import all_matchings, counts_by_cardinality
+
+CORPUS = [build_simplex(1), build_simplex(2), build_simplex(3),
+          build_boundary(2), build_boundary(3),
+          skeleton(build_simplex(3), 1), cone(build_boundary(2))[0]]
 
 
 def test_counts_agree_with_flat_enumeration():
-    corpus = [build_simplex(1), build_simplex(2), build_boundary(2),
-              build_simplex(3), build_boundary(3),
-              skeleton(build_simplex(3), 1), cone(build_boundary(2))[0]]
-    for K in corpus:
+    for K in CORPUS:
         H = build_hasse(K)
+        ls = LayerSystem(H)
         for mode in ("acyclic", "all"):
-            assert matching_counts(H, mode) == enumerate_matchings(H, mode)
+            flat = all_matchings(H, mode)
+            assert matching_counts(H, mode) == counts_by_cardinality(flat)
+            walked = list(iter_matchings(ls, mode == "acyclic"))
+            assert walked[0] == 0
+            assert sorted(walked[1:]) == sorted(flat)
 
 
 def test_optimal_counts():
     for n, want in [(1, 2), (2, 9), (3, 256)]:
         H = build_hasse(build_simplex(n))
-        assert enumerate_optimal(H, method="layered") == (2 ** n - 1, want)
-        assert enumerate_optimal(H, method="dfs") == (2 ** n - 1, want)
+        assert enumerate_optimal(H) == (2 ** n - 1, want)
     Hs = build_hasse(skeleton(build_simplex(3), 1))
     assert enumerate_optimal(Hs) == (3, 64)
     Hs42 = build_hasse(skeleton(build_simplex(4), 2))
@@ -44,16 +56,18 @@ def test_profile_counts_small():
 
 
 def test_guided_iteration_matches_flat_maxima():
-    for K in (build_simplex(3), build_boundary(2), build_boundary(3)):
+    for K in CORPUS:
         H = build_hasse(K)
-        flat = []
-        enumerate_optimal_dfs(H, visitor=lambda m, c: flat.append(m))
+        flat = all_matchings(H, "acyclic")
+        top = max(bin(m).count("1") for m in flat)
+        flat = [m for m in flat if bin(m).count("1") == top]
         ls = LayerSystem(H)
         S = suffix_tables(ls, True)
         best, count = max_cardinality_info(S[0][0])
         guided = list(iter_matchings_of_cardinality(ls, S, best, True))
         assert sorted(guided) == sorted(flat)
         assert len(guided) == count
+        assert enumerate_optimal(H) == (top, len(flat))
         # deterministic order
         assert guided == list(iter_matchings_of_cardinality(ls, S, best, True))
 
@@ -67,16 +81,92 @@ def test_iteration_of_non_maximal_cardinality():
 
 
 def test_width_limit():
+    # only faces shared by two layers are tracked: none in a graph, so the
+    # 15 edges of K6 need no subset table
     wide = SimplicialComplex.from_facets(
         [(a, b) for a in range(6) for b in range(a + 1, 6)])
     H = build_hasse(wide)
-    with pytest.raises(LayeredInfeasibleError):
-        LayerSystem(H, width_limit=10)  # 15 edges exceed the limit
-    assert matching_counts(H, "acyclic", width_limit=10) \
-        == enumerate_matchings(H, "acyclic")
+    assert LayerSystem(H).tracked == [0, 0]
+    assert matching_counts(H, "acyclic") \
+        == counts_by_cardinality(all_matchings(H, "acyclic"))
+    assert LayerSystem(build_hasse(build_simplex(4))).tracked == [0, 10, 10, 5, 0]
+    # the 20 triangles of the 5-simplex are shared by layers 1 and 2
+    for K in (build_simplex(5), build_boundary(5)):
+        with pytest.raises(LayeredInfeasibleError, match="dimension 2 has 20"):
+            LayerSystem(build_hasse(K))
+    assert WIDTH_LIMIT == 18
 
 
 def test_empty_diagram():
     H = build_hasse(build_simplex(0))
     assert matching_counts(H, "acyclic") == []
     assert enumerate_optimal(H) == (0, 1)
+
+
+# -- acyclic layer matchings are unique per class ------------------------------
+
+def assert_unique_per_class(ls: LayerSystem) -> None:
+    """Two perfect matchings on the same faces differ by alternating cycles,
+    which are directed cycles of the modified digraph, so an acyclic layer
+    matching is determined by its (lower, upper, size) class."""
+    for d in range(ls.D):
+        classes = ls.classes(d, acyclic=True)
+        assert len(classes) == len(ls.matchings(d, acyclic=True))
+        assert set(classes.values()) == {1}
+
+
+def test_layer_matchings_unique_per_class():
+    for K in CORPUS:
+        assert_unique_per_class(LayerSystem(build_hasse(K)))
+
+
+@st.composite
+def small_complexes(draw):
+    """Up to four facets of 1-3 vertices on at most five vertices: mixed
+    dimensions, so some middle faces have no coface."""
+    n = draw(st.integers(2, 5))
+    facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                     unique=True).map(lambda f: tuple(sorted(f)))
+    return SimplicialComplex.from_facets(draw(st.lists(facet, min_size=1,
+                                                       max_size=4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes())
+def test_layer_engine_on_drawn_complexes(K):
+    H = build_hasse(K)
+    ls = LayerSystem(H)
+    assert_unique_per_class(ls)
+    for mode in ("acyclic", "all"):
+        flat = all_matchings(H, mode)
+        assert matching_counts(H, mode) == counts_by_cardinality(flat)
+        assert sorted(m for m in iter_matchings(ls, mode == "acyclic") if m) \
+            == sorted(flat)
+
+
+# -- inputs the layer engine newly admits -----------------------------------------
+
+def test_disjoint_edges_gm_counts():
+    K = SimplicialComplex.from_facets([(2 * i, 2 * i + 1) for i in range(10)])
+    gm = matching_counts(build_hasse(K), "all")
+    assert gm[:3] == [20, 180, 960]
+    assert gm == [comb(10, k) * 2 ** k for k in range(1, 11)]
+    assert gm[-1] == 1024
+
+
+def test_k7_graph_counts():
+    K = skeleton(build_simplex(6), 1)
+    H = build_hasse(K)
+    assert matching_counts(H, "acyclic") == [42, 735, 6860, 36015, 100842, 117649]
+    assert matching_counts(H, "all") \
+        == [42, 735, 6930, 37905, 119826, 201747, 138690]
+    assert enumerate_optimal(H) == (6, 117649)
+
+
+def test_wide_complexes_refused_quickly():
+    for K in (build_simplex(5), build_boundary(5)):
+        H = build_hasse(K)
+        t0 = time.perf_counter()
+        with pytest.raises(LayeredInfeasibleError):
+            matching_counts(H)
+        assert time.perf_counter() - t0 < 1.0

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from morsematch.verify import (default_suite, verify_cone_contiguity,
@@ -181,6 +183,14 @@ def test_euler_obstruction_requires_data_or_flag():
 def test_budget_skip():
     r = verify_top_facet_bijection(3, budget=10)
     assert r.status == "skipped-budget"
+
+
+def test_budget_skip_on_complexes_too_wide_for_the_layer_transfer():
+    t0 = time.perf_counter()
+    r = verify_top_facet_bijection(5, budget=10)
+    assert r.status == "skipped-budget"
+    assert "dimension 2 has 20 tracked faces" in r.details["reason"]
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_default_suite_all_pass():
