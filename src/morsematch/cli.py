@@ -5,8 +5,9 @@ stderr.  Output is byte-stable for identical inputs: keys are sorted, values
 are integers or strings, and nothing time-dependent enters the payload.
 
 Exit codes: 0 success or all checks pass, 1 verification failure, 2 usage
-error, 3 budget exceeded (including the refusal to run long 4-simplex jobs
-without --allow-long, and complexes too wide for the layer transfer).
+error (also an unwritable --out path), 3 budget exceeded (including the
+refusal to run long 4-simplex jobs without --allow-long, and complexes too
+wide for the layer transfer).
 """
 
 from __future__ import annotations
@@ -49,8 +50,16 @@ def _emit(command: str, spec, result, out_path=None) -> None:
            "tool-version": __version__}
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        _write_out(out_path, text.encode())
     sys.stdout.write(text)
+
+
+def _write_out(path: str, data: bytes) -> None:
+    """Write the --out file; an unwritable path is a usage error (exit 2)."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as e:
+        raise ValueError(f"cannot write --out {path}: {e.strerror or e}") from e
 
 
 def _require_allow_long(command: str, spec: str, args) -> None:
@@ -98,7 +107,7 @@ def cmd_build(args) -> int:
         cx = mc.complex
         if args.out:
             masks = [sum(1 << v for v in face) for face in cx.faces()]
-            Path(args.out).write_bytes(faces_to_document(masks, mc.edge_count))
+            _write_out(args.out, faces_to_document(masks, mc.edge_count))
         result = {"variant": args.variant, "f_vector": f_vector(cx),
                   "faces": cx.total_faces(), "void": cx.is_void,
                   "out": args.out}

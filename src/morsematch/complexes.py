@@ -99,11 +99,6 @@ class SimplicialComplex:
         """Dimension; -1 for the void complex."""
         return len(self.faces_by_dim) - 1
 
-    def n_faces(self, d: int) -> int:
-        if 0 <= d < len(self.faces_by_dim):
-            return len(self.faces_by_dim[d])
-        return 0
-
     def total_faces(self) -> int:
         return sum(len(lst) for lst in self.faces_by_dim)
 

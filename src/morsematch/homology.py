@@ -5,15 +5,16 @@ tuple, the facet obtained by dropping the i-th vertex carries sign (-1)^i.
 Bases are the canonical lex-ordered face lists, so matrices are reproducible
 bit for bit.
 
-The Smith normal form runs a sparse elimination phase restricted to unit
-pivots (Markowitz-style cost, lazy heap), then finishes the unit-free
-residual with a dense textbook reduction.  All arithmetic is exact; Python
-integers make the growth harmless.
+The Smith normal form first eliminates with unit pivots only: it goes
+through the columns in order and pivots each one on the active row that
+holds a +-1 there and has the fewest entries (ties to the lower row), and it
+repeats the pass until a pass finds no unit.  A dense textbook reduction
+finishes the unit-free residual.  All arithmetic is exact; Python integers
+make the growth harmless.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import gcd
 
@@ -41,18 +42,6 @@ class SparseIntMatrix:
 
     def nnz(self) -> int:
         return sum(len(d) for d in self.row)
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for r, d in enumerate(self.row):
-            for c, v in d.items():
-                out[r][c] = v
-        return out
-
-    def copy(self) -> "SparseIntMatrix":
-        m = SparseIntMatrix(self.rows, self.cols)
-        m.row = [dict(d) for d in self.row]
-        return m
 
     def __repr__(self) -> str:
         return f"SparseIntMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
@@ -147,57 +136,44 @@ def smith_normal_form(A: SparseIntMatrix) -> tuple[tuple[int, ...], int]:
     for r, d in enumerate(rows):
         for c in d:
             col_rows[c].add(r)
-    row_active = [True] * A.rows
-    col_active = [True] * A.cols
-    heap: list[tuple[int, int, int]] = []
 
-    def push_if_unit(r: int, c: int, v: int) -> None:
-        if v in (1, -1):
-            cost = (len(rows[r]) - 1) * (len(col_rows[c]) - 1)
-            heapq.heappush(heap, (cost, r, c))
-
-    for r, d in enumerate(rows):
-        for c, v in d.items():
-            push_if_unit(r, c, v)
-
+    # row operations can put a unit into an earlier column, so pass over
+    # the columns until a pass finds none
     units = 0
-    while heap:
-        cost, r, c = heapq.heappop(heap)
-        if not (row_active[r] and col_active[c]):
-            continue
-        v = rows[r].get(c, 0)
-        if v not in (1, -1):
-            continue
-        fresh = (len(rows[r]) - 1) * (len(col_rows[c]) - 1)
-        if fresh > cost:
-            heapq.heappush(heap, (fresh, r, c))
-            continue
-        # eliminate column c with row r, then discard the pivot row; the
-        # leftover entries of row r are clearable by column operations that
-        # touch nothing else, so dropping them costs no fill
-        pivot_row = rows[r]
-        for r2 in list(col_rows[c]):
-            if r2 == r:
+    progress = True
+    while progress:
+        progress = False
+        for c, col in enumerate(col_rows):
+            candidates = [(len(rows[r]), r) for r in col if rows[r][c] in (1, -1)]
+            if not candidates:
                 continue
-            q = rows[r2][c] * v  # v is +-1, so q*v == rows[r2][c]/v
-            target = rows[r2]
-            for c2, x in pivot_row.items():
-                nv = target.get(c2, 0) - q * x
-                if nv:
-                    target[c2] = nv
-                    col_rows[c2].add(r2)
-                    push_if_unit(r2, c2, nv)
-                else:
-                    target.pop(c2, None)
-                    col_rows[c2].discard(r2)
-        for c2 in pivot_row:
-            col_rows[c2].discard(r)
-        row_active[r] = False
-        col_active[c] = False
-        units += 1
+            r = min(candidates)[1]
+            # eliminate column c with row r, then drop the pivot row; the
+            # leftover entries of row r are clearable by column operations
+            # that touch nothing else, so dropping them costs no fill
+            pivot_row = rows[r]
+            v = pivot_row[c]
+            for r2 in list(col):
+                if r2 == r:
+                    continue
+                target = rows[r2]
+                q = target[c] * v  # v is +-1, so q == target[c] / v
+                for c2, x in pivot_row.items():
+                    nv = target.get(c2, 0) - q * x
+                    if nv:
+                        target[c2] = nv
+                        col_rows[c2].add(r2)
+                    else:
+                        del target[c2]
+                        col_rows[c2].discard(r2)
+            for c2 in pivot_row:
+                col_rows[c2].discard(r)
+            rows[r] = {}
+            units += 1
+            progress = True
 
     # unit-free residual: finish densely
-    live_rows = [r for r in range(A.rows) if row_active[r] and rows[r]]
+    live_rows = [r for r in range(A.rows) if rows[r]]
     live_cols = sorted({c for r in live_rows for c in rows[r]})
     residual: list[int] = []
     if live_rows:
@@ -254,23 +230,32 @@ def boundary_matrices(K: SimplicialComplex, reduced: bool = True) -> ChainComple
     """Boundary matrices in the canonical bases; validates dd = 0."""
     if K.is_void:
         raise ValueError("void complex has no chain complex")
-    sizes = [len(lst) for lst in K.faces_by_dim]
-    mats: list[SparseIntMatrix] = []
-    aug = SparseIntMatrix(1 if reduced else 0, sizes[0])
-    if reduced:
+    return _chain(K, frozenset(), reduced)
+
+
+def _chain(L: SimplicialComplex, drop, augment: bool) -> ChainComplex:
+    """Chain complex on the faces of L outside `drop`, in canonical order.
+
+    Facets that fall in `drop` have no row, so with drop = the faces of a
+    subcomplex this is the quotient complex of the pair.  Validates dd = 0.
+    """
+    bases = [[f for f in faces if f not in drop] for faces in L.faces_by_dim]
+    sizes = [len(b) for b in bases]
+    mats = [SparseIntMatrix(1 if augment else 0, sizes[0])]
+    if augment:
         for j in range(sizes[0]):
-            aug.set(0, j, 1)
-    mats.append(aug)
-    for d in range(1, K.dim + 1):
+            mats[0].set(0, j, 1)
+    for d in range(1, len(bases)):
+        lower = {f: i for i, f in enumerate(bases[d - 1])}
         m = SparseIntMatrix(sizes[d - 1], sizes[d])
-        lower_index = K.face_index
-        for j, f in enumerate(K.faces_by_dim[d]):
+        for j, f in enumerate(bases[d]):
             for i in range(len(f)):
-                facet = f[:i] + f[i + 1:]
-                m.set(lower_index[facet][1], j, -1 if i % 2 else 1)
+                pos = lower.get(f[:i] + f[i + 1:])
+                if pos is not None:
+                    m.set(pos, j, -1 if i % 2 else 1)
         mats.append(m)
-    _check_dd_zero(mats, sizes, reduced)
-    return ChainComplex(sizes, mats, reduced)
+    _check_dd_zero(mats)
+    return ChainComplex(sizes, mats, augment)
 
 
 def _columns(m: SparseIntMatrix) -> list[list[tuple[int, int]]]:
@@ -281,8 +266,7 @@ def _columns(m: SparseIntMatrix) -> list[list[tuple[int, int]]]:
     return cols
 
 
-def _check_dd_zero(mats: list[SparseIntMatrix], sizes: list[int],
-                   reduced: bool) -> None:
+def _check_dd_zero(mats: list[SparseIntMatrix]) -> None:
     for d in range(1, len(mats)):
         upper = mats[d]
         lower = mats[d - 1]
@@ -328,14 +312,12 @@ class HomologyResult:
                 for d, (b, t) in enumerate(self.groups)]
 
 
-def _homology_from_chain(sizes: list[int],
-                         mats: list[SparseIntMatrix],
-                         reduced: bool) -> HomologyResult:
-    snfs = [smith_normal_form(m) for m in mats]
+def _homology_from_chain(cc: ChainComplex, reduced: bool) -> HomologyResult:
+    snfs = [smith_normal_form(m) for m in cc.boundaries]
     ranks = [r for _, r in snfs] + [0]
     groups = []
-    for d in range(len(sizes)):
-        betti = sizes[d] - ranks[d] - ranks[d + 1]
+    for d in range(len(cc.sizes)):
+        betti = cc.sizes[d] - ranks[d] - ranks[d + 1]
         if d + 1 < len(snfs):
             torsion = tuple(x for x in snfs[d + 1][0] if x > 1)
         else:
@@ -349,8 +331,7 @@ def homology(K: SimplicialComplex, reduced: bool = True) -> HomologyResult:
     empty result, never an error."""
     if K.is_void:
         return HomologyResult([], reduced, void=True)
-    cc = boundary_matrices(K, reduced)
-    return _homology_from_chain(cc.sizes, cc.boundaries, reduced)
+    return _homology_from_chain(boundary_matrices(K, reduced), reduced)
 
 
 def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
@@ -366,20 +347,4 @@ def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
         return homology(L, reduced)
     if not L.contains_complex(K):
         raise ValueError("K is not a subcomplex of L")
-    sizes = []
-    position: list[dict[tuple, int]] = []
-    for d in range(L.dim + 1):
-        keep = [f for f in L.faces_by_dim[d] if f not in K.face_index]
-        sizes.append(len(keep))
-        position.append({f: i for i, f in enumerate(keep)})
-    mats = [SparseIntMatrix(0, sizes[0])]
-    for d in range(1, L.dim + 1):
-        m = SparseIntMatrix(sizes[d - 1], sizes[d])
-        for f, j in position[d].items():
-            for i in range(len(f)):
-                facet = f[:i] + f[i + 1:]
-                pos = position[d - 1].get(facet)
-                if pos is not None:
-                    m.set(pos, j, -1 if i % 2 else 1)
-        mats.append(m)
-    return _homology_from_chain(sizes, mats, reduced)
+    return _homology_from_chain(_chain(L, K.face_index, False), reduced)

@@ -289,16 +289,8 @@ def matching_counts(H: HasseDiagram, mode: str = "acyclic") -> list[int]:
     return suffix_tables(LayerSystem(H), mode == "acyclic")[0][0][1:]
 
 
-def enumerate_optimal(H: HasseDiagram, visitor=None) -> tuple[int, int]:
-    """Maximum acyclic matching cardinality, their count, optional visit.
-
-    Counts through the layer transfer and, when a visitor is supplied,
-    walks exactly the maximum matchings using suffix-table lookahead.
-    """
-    ls = LayerSystem(H)
-    S = suffix_tables(ls, acyclic=True)
-    best, count = max_cardinality_info(S[0][0])
-    if visitor is not None:
-        for mask in iter_matchings_of_cardinality(ls, S, best, acyclic=True):
-            visitor(mask, best)
-    return best, count
+def enumerate_optimal(H: HasseDiagram) -> tuple[int, int]:
+    """Maximum acyclic matching cardinality and the number of matchings
+    that reach it, counted through the layer transfer."""
+    S = suffix_tables(LayerSystem(H), acyclic=True)
+    return max_cardinality_info(S[0][0])

@@ -95,12 +95,12 @@ def _edge_pairs(H: HasseDiagram, mask: int) -> list[list[list[int]]]:
 
 def _optimal_masks(H: HasseDiagram, budget: int) -> tuple[int, list[int]]:
     """All maximum acyclic matchings, guarded by the visit budget."""
-    best, count = enumerate_optimal(H)
+    ls = LayerSystem(H)
+    S = suffix_tables(ls, acyclic=True)
+    best, count = max_cardinality_info(S[0][0])
     if count > budget:
         raise BudgetSkip(f"{count} optimal matchings exceed budget {budget}")
-    masks: list[int] = []
-    enumerate_optimal(H, visitor=lambda m, c: masks.append(m))
-    return best, masks
+    return best, list(iter_matchings_of_cardinality(ls, S, best, acyclic=True))
 
 
 # -- counting and bijections -------------------------------------------------
@@ -268,7 +268,9 @@ def verify_restriction_fibers(n: int, budget: int = DEFAULT_BUDGET,
         sk = skeleton(K, n - 2)
         HK = build_hasse(K)
         Hs = build_hasse(sk)
-        best_k, count_k = enumerate_optimal(HK)
+        ls = LayerSystem(HK)
+        S = suffix_tables(ls, acyclic=True)
+        best_k, count_k = max_cardinality_info(S[0][0])
         best_s, masks_s = _optimal_masks(Hs, budget)
         _ensure(count_k == (n + 1) * len(masks_s),
                 f"{count_k} != {n + 1} x {len(masks_s)}")
@@ -279,8 +281,6 @@ def verify_restriction_fibers(n: int, budget: int = DEFAULT_BUDGET,
             k_to_sk = {ke: se for se, ke in enumerate(sk_to_k)}
             target_set = set(masks_s)
             fibers: dict[int, int] = {}
-            ls = LayerSystem(HK)
-            S = suffix_tables(ls, acyclic=True)
             seen = 0
             for mask in iter_matchings_of_cardinality(ls, S, best_k, True):
                 seen += 1
@@ -296,8 +296,6 @@ def verify_restriction_fibers(n: int, budget: int = DEFAULT_BUDGET,
             _ensure(seen == count_k, "enumeration mismatch")
         else:
             # count each fiber exactly with the suffix tables of the simplex
-            ls = LayerSystem(HK)
-            S = suffix_tables(ls, acyclic=True)
             first_high = n - 2  # layers >= n-2 carry the dropped pairs
             lay = ls.layers[first_high]
             need = best_k - best_s

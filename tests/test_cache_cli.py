@@ -136,6 +136,17 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    out = str(tmp_path / "missing" / "x.txt")
+    for argv in (["build", "--complex", "simplex:1", "--variant", "M"],
+                 ["fvector", "--complex", "simplex:2"]):
+        code, _, err = run_cli(capsys, *argv, "--out", out,
+                               "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("morsematch: cannot write --out")
+        assert "Traceback" not in err
+
+
 def test_materialization_guard_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "homology", "--complex", "simplex:4",
                            "--variant", "M", "--cache-dir", str(tmp_path))

@@ -7,12 +7,22 @@ from morsematch.complexes import (SimplicialComplex, build_boundary,
 from morsematch.hasse import build_hasse, critical_faces, is_acyclic, is_matching
 from morsematch.homology import homology
 from morsematch.layers import (LayerSystem, enumerate_optimal, iter_matchings,
-                               matching_counts)
+                               iter_matchings_of_cardinality,
+                               max_cardinality_info, matching_counts,
+                               suffix_tables)
 
 from oracles import brute_force_counts, modified_digraph_acyclic
 
 TABLE1_M_D3 = [28, 300, 1544, 3932, 4632, 2128, 256]
 TABLE1_M_BD3 = [24, 216, 896, 1692, 1248, 256]
+
+
+def optimal_walk(H) -> list[int]:
+    """Every maximum acyclic matching, walked on one layer system."""
+    ls = LayerSystem(H)
+    S = suffix_tables(ls, acyclic=True)
+    best, _ = max_cardinality_info(S[0][0])
+    return list(iter_matchings_of_cardinality(ls, S, best, acyclic=True))
 
 
 def walked(H, acyclic: bool) -> list[int]:
@@ -159,17 +169,15 @@ def test_critical_faces():
     H = build_hasse(d3)
     best, count = enumerate_optimal(H)
     assert (best, count) == (7, 256)
-    masks = []
-    enumerate_optimal(H, visitor=lambda m, c: masks.append(m))
+    masks = optimal_walk(H)
+    assert len(masks) == count
     for mask in masks:
         rep = critical_faces(H, mask)
         assert rep.counts == [1, 0, 0, 0]
         assert sum(rep.counts) + 2 * bin(mask).count("1") == d3.total_faces()
 
     Hb = build_hasse(build_boundary(3))
-    opt_b = []
-    enumerate_optimal(Hb, visitor=lambda m, c: opt_b.append(m))
-    for mask in opt_b:
+    for mask in optimal_walk(Hb):
         rep = critical_faces(Hb, mask)
         assert rep.counts == [1, 0, 1]  # one vertex and one top face
 

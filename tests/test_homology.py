@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, euler_characteristic,
                                   skeleton)
-from morsematch.homology import (SparseIntMatrix, boundary_matrices, homology,
-                                 relative_homology, smith_normal_form)
-from morsematch.morse import embed_faces, induced_inclusion
+from morsematch.homology import (SparseIntMatrix, _chain, boundary_matrices,
+                                 homology, relative_homology,
+                                 smith_normal_form)
+from morsematch.morse import (build_matching_complex, embed_faces,
+                              induced_inclusion)
+from morsematch.specs import build_from_spec
 
 from oracles import snf_divisors_sympy
 
@@ -37,6 +40,13 @@ def test_boundary_sign_convention():
     col = {r: v for r, v in col.items() if v}
     e = {f: d3.face_index[f][1] for f in [(1, 2), (1, 3), (2, 3)]}
     assert col == {e[(2, 3)]: 1, e[(1, 3)]: -1, e[(1, 2)]: 1}
+
+
+def test_quotient_chain_validates_dd_zero():
+    # dropping an edge but not the triangle on it is no subcomplex: the
+    # triangle's boundary keeps e12 - e02, whose boundary is v0 - v1
+    with pytest.raises(AssertionError, match="boundary of boundary"):
+        _chain(build_simplex(2), {(0, 1)}, False)
 
 
 def test_boundary_of_vertices_is_zero_unreduced():
@@ -73,6 +83,8 @@ def test_snf_divisor_chain_and_oracle_fixed():
         [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
         [[0, 0], [0, 0]],
         [[5]],
+        # column 0 gets a unit only after column 1 is eliminated
+        [[2, 1], [3, 1]],
     ]
     for dense in cases:
         divisors, rank = smith_normal_form(sparse_from_dense(dense))
@@ -92,6 +104,16 @@ def test_snf_matches_sympy_on_random_matrices(nr, nc, seed):
     assert divisors == snf_divisors_sympy(dense)
     for a, b in zip(divisors, divisors[1:]):
         assert b % a == 0
+
+
+def test_snf_matches_sympy_on_matching_complex_boundaries():
+    for spec, variant in [("simplex:2", "M"), ("simplex:2", "GM"),
+                          ("boundary:2", "GM"), ("cone:boundary:2", "MP")]:
+        mc = build_matching_complex(build_from_spec(spec), variant)
+        for m in boundary_matrices(mc.complex, reduced=True).boundaries:
+            dense = [[m.get(r, c) for c in range(m.cols)] for r in range(m.rows)]
+            assert smith_normal_form(m)[0] == snf_divisors_sympy(dense), \
+                (spec, variant, m)
 
 
 def test_homology_spheres_and_skeleta():

@@ -78,7 +78,8 @@ def test_restriction_fiber_of_star_matching():
     # the fiber over the star matching has one extension per root facet
     from morsematch.complexes import build_simplex, skeleton
     from morsematch.hasse import build_hasse
-    from morsematch.layers import enumerate_optimal
+    from morsematch.layers import (LayerSystem, iter_matchings_of_cardinality,
+                                   max_cardinality_info, suffix_tables)
     from morsematch.morse import induced_inclusion
     d3 = build_simplex(3)
     sk = skeleton(d3, 1)
@@ -92,7 +93,10 @@ def test_restriction_fiber_of_star_matching():
     sk_to_k = induced_inclusion(sk, d3)
     k_to_sk = {ke: se for se, ke in enumerate(sk_to_k)}
     fiber = []
-    def collect(mask, card):
+    ls = LayerSystem(HK)
+    S = suffix_tables(ls, acyclic=True)
+    best, _ = max_cardinality_info(S[0][0])
+    for mask in iter_matchings_of_cardinality(ls, S, best, acyclic=True):
         rho = 0
         for e in HK.edges_from_mask(mask):
             se = k_to_sk.get(e)
@@ -100,7 +104,6 @@ def test_restriction_fiber_of_star_matching():
                 rho |= 1 << se
         if rho == star:
             fiber.append(mask)
-    enumerate_optimal(HK, visitor=collect)
     assert len(fiber) == 4
 
 
