@@ -3,11 +3,12 @@
 Exactly one JSON document goes to stdout per invocation; diagnostics go to
 stderr.  Output is byte-stable for identical inputs: keys are sorted, values
 are integers or strings, and nothing time-dependent enters the payload.
+Every cached command loads or computes its result through `_cached`.
 
 Exit codes: 0 success or all checks pass, 1 verification failure, 2 usage
-error (also an unwritable --out path), 3 budget exceeded (including the
-refusal to run long 4-simplex jobs without --allow-long, and complexes too
-wide for the layer transfer).
+error (also an unwritable --out path), 3 budget exceeded: a complex too wide
+for the layer transfer, or a projected face count above --budget.
+`--allow-long` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -35,15 +36,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# jobs that must be opted into explicitly; desk-scale runs never hit this
-_LONG_JOBS = {("count-optimal", "simplex:4"),
-              ("fvector", "simplex:4"),
-              ("euler", "simplex:4")}
-
-
-class BudgetRefused(RuntimeError):
-    pass
-
 
 def _emit(command: str, spec, result, out_path=None) -> None:
     doc = {"command": command, "result": result, "spec": spec,
@@ -62,12 +54,6 @@ def _write_out(path: str, data: bytes) -> None:
         raise ValueError(f"cannot write --out {path}: {e.strerror or e}") from e
 
 
-def _require_allow_long(command: str, spec: str, args) -> None:
-    if (command, spec) in _LONG_JOBS and not args.allow_long:
-        raise BudgetRefused(
-            f"{command} on {spec} is a long-running job; pass --allow-long")
-
-
 def _file_digest(spec: str):
     """SHA-256 of the facet file a spec reads; None when unreadable (the
     build reports that)."""
@@ -77,7 +63,11 @@ def _file_digest(spec: str):
         return None
 
 
-def _cached_json(args, operation: str, spec: str, variant: str, extra=None):
+def _cached(args, operation: str, spec: str, variant: str, compute=None,
+            extra=None):
+    """The cached result of the operation, else `compute()` stored under the
+    same key; None on a miss without `compute`.  A failed cache write is a
+    warning, not an error."""
     cdir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     extra = dict(extra or {})
     # a file spec names mutable content: key it by the bytes too
@@ -88,15 +78,15 @@ def _cached_json(args, operation: str, spec: str, variant: str, extra=None):
     key = cache_key(operation, spec, variant, __version__, extra)
     blob = cache_get(cdir, key)
     if blob is not None:
-        return json.loads(blob.decode()), key, cdir
-    return None, key, cdir
-
-
-def _store_json(cdir: Path, key: str, result) -> None:
+        return json.loads(blob.decode())
+    if compute is None:
+        return None
+    result = compute()
     try:
         cache_put(cdir, key, json.dumps(result, sort_keys=True).encode())
     except OSError as e:
         print(f"morsematch: cache write failed: {e}", file=sys.stderr)
+    return result
 
 
 def cmd_build(args) -> int:
@@ -119,89 +109,72 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _fvector_result(args, spec: str) -> dict:
+    def compute() -> dict:
+        fv = matching_complex_f_vector(build_from_spec(spec), args.variant,
+                                       max_faces=args.budget)
+        return {"variant": args.variant, "f_vector": fv,
+                "euler_characteristic": sum((-1) ** d * v
+                                            for d, v in enumerate(fv))}
+    return _cached(args, "fvector", spec, args.variant, compute)
+
+
 def cmd_fvector(args) -> int:
     spec = canonical_spec(args.complex)
-    _require_allow_long("fvector", spec, args)
-    cached, key, cdir = _cached_json(args, "fvector", spec, args.variant)
-    if cached is not None:
-        _emit("fvector", spec, cached, args.out)
-        return EXIT_OK
-    K = build_from_spec(spec)
-    fv = matching_complex_f_vector(K, args.variant, max_faces=args.budget)
-    chi = sum((-1) ** d * v for d, v in enumerate(fv))
-    result = {"variant": args.variant, "f_vector": fv,
-              "euler_characteristic": chi}
-    _store_json(cdir, key, result)
-    _emit("fvector", spec, result, args.out)
+    _emit("fvector", spec, _fvector_result(args, spec), args.out)
+    return EXIT_OK
+
+
+def cmd_euler(args) -> int:
+    spec = canonical_spec(args.complex)
+    result = _fvector_result(args, spec)
+    result["reduced_euler_characteristic"] = result["euler_characteristic"] - 1
+    _emit("euler", spec, result, args.out)
     return EXIT_OK
 
 
 def cmd_homology(args) -> int:
     spec = canonical_spec(args.complex)
     rel_spec = canonical_spec(args.relative) if args.relative else None
-    extra = {"relative": rel_spec, "reduced": not args.unreduced}
-    cached, key, cdir = _cached_json(args, "homology", spec, args.variant, extra)
-    if cached is not None:
-        _emit("homology", spec, cached, args.out)
-        return EXIT_OK
-    K = build_from_spec(spec)
     reduced = not args.unreduced
-    if args.variant == "none":
-        if rel_spec:
-            sub = build_from_spec(rel_spec)
-            h = relative_homology(K, sub, reduced=reduced)
+
+    def compute() -> dict:
+        K = build_from_spec(spec)
+        if args.variant == "none":
+            if rel_spec:
+                h = relative_homology(K, build_from_spec(rel_spec),
+                                      reduced=reduced)
+            else:
+                h = homology(K, reduced=reduced)
         else:
-            h = homology(K, reduced=reduced)
-    else:
-        mc = build_matching_complex(K, args.variant, max_faces=args.budget)
-        if rel_spec:
-            sub = build_from_spec(rel_spec)
-            msub = build_matching_complex(sub, args.variant, max_faces=args.budget)
-            mapping = induced_inclusion(sub, K)
-            emb = embed_faces(msub.complex, mapping, mc.edge_count)
-            h = relative_homology(mc.complex, emb, reduced=reduced)
-        else:
-            h = homology(mc.complex, reduced=reduced)
-    result = {"variant": args.variant, "relative": rel_spec,
-              "reduced": reduced, "degrees": h.to_json(), "void": h.void}
-    _store_json(cdir, key, result)
+            mc = build_matching_complex(K, args.variant, max_faces=args.budget)
+            if rel_spec:
+                sub = build_from_spec(rel_spec)
+                msub = build_matching_complex(sub, args.variant,
+                                              max_faces=args.budget)
+                emb = embed_faces(msub.complex, induced_inclusion(sub, K),
+                                  mc.edge_count)
+                h = relative_homology(mc.complex, emb, reduced=reduced)
+            else:
+                h = homology(mc.complex, reduced=reduced)
+        return {"variant": args.variant, "relative": rel_spec,
+                "reduced": reduced, "degrees": h.to_json(), "void": h.void}
+
+    extra = {"relative": rel_spec, "reduced": reduced}
+    result = _cached(args, "homology", spec, args.variant, compute, extra)
     _emit("homology", spec, result, args.out)
     return EXIT_OK
 
 
 def cmd_count_optimal(args) -> int:
     spec = canonical_spec(args.complex)
-    _require_allow_long("count-optimal", spec, args)
-    cached, key, cdir = _cached_json(args, "count-optimal", spec, "M")
-    if cached is not None:
-        _emit("count-optimal", spec, cached, args.out)
-        return EXIT_OK
-    K = build_from_spec(spec)
-    H = build_hasse(K)
-    best, count = enumerate_optimal(H)
-    result = {"max_cardinality": best, "count": count}
-    _store_json(cdir, key, result)
+
+    def compute() -> dict:
+        best, count = enumerate_optimal(build_hasse(build_from_spec(spec)))
+        return {"max_cardinality": best, "count": count}
+
+    result = _cached(args, "count-optimal", spec, "M", compute)
     _emit("count-optimal", spec, result, args.out)
-    return EXIT_OK
-
-
-def cmd_euler(args) -> int:
-    spec = canonical_spec(args.complex)
-    cached, key, cdir = _cached_json(args, "fvector", spec, args.variant)
-    if cached is not None:
-        fv = cached["f_vector"]
-    else:
-        _require_allow_long("euler", spec, args)
-        K = build_from_spec(spec)
-        fv = matching_complex_f_vector(K, args.variant, max_faces=args.budget)
-        chi0 = sum((-1) ** d * v for d, v in enumerate(fv))
-        _store_json(cdir, key, {"variant": args.variant, "f_vector": fv,
-                                "euler_characteristic": chi0})
-    chi = sum((-1) ** d * v for d, v in enumerate(fv))
-    result = {"variant": args.variant, "f_vector": fv,
-              "euler_characteristic": chi,
-              "reduced_euler_characteristic": chi - 1}
-    _emit("euler", spec, result, args.out)
     return EXIT_OK
 
 
@@ -211,14 +184,13 @@ def cmd_verify(args) -> int:
         print(f"morsematch: unknown check {only!r}; choose from "
               f"{', '.join(CHECK_NAMES)} or 'all'", file=sys.stderr)
         return EXIT_USAGE
-    cached_fvec = None
+    # read-only: a cached 4-simplex vector spares euler-n4 its enumeration,
+    # and no other check may start one
+    n4 = None
     if args.max_n >= 4 or only == "euler-n4":
-        cached, _, _ = _cached_json(args, "fvector", "simplex:4", "M")
-        if cached is not None:
-            cached_fvec = cached["f_vector"]
+        n4 = _cached(args, "fvector", "simplex:4", "M")
     reports = default_suite(max_n=args.max_n, budget=args.budget,
-                            allow_long=args.allow_long,
-                            cached_n4_fvector=cached_fvec, only=only)
+                            cached_n4_fvector=n4 and n4["f_vector"], only=only)
     for r in reports:
         print(f"morsematch: {r.status:15s} {r.name} {r.instance} "
               f"({r.elapsed:.2f}s)", file=sys.stderr)
@@ -242,20 +214,23 @@ def _parser() -> argparse.ArgumentParser:
                     "homology, and verification")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def shared(sp, budget):
+        sp.add_argument("--budget", type=int, default=budget)
+        sp.add_argument("--cache-dir", default=None)
+        sp.add_argument("--allow-long", action="store_true",
+                        help="accepted for compatibility; has no effect")
+        sp.add_argument("--out", default=None)
+
     def common(sp, variant_default="M", variant_choices=("M", "MP", "GM")):
         sp.add_argument("--complex", required=True,
                         help="constructor spec, e.g. simplex:3, boundary:2, "
                              "skeleton:simplex:4:2, cone:boundary:2, file:PATH")
         sp.add_argument("--variant", default=variant_default,
                         choices=list(variant_choices))
-        sp.add_argument("--budget", type=int, default=10 ** 8)
-        sp.add_argument("--cache-dir", default=None)
-        sp.add_argument("--allow-long", action="store_true")
-        sp.add_argument("--out", default=None)
+        shared(sp, 10 ** 8)
 
     sp = sub.add_parser("build", help="construct a complex or matching complex")
-    common(sp, variant_default=None,
-           variant_choices=("M", "MP", "GM"))
+    common(sp, variant_default=None)
     sp.set_defaults(fn=cmd_build)
 
     sp = sub.add_parser("fvector", help="f-vector of a matching complex")
@@ -281,10 +256,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run named checks or all of them")
     sp.add_argument("check", help="check name or 'all'")
     sp.add_argument("--max-n", type=int, default=3)
-    sp.add_argument("--budget", type=int, default=10 ** 7)
-    sp.add_argument("--cache-dir", default=None)
-    sp.add_argument("--allow-long", action="store_true")
-    sp.add_argument("--out", default=None)
+    shared(sp, 10 ** 7)
     sp.set_defaults(fn=cmd_verify)
     return p
 
@@ -300,9 +272,6 @@ def main(argv=None) -> int:
     except SpecError as e:
         print(f"morsematch: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetRefused as e:
-        print(f"morsematch: {e}", file=sys.stderr)
-        return EXIT_BUDGET
     except (MaterializationLimitError, BudgetExceededError,
             LayeredInfeasibleError) as e:
         print(f"morsematch: {e}", file=sys.stderr)

@@ -16,7 +16,7 @@ Enumeration and counting live in `layers`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .complexes import Face, SimplicialComplex
 
@@ -33,8 +33,7 @@ class HasseDiagram:
 
     __slots__ = ("base", "offsets", "face_of_gid", "dim_of_gid", "facets_of",
                  "edges", "edge_count", "lower", "upper", "layer_of",
-                 "edge_face_mask", "edges_up", "edges_down",
-                 "edge_index")
+                 "edges_up", "edges_down", "edge_index")
 
     def __init__(self, K: SimplicialComplex):
         if K.is_void:
@@ -78,7 +77,6 @@ class HasseDiagram:
         self.upper = [e[1] for e in edges]
         self.layer_of = [self.dim_of_gid[lo] for lo, _ in edges]
         self.edge_index = {e: i for i, e in enumerate(edges)}
-        self.edge_face_mask = [(1 << lo) | (1 << up) for lo, up in edges]
 
         self.edges_up = {g: [] for g in range(len(self.face_of_gid))}
         self.edges_down = {g: [] for g in range(len(self.face_of_gid))}
@@ -112,19 +110,25 @@ def build_hasse(K: SimplicialComplex) -> HasseDiagram:
     return HasseDiagram(K)
 
 
-def is_matching(H: HasseDiagram, mask: int) -> bool:
-    """Pairwise face-disjointness of a set of Hasse edges."""
+def _covered_faces(H: HasseDiagram, mask: int) -> Optional[int]:
+    """Gid bitmask of the faces a set of Hasse edges touches; None when two
+    of the edges share a face."""
     used = 0
     m = mask
     while m:
         b = m & -m
-        e = b.bit_length() - 1
+        lo, up = H.edges[b.bit_length() - 1]
         m ^= b
-        fm = H.edge_face_mask[e]
+        fm = (1 << lo) | (1 << up)
         if used & fm:
-            return False
+            return None
         used |= fm
-    return True
+    return used
+
+
+def is_matching(H: HasseDiagram, mask: int) -> bool:
+    """Pairwise face-disjointness of a set of Hasse edges."""
+    return _covered_faces(H, mask) is not None
 
 
 def _layer_path_exists(facets: Sequence[Sequence[int]],
@@ -177,14 +181,9 @@ def is_acyclic(H: HasseDiagram, mask: int) -> bool:
 
 def critical_faces(H: HasseDiagram, mask: int) -> CriticalReport:
     """Faces untouched by the matching, grouped by dimension."""
-    if not is_matching(H, mask):
+    used = _covered_faces(H, mask)
+    if used is None:
         raise ValueError("input is not a matching")
-    used = 0
-    m = mask
-    while m:
-        b = m & -m
-        used |= H.edge_face_mask[b.bit_length() - 1]
-        m ^= b
     K = H.base
     by_dim: list[list[Face]] = [[] for _ in range(K.dim + 1)]
     for g, f in enumerate(H.face_of_gid):

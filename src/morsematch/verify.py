@@ -22,14 +22,13 @@ from .layers import (LayeredInfeasibleError, LayerSystem, enumerate_optimal,
                      profile_counts, suffix_tables)
 from .homology import HomologyResult, homology, relative_homology
 from .morse import (build_matching_complex, cone_pair, embed_faces,
-                    induced_inclusion)
+                    induced_inclusion, matching_complex_f_vector)
 from .specs import build_from_spec
 
 DEFAULT_BUDGET = 10_000_000
 
-# frozen reference data for the 4-simplex; the verifier checks internal
-# consistency of these numbers and, when enumeration is allowed, recomputes
-# the whole vector from scratch
+# frozen reference data for the 4-simplex; euler-n4 checks a supplied vector
+# against it, or recounts the whole vector from scratch
 N4_F_VECTOR = (75, 2485, 47955, 598425, 5071367, 29844505, 122685075,
                350017175, 680808105, 876110235, 712961065, 343320335,
                88467825, 10315975, 380125)
@@ -80,8 +79,10 @@ def _run(name: str, instance: dict, fn: Callable[[], dict]) -> VerificationRepor
 
 
 def _ensure(cond: bool, message: str, witness=None) -> None:
+    """Raise CheckFailure unless cond.  `witness` is a thunk, called only on
+    failure, so a passing check never renders its counterexample."""
     if not cond:
-        raise CheckFailure(message, witness)
+        raise CheckFailure(message, witness() if witness else None)
 
 
 def _edge_pairs(H: HasseDiagram, mask: int) -> list[list[list[int]]]:
@@ -129,13 +130,13 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
             touching = [e for e in top_edges if (F >> e) & 1]
             _ensure(len(touching) == 1,
                     "matching does not pair the top simplex exactly once",
-                    _edge_pairs(HK, F))
+                    lambda: _edge_pairs(HK, F))
             rest = F & ~(1 << touching[0])
             img = 0
             for e in HK.edges_from_mask(rest):
                 img |= 1 << k_to_bd[e]
             _ensure(img in set_b, "deleted matching is not optimal on the boundary",
-                    _edge_pairs(HK, F))
+                    lambda: _edge_pairs(HK, F))
             phi[F] = img
 
         psi: dict[int, int] = {}
@@ -145,7 +146,7 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
             _ensure(len(top_crit) == 1 and crit.counts[0] == 1
                     and sum(crit.counts) == 2,
                     "boundary matching lacks the expected two critical faces",
-                    _edge_pairs(HB, G))
+                    lambda: _edge_pairs(HB, G))
             tau = top_crit[0]
             lifted = 0
             for e in HB.edges_from_mask(G):
@@ -155,7 +156,7 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
             e_new = HK.edge_index[(tau_gid, sigma_gid)]
             lifted |= 1 << e_new
             _ensure(lifted in set_k, "adjoined matching is not optimal on the simplex",
-                    _edge_pairs(HB, G))
+                    lambda: _edge_pairs(HB, G))
             psi[G] = lifted
 
         _ensure(all(psi[phi[F]] == F for F in masks_k), "psi(phi(F)) != F")
@@ -180,7 +181,7 @@ def verify_layer_counts(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
         profiles = profile_counts(ls, S, best, acyclic=True)
         _ensure(profiles == {expected: count},
                 f"layer profiles {profiles} differ from {expected}",
-                {str(k): v for k, v in profiles.items()})
+                lambda: {str(k): v for k, v in profiles.items()})
         # profile arithmetic: every face count is consumed except one vertex
         fv = f_vector(K)
         m = [fv[d] - (expected[d - 1] if d >= 1 else 0)
@@ -194,11 +195,11 @@ def verify_layer_counts(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
                     tally[H.layer_of[e]] += 1
                 _ensure(tuple(tally) == expected,
                         "matching violates the layer counts",
-                        _edge_pairs(H, mask))
+                        lambda: _edge_pairs(H, mask))
                 crit = critical_faces(H, mask)
                 _ensure(crit.counts == [1] + [0] * n,
                         "critical faces are not a single vertex",
-                        _edge_pairs(H, mask))
+                        lambda: _edge_pairs(H, mask))
         return {"count": count, "profile": list(expected)}
 
     return _run("layer-counts", {"n": n}, check)
@@ -245,11 +246,11 @@ def verify_spanning_tree(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRe
             u_faces = crit.by_dim[n - 2]
             _ensure(len(u_faces) == n and crit.counts[0] == 1,
                     "unexpected critical face counts on the skeleton",
-                    _edge_pairs(H, mask))
+                    lambda: _edge_pairs(H, mask))
             edges = [_facet_graph_edge(u, n) for u in u_faces]
             _ensure(_is_spanning_tree(edges, n + 1),
                     "critical faces do not form a spanning tree",
-                    {"matching": _edge_pairs(H, mask), "edges": edges})
+                    lambda: {"matching": _edge_pairs(H, mask), "edges": edges})
             trees.add(frozenset(edges))
         return {"count": len(masks), "distinct_trees": len(trees)}
 
@@ -291,7 +292,7 @@ def verify_restriction_fibers(n: int, budget: int = DEFAULT_BUDGET,
                         rho |= 1 << k_to_sk[e]
                 _ensure(rho in target_set,
                         "restriction is not a maximum matching on the skeleton",
-                        _edge_pairs(HK, mask))
+                        lambda: _edge_pairs(HK, mask))
                 fibers[rho] = fibers.get(rho, 0) + 1
             _ensure(seen == count_k, "enumeration mismatch")
         else:
@@ -313,7 +314,8 @@ def verify_restriction_fibers(n: int, budget: int = DEFAULT_BUDGET,
 
         sizes = set(fibers.values())
         _ensure(sizes == {n + 1}, f"fiber sizes {sizes} are not uniformly {n + 1}",
-                {"histogram": {str(s): list(fibers.values()).count(s) for s in sizes}})
+                lambda: {"histogram": {str(s): list(fibers.values()).count(s)
+                                       for s in sizes}})
         _ensure(len(fibers) == len(masks_s), "restriction is not surjective")
         _ensure(sum(fibers.values()) == count_k, "fibers do not partition")
         return {"count": count_k, "skeleton_count": len(masks_s),
@@ -345,7 +347,7 @@ def verify_cone_contiguity(spec: str, w0: int = 0, budget: int = DEFAULT_BUDGET,
             union = lifted | e0_bit
             _ensure(is_matching(HC, union) and is_acyclic(HC, union),
                     "face plus apex pair is not an acyclic matching on the cone",
-                    [list(face), _edge_pairs(HC, union)])
+                    lambda: [list(face), _edge_pairs(HC, union)])
             checked += 1
         return {"faces_checked": checked}
 
@@ -373,12 +375,9 @@ def verify_pair_splitting(pairs: list[tuple[str, str]],
             MK = build_matching_complex(K, "M", max_faces=budget)
             hL = homology(ML.complex, reduced=True)
             hK = homology(MK.complex, reduced=True)
-            if MK.is_void:
-                rel = homology(ML.complex, reduced=True)
-            else:
-                mapping = induced_inclusion(K, L)
-                emb = embed_faces(MK.complex, mapping, ML.hasse.edge_count)
-                rel = relative_homology(ML.complex, emb, reduced=True)
+            emb = embed_faces(MK.complex, induced_inclusion(K, L),
+                              ML.hasse.edge_count)
+            rel = relative_homology(ML.complex, emb, reduced=True)
             top = max(ML.complex.dim + 1, 0)
             for d in range(top + 1):
                 want_b = hL.betti(d) + hK.betti(d - 1)
@@ -468,11 +467,11 @@ def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET,
             touching = [e for e in face if e in e_set]
             _ensure(len(touching) <= 1,
                     "two apex pairs share a face; stars are not disjoint",
-                    list(face))
+                    lambda: list(face))
             if not touching:
                 _ensure(face in boundary_faces,
                         "face avoiding the top simplex is not a boundary matching",
-                        list(face))
+                        lambda: list(face))
             else:
                 rest = tuple(v for v in face if v != touching[0])
                 if rest:
@@ -486,7 +485,7 @@ def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET,
                         if all(v not in banned for v in f)}
             _ensure(links[e] == expected,
                     "link of apex pair differs from the predicted subcomplex",
-                    {"edge": e})
+                    lambda: {"edge": e})
 
         details: dict = {"apex_pairs": len(e_list)}
         model = build_matching_complex(cone(build_boundary(n - 1))[0], "GM",
@@ -536,21 +535,20 @@ def verify_reference_tables(budget: int = DEFAULT_BUDGET) -> VerificationReport:
     }
 
     def check() -> dict:
-        for (spec, variant), (fv_want, chi_want) in TABLE_F.items():
-            mc = build_matching_complex(build_from_spec(spec), variant,
-                                        max_faces=budget)
-            fv = f_vector(mc.complex)
-            chi = euler_characteristic(mc.complex)
-            _ensure(fv == fv_want, f"f-vector of {variant}({spec}) is {fv}",
-                    {"expected": fv_want})
-            _ensure(chi == chi_want, f"chi of {variant}({spec}) is {chi}")
         for (spec, variant), want in TABLE_H.items():
             mc = build_matching_complex(build_from_spec(spec), variant,
                                         max_faces=budget)
+            if (spec, variant) in TABLE_F:
+                fv_want, chi_want = TABLE_F[spec, variant]
+                fv = f_vector(mc.complex)
+                chi = euler_characteristic(mc.complex)
+                _ensure(fv == fv_want, f"f-vector of {variant}({spec}) is {fv}",
+                        lambda: {"expected": fv_want})
+                _ensure(chi == chi_want, f"chi of {variant}({spec}) is {chi}")
             h = homology(mc.complex, reduced=True)
             _ensure(h.nonzero() == want,
                     f"homology of {variant}({spec}) is {h.nonzero()}",
-                    {"expected": {str(k): list(v) for k, v in want.items()}})
+                    lambda: {"expected": {str(k): list(v) for k, v in want.items()}})
             _ensure(h.is_torsion_free(), f"{variant}({spec}) has torsion")
         counts = {}
         for n, want in [(1, 2), (2, 9), (3, 256)]:
@@ -562,22 +560,16 @@ def verify_reference_tables(budget: int = DEFAULT_BUDGET) -> VerificationReport:
     return _run("reference-tables", {}, check)
 
 
-def verify_euler_obstruction_n4(fvec: Optional[list[int]] = None,
-                                allow_long: bool = False) -> VerificationReport:
+def verify_euler_obstruction_n4(fvec: Optional[list[int]] = None) -> VerificationReport:
     """Consistency of the 4-simplex face vector: alternating sum, reduced
-    Euler characteristic, top entry, and the parity obstruction."""
+    Euler characteristic, top entry, and the parity obstruction.  Without a
+    supplied vector, the vector is counted from scratch."""
     def check() -> dict:
-        vec = fvec
-        computed = False
-        if vec is None:
-            if not allow_long:
-                raise BudgetSkip("no cached f-vector and long enumeration disabled")
-            from .morse import matching_complex_f_vector
-            vec = matching_complex_f_vector(build_simplex(4), "M")
-            computed = True
+        computed = fvec is None
+        vec = matching_complex_f_vector(build_simplex(4), "M") if computed else fvec
         _ensure(list(vec) == list(N4_F_VECTOR),
                 "f-vector differs from the 15-entry reference",
-                {"got": list(vec)})
+                lambda: {"got": list(vec)})
         chi = sum((-1) ** d * v for d, v in enumerate(vec))
         _ensure(chi == N4_EULER, f"Euler characteristic {chi} != {N4_EULER}")
         _ensure(chi - 1 > 0, "reduced Euler characteristic is not positive")
@@ -588,7 +580,7 @@ def verify_euler_obstruction_n4(fvec: Optional[list[int]] = None,
                 "parity": "positive reduced characteristic forces any "
                           "single-degree wedge to sit in even degree >= 4"}
 
-    return _run("euler-n4", {"allow_long": allow_long}, check)
+    return _run("euler-n4", {}, check)
 
 
 # -- conjecture evidence -------------------------------------------------------
@@ -617,7 +609,6 @@ def verify_conjecture_evidence(variant: str, n: int,
 # -- suite assembly ------------------------------------------------------------
 
 def default_suite(max_n: int = 3, budget: int = DEFAULT_BUDGET,
-                  allow_long: bool = False,
                   cached_n4_fvector: Optional[list[int]] = None,
                   only: Optional[str] = None) -> list[VerificationReport]:
     """Run the named check (or all of them) for every instance with n up to
@@ -674,8 +665,7 @@ def default_suite(max_n: int = 3, budget: int = DEFAULT_BUDGET,
         for n in range(2, min(max_n, 3) + 1):
             reports.append(verify_conjecture_evidence("GM", n, budget))
     if want("euler-n4") and (max_n >= 4 or explicit):
-        reports.append(verify_euler_obstruction_n4(cached_n4_fvector,
-                                                   allow_long))
+        reports.append(verify_euler_obstruction_n4(cached_n4_fvector))
     return reports
 
 

@@ -151,7 +151,7 @@ def test_criterion_08_n4_desk_scale(d4_layers):
 
 def test_criterion_09_stretch_n4_f_vector(d4_layers):
     # required substitute: consistency of the published 15-entry vector
-    r = verify_euler_obstruction_n4(list(N4_F_VECTOR), allow_long=False)
+    r = verify_euler_obstruction_n4(list(N4_F_VECTOR))
     assert r.passed
     assert r.details["euler_characteristic"] == 212457
     assert r.details["reduced_euler_characteristic"] == 212456

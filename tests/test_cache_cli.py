@@ -117,11 +117,51 @@ def test_count_optimal_command(capsys, tmp_path):
     assert doc["result"] == {"count": 76025, "max_cardinality": 10}
 
 
-def test_long_jobs_gated(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "count-optimal", "--complex", "simplex:4",
-                             "--cache-dir", str(tmp_path))
+def test_width_rule_and_budget_are_the_gates(capsys, tmp_path):
+    # the 4-simplex is answered without any opt-in flag
+    code, out, _ = run_cli(capsys, "count-optimal", "--complex", "simplex:4",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["result"] == {"count": 380125, "max_cardinality": 15}
+    # MP of the 4-simplex would materialize ~1.2e10 faces: --budget refuses it
+    code, out, err = run_cli(capsys, "fvector", "--complex", "simplex:4",
+                             "--variant", "MP", "--cache-dir", str(tmp_path))
     assert code == 3 and out == ""
-    assert "--allow-long" in err
+    assert "projected face count" in err
+    # --allow-long still parses on every subcommand and changes nothing
+    for argv in (["build", "--complex", "simplex:1"],
+                 ["fvector", "--complex", "simplex:1"],
+                 ["homology", "--complex", "simplex:1"],
+                 ["count-optimal", "--complex", "simplex:1"],
+                 ["euler", "--complex", "simplex:1"],
+                 ["verify", "layer-counts", "--max-n", "2"]):
+        argv += ["--cache-dir", str(tmp_path)]
+        code, out, _ = run_cli(capsys, *argv)
+        code_flag, out_flag, _ = run_cli(capsys, *argv, "--allow-long")
+        assert code == code_flag == 0 and out_flag == out
+
+
+def test_cached_commands_warm_run_is_byte_identical(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    for argv in (["fvector", "--complex", "boundary:2", "--variant", "GM"],
+                 ["euler", "--complex", "simplex:2", "--variant", "MP"],
+                 ["homology", "--complex", "simplex:2", "--variant", "M",
+                  "--relative", "boundary:2"],
+                 ["count-optimal", "--complex", "boundary:3"]):
+        argv += ["--cache-dir", str(cache)]
+        code, cold, _ = run_cli(capsys, *argv)
+        code_warm, warm, _ = run_cli(capsys, *argv)
+        assert code == code_warm == 0 and warm == cold
+
+    # euler answers from the fvector entry of the same spec and variant
+    cache = tmp_path / "shared"
+    args = ["--complex", "simplex:3", "--variant", "M", "--cache-dir", str(cache)]
+    _, fv_out, _ = run_cli(capsys, "fvector", *args)
+    code, eu_out, _ = run_cli(capsys, "euler", *args)
+    assert code == 0
+    assert len([p for p in cache.rglob("*") if p.is_file()]) == 1
+    fv, eu = json.loads(fv_out)["result"], json.loads(eu_out)["result"]
+    assert eu == dict(fv, reduced_euler_characteristic=99)
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -288,16 +328,22 @@ def test_n4_fvector_feeds_euler_verifier(capsys, tmp_path):
     assert fv[-1] == 380125 and len(fv) == 15
     assert json.loads(out)["result"]["euler_characteristic"] == 212457
 
-    # the cached vector now satisfies the n=4 consistency check without
-    # --allow-long
+    # the cached vector satisfies the n=4 consistency check as it stands
     code, out, _ = run_cli(capsys, "verify", "euler-n4", "--max-n", "4",
                            "--cache-dir", str(tmp_path))
     assert code == 0
     checks = json.loads(out)["result"]["checks"]
     assert checks[0]["status"] == "pass"
     assert checks[0]["details"]["euler_characteristic"] == 212457
+    assert checks[0]["details"]["computed"] is False
 
-    # without the cache the same check is skipped with exit code 3
-    code, _, _ = run_cli(capsys, "verify", "euler-n4", "--max-n", "4",
-                         "--cache-dir", str(tmp_path / "cold"))
-    assert code == 3
+    # without the cache the check counts the vector itself, and stores nothing
+    cold = tmp_path / "cold"
+    code, out, _ = run_cli(capsys, "verify", "euler-n4", "--max-n", "4",
+                           "--cache-dir", str(cold))
+    assert code == 0
+    checks = json.loads(out)["result"]["checks"]
+    assert checks[0]["status"] == "pass" and checks[0]["instance"] == {}
+    assert checks[0]["details"]["computed"] is True
+    assert checks[0]["details"]["euler_characteristic"] == 212457
+    assert not cold.exists()

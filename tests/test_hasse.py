@@ -118,9 +118,11 @@ def test_layered_agrees_with_whole_digraph_oracle():
             mask = 0
             used = 0
             for e in rng.sample(range(H.edge_count), H.edge_count):
-                if rng.random() < 0.4 and not used & H.edge_face_mask[e]:
+                lo, up = H.edges[e]
+                fm = (1 << lo) | (1 << up)
+                if rng.random() < 0.4 and not used & fm:
                     mask |= 1 << e
-                    used |= H.edge_face_mask[e]
+                    used |= fm
             assert is_acyclic(H, mask) == modified_digraph_acyclic(H, mask)
 
 

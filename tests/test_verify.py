@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from morsematch.hasse import CriticalReport
 from morsematch.verify import (default_suite, verify_cone_contiguity,
                                verify_conjecture_evidence,
                                verify_euler_obstruction_n4,
@@ -174,13 +175,30 @@ def test_conjecture_evidence():
             assert "evidence" in r.details["label"]
 
 
-def test_euler_obstruction_requires_data_or_flag():
-    r = verify_euler_obstruction_n4(None, allow_long=False)
-    assert r.status == "skipped-budget"
-    r = verify_euler_obstruction_n4(list(N4_F_VECTOR), allow_long=False)
+def test_euler_obstruction_computes_without_data():
+    r = verify_euler_obstruction_n4(None)
+    assert r.passed and r.instance == {}
+    assert r.details["computed"] is True
+    assert r.details["euler_characteristic"] == 212457
+    r = verify_euler_obstruction_n4(list(N4_F_VECTOR))
     assert r.passed
+    assert r.details["computed"] is False
     assert r.details["euler_characteristic"] == 212457
     assert r.details["reduced_euler_characteristic"] == 212456
+
+
+def test_failed_check_carries_its_witness(monkeypatch):
+    import morsematch.verify as verify_mod
+    monkeypatch.setattr(verify_mod, "critical_faces",
+                        lambda H, mask: CriticalReport([[], []], [0, 0]))
+    r = verify_spanning_tree(3)
+    assert r.status == "fail"
+    assert r.details == {
+        "message": "unexpected critical face counts on the skeleton"}
+    # the witness is the failing matching as [lower, upper] face pairs
+    assert len(r.witness) == 3  # a maximum matching on the skeleton K4
+    for lower, upper in r.witness:
+        assert len(upper) == len(lower) + 1 and set(lower) < set(upper)
 
 
 def test_budget_skip():
