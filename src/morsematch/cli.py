@@ -29,7 +29,7 @@ from .layers import LayeredInfeasibleError, enumerate_optimal
 from .morse import (MaterializationLimitError, build_matching_complex,
                     embed_faces, induced_inclusion, matching_complex_f_vector)
 from .specs import SpecError, build_from_spec, canonical_spec, spec_file
-from .verify import default_suite, CHECK_NAMES
+from .verify import CHECK_NAMES, default_suite, runs_euler_n4
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -187,7 +187,7 @@ def cmd_verify(args) -> int:
     # read-only: a cached 4-simplex vector spares euler-n4 its enumeration,
     # and no other check may start one
     n4 = None
-    if args.max_n >= 4 or only == "euler-n4":
+    if runs_euler_n4(args.max_n, only):
         n4 = _cached(args, "fvector", "simplex:4", "M")
     reports = default_suite(max_n=args.max_n, budget=args.budget,
                             cached_n4_fvector=n4 and n4["f_vector"], only=only)

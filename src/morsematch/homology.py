@@ -11,6 +11,22 @@ holds a +-1 there and has the fewest entries (ties to the lower row), and it
 repeats the pass until a pass finds no unit.  A dense textbook reduction
 finishes the unit-free residual.  All arithmetic is exact; Python integers
 make the growth harmless.
+
+Homology reduces the boundary matrices in increasing degree (augmentation,
+then d_1, d_2, ...) with clearing: the columns Q where the unit elimination
+of d_d pivoted, on rows P, are faces of degree d, and d_{d+1} skips those
+rows.  This leaves its divisors and rank unchanged:
+
+* A pivot row changes only by subtracting earlier pivot rows, so the pivot
+  block factors as d_d[P, Q] = L U with L unit lower triangular and U
+  triangular with a +-1 diagonal; det d_d[P, Q] = +-1.
+* From d_d d_{d+1} = 0, d_{d+1}[Q, :] = -d_d[P, Q]^-1 d_d[P, Q'] d_{d+1}[Q', :]
+  (Q' the other faces of degree d), an integer combination of the kept
+  rows, which unimodular row operations zero.
+
+The argument needs only dd = 0 and P among the rows of d_d, so it holds
+when d_d was itself reduced with rows skipped, and for the quotient complex
+of a pair.  Pivots of the dense residual do not feed the clearing.
 """
 
 from __future__ import annotations
@@ -129,9 +145,18 @@ def _dense_smith(M: list[list[int]]) -> list[int]:
     return divisors
 
 
-def smith_normal_form(A: SparseIntMatrix) -> tuple[tuple[int, ...], int]:
-    """Elementary divisors d1 | d2 | ... | dr (all positive) and the rank."""
-    rows = [dict(d) for d in A.row]
+def smith_normal_form(A: SparseIntMatrix,
+                      skip_rows: set[int] | frozenset[int] = frozenset(),
+                      unit_pivots: set[int] | None = None
+                      ) -> tuple[tuple[int, ...], int]:
+    """Elementary divisors d1 | d2 | ... | dr (all positive) and the rank.
+
+    Rows in `skip_rows` are left out of the elimination; the caller vouches
+    that they are integer combinations of the other rows (see the module
+    docstring).  The columns where the unit elimination pivots are added to
+    `unit_pivots` when it is given.
+    """
+    rows = [{} if r in skip_rows else dict(d) for r, d in enumerate(A.row)]
     col_rows: list[set[int]] = [set() for _ in range(A.cols)]
     for r, d in enumerate(rows):
         for c in d:
@@ -170,6 +195,8 @@ def smith_normal_form(A: SparseIntMatrix) -> tuple[tuple[int, ...], int]:
                 col_rows[c2].discard(r)
             rows[r] = {}
             units += 1
+            if unit_pivots is not None:
+                unit_pivots.add(c)
             progress = True
 
     # unit-free residual: finish densely
@@ -267,17 +294,14 @@ def _columns(m: SparseIntMatrix) -> list[list[tuple[int, int]]]:
 
 
 def _check_dd_zero(mats: list[SparseIntMatrix]) -> None:
+    cols = [_columns(m) for m in mats]
     for d in range(1, len(mats)):
-        upper = mats[d]
-        lower = mats[d - 1]
-        if lower.rows == 0:
+        if mats[d - 1].rows == 0:
             continue
-        lower_cols = _columns(lower)
-        upper_cols = _columns(upper)
-        for j, col in enumerate(upper_cols):
+        for j, col in enumerate(cols[d]):
             acc: dict[int, int] = {}
             for mid, v in col:
-                for i, w in lower_cols[mid]:
+                for i, w in cols[d - 1][mid]:
                     acc[i] = acc.get(i, 0) + v * w
             if any(acc.values()):
                 raise AssertionError(
@@ -313,7 +337,14 @@ class HomologyResult:
 
 
 def _homology_from_chain(cc: ChainComplex, reduced: bool) -> HomologyResult:
-    snfs = [smith_normal_form(m) for m in cc.boundaries]
+    # increasing degree: the unit pivot columns of d_d are faces of degree d,
+    # the rows of d_{d+1} that those pivots already decide
+    snfs = []
+    cleared: set[int] = set()
+    for m in cc.boundaries:
+        pivots: set[int] = set()
+        snfs.append(smith_normal_form(m, cleared, pivots))
+        cleared = pivots
     ranks = [r for _, r in snfs] + [0]
     groups = []
     for d in range(len(cc.sizes)):

@@ -664,9 +664,15 @@ def default_suite(max_n: int = 3, budget: int = DEFAULT_BUDGET,
     if want("conjecture-gm"):
         for n in range(2, min(max_n, 3) + 1):
             reports.append(verify_conjecture_evidence("GM", n, budget))
-    if want("euler-n4") and (max_n >= 4 or explicit):
+    if runs_euler_n4(max_n, only):
         reports.append(verify_euler_obstruction_n4(cached_n4_fvector))
     return reports
+
+
+def runs_euler_n4(max_n: int, only: Optional[str]) -> bool:
+    """Whether `default_suite(max_n, only=only)` runs euler-n4, the one
+    check that reads the 4-simplex f-vector."""
+    return only == "euler-n4" or (only is None and max_n >= 4)
 
 
 CHECK_NAMES = ["reference-tables", "top-facet-bijection", "layer-counts",

@@ -347,3 +347,28 @@ def test_n4_fvector_feeds_euler_verifier(capsys, tmp_path):
     assert checks[0]["details"]["computed"] is True
     assert checks[0]["details"]["euler_characteristic"] == 212457
     assert not cold.exists()
+
+
+def test_verify_reads_the_n4_cache_only_for_euler_n4(capsys, tmp_path,
+                                                    monkeypatch):
+    from morsematch import __version__, cli
+    from morsematch.verify import N4_F_VECTOR
+
+    cache_put(tmp_path, cache_key("fvector", "simplex:4", "M", __version__),
+              json.dumps({"f_vector": list(N4_F_VECTOR)}).encode())
+    lookups = []
+
+    def counting_get(cdir, key):
+        lookups.append(key)
+        return cache_get(cdir, key)
+
+    monkeypatch.setattr(cli, "cache_get", counting_get)
+    code, _, _ = run_cli(capsys, "verify", "cone-contiguity", "--max-n", "4",
+                         "--cache-dir", str(tmp_path))
+    assert code == 0 and lookups == []
+
+    code, out, _ = run_cli(capsys, "verify", "euler-n4",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and len(lookups) == 1
+    check = json.loads(out)["result"]["checks"][0]
+    assert check["status"] == "pass" and check["details"]["computed"] is False

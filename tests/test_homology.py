@@ -1,11 +1,12 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsematch.complexes import (SimplicialComplex, build_boundary,
-                                  build_simplex, euler_characteristic,
+                                  build_simplex, cone, euler_characteristic,
                                   skeleton)
 from morsematch.homology import (SparseIntMatrix, _chain, boundary_matrices,
                                  homology, relative_homology,
@@ -199,3 +200,79 @@ def test_homology_of_triangle_matching_complex(d2):
     from morsematch.morse import build_matching_complex
     h = homology(build_matching_complex(d2, "M").complex)
     assert h.nonzero() == {1: (4, ())}
+
+
+# -- clearing ----------------------------------------------------------------
+
+def _groups(cc, snf):
+    """Groups of a chain complex from `snf` applied to each boundary matrix
+    on its own, with no rows cleared: the reference for the clearing."""
+    snfs = [snf(m) for m in cc.boundaries]
+    ranks = [r for _, r in snfs] + [0]
+    return [(n - ranks[d] - ranks[d + 1],
+             tuple(x for x in snfs[d + 1][0] if x > 1) if d + 1 < len(snfs)
+             else ())
+            for d, n in enumerate(cc.sizes)]
+
+
+def _sympy_snf(m):
+    dense = [[m.get(r, c) for c in range(m.cols)] for r in range(m.rows)]
+    divisors = snf_divisors_sympy(dense)
+    return divisors, len(divisors)
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+def test_cleared_homology_matches_uncleared_and_sympy(reduced):
+    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
+    suspension = SimplicialComplex.from_facets(
+        [f + (apex,) for f in RP2_FACETS for apex in (6, 7)])
+    small = [rp2, suspension, cone(rp2)[0]] + [
+        build_matching_complex(build_from_spec(spec), variant).complex
+        for spec in ("simplex:2", "boundary:2") for variant in ("M", "MP", "GM")]
+    # too large for sympy in a tier-1 run (~30 s); on MP of this base the
+    # uncleared SNF meets sympy in the matching-complex SNF test above
+    large = [build_matching_complex(build_from_spec("cone:boundary:2"),
+                                    variant).complex
+             for variant in ("M", "MP", "GM")]
+    for K in small + large:
+        assert homology(K, reduced).groups == _groups(
+            boundary_matrices(K, reduced), smith_normal_form), K
+    for K in small:
+        assert homology(K, reduced).groups == _groups(
+            boundary_matrices(K, reduced), _sympy_snf), K
+
+    point = {} if reduced else {0: (1, ())}
+    assert homology(rp2, reduced).nonzero() == {**point, 1: (0, (2,))}
+    assert homology(suspension, reduced).nonzero() == {**point, 2: (0, (2,))}
+    assert homology(cone(rp2)[0], reduced).nonzero() == point
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+def test_cleared_relative_homology_matches_uncleared(m_d3, m_bd3, d3, bd3,
+                                                     reduced):
+    emb = embed_faces(m_bd3.complex, induced_inclusion(bd3, d3), 28)
+    rel = relative_homology(m_d3.complex, emb, reduced)
+    assert rel.nonzero() == {4: (96, ())}
+    cc = _chain(m_d3.complex, emb.face_index, False)
+    assert rel.groups == _groups(cc, smith_normal_form)
+
+
+def test_clearing_leaves_rank_plus_betti_rows(m_d3, monkeypatch):
+    # every pivot of M(Delta^3) is a unit, so rank d_d rows of d_{d+1} are
+    # cleared and the kept rows number rank d_{d+1} + beta_d
+    # the package's function `homology` shadows the submodule's name
+    module = sys.modules["morsematch.homology"]
+    seen = []
+
+    def spy(A, skip_rows=frozenset(), unit_pivots=None):
+        result = smith_normal_form(A, skip_rows, unit_pivots)
+        seen.append((A.rows, len(skip_rows), result[1]))
+        return result
+
+    monkeypatch.setattr(module, "smith_normal_form", spy)
+    h = homology(m_d3.complex)
+    assert [skipped for _, skipped, _ in seen] == \
+        [0, 1, 27, 273, 1271, 2661, 1872]
+    assert seen[4] == (3932, 1271, 2661)
+    for d, (rows, skipped, rank) in enumerate(seen[1:]):
+        assert rows - skipped - rank == h.betti(d)
