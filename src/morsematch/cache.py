@@ -5,9 +5,11 @@ with a header line carrying a checksum of the payload; a mismatch means the
 entry is ignored (and reported on stderr), never trusted.  Writes go through
 a temp file and an atomic rename.
 
-Face-set documents serialize a matching complex's faces, one per line, as
-the lowercase hex of the little-endian edge-index bitset, after a header
-``morsematch-faces v1 <edge-count>``.  The format is bit-exact and diffable.
+Face-set documents serialize a matching complex's faces, one per line and
+in canonical order, as the lowercase hex of the little-endian face bitmask
+(bit i is Hasse edge i of the base), after a header
+``morsematch-faces v1 <edge-count>``.  A face mask is written verbatim, so
+the format is bit-exact and diffable.
 """
 
 from __future__ import annotations
@@ -86,16 +88,10 @@ def cache_get(cache_dir: Path, key: str) -> Optional[bytes]:
 # -- face-set documents -------------------------------------------------------
 
 def faces_to_document(faces, edge_count: int) -> bytes:
-    """Serialize face bitmasks (ints or vertex tuples) to the line format."""
+    """Serialize face bitmasks (ints) to the line format."""
     width = max((edge_count + 7) // 8, 1)
     lines = [f"morsematch-faces v1 {edge_count}".encode()]
-    for face in faces:
-        if isinstance(face, int):
-            mask = face
-        else:
-            mask = 0
-            for v in face:
-                mask |= 1 << v
+    for mask in faces:
         lines.append(mask.to_bytes(width, "little").hex().encode())
     return b"\n".join(lines) + b"\n"
 

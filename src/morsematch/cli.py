@@ -7,7 +7,8 @@ Every cached command loads or computes its result through `_cached`.
 
 Exit codes: 0 success or all checks pass, 1 verification failure, 2 usage
 error (also an unwritable --out path), 3 budget exceeded: a complex too wide
-for the layer transfer, or a projected face count above --budget.
+for the layer transfer, a projected face count above --budget, or a base
+complex of more than `complexes.MAX_BASE_FACES` (2^20) faces.
 `--allow-long` is accepted for compatibility and has no effect.
 """
 
@@ -96,8 +97,7 @@ def cmd_build(args) -> int:
         mc = build_matching_complex(K, args.variant, max_faces=args.budget)
         cx = mc.complex
         if args.out:
-            masks = [sum(1 << v for v in face) for face in cx.faces()]
-            _write_out(args.out, faces_to_document(masks, mc.edge_count))
+            _write_out(args.out, faces_to_document(cx.faces(), mc.edge_count))
         result = {"variant": args.variant, "f_vector": f_vector(cx),
                   "faces": cx.total_faces(), "void": cx.is_void,
                   "out": args.out}

@@ -1,36 +1,90 @@
 """Finite abstract simplicial complexes with deterministic face indexing.
 
-A face is a strictly increasing tuple of vertex ids.  Within each dimension
-the face list is sorted lexicographically, and that order is canonical: it
-fixes Hasse edge order, boundary matrix bases, and every on-disk format.
+A face is a vertex bitmask: the int with bit v set for every vertex v of
+the face (vertex ids are non-negative; the empty face is implicit and never
+stored).  `face_mask` and `face_vertices` convert to and from ascending
+vertex lists, the form every JSON document shows.
+
+Within each dimension the face list is in lex order of the ascending vertex
+lists, and that order is canonical: it fixes Hasse edge order, boundary
+matrix bases, and every on-disk format.  For two faces a != b of one
+dimension, a comes first exactly when the lowest bit of a ^ b is in a, so
+the order is descending order of the bit-reversed mask.
 
 The void complex (zero faces) is representable; it shows up naturally as the
 complex of matchings of a complex without cover pairs.
+
+The standard builders and the facet closure refuse a base complex of more
+than MAX_BASE_FACES faces with BudgetExceededError before allocating it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
-Face = tuple[int, ...]
+Face = int  # vertex bitmask
+
+MAX_BASE_FACES = 1 << 20
+
+# _REVERSE[b] is the byte b with its bit order reversed
+_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive search hit its configured node budget."""
+    """An exhaustive search hit its configured node budget, or a base
+    complex has more than MAX_BASE_FACES faces."""
+
+
+def face_mask(vertices: Iterable[int]) -> Face:
+    """Bitmask of a strictly increasing list of non-negative vertex ids."""
+    vs = list(vertices)
+    if vs != sorted(set(vs)):
+        raise ValueError(f"face {vs!r} is not strictly increasing")
+    if vs and vs[0] < 0:
+        raise ValueError(f"negative vertex id in {vs!r}")
+    mask = 0
+    for v in vs:
+        mask |= 1 << v
+    return mask
+
+
+def face_vertices(mask: Face) -> list[int]:
+    """Ascending vertex ids of a face bitmask."""
+    if mask < 0:
+        raise ValueError(f"negative face bitmask {mask}")
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
+def _check_base_size(what: str, count: int) -> None:
+    if count > MAX_BASE_FACES:
+        raise BudgetExceededError(
+            f"{what} has {count} faces, above the base-complex cap of "
+            f"{MAX_BASE_FACES}")
 
 
 def _closure(facets: Iterable[Face]) -> set[Face]:
     out: set[Face] = set()
     for f in facets:
-        k = len(f)
-        for size in range(1, k + 1):
-            out.update(combinations(f, size))
+        k = f.bit_count()
+        _check_base_size(f"the closure of a {k}-vertex facet", (1 << k) - 1)
+        sub = f
+        while sub:
+            out.add(sub)
+            sub = (sub - 1) & f
+        _check_base_size("the facet closure", len(out))
     return out
 
 
 class SimplicialComplex:
-    """Immutable complex: per-dimension lex-sorted face lists plus an index.
+    """Immutable complex: per-dimension face-mask lists in canonical order
+    plus an index from mask to (dimension, position).
 
     Instances must be built through the classmethods or the module-level
     constructors, which validate vertex ranges and downward closure.
@@ -47,41 +101,42 @@ class SimplicialComplex:
     @classmethod
     def from_faces(cls, faces: Iterable[Face], vertex_count: Optional[int] = None,
                    ) -> "SimplicialComplex":
-        """Build from an explicit face set; raises if not downward closed."""
-        face_set = {tuple(f) for f in faces}
+        """Build from an explicit set of face masks; raises if not downward
+        closed."""
+        face_set = set(faces)
+        by_size: dict[int, list[Face]] = {}
         for f in face_set:
-            if len(f) == 0:
-                raise ValueError("empty face is implicit and never stored")
-            if list(f) != sorted(set(f)):
-                raise ValueError(f"face {f!r} is not strictly increasing")
-            if f[0] < 0:
-                raise ValueError(f"negative vertex id in {f!r}")
-        used = max((f[-1] for f in face_set), default=-1) + 1
+            if type(f) is not int or f <= 0:
+                raise ValueError(f"face {f!r} is not a non-empty vertex bitmask")
+            by_size.setdefault(f.bit_count(), []).append(f)
+        used = max(face_set, default=0).bit_length()
         if vertex_count is None:
             vertex_count = used
         elif used > vertex_count:
             raise ValueError(f"vertex id {used - 1} outside universe 0..{vertex_count - 1}")
-        dim = max((len(f) for f in face_set), default=0) - 1
-        faces_by_dim: list[list[Face]] = [[] for _ in range(dim + 1)]
-        for f in face_set:
-            faces_by_dim[len(f) - 1].append(f)
+        nbytes = max((used + 7) // 8, 1)
+        faces_by_dim = [by_size.get(k, []) for k in range(1, max(by_size, default=0) + 1)]
         for lst in faces_by_dim:
-            lst.sort()
-        for d in range(1, dim + 1):
-            for f in faces_by_dim[d]:
-                for i in range(len(f)):
-                    if f[:i] + f[i + 1:] not in face_set:
-                        raise ValueError(f"face {f!r} missing subface; not a complex")
-        index = {}
+            lst.sort(key=lambda f: f.to_bytes(nbytes, "little").translate(_REVERSE),
+                     reverse=True)
+        for lst in faces_by_dim[1:]:
+            for f in lst:
+                m = f
+                while m:
+                    b = m & -m
+                    if f ^ b not in face_set:
+                        raise ValueError(f"face {face_vertices(f)} misses its "
+                                         f"facet {face_vertices(f ^ b)}; not a complex")
+                    m ^= b
+        index: dict[Face, tuple[int, int]] = {}
         for d, lst in enumerate(faces_by_dim):
-            for i, f in enumerate(lst):
-                index[f] = (d, i)
+            index.update(zip(lst, zip(repeat(d), range(len(lst)))))
         return cls(vertex_count, faces_by_dim, index)
 
     @classmethod
     def from_facets(cls, facets: Iterable[Face], vertex_count: Optional[int] = None,
                     ) -> "SimplicialComplex":
-        """Build the downward closure of the given generating faces."""
+        """Build the downward closure of the given generating face masks."""
         return cls.from_faces(_closure(facets), vertex_count)
 
     @classmethod
@@ -112,7 +167,7 @@ class SimplicialComplex:
 
     def vertices(self) -> list[int]:
         """Ids of the 0-faces (may be a proper subset of the universe)."""
-        return [f[0] for f in self.faces_by_dim[0]] if self.faces_by_dim else []
+        return [f.bit_length() - 1 for f in self.faces_by_dim[0]] if self.faces_by_dim else []
 
     def contains_complex(self, other: "SimplicialComplex") -> bool:
         """Face-set inclusion (vertex ids compared literally)."""
@@ -120,8 +175,10 @@ class SimplicialComplex:
 
     def induced(self, vertex_set: Iterable[int]) -> "SimplicialComplex":
         """Full subcomplex spanned by a vertex subset, on the same universe."""
-        vs = set(vertex_set)
-        faces = [f for f in self.faces() if vs.issuperset(f)]
+        vs = 0
+        for v in vertex_set:
+            vs |= 1 << v
+        faces = [f for f in self.faces() if f | vs == vs]
         if not faces:
             return SimplicialComplex.void(self.vertex_count)
         return SimplicialComplex.from_faces(faces, self.vertex_count)
@@ -147,9 +204,8 @@ def build_simplex(n: int) -> SimplicialComplex:
     """Full simplex on n+1 vertices: all 2^(n+1) - 1 non-empty faces."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    verts = range(n + 1)
-    faces = [c for k in range(1, n + 2) for c in combinations(verts, k)]
-    return SimplicialComplex.from_faces(faces, n + 1)
+    _check_base_size(f"simplex:{n}", (1 << (n + 1)) - 1)
+    return SimplicialComplex.from_faces(range(1, 1 << (n + 1)), n + 1)
 
 def build_boundary(n: int) -> SimplicialComplex:
     """All proper non-empty faces of the n-simplex; dimension n - 1.
@@ -159,9 +215,8 @@ def build_boundary(n: int) -> SimplicialComplex:
     """
     if n < 1:
         raise ValueError("boundary requires n >= 1")
-    verts = range(n + 1)
-    faces = [c for k in range(1, n + 1) for c in combinations(verts, k)]
-    return SimplicialComplex.from_faces(faces, n + 1)
+    _check_base_size(f"boundary:{n}", (1 << (n + 1)) - 2)
+    return SimplicialComplex.from_faces(range(1, (1 << (n + 1)) - 1), n + 1)
 
 def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:
     """Faces of K of dimension at most k; K itself when k >= dim K."""
@@ -176,11 +231,13 @@ def cone(K: SimplicialComplex) -> tuple[SimplicialComplex, int]:
     """Join with a fresh apex (id = old vertex_count); returns (CK, apex)."""
     if K.is_void:
         raise ValueError("cone over the void complex is not supported")
+    _check_base_size("the cone", 2 * K.total_faces() + 1)
     apex = K.vertex_count
-    faces: list[Face] = [(apex,)]
+    bit = 1 << apex
+    faces: list[Face] = [bit]
     for f in K.faces():
         faces.append(f)
-        faces.append(f + (apex,))
+        faces.append(f | bit)
     return SimplicialComplex.from_faces(faces, apex + 1), apex
 
 
@@ -195,15 +252,10 @@ def euler_characteristic(K: SimplicialComplex) -> int:
 
 def star_link(K: SimplicialComplex, s: Face) -> tuple[set[Face], SimplicialComplex]:
     """Star of s (faces containing s) and link of s (a subcomplex)."""
-    s = tuple(s)
     if s not in K.face_index:
-        raise ValueError(f"{s!r} is not a face")
-    s_set = set(s)
-    star = {f for f in K.faces() if s_set.issubset(f)}
-    link_faces = []
-    for f in K.faces():
-        if s_set.isdisjoint(f) and tuple(sorted(s_set.union(f))) in K.face_index:
-            link_faces.append(f)
+        raise ValueError(f"{face_vertices(s)} is not a face")
+    star = {f for f in K.faces() if f & s == s}
+    link_faces = [f for f in K.faces() if not f & s and f | s in K.face_index]
     if not link_faces:
         return star, SimplicialComplex.void(K.vertex_count)
     return star, SimplicialComplex.from_faces(link_faces, K.vertex_count)
@@ -229,8 +281,15 @@ def is_full_subcomplex(K: SimplicialComplex, sub) -> bool:
 def relabel(K: SimplicialComplex, mapping: Sequence[int] | dict[int, int],
             vertex_count: int) -> SimplicialComplex:
     """Apply an injective vertex map to every face."""
-    get = mapping.__getitem__
-    faces = [tuple(sorted(get(v) for v in f)) for f in K.faces()]
+    bits = {v: 1 << mapping[v] for v in K.vertices()}
+    faces = []
+    for f in K.faces():
+        img = 0
+        while f:
+            b = f & -f
+            img |= bits[b.bit_length() - 1]
+            f ^= b
+        faces.append(img)
     return SimplicialComplex.from_faces(faces, vertex_count)
 
 
@@ -241,10 +300,11 @@ def _degree_and_adjacency(K: SimplicialComplex):
     deg: dict[int, list[int]] = {v: [0] * (K.dim + 1) for v in verts}
     for d, lst in enumerate(K.faces_by_dim):
         for f in lst:
-            for v in f:
+            for v in face_vertices(f):
                 deg[v][d] += 1
     adj: dict[int, list[int]] = {v: [] for v in verts}
-    for (a, b) in K.faces_by_dim[1] if K.dim >= 1 else []:
+    for e in K.faces_by_dim[1] if K.dim >= 1 else []:
+        a, b = face_vertices(e)
         adj[a].append(b)
         adj[b].append(a)
     return {v: tuple(d) for v, d in deg.items()}, adj
@@ -296,19 +356,21 @@ def is_isomorphic(K: SimplicialComplex, L: SimplicialComplex,
     by_class_l: dict[int, list[int]] = {}
     for v, s in sig_l.items():
         by_class_l.setdefault(s, []).append(v)
-    from collections import Counter
     if Counter(sig_k.values()) != Counter(sig_l.values()):
         return None
 
     verts_k = K.vertices()
-    faces_at_k: dict[int, list[Face]] = {v: [] for v in verts_k}
+    # the vertex lists of the faces at each vertex
+    faces_at_k: dict[int, list[list[int]]] = {v: [] for v in verts_k}
     for f in K.faces():
-        for v in f:
-            faces_at_k[v].append(f)
-    faces_at_l: dict[int, list[Face]] = {v: [] for v in L.vertices()}
+        vs = face_vertices(f)
+        for v in vs:
+            faces_at_k[v].append(vs)
+    faces_at_l: dict[int, list[list[int]]] = {v: [] for v in L.vertices()}
     for f in L.faces():
-        for v in f:
-            faces_at_l[v].append(f)
+        vs = face_vertices(f)
+        for v in vs:
+            faces_at_l[v].append(vs)
 
     mapping: dict[int, int] = {}
     inverse: dict[int, int] = {}
@@ -317,28 +379,26 @@ def is_isomorphic(K: SimplicialComplex, L: SimplicialComplex,
     def consistent(v: int, w: int) -> bool:
         # forward: K-faces inside dom(mapping)+v must land on L-faces
         for f in faces_at_k[v]:
-            img = []
-            ok = True
+            img = 0
             for u in f:
                 t = w if u == v else mapping.get(u)
                 if t is None:
-                    ok = False
                     break
-                img.append(t)
-            if ok and tuple(sorted(img)) not in L.face_index:
-                return False
+                img |= 1 << t
+            else:
+                if img not in L.face_index:
+                    return False
         # reverse: L-faces inside img(mapping)+w must pull back to K-faces
         for g in faces_at_l[w]:
-            pre = []
-            ok = True
+            pre = 0
             for u in g:
                 t = v if u == w else inverse.get(u)
                 if t is None:
-                    ok = False
                     break
-                pre.append(t)
-            if ok and tuple(sorted(pre)) not in K.face_index:
-                return False
+                pre |= 1 << t
+            else:
+                if pre not in K.face_index:
+                    return False
         return True
 
     def extend() -> bool:

@@ -1,8 +1,9 @@
 """Hasse diagrams, matchings, acyclicity, and critical faces.
 
-Faces get global ids in canonical order (dimension, then lex position), and
-Hasse edges are indexed by (layer p, lex lower, lex upper).  That edge order
-is the vertex order of every complex of matchings built downstream.
+Faces (vertex bitmasks) get global ids in canonical order (dimension, then
+lex position), and Hasse edges are indexed by (layer p, lex lower, lex
+upper).  That edge order is the vertex order of every complex of matchings
+built downstream.
 
 Matchings are edge-index bitmasks (Python ints).  A directed cycle in a
 modified Hasse diagram can only alternate between two adjacent dimensions,
@@ -50,17 +51,22 @@ class HasseDiagram:
         def gid(d: int, pos: int) -> int:
             return self.offsets[d] + pos
 
-        # facet gids per face (empty for vertices); every facet is present
-        # because the complex is downward closed
-        self.facets_of: list[tuple[int, ...]] = []
-        for d, lst in enumerate(K.faces_by_dim):
-            for f in lst:
-                if d == 0:
-                    self.facets_of.append(())
-                else:
-                    subs = sorted(f[:i] + f[i + 1:] for i in range(len(f)))
-                    self.facets_of.append(
-                        tuple(gid(d - 1, K.face_index[s][1]) for s in subs))
+        # facet gids per face (empty for vertices), ascending; every facet
+        # is present because the complex is downward closed.  Clearing a
+        # higher bit gives a lex-smaller facet.
+        index = K.face_index
+        self.facets_of: list[tuple[int, ...]] = [()] * self.offsets[1]
+        for d in range(1, K.dim + 1):
+            off = self.offsets[d - 1]
+            for f in K.faces_by_dim[d]:
+                subs = []
+                m = f
+                while m:
+                    b = m & -m
+                    subs.append(off + index[f ^ b][1])
+                    m ^= b
+                subs.reverse()
+                self.facets_of.append(tuple(subs))
 
         edges: list[tuple[int, int]] = []
         for d in range(1, K.dim + 1):

@@ -1,9 +1,10 @@
 """Exact integral simplicial homology via sparse Smith normal form.
 
-Boundary convention: for a face written as a strictly increasing vertex
-tuple, the facet obtained by dropping the i-th vertex carries sign (-1)^i.
-Bases are the canonical lex-ordered face lists, so matrices are reproducible
-bit for bit.
+Boundary convention: the facet of a face mask obtained by clearing its i-th
+lowest set bit (dropping its i-th vertex in ascending order, i = 0, 1, ...)
+carries sign (-1)^i, so the sign alternates with bit position, +1 on the
+lowest bit.  Bases are the canonical lex-ordered face lists, so matrices are
+reproducible bit for bit.
 
 The Smith normal form first eliminates with unit pivots only: it goes
 through the columns in order and pivots each one on the active row that
@@ -269,40 +270,46 @@ def _chain(L: SimplicialComplex, drop, augment: bool) -> ChainComplex:
     bases = [[f for f in faces if f not in drop] for faces in L.faces_by_dim]
     sizes = [len(b) for b in bases]
     mats = [SparseIntMatrix(1 if augment else 0, sizes[0])]
+    # cols[d][j] lists the (row, value) entries of column j of mats[d]
+    cols = [[[(0, 1)] if augment else [] for _ in range(sizes[0])]]
     if augment:
-        for j in range(sizes[0]):
-            mats[0].set(0, j, 1)
+        mats[0].row[0] = dict.fromkeys(range(sizes[0]), 1)
     for d in range(1, len(bases)):
-        lower = {f: i for i, f in enumerate(bases[d - 1])}
+        lower = dict(zip(bases[d - 1], range(sizes[d - 1])))
         m = SparseIntMatrix(sizes[d - 1], sizes[d])
+        rows = m.row
+        mcols = []
         for j, f in enumerate(bases[d]):
-            for i in range(len(f)):
-                pos = lower.get(f[:i] + f[i + 1:])
+            col = []
+            sign = 1
+            x = f
+            while x:
+                b = x & -x
+                pos = lower.get(f ^ b)
                 if pos is not None:
-                    m.set(pos, j, -1 if i % 2 else 1)
+                    rows[pos][j] = sign
+                    col.append((pos, sign))
+                sign = -sign
+                x ^= b
+            mcols.append(col)
         mats.append(m)
-    _check_dd_zero(mats)
+        cols.append(mcols)
+    _check_dd_zero(mats, cols)
     return ChainComplex(sizes, mats, augment)
 
 
-def _columns(m: SparseIntMatrix) -> list[list[tuple[int, int]]]:
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(m.cols)]
-    for r, d in enumerate(m.row):
-        for c, v in d.items():
-            cols[c].append((r, v))
-    return cols
-
-
-def _check_dd_zero(mats: list[SparseIntMatrix]) -> None:
-    cols = [_columns(m) for m in mats]
+def _check_dd_zero(mats: list[SparseIntMatrix],
+                   cols: list[list[list[tuple[int, int]]]]) -> None:
     for d in range(1, len(mats)):
         if mats[d - 1].rows == 0:
             continue
+        lower = cols[d - 1]
         for j, col in enumerate(cols[d]):
             acc: dict[int, int] = {}
+            get = acc.get
             for mid, v in col:
-                for i, w in cols[d - 1][mid]:
-                    acc[i] = acc.get(i, 0) + v * w
+                for i, w in lower[mid]:
+                    acc[i] = get(i, 0) + v * w
             if any(acc.values()):
                 raise AssertionError(
                     f"boundary of boundary nonzero at degree {d}, column {j}")

@@ -1,7 +1,8 @@
 """Complexes of matchings, materialized as simplicial complexes.
 
 Vertex i of a matching complex is Hasse edge i of the base complex, in
-canonical edge order.  Three variants are built:
+canonical edge order, so a matching's edge bitmask is its face mask.  Three
+variants are built:
 
   M   faces are the acyclic matchings (hereditary, closure automatic)
   MP  the subcomplex generated by the maximum-cardinality acyclic matchings
@@ -47,19 +48,6 @@ class MatchingComplex:
         return self.hasse.edge_count if self.hasse else 0
 
 
-def _masks_to_faces(masks) -> list[tuple[int, ...]]:
-    faces = []
-    for mask in masks:
-        face = []
-        m = mask
-        while m:
-            b = m & -m
-            face.append(b.bit_length() - 1)
-            m ^= b
-        faces.append(tuple(face))
-    return faces
-
-
 def build_matching_complex(K: SimplicialComplex, variant: str,
                            max_faces: int = 10 ** 8) -> MatchingComplex:
     """Materialize the complex of matchings of K for the given variant.
@@ -102,7 +90,7 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
     else:
         masks = [m for m in iter_matchings(ls, acyclic) if m]
 
-    cx = SimplicialComplex.from_faces(_masks_to_faces(masks), H.edge_count)
+    cx = SimplicialComplex.from_faces(masks, H.edge_count)
     return MatchingComplex(variant, K, H, cx)
 
 
@@ -167,11 +155,11 @@ def cone_pair(K: SimplicialComplex, w0: int = 0,
     """
     if K.is_void:
         raise ValueError("cone over the void complex is not supported")
-    if (w0,) not in K.face_index:
+    if (1 << w0) not in K.face_index:
         raise ValueError(f"w0={w0} is not a vertex of K")
     CK, apex = cone(K)
     H = build_hasse(CK)
-    lo = CK.face_index[(apex,)]
-    up = CK.face_index[tuple(sorted((w0, apex)))]
+    lo = CK.face_index[1 << apex]
+    up = CK.face_index[(1 << w0) | (1 << apex)]
     e0 = H.edge_index[(H.offsets[0] + lo[1], H.offsets[1] + up[1])]
     return CK, apex, e0

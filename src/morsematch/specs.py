@@ -15,7 +15,8 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .complexes import SimplicialComplex, build_boundary, build_simplex, cone, skeleton
+from .complexes import (SimplicialComplex, build_boundary, build_simplex, cone,
+                        face_mask, skeleton)
 
 
 class SpecError(ValueError):
@@ -26,7 +27,8 @@ def load_facet_file(path: str | Path) -> SimplicialComplex:
     """Read a ``{"vertices": v, "facets": [[...], ...]}`` document.
 
     Facets must be strictly increasing lists of ids in range; the downward
-    closure is computed on load.
+    closure is computed on load, and refused with BudgetExceededError above
+    MAX_BASE_FACES faces.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -51,7 +53,7 @@ def load_facet_file(path: str | Path) -> SimplicialComplex:
             raise SpecError(f"facet {f!r} is not strictly increasing")
         if f[0] < 0 or f[-1] >= v:
             raise SpecError(f"facet {f!r} has ids outside 0..{v - 1}")
-        cleaned.append(tuple(f))
+        cleaned.append(face_mask(f))
     if not cleaned:
         return SimplicialComplex.void(v)
     return SimplicialComplex.from_facets(cleaned, v)

@@ -14,8 +14,8 @@ from math import comb
 from typing import Callable, Optional
 
 from .complexes import (SimplicialComplex, build_boundary, build_simplex,
-                        cone, euler_characteristic, f_vector, is_full_subcomplex,
-                        is_isomorphic, skeleton)
+                        cone, euler_characteristic, f_vector, face_vertices,
+                        is_full_subcomplex, is_isomorphic, skeleton)
 from .hasse import HasseDiagram, build_hasse, critical_faces, is_acyclic, is_matching
 from .layers import (LayeredInfeasibleError, LayerSystem, enumerate_optimal,
                      iter_matchings_of_cardinality, max_cardinality_info,
@@ -90,7 +90,7 @@ def _edge_pairs(H: HasseDiagram, mask: int) -> list[list[list[int]]]:
     out = []
     for e in H.edges_from_mask(mask):
         lo, up = H.edge_faces(e)
-        out.append([list(lo), list(up)])
+        out.append([face_vertices(lo), face_vertices(up)])
     return out
 
 
@@ -205,11 +205,11 @@ def verify_layer_counts(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
     return _run("layer-counts", {"n": n}, check)
 
 
-def _facet_graph_edge(u: tuple[int, ...], n: int) -> tuple[int, int]:
+def _facet_graph_edge(u: int, n: int) -> tuple[int, int]:
     """An (n-2)-face of the n-simplex misses exactly two vertices; those
     index the two facets containing it, an edge of the complete graph."""
-    missing = sorted(set(range(n + 1)) - set(u))
-    return missing[0], missing[1]
+    a, b = face_vertices(((1 << (n + 1)) - 1) & ~u)
+    return a, b
 
 
 def _is_spanning_tree(edges: list[tuple[int, int]], n_vertices: int) -> bool:
@@ -342,12 +342,12 @@ def verify_cone_contiguity(spec: str, w0: int = 0, budget: int = DEFAULT_BUDGET,
         checked = 0
         for face in MK.complex.faces():
             lifted = 0
-            for e in face:
+            for e in face_vertices(face):
                 lifted |= 1 << mapping[e]
             union = lifted | e0_bit
             _ensure(is_matching(HC, union) and is_acyclic(HC, union),
                     "face plus apex pair is not an acyclic matching on the cone",
-                    lambda: [list(face), _edge_pairs(HC, union)])
+                    lambda: [face_vertices(face), _edge_pairs(HC, union)])
             checked += 1
         return {"faces_checked": checked}
 
@@ -460,29 +460,26 @@ def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET,
 
         sigma_gid = H.offsets[n]
         e_list = H.edges_down[sigma_gid]  # the n+1 apex pairs (F_i, sigma)
-        e_set = set(e_list)
+        apex_pairs = H.mask_from_edges(e_list)
 
         links: dict[int, set] = {e: set() for e in e_list}
         for face in GK.complex.faces():
-            touching = [e for e in face if e in e_set]
-            _ensure(len(touching) <= 1,
+            touching = face & apex_pairs
+            _ensure(touching & (touching - 1) == 0,
                     "two apex pairs share a face; stars are not disjoint",
-                    lambda: list(face))
+                    lambda: face_vertices(face))
             if not touching:
                 _ensure(face in boundary_faces,
                         "face avoiding the top simplex is not a boundary matching",
-                        lambda: list(face))
-            else:
-                rest = tuple(v for v in face if v != touching[0])
-                if rest:
-                    links[touching[0]].add(rest)
+                        lambda: face_vertices(face))
+            elif face != touching:
+                links[touching.bit_length() - 1].add(face ^ touching)
 
         # each link must equal the boundary matchings avoiding edges at F_i
         for e in e_list:
             f_i_gid = H.lower[e]
-            banned = set(H.edges_up[f_i_gid]) | set(H.edges_down[f_i_gid])
-            expected = {f for f in boundary_faces
-                        if all(v not in banned for v in f)}
+            banned = H.mask_from_edges(H.edges_up[f_i_gid] + H.edges_down[f_i_gid])
+            expected = {f for f in boundary_faces if not f & banned}
             _ensure(links[e] == expected,
                     "link of apex pair differs from the predicted subcomplex",
                     lambda: {"edge": e})
@@ -497,7 +494,8 @@ def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET,
             if n == 2:
                 _ensure(fv == [4, 3], f"link f-vector {fv} != [4, 3]")
                 pos = {v: i for i, v in enumerate(Li.vertices())}
-                edges = [(pos[a], pos[b]) for a, b in Li.faces_by_dim[1]]
+                edges = [tuple(pos[v] for v in face_vertices(f))
+                         for f in Li.faces_by_dim[1]]
                 _ensure(_is_spanning_tree(edges, 4), "link is not a tree")
             else:
                 _ensure(fv == [21, 162, 570, 924, 612, 116],

@@ -10,7 +10,8 @@ import random
 import pytest
 
 from morsematch.complexes import (build_boundary, build_simplex,
-                                  euler_characteristic, f_vector, skeleton)
+                                  euler_characteristic, f_vector, face_mask,
+                                  face_vertices, skeleton)
 from morsematch.hasse import build_hasse, critical_faces, is_acyclic
 from morsematch.homology import (boundary_matrices, homology,
                                  smith_normal_form, SparseIntMatrix)
@@ -174,9 +175,9 @@ def test_criterion_10_property_suites():
               build_matching_complex(build_simplex(2), "GM").complex]
     for K in corpus:
         for d in range(1, K.dim + 1):
-            for f in K.faces_by_dim[d]:
+            for f in map(face_vertices, K.faces_by_dim[d]):
                 for i in range(len(f)):
-                    assert K.has_face(f[:i] + f[i + 1:])
+                    assert K.has_face(face_mask(f[:i] + f[i + 1:]))
 
     # boundary of boundary vanishes (validated during construction)
     for K in corpus:

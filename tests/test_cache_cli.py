@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -210,6 +211,45 @@ def test_build_command_with_face_document(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "build", "--complex", "boundary:2",
                            "--cache-dir", str(tmp_path))
     assert json.loads(out)["result"]["f_vector"] == [3, 3]
+
+
+# SHA-256 of the `build --out` document, measured at commit 0262a07 (faces
+# stored as vertex tuples); a drift in canonical face order changes them
+BUILD_OUT_SHA256 = {
+    ("simplex:3", "M"): "ccc16628097c73d3c55e1d3528d5b5bddd997207da1a8b83d33bb90d3d9f4520",
+    ("simplex:3", "MP"): "c7dd95dbc127804563d4ebd4c146b6fa3d0555b528eb4cd7734c74429002b6ee",
+    ("simplex:3", "GM"): "b3f1fb3a8e2d96d4be088911f21812e277b10a8bfcb94f77c51e556cb17aa945",
+    ("boundary:3", "M"): "282e1527d6e576277443d60da58b268a1efb5546212754d7b0957fa32f69e505",
+    ("boundary:3", "MP"): "d1ff5fc6dc780640f596b422b5b8ec323a19d9f43ab6f04a907950cce4eb66d4",
+    ("boundary:3", "GM"): "8a8467ca97154c5dd174ee3da8bf811fab7c16fc717d3f1cf9323c0c2f9bc36f",
+}
+
+
+@pytest.mark.parametrize("spec,variant", list(BUILD_OUT_SHA256))
+def test_build_out_bytes_are_frozen(capsys, tmp_path, spec, variant):
+    out_path = tmp_path / "faces.txt"
+    code, _, _ = run_cli(capsys, "build", "--complex", spec, "--variant",
+                         variant, "--out", str(out_path),
+                         "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() \
+        == BUILD_OUT_SHA256[spec, variant]
+
+
+@pytest.mark.parametrize("spec", ["simplex:30", "boundary:30", "file"])
+def test_base_complex_over_the_cap_is_refused(capsys, tmp_path, spec):
+    if spec == "file":
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"vertices": 40, "facets": [list(range(40))]}))
+        spec = f"file:{p}"
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "build", "--complex", spec,
+                             "--cache-dir", str(tmp_path))
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 3 and out == ""
+    assert err.startswith("morsematch: ") and err.count("\n") == 1
+    assert "base-complex cap of 1048576" in err
+    assert "Traceback" not in err
 
 
 def test_file_spec(capsys, tmp_path):

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from morsematch import complexes
 from morsematch.complexes import (BudgetExceededError, SimplicialComplex,
                                   build_boundary, build_simplex, cone,
-                                  euler_characteristic, f_vector,
-                                  is_full_subcomplex, is_isomorphic, relabel,
-                                  skeleton, star_link)
+                                  euler_characteristic, f_vector, face_mask,
+                                  face_vertices, is_full_subcomplex,
+                                  is_isomorphic, relabel, skeleton, star_link)
 
 
 def test_build_simplex_counts():
@@ -21,6 +22,25 @@ def test_build_boundary_counts():
     assert f_vector(build_boundary(3)) == [4, 6, 4]
     with pytest.raises(ValueError):
         build_boundary(0)
+
+
+def test_base_builders_respect_the_cap(monkeypatch):
+    assert build_simplex(12).total_faces() == 8191
+    monkeypatch.setattr(complexes, "MAX_BASE_FACES", 7)
+    assert build_simplex(2).total_faces() == 7  # exactly at the cap
+    for build, n in ((build_simplex, 3), (build_boundary, 3)):
+        with pytest.raises(BudgetExceededError, match="cap of 7"):
+            build(n)
+    assert cone(build_simplex(1))[0].total_faces() == 7
+    with pytest.raises(BudgetExceededError, match="13 faces"):
+        cone(build_boundary(2))  # 6 faces, twice that plus the apex
+    # the facet closure: one batch too large, or batches that add up
+    with pytest.raises(BudgetExceededError, match="15 faces"):
+        SimplicialComplex.from_facets([face_mask((0, 1, 2, 3))])
+    with pytest.raises(BudgetExceededError, match="the facet closure has 9"):
+        SimplicialComplex.from_facets(map(face_mask, [(0, 1), (2, 3), (4, 5)]))
+    assert SimplicialComplex.from_facets(
+        map(face_mask, [(0, 1), (1, 2)])).total_faces() == 5
 
 
 def test_skeleton():
@@ -69,18 +89,21 @@ def test_f_vector_and_euler():
 
 def test_downward_closure_enforced():
     with pytest.raises(ValueError):
-        SimplicialComplex.from_faces([(0, 1)])  # vertices missing
+        SimplicialComplex.from_faces([face_mask((0, 1))])  # vertices missing
     with pytest.raises(ValueError):
-        SimplicialComplex.from_faces([(1, 0)])  # not increasing
+        SimplicialComplex.from_faces([face_mask((1, 0))])  # not increasing
+    for bad in (0, -3, (0,)):  # empty face, no bitmask, a vertex tuple
+        with pytest.raises(ValueError):
+            SimplicialComplex.from_faces([bad])
 
 
 def test_closure_of_constructed_complexes():
     for K in (build_simplex(4), build_boundary(3),
               skeleton(build_simplex(4), 2), cone(build_boundary(2))[0]):
         for d in range(1, K.dim + 1):
-            for f in K.faces_by_dim[d]:
+            for f in map(face_vertices, K.faces_by_dim[d]):
                 for i in range(len(f)):
-                    assert K.has_face(f[:i] + f[i + 1:])
+                    assert K.has_face(face_mask(f[:i] + f[i + 1:]))
 
 
 def test_face_index_round_trip():
@@ -92,27 +115,30 @@ def test_face_index_round_trip():
 
 def test_star_link():
     bd3 = build_boundary(3)
-    star, link = star_link(bd3, (0,))
+    star, link = star_link(bd3, face_mask((0,)))
     assert f_vector(link) == [3, 3]  # triangle boundary on the other vertices
     assert set(link.vertices()) == {1, 2, 3}
     assert is_isomorphic(link, build_boundary(2)) is not None
 
     d3 = build_simplex(3)
-    star, link = star_link(d3, (0, 1))
-    assert link.faces_by_dim == [[(2,), (3,)], [(2, 3)]]  # the opposite edge
+    star, link = star_link(d3, face_mask((0, 1)))
+    assert [[tuple(face_vertices(f)) for f in lst] for lst in link.faces_by_dim] \
+        == [[(2,), (3,)], [(2, 3)]]  # the opposite edge
 
-    star, link = star_link(bd3, (0, 1, 2))
+    star, link = star_link(bd3, face_mask((0, 1, 2)))
+    star = {tuple(face_vertices(f)) for f in star}
     assert star == {(0, 1, 2)} or (0, 1, 2) in star
     assert sum(1 for f in star if len(f) == 3) == 1
 
     with pytest.raises(ValueError):
-        star_link(bd3, (0, 1, 2, 3))
+        star_link(bd3, face_mask((0, 1, 2, 3)))
 
 
 def test_full_subcomplex_vertex_sets():
     bd2 = build_boundary(2)
     assert is_full_subcomplex(bd2, {0, 1, 2})
-    square = SimplicialComplex.from_facets([(0, 1), (1, 2), (2, 3), (0, 3)])
+    square = SimplicialComplex.from_facets(
+        map(face_mask, [(0, 1), (1, 2), (2, 3), (0, 3)]))
     assert is_full_subcomplex(square, {0, 2})  # opposite corners, no edge
 
 
@@ -121,7 +147,7 @@ def test_full_subcomplex_with_subcomplex():
     full = d2.induced({0, 1, 2})
     assert is_full_subcomplex(d2, full)
     hollow = SimplicialComplex.from_faces(
-        [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)], 3)
+        map(face_mask, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]), 3)
     assert not is_full_subcomplex(d2, hollow)  # misses the triangle
 
 
@@ -139,14 +165,14 @@ def test_isomorphism_respects_relabeling():
         for _ in range(rng.randint(2, 6)):
             k = rng.randint(1, min(3, n_verts))
             facets.add(tuple(sorted(rng.sample(range(n_verts), k))))
-        K = SimplicialComplex.from_facets(facets)
+        K = SimplicialComplex.from_facets(map(face_mask, facets))
         perm = list(range(K.vertex_count))
         rng.shuffle(perm)
         L = relabel(K, perm, K.vertex_count)
         bij = is_isomorphic(K, L)
         assert bij is not None
-        for f in K.faces():
-            assert tuple(sorted(bij[v] for v in f)) in L.face_index
+        for f in map(face_vertices, K.faces()):
+            assert face_mask(sorted(bij[v] for v in f)) in L.face_index
         # reflexive and symmetric
         assert is_isomorphic(K, K) is not None
         assert is_isomorphic(L, K) is not None

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from morsematch.complexes import (SimplicialComplex, build_boundary,
-                                  build_simplex, skeleton)
+                                  build_simplex, face_mask, face_vertices,
+                                  skeleton)
 from morsematch.hasse import build_hasse, critical_faces, is_acyclic, is_matching
 from morsematch.homology import homology
 from morsematch.layers import (LayerSystem, enumerate_optimal, iter_matchings,
@@ -32,7 +33,7 @@ def walked(H, acyclic: bool) -> list[int]:
 
 
 def edge_of(H, lo, up):
-    lo, up = tuple(lo), tuple(up)
+    lo, up = face_mask(lo), face_mask(up)
     for e in range(H.edge_count):
         if H.edge_faces(e) == (lo, up):
             return e
@@ -47,20 +48,22 @@ def test_edge_counts():
 
 def test_edge_order_canonical():
     H = build_hasse(build_simplex(3))
-    keyed = [(H.layer_of[e],) + H.edge_faces(e) for e in range(H.edge_count)]
+    keyed = [(H.layer_of[e],) + tuple(tuple(face_vertices(f))
+                                      for f in H.edge_faces(e))
+             for e in range(H.edge_count)]
     assert keyed == sorted(keyed)
     for e in range(H.edge_count):
-        lo, up = H.edge_faces(e)
+        lo, up = map(face_vertices, H.edge_faces(e))
         assert set(lo) < set(up) and len(up) == len(lo) + 1
 
 
 def test_incidence_lists():
     H = build_hasse(build_simplex(2))
-    for g, face in enumerate(H.face_of_gid):
+    for g, face in enumerate(map(face_vertices, H.face_of_gid)):
         ups = H.edges_up[g]
         assert all(H.lower[e] == g for e in ups)
         # number of edges above a face equals its coface count
-        cofaces = sum(1 for f in H.base.faces()
+        cofaces = sum(1 for f in map(face_vertices, H.base.faces())
                       if len(f) == len(face) + 1 and set(face) < set(f))
         assert len(ups) == cofaces
 
@@ -135,7 +138,8 @@ def test_enumerate_matchings_counts():
 
 def test_enumerate_against_brute_force():
     complexes = [build_simplex(1), build_simplex(2), build_boundary(2),
-                 SimplicialComplex.from_facets([(0, 1), (1, 2), (2, 3)])]
+                 SimplicialComplex.from_facets(
+                     map(face_mask, [(0, 1), (1, 2), (2, 3)]))]
     for K in complexes:
         H = build_hasse(K)
         for mode in ("acyclic", "all"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, cone, euler_characteristic,
-                                  skeleton)
+                                  face_mask, skeleton)
 from morsematch.homology import (SparseIntMatrix, _chain, boundary_matrices,
                                  homology, relative_homology,
                                  smith_normal_form)
@@ -36,10 +36,10 @@ def test_boundary_sign_convention():
     cc = boundary_matrices(d3, reduced=False)
     # the face 123 sits at some column of the degree-2 matrix; its boundary
     # must read e23 - e13 + e12
-    j = d3.face_index[(1, 2, 3)][1]
+    j = d3.face_index[face_mask((1, 2, 3))][1]
     col = {r: cc.boundaries[2].get(r, j) for r in range(cc.boundaries[2].rows)}
     col = {r: v for r, v in col.items() if v}
-    e = {f: d3.face_index[f][1] for f in [(1, 2), (1, 3), (2, 3)]}
+    e = {f: d3.face_index[face_mask(f)][1] for f in [(1, 2), (1, 3), (2, 3)]}
     assert col == {e[(2, 3)]: 1, e[(1, 3)]: -1, e[(1, 2)]: 1}
 
 
@@ -47,7 +47,7 @@ def test_quotient_chain_validates_dd_zero():
     # dropping an edge but not the triangle on it is no subcomplex: the
     # triangle's boundary keeps e12 - e02, whose boundary is v0 - v1
     with pytest.raises(AssertionError, match="boundary of boundary"):
-        _chain(build_simplex(2), {(0, 1)}, False)
+        _chain(build_simplex(2), {face_mask((0, 1))}, False)
 
 
 def test_boundary_of_vertices_is_zero_unreduced():
@@ -126,15 +126,26 @@ def test_homology_spheres_and_skeleta():
     assert homology(skeleton(build_simplex(4), 2)).nonzero() == {2: (4, ())}
 
 
+@pytest.mark.parametrize("n,rank", [(3, 4), (4, 27), (5, 256), (6, 3125)])
+def test_rooted_forest_complexes_are_wedges_of_spheres(n, rank):
+    # M(K_n), the complex of acyclic matchings of the complete graph K_n, is
+    # the complex of rooted forests of K_n: a wedge of (n-1)^(n-1) spheres of
+    # dimension n-2 (Kozlov, Complexes of directed trees, JCTA 1999)
+    assert rank == (n - 1) ** (n - 1)
+    kn = build_from_spec(f"skeleton:simplex:{n - 1}:1")
+    h = homology(build_matching_complex(kn, "M").complex)
+    assert h.nonzero() == {n - 2: (rank, ())}
+
+
 def test_homology_detects_torsion():
-    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
+    rp2 = SimplicialComplex.from_facets(map(face_mask, RP2_FACETS))
     h = homology(rp2)
     assert h.nonzero() == {1: (0, (2,))}
     assert not h.is_torsion_free()
 
 
 def test_reduced_vs_unreduced():
-    two_points = SimplicialComplex.from_faces([(0,), (1,)])
+    two_points = SimplicialComplex.from_faces(map(face_mask, [(0,), (1,)]))
     assert homology(two_points, reduced=True).nonzero() == {0: (1, ())}
     assert homology(two_points, reduced=False).nonzero() == {0: (2, ())}
 
@@ -147,7 +158,7 @@ def test_void_homology_flagged():
 def test_euler_betti_consistency():
     corpus = [build_simplex(2), build_boundary(2), build_boundary(3),
               skeleton(build_simplex(4), 2),
-              SimplicialComplex.from_facets(RP2_FACETS)]
+              SimplicialComplex.from_facets(map(face_mask, RP2_FACETS))]
     for K in corpus:
         h = homology(K, reduced=False)
         assert sum((-1) ** d * h.betti(d) for d in range(K.dim + 1)) \
@@ -223,9 +234,9 @@ def _sympy_snf(m):
 
 @pytest.mark.parametrize("reduced", [True, False])
 def test_cleared_homology_matches_uncleared_and_sympy(reduced):
-    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
+    rp2 = SimplicialComplex.from_facets(map(face_mask, RP2_FACETS))
     suspension = SimplicialComplex.from_facets(
-        [f + (apex,) for f in RP2_FACETS for apex in (6, 7)])
+        [face_mask(f + (apex,)) for f in RP2_FACETS for apex in (6, 7)])
     small = [rp2, suspension, cone(rp2)[0]] + [
         build_matching_complex(build_from_spec(spec), variant).complex
         for spec in ("simplex:2", "boundary:2") for variant in ("M", "MP", "GM")]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morsematch.complexes import (SimplicialComplex, build_boundary,
-                                  build_simplex, cone, skeleton)
+                                  build_simplex, cone, face_mask, skeleton)
 from morsematch.hasse import build_hasse
 from morsematch.layers import (WIDTH_LIMIT, LayerSystem, LayeredInfeasibleError,
                                enumerate_optimal, iter_matchings,
@@ -84,7 +84,7 @@ def test_width_limit():
     # only faces shared by two layers are tracked: none in a graph, so the
     # 15 edges of K6 need no subset table
     wide = SimplicialComplex.from_facets(
-        [(a, b) for a in range(6) for b in range(a + 1, 6)])
+        [face_mask((a, b)) for a in range(6) for b in range(a + 1, 6)])
     H = build_hasse(wide)
     assert LayerSystem(H).tracked == [0, 0]
     assert matching_counts(H, "acyclic") \
@@ -126,7 +126,7 @@ def small_complexes(draw):
     dimensions, so some middle faces have no coface."""
     n = draw(st.integers(2, 5))
     facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
-                     unique=True).map(lambda f: tuple(sorted(f)))
+                     unique=True).map(lambda f: face_mask(sorted(f)))
     return SimplicialComplex.from_facets(draw(st.lists(facet, min_size=1,
                                                        max_size=4)))
 
@@ -147,7 +147,8 @@ def test_layer_engine_on_drawn_complexes(K):
 # -- inputs the layer engine newly admits -----------------------------------------
 
 def test_disjoint_edges_gm_counts():
-    K = SimplicialComplex.from_facets([(2 * i, 2 * i + 1) for i in range(10)])
+    K = SimplicialComplex.from_facets(
+        [face_mask((2 * i, 2 * i + 1)) for i in range(10)])
     gm = matching_counts(build_hasse(K), "all")
     assert gm[:3] == [20, 180, 960]
     assert gm == [comb(10, k) * 2 ** k for k in range(1, 11)]

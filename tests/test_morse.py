@@ -1,8 +1,8 @@
 import pytest
 
 from morsematch.complexes import (build_boundary, build_simplex, cone,
-                                  euler_characteristic, f_vector,
-                                  is_full_subcomplex, skeleton)
+                                  euler_characteristic, f_vector, face_mask,
+                                  face_vertices, is_full_subcomplex, skeleton)
 from morsematch.hasse import build_hasse, is_acyclic, is_matching
 from morsematch.morse import (MaterializationLimitError, build_matching_complex,
                               cone_pair, embed_faces, induced_inclusion,
@@ -43,13 +43,14 @@ def test_variant_inclusions(d3):
 
 def test_pure_complex_is_pure(mp_d3, mp_bd3):
     for mc in (mp_d3, mp_bd3):
-        cx = mc.complex
-        top = cx.dim
+        faces_by_dim = [list(map(face_vertices, lst))
+                        for lst in mc.complex.faces_by_dim]
+        top = mc.complex.dim
         for d in range(top):
-            for f in cx.faces_by_dim[d]:
+            for f in faces_by_dim[d]:
                 fs = set(f)
                 has_coface = any(fs < set(g) and len(g) == len(f) + 1
-                                 for g in cx.faces_by_dim[d + 1])
+                                 for g in faces_by_dim[d + 1])
                 assert has_coface, f"facet {f} of dimension {d} breaks purity"
 
 
@@ -74,16 +75,16 @@ def test_two_skeletons_of_m_and_mp_coincide_n3(m_d3, mp_d3, m_bd3, mp_bd3):
 def test_faces_satisfy_defining_predicates(bd2, d3):
     mc = build_matching_complex(bd2, "M")
     for face in mc.complex.faces():
-        mask = mc.hasse.mask_from_edges(face)
+        mask = mc.hasse.mask_from_edges(face_vertices(face))
         assert is_acyclic(mc.hasse, mask)
         assert modified_digraph_acyclic(mc.hasse, mask)
     gm = build_matching_complex(bd2, "GM")
     for face in gm.complex.faces():
-        assert is_matching(gm.hasse, gm.hasse.mask_from_edges(face))
+        assert is_matching(gm.hasse, gm.hasse.mask_from_edges(face_vertices(face)))
     # sampled heredity on the larger complex
     m3 = build_matching_complex(d3, "M")
     for face in list(m3.complex.faces())[::97]:
-        assert is_acyclic(m3.hasse, m3.hasse.mask_from_edges(face))
+        assert is_acyclic(m3.hasse, m3.hasse.mask_from_edges(face_vertices(face)))
 
 
 def test_void_cases():
@@ -127,8 +128,8 @@ def test_induced_inclusion_edge_into_triangle(d2):
     mapping = induced_inclusion(edge, d2)
     assert len(mapping) == 2
     H2 = build_hasse(d2)
-    assert [H2.edge_faces(e) for e in mapping] \
-        == [((0,), (0, 1)), ((1,), (0, 1))]
+    assert [tuple(tuple(face_vertices(f)) for f in H2.edge_faces(e))
+            for e in mapping] == [((0,), (0, 1)), ((1,), (0, 1))]
 
 
 def test_induced_inclusion_rejects_non_subcomplex():
@@ -140,17 +141,18 @@ def test_cone_pair():
     CK, apex, e0 = cone_pair(build_simplex(1))
     assert CK == build_simplex(2) and apex == 2
     H = build_hasse(CK)
-    assert H.edge_faces(e0) == ((2,), (0, 2))
+    assert H.edge_faces(e0) == (face_mask((2,)), face_mask((0, 2)))
 
     CK, apex, e0 = cone_pair(build_simplex(0))
     assert CK == build_simplex(1)
     H = build_hasse(CK)
-    assert H.edge_count == 2 and H.edge_faces(e0) == ((1,), (0, 1))
+    assert H.edge_count == 2 \
+        and H.edge_faces(e0) == (face_mask((1,)), face_mask((0, 1)))
 
     CK, apex, e0 = cone_pair(build_boundary(2))
     assert CK.total_faces() == 13
     H = build_hasse(CK)
-    assert H.edge_faces(e0) == ((3,), (0, 3))
+    assert H.edge_faces(e0) == (face_mask((3,)), face_mask((0, 3)))
 
     with pytest.raises(ValueError):
         cone_pair(build_simplex(1), w0=7)

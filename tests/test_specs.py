@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from morsematch.complexes import build_simplex, f_vector
+from morsematch.complexes import build_simplex, f_vector, face_mask
 from morsematch.specs import (SpecError, build_from_spec, canonical_spec,
                               load_facet_file, parse_spec)
 
@@ -36,7 +36,7 @@ def test_facet_file(tmp_path):
     p.write_text(json.dumps(doc))
     K = load_facet_file(p)
     assert f_vector(K) == [4, 4, 1]
-    assert K.has_face((0, 2))  # closure computed on load
+    assert K.has_face(face_mask((0, 2)))  # closure computed on load
     assert build_from_spec(f"file:{p}") == K
 
 

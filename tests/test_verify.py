@@ -39,7 +39,7 @@ def test_spanning_tree():
 def test_spanning_tree_specific_matching():
     # the star matching at vertex 0 of the K4 graph leaves critical edges
     # whose facet-graph edges all meet at the facet opposite vertex 0
-    from morsematch.complexes import build_simplex, skeleton
+    from morsematch.complexes import build_simplex, face_mask, skeleton
     from morsematch.hasse import build_hasse, critical_faces
     from morsematch.verify import _facet_graph_edge
     sk = skeleton(build_simplex(3), 1)
@@ -48,10 +48,10 @@ def test_spanning_tree_specific_matching():
     mask = 0
     for lo, up in pairs:
         for e in range(H.edge_count):
-            if H.edge_faces(e) == (lo, up):
+            if H.edge_faces(e) == (face_mask(lo), face_mask(up)):
                 mask |= 1 << e
     crit = critical_faces(H, mask)
-    assert crit.by_dim[0] == [(0,)]
+    assert crit.by_dim[0] == [face_mask((0,))]
     edges = [_facet_graph_edge(u, 3) for u in crit.by_dim[1]]
     assert edges == [(0, 3), (0, 2), (0, 1)]  # a star centered at F_0
     assert len({v for e in edges for v in e}) == 4
@@ -77,7 +77,7 @@ def test_restriction_fibers_n3():
 
 def test_restriction_fiber_of_star_matching():
     # the fiber over the star matching has one extension per root facet
-    from morsematch.complexes import build_simplex, skeleton
+    from morsematch.complexes import build_simplex, face_mask, skeleton
     from morsematch.hasse import build_hasse
     from morsematch.layers import (LayerSystem, iter_matchings_of_cardinality,
                                    max_cardinality_info, suffix_tables)
@@ -89,7 +89,7 @@ def test_restriction_fiber_of_star_matching():
     star = 0
     for lo, up in [((1,), (0, 1)), ((2,), (0, 2)), ((3,), (0, 3))]:
         for e in range(Hs.edge_count):
-            if Hs.edge_faces(e) == (lo, up):
+            if Hs.edge_faces(e) == (face_mask(lo), face_mask(up)):
                 star |= 1 << e
     sk_to_k = induced_inclusion(sk, d3)
     k_to_sk = {ke: se for se, ke in enumerate(sk_to_k)}
