@@ -104,18 +104,18 @@ class SimplicialComplex:
         """Build from an explicit set of face masks; raises if not downward
         closed."""
         face_set = set(faces)
-        by_size: dict[int, list[Face]] = {}
+        grouped: dict[int, list[Face]] = {}
         for f in face_set:
             if type(f) is not int or f <= 0:
                 raise ValueError(f"face {f!r} is not a non-empty vertex bitmask")
-            by_size.setdefault(f.bit_count(), []).append(f)
+            grouped.setdefault(f.bit_count(), []).append(f)
         used = max(face_set, default=0).bit_length()
         if vertex_count is None:
             vertex_count = used
         elif used > vertex_count:
             raise ValueError(f"vertex id {used - 1} outside universe 0..{vertex_count - 1}")
         nbytes = max((used + 7) // 8, 1)
-        faces_by_dim = [by_size.get(k, []) for k in range(1, max(by_size, default=0) + 1)]
+        faces_by_dim = [grouped.get(k, []) for k in range(1, max(grouped, default=0) + 1)]
         for lst in faces_by_dim:
             lst.sort(key=lambda f: f.to_bytes(nbytes, "little").translate(_REVERSE),
                      reverse=True)

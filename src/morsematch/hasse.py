@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .complexes import Face, SimplicialComplex
+from .complexes import Face, SimplicialComplex, face_vertices
 
 
 @dataclass
@@ -100,14 +100,6 @@ class HasseDiagram:
             m |= 1 << e
         return m
 
-    def edges_from_mask(self, mask: int) -> list[int]:
-        out = []
-        while mask:
-            b = mask & -mask
-            out.append(b.bit_length() - 1)
-            mask ^= b
-        return out
-
     def __repr__(self) -> str:
         return f"HasseDiagram(edges={self.edge_count}, base={self.base!r})"
 
@@ -177,7 +169,7 @@ def is_acyclic(H: HasseDiagram, mask: int) -> bool:
     if not is_matching(H, mask):
         raise ValueError("input is not a matching")
     matched: dict[int, int] = {}
-    for e in H.edges_from_mask(mask):
+    for e in face_vertices(mask):
         lo, up = H.lower[e], H.upper[e]
         if _layer_path_exists(H.facets_of, matched, up, lo):
             return False

@@ -270,17 +270,13 @@ def _chain(L: SimplicialComplex, drop, augment: bool) -> ChainComplex:
     bases = [[f for f in faces if f not in drop] for faces in L.faces_by_dim]
     sizes = [len(b) for b in bases]
     mats = [SparseIntMatrix(1 if augment else 0, sizes[0])]
-    # cols[d][j] lists the (row, value) entries of column j of mats[d]
-    cols = [[[(0, 1)] if augment else [] for _ in range(sizes[0])]]
     if augment:
         mats[0].row[0] = dict.fromkeys(range(sizes[0]), 1)
     for d in range(1, len(bases)):
         lower = dict(zip(bases[d - 1], range(sizes[d - 1])))
         m = SparseIntMatrix(sizes[d - 1], sizes[d])
         rows = m.row
-        mcols = []
         for j, f in enumerate(bases[d]):
-            col = []
             sign = 1
             x = f
             while x:
@@ -288,31 +284,28 @@ def _chain(L: SimplicialComplex, drop, augment: bool) -> ChainComplex:
                 pos = lower.get(f ^ b)
                 if pos is not None:
                     rows[pos][j] = sign
-                    col.append((pos, sign))
                 sign = -sign
                 x ^= b
-            mcols.append(col)
         mats.append(m)
-        cols.append(mcols)
-    _check_dd_zero(mats, cols)
+    _check_dd_zero(mats)
     return ChainComplex(sizes, mats, augment)
 
 
-def _check_dd_zero(mats: list[SparseIntMatrix],
-                   cols: list[list[list[tuple[int, int]]]]) -> None:
+def _check_dd_zero(mats: list[SparseIntMatrix]) -> None:
+    """Row i of d_{d-1} d_d is the sum over mid of d_{d-1}[i, mid] times
+    row mid of d_d; every such row must vanish."""
     for d in range(1, len(mats)):
-        if mats[d - 1].rows == 0:
-            continue
-        lower = cols[d - 1]
-        for j, col in enumerate(cols[d]):
+        upper = mats[d].row
+        for lower_row in mats[d - 1].row:
             acc: dict[int, int] = {}
             get = acc.get
-            for mid, v in col:
-                for i, w in lower[mid]:
-                    acc[i] = get(i, 0) + v * w
-            if any(acc.values()):
-                raise AssertionError(
-                    f"boundary of boundary nonzero at degree {d}, column {j}")
+            for mid, w in lower_row.items():
+                for j, v in upper[mid].items():
+                    acc[j] = get(j, 0) + w * v
+            for j, v in acc.items():
+                if v:
+                    raise AssertionError(
+                        f"boundary of boundary nonzero at degree {d}, column {j}")
 
 
 @dataclass

@@ -15,8 +15,13 @@ than WIDTH_LIMIT tracked faces is refused with LayeredInfeasibleError.
 Vertices and top faces are never tracked, so every 1-dimensional complex
 is admitted.
 
-The suffix tables double as exact lookahead for walking only the matchings
-of a prescribed cardinality; `iter_matchings` walks all of them.
+There is one walk over the per-layer product, `iter_matchings_of_cardinality`:
+with a target it yields the matchings of that size, the suffix tables
+serving as exact lookahead, and with None every matching.  It reads one
+index, built by `_lower_index`: each layer's matchings keyed by tracked
+lower mask.  At each node it takes the submasks of the tracked faces the
+layer below left free, in increasing order, so the order is fixed (see its
+docstring).  `profile_counts` tallies that walk.
 """
 
 from __future__ import annotations
@@ -36,11 +41,8 @@ class LayeredInfeasibleError(RuntimeError):
 
 @dataclass
 class Layer:
-    p: int
-    lower_gids: list[int]
-    upper_gids: list[int]
+    # lower gid -> lower local
     lower_index: dict[int, int]
-    upper_index: dict[int, int]
     # (edge id, lower local, upper local), canonical edge order
     edges_local: list[tuple[int, int, int]]
     # upper local -> lower locals of all its facets
@@ -86,8 +88,7 @@ class LayerSystem:
                            for e in range(H.edge_count) if H.layer_of[e] == p]
             upper_facets = [[lo_i[s] for s in H.facets_of[g]]
                             for g in order[p + 1]]
-            self.layers.append(Layer(p, order[p], order[p + 1], lo_i, up_i,
-                                     edges_local, upper_facets))
+            self.layers.append(Layer(lo_i, edges_local, upper_facets))
         self._matchings: dict[tuple[int, bool], list[LayerMatching]] = {}
         self._classes: dict[tuple[int, bool], dict] = {}
 
@@ -180,104 +181,77 @@ def max_cardinality_info(vec: list[int]) -> tuple[int, int]:
     return top, vec[top]
 
 
-def profile_counts(ls: LayerSystem, S: list, target: int, acyclic: bool,
-                   ) -> dict[tuple[int, ...], int]:
-    """Counts of cardinality-`target` matchings by per-layer pair profile.
-
-    Walks layer classes with exact suffix lookahead, so only states that
-    complete to the target cardinality are expanded.
-    """
-    D = ls.D
-    by_lower: list[dict[int, list[tuple[int, int, int]]]] = []
-    for d in range(D):
-        idx: dict[int, list[tuple[int, int, int]]] = {}
-        for (lmask, umask, s), mult in ls.classes(d, acyclic).items():
-            idx.setdefault(lmask & ls.tracked_mask[d], []).append((umask, s, mult))
-        by_lower.append(idx)
-    out: Counter = Counter()
-
-    def walk(d: int, avoid: int, k_acc: int, profile: tuple[int, ...],
-             mult_acc: int) -> None:
-        if d == D:
-            out[profile] += mult_acc
-            return
-        comp = ls.tracked_mask[d] & ~avoid
-        nxt = S[d + 1]
-        up_low = ls.tracked_mask[d + 1]
-        idx = by_lower[d]
-        sub = comp
-        while True:
-            classes = idx.get(sub)
-            if classes:
-                for umask, s, mult in classes:
-                    need = target - k_acc - s
-                    vec = nxt[umask & up_low]
-                    if 0 <= need < len(vec) and vec[need]:
-                        walk(d + 1, umask, k_acc + s, profile + (s,),
-                             mult_acc * mult)
-            if sub == 0:
-                break
-            sub = (sub - 1) & comp
-
-    walk(0, 0, 0, (), 1)
-    return dict(out)
-
-
-def iter_matchings(ls: LayerSystem, acyclic: bool) -> Iterator[int]:
-    """Yield the edge mask of every matching, the empty matching first.
-
-    A product walk over the per-layer matchings: a layer's matching joins
-    when its lower faces avoid the upper faces matched by the layer below.
-    """
-    D = ls.D
-    per_layer = [ls.matchings(d, acyclic) for d in range(D)]
-
-    def rec(d: int, avoid: int, acc_mask: int) -> Iterator[int]:
-        if d == D:
-            yield acc_mask
-            return
-        for m in per_layer[d]:
-            if not m.lower & avoid:
-                yield from rec(d + 1, m.upper, acc_mask | m.edge_mask)
-
-    yield from rec(0, 0, 0)
-
-
-def iter_matchings_of_cardinality(ls: LayerSystem, S: list, target: int,
-                                  acyclic: bool) -> Iterator[int]:
-    """Yield the edge mask of every matching with exactly `target` pairs.
-
-    Deterministic order: layers are filled bottom up, each layer's matchings
-    in canonical DFS order, with suffix tables pruning every branch that
-    cannot complete.
-    """
-    D = ls.D
-    by_size: list[dict[int, list[LayerMatching]]] = []
-    for d in range(D):
-        bucket: dict[int, list[LayerMatching]] = {}
+def _lower_index(ls: LayerSystem, acyclic: bool,
+                 ) -> list[dict[int, list[LayerMatching]]]:
+    """Each layer's matchings keyed by their tracked lower mask, each key's
+    matchings in canonical DFS order."""
+    index = []
+    for d in range(ls.D):
+        idx: dict[int, list[LayerMatching]] = {}
         for m in ls.matchings(d, acyclic):
-            bucket.setdefault(m.size, []).append(m)
-        by_size.append(bucket)
+            idx.setdefault(m.lower & ls.tracked_mask[d], []).append(m)
+        index.append(idx)
+    return index
+
+
+def iter_matchings_of_cardinality(ls: LayerSystem, S: list | None,
+                                  target: int | None, acyclic: bool,
+                                  ) -> Iterator[int]:
+    """Yield the edge mask of every matching with exactly `target` pairs,
+    or of every matching when `target` is None (S is then not read).
+
+    Layers are filled bottom up.  At layer d the tracked faces that the
+    layer below left unmatched are free; their submasks are taken in
+    increasing order, and each submask's layer matchings (those whose lower
+    faces are exactly that submask) in canonical DFS order.  So the empty
+    matching comes first.  With a target, the suffix tables prune every
+    branch that cannot complete.
+    """
+    D = ls.D
+    index = _lower_index(ls, acyclic)
 
     def rec(d: int, avoid: int, k_acc: int, acc_mask: int) -> Iterator[int]:
         if d == D:
             yield acc_mask
             return
-        nxt = S[d + 1]
-        up_low = ls.tracked_mask[d + 1]
-        for s, bucket in by_size[d].items():
-            need = target - k_acc - s
-            if need < 0:
-                continue
-            for m in bucket:
-                if m.lower & avoid:
-                    continue
-                vec = nxt[m.upper & up_low]
-                if need < len(vec) and vec[need]:
-                    yield from rec(d + 1, m.upper, k_acc + s,
+        idx = index[d]
+        free = ls.tracked_mask[d] & ~avoid
+        if target is not None:
+            nxt = S[d + 1]
+            up_low = ls.tracked_mask[d + 1]
+            # above layer 0 every lower face is tracked, so a group's
+            # matchings have as many pairs as its key has bits, and the
+            # layers above add at most len(nxt[0]) - 1
+            fewest = target - k_acc - len(nxt[0]) + 1 if d else 0
+        sub = 0
+        while True:
+            group = idx.get(sub)
+            if group and (target is None or sub.bit_count() >= fewest):
+                for m in group:
+                    if target is not None:
+                        need = target - k_acc - m.size
+                        vec = nxt[m.upper & up_low]
+                        if not (0 <= need < len(vec) and vec[need]):
+                            continue
+                    yield from rec(d + 1, m.upper, k_acc + m.size,
                                    acc_mask | m.edge_mask)
+            sub = (sub - free) & free
+            if not sub:
+                break
 
     yield from rec(0, 0, 0, 0)
+
+
+def profile_counts(ls: LayerSystem, S: list, target: int, acyclic: bool,
+                   ) -> dict[tuple[int, ...], int]:
+    """Counts of cardinality-`target` matchings by per-layer pair profile,
+    tallied over the walk."""
+    layer_edges = [sum(1 << e for e, _, _ in lay.edges_local)
+                   for lay in ls.layers]
+    out: Counter = Counter()
+    for mask in iter_matchings_of_cardinality(ls, S, target, acyclic):
+        out[tuple([(mask & le).bit_count() for le in layer_edges])] += 1
+    return dict(out)
 
 
 def matching_counts(H: HasseDiagram, mode: str = "acyclic") -> list[int]:

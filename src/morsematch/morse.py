@@ -21,8 +21,8 @@ from typing import Optional
 
 from .complexes import SimplicialComplex, cone, relabel
 from .hasse import HasseDiagram, build_hasse
-from .layers import (LayerSystem, iter_matchings, iter_matchings_of_cardinality,
-                     matching_counts, max_cardinality_info, suffix_tables)
+from .layers import (LayerSystem, iter_matchings_of_cardinality, matching_counts,
+                     max_cardinality_info, suffix_tables)
 
 VARIANTS = ("M", "MP", "GM")
 
@@ -88,7 +88,8 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
                 sub = (sub - 1) & mask
         masks = closed
     else:
-        masks = [m for m in iter_matchings(ls, acyclic) if m]
+        masks = [m for m in iter_matchings_of_cardinality(ls, None, None,
+                                                          acyclic) if m]
 
     cx = SimplicialComplex.from_faces(masks, H.edge_count)
     return MatchingComplex(variant, K, H, cx)

@@ -88,7 +88,7 @@ def _ensure(cond: bool, message: str, witness=None) -> None:
 def _edge_pairs(H: HasseDiagram, mask: int) -> list[list[list[int]]]:
     """JSON-friendly rendering of a matching as face pairs."""
     out = []
-    for e in H.edges_from_mask(mask):
+    for e in face_vertices(mask):
         lo, up = H.edge_faces(e)
         out.append([face_vertices(lo), face_vertices(up)])
     return out
@@ -133,7 +133,7 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
                     lambda: _edge_pairs(HK, F))
             rest = F & ~(1 << touching[0])
             img = 0
-            for e in HK.edges_from_mask(rest):
+            for e in face_vertices(rest):
                 img |= 1 << k_to_bd[e]
             _ensure(img in set_b, "deleted matching is not optimal on the boundary",
                     lambda: _edge_pairs(HK, F))
@@ -149,7 +149,7 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
                     lambda: _edge_pairs(HB, G))
             tau = top_crit[0]
             lifted = 0
-            for e in HB.edges_from_mask(G):
+            for e in face_vertices(G):
                 lifted |= 1 << bd_to_k[e]
             d, pos = K.face_index[tau]
             tau_gid = HK.offsets[d] + pos
@@ -191,7 +191,7 @@ def verify_layer_counts(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
             # desk scale: re-derive the profile from each matching directly
             for mask in iter_matchings_of_cardinality(ls, S, best, acyclic=True):
                 tally = [0] * n
-                for e in H.edges_from_mask(mask):
+                for e in face_vertices(mask):
                     tally[H.layer_of[e]] += 1
                 _ensure(tuple(tally) == expected,
                         "matching violates the layer counts",
@@ -286,7 +286,7 @@ def verify_restriction_fibers(n: int, budget: int = DEFAULT_BUDGET,
             for mask in iter_matchings_of_cardinality(ls, S, best_k, True):
                 seen += 1
                 rho = 0
-                for e in HK.edges_from_mask(mask):
+                for e in face_vertices(mask):
                     # pairs touching dimensions n-1 and n are dropped
                     if HK.dim_of_gid[HK.upper[e]] <= n - 2:
                         rho |= 1 << k_to_sk[e]
@@ -303,7 +303,7 @@ def verify_restriction_fibers(n: int, budget: int = DEFAULT_BUDGET,
             fibers = {}
             for mask in masks_s:
                 consumed = 0
-                for e in Hs.edges_from_mask(mask):
+                for e in face_vertices(mask):
                     up = Hs.upper[e]
                     if Hs.dim_of_gid[up] == n - 2:
                         face = Hs.face_of_gid[up]

@@ -15,7 +15,8 @@ from morsematch.complexes import (build_boundary, build_simplex,
 from morsematch.hasse import build_hasse, critical_faces, is_acyclic
 from morsematch.homology import (boundary_matrices, homology,
                                  smith_normal_form, SparseIntMatrix)
-from morsematch.layers import (LayerSystem, enumerate_optimal, iter_matchings,
+from morsematch.layers import (LayerSystem, enumerate_optimal,
+                               iter_matchings_of_cardinality,
                                max_cardinality_info, profile_counts,
                                suffix_tables)
 from morsematch.morse import build_matching_complex
@@ -32,8 +33,9 @@ from oracles import snf_divisors_sympy
 def acyclic_matchings(H) -> list[int]:
     """Non-empty acyclic matchings from the layer walk, in canonical edge
     order."""
-    masks = [m for m in iter_matchings(LayerSystem(H), acyclic=True) if m]
-    return sorted(masks, key=H.edges_from_mask)
+    masks = [m for m in iter_matchings_of_cardinality(LayerSystem(H), None,
+                                                      None, acyclic=True) if m]
+    return sorted(masks, key=face_vertices)
 
 
 def report(criterion: int, text: str) -> None:
@@ -199,7 +201,7 @@ def test_criterion_10_property_suites():
     masks = acyclic_matchings(H)
     for mask in rng.sample(masks, 200):
         sub = 0
-        for e in H.edges_from_mask(mask):
+        for e in face_vertices(mask):
             if rng.random() < 0.5:
                 sub |= 1 << e
         assert is_acyclic(H, sub)

@@ -7,7 +7,7 @@ from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   skeleton)
 from morsematch.hasse import build_hasse, critical_faces, is_acyclic, is_matching
 from morsematch.homology import homology
-from morsematch.layers import (LayerSystem, enumerate_optimal, iter_matchings,
+from morsematch.layers import (LayerSystem, enumerate_optimal,
                                iter_matchings_of_cardinality,
                                max_cardinality_info, matching_counts,
                                suffix_tables)
@@ -28,8 +28,9 @@ def optimal_walk(H) -> list[int]:
 
 def walked(H, acyclic: bool) -> list[int]:
     """Non-empty matchings from the layer walk, in canonical edge order."""
-    masks = [m for m in iter_matchings(LayerSystem(H), acyclic) if m]
-    return sorted(masks, key=H.edges_from_mask)
+    masks = [m for m in iter_matchings_of_cardinality(LayerSystem(H), None,
+                                                      None, acyclic) if m]
+    return sorted(masks, key=face_vertices)
 
 
 def edge_of(H, lo, up):
@@ -86,7 +87,7 @@ def test_is_acyclic_triangle_cycle():
     assert not is_acyclic(H, cyc)
     assert not modified_digraph_acyclic(H, cyc)
     # dropping any one pair breaks the cycle
-    for e in H.edges_from_mask(cyc):
+    for e in face_vertices(cyc):
         assert is_acyclic(H, cyc & ~(1 << e))
 
 
@@ -164,7 +165,7 @@ def test_matching_heredity():
         sub = mask
         keep = rng.randrange(1 << bin(mask).count("1"))
         chosen = 0
-        for i, e in enumerate(H.edges_from_mask(mask)):
+        for i, e in enumerate(face_vertices(mask)):
             if (keep >> i) & 1:
                 chosen |= 1 << e
         assert is_acyclic(H, chosen)

@@ -1,17 +1,18 @@
 import time
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from morsematch.complexes import (SimplicialComplex, build_boundary,
-                                  build_simplex, cone, face_mask, skeleton)
+                                  build_simplex, cone, face_mask,
+                                  face_vertices, skeleton)
 from morsematch.hasse import build_hasse
 from morsematch.layers import (WIDTH_LIMIT, LayerSystem, LayeredInfeasibleError,
-                               enumerate_optimal, iter_matchings,
-                               iter_matchings_of_cardinality, matching_counts,
-                               max_cardinality_info, profile_counts,
-                               suffix_tables)
+                               enumerate_optimal, iter_matchings_of_cardinality,
+                               matching_counts, max_cardinality_info,
+                               profile_counts, suffix_tables)
 
 from oracles import all_matchings, counts_by_cardinality
 
@@ -27,7 +28,8 @@ def test_counts_agree_with_flat_enumeration():
         for mode in ("acyclic", "all"):
             flat = all_matchings(H, mode)
             assert matching_counts(H, mode) == counts_by_cardinality(flat)
-            walked = list(iter_matchings(ls, mode == "acyclic"))
+            walked = list(iter_matchings_of_cardinality(ls, None, None,
+                                                        mode == "acyclic"))
             assert walked[0] == 0
             assert sorted(walked[1:]) == sorted(flat)
 
@@ -54,6 +56,23 @@ def test_profile_counts_small():
     S2 = suffix_tables(ls2, True)
     assert profile_counts(ls2, S2, 3, True) == {(2, 1): 9}
 
+    # every corpus complex, both modes: the per-layer pair counts of the
+    # maximum matchings of the flat enumeration
+    for K in CORPUS:
+        H = build_hasse(K)
+        ls = LayerSystem(H)
+        for mode in ("acyclic", "all"):
+            flat = all_matchings(H, mode)
+            top = max(m.bit_count() for m in flat)
+            want = Counter()
+            for m in flat:
+                if m.bit_count() == top:
+                    layer = [H.layer_of[e] for e in face_vertices(m)]
+                    want[tuple(layer.count(d) for d in range(ls.D))] += 1
+            acyclic = mode == "acyclic"
+            assert profile_counts(ls, suffix_tables(ls, acyclic), top,
+                                  acyclic) == want
+
 
 def test_guided_iteration_matches_flat_maxima():
     for K in CORPUS:
@@ -78,6 +97,23 @@ def test_iteration_of_non_maximal_cardinality():
     S = suffix_tables(ls, True)
     singles = list(iter_matchings_of_cardinality(ls, S, 1, True))
     assert sorted(singles) == [1 << e for e in range(H.edge_count)]
+
+    for K in CORPUS:
+        H = build_hasse(K)
+        ls = LayerSystem(H)
+        for mode in ("acyclic", "all"):
+            acyclic = mode == "acyclic"
+            S = suffix_tables(ls, acyclic)
+            flat = [0] + all_matchings(H, mode)
+            union = []
+            for k in range(max(m.bit_count() for m in flat) + 1):
+                walked = list(iter_matchings_of_cardinality(ls, S, k, acyclic))
+                assert sorted(walked) \
+                    == sorted(m for m in flat if m.bit_count() == k)
+                union += walked
+            everything = list(iter_matchings_of_cardinality(ls, None, None,
+                                                            acyclic))
+            assert sorted(union) == sorted(everything)
 
 
 def test_width_limit():
@@ -140,8 +176,8 @@ def test_layer_engine_on_drawn_complexes(K):
     for mode in ("acyclic", "all"):
         flat = all_matchings(H, mode)
         assert matching_counts(H, mode) == counts_by_cardinality(flat)
-        assert sorted(m for m in iter_matchings(ls, mode == "acyclic") if m) \
-            == sorted(flat)
+        walked = iter_matchings_of_cardinality(ls, None, None, mode == "acyclic")
+        assert sorted(m for m in walked if m) == sorted(flat)
 
 
 # -- inputs the layer engine newly admits -----------------------------------------

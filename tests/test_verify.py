@@ -77,7 +77,8 @@ def test_restriction_fibers_n3():
 
 def test_restriction_fiber_of_star_matching():
     # the fiber over the star matching has one extension per root facet
-    from morsematch.complexes import build_simplex, face_mask, skeleton
+    from morsematch.complexes import (build_simplex, face_mask, face_vertices,
+                                      skeleton)
     from morsematch.hasse import build_hasse
     from morsematch.layers import (LayerSystem, iter_matchings_of_cardinality,
                                    max_cardinality_info, suffix_tables)
@@ -99,7 +100,7 @@ def test_restriction_fiber_of_star_matching():
     best, _ = max_cardinality_info(S[0][0])
     for mask in iter_matchings_of_cardinality(ls, S, best, acyclic=True):
         rho = 0
-        for e in HK.edges_from_mask(mask):
+        for e in face_vertices(mask):
             se = k_to_sk.get(e)
             if se is not None and HK.layer_of[e] == 0:
                 rho |= 1 << se
