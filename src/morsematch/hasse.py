@@ -3,7 +3,12 @@
 Faces (vertex bitmasks) get global ids in canonical order (dimension, then
 lex position), and Hasse edges are indexed by (layer p, lex lower, lex
 upper).  That edge order is the vertex order of every complex of matchings
-built downstream.
+built downstream.  Both orders start at the lowest dimension, so a
+skeleton L = skeleton(K, k) (the boundary of the n-simplex is its
+(n-1)-skeleton) keeps K's first faces with the same gids and K's first
+m = edge_count(L) Hasse edges in the same order: the induced
+inclusion of L into K is range(m), a matching of L is a matching of K, and
+a matching of K restricts to L as `mask & ((1 << m) - 1)`.
 
 Matchings are edge-index bitmasks (Python ints).  A directed cycle in a
 modified Hasse diagram can only alternate between two adjacent dimensions,
@@ -84,8 +89,8 @@ class HasseDiagram:
         self.layer_of = [self.dim_of_gid[lo] for lo, _ in edges]
         self.edge_index = {e: i for i, e in enumerate(edges)}
 
-        self.edges_up = {g: [] for g in range(len(self.face_of_gid))}
-        self.edges_down = {g: [] for g in range(len(self.face_of_gid))}
+        self.edges_up: list[list[int]] = [[] for _ in self.face_of_gid]
+        self.edges_down: list[list[int]] = [[] for _ in self.face_of_gid]
         for i, (lo, up) in enumerate(edges):
             self.edges_up[lo].append(i)
             self.edges_down[up].append(i)

@@ -13,16 +13,18 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Optional
 
-from .complexes import (SimplicialComplex, build_boundary, build_simplex,
-                        cone, euler_characteristic, f_vector, face_vertices,
-                        is_full_subcomplex, is_isomorphic, skeleton)
+from .complexes import (BudgetExceededError, SimplicialComplex, build_boundary,
+                        build_simplex, cone, euler_characteristic, f_vector,
+                        face_vertices, is_full_subcomplex, is_isomorphic,
+                        skeleton)
 from .hasse import HasseDiagram, build_hasse, critical_faces, is_acyclic, is_matching
 from .layers import (LayeredInfeasibleError, LayerSystem, enumerate_optimal,
                      iter_matchings_of_cardinality, max_cardinality_info,
                      profile_counts, suffix_tables)
-from .homology import HomologyResult, homology, relative_homology
-from .morse import (build_matching_complex, cone_pair, embed_faces,
-                    induced_inclusion, matching_complex_f_vector)
+from .homology import homology, relative_homology
+from .morse import (MaterializationLimitError, build_matching_complex,
+                    cone_pair, embed_faces, induced_inclusion,
+                    matching_complex_f_vector)
 from .specs import build_from_spec
 
 DEFAULT_BUDGET = 10_000_000
@@ -72,7 +74,8 @@ def _run(name: str, instance: dict, fn: Callable[[], dict]) -> VerificationRepor
         status, witness = "pass", None
     except CheckFailure as f:
         status, witness, details = "fail", f.witness, {"message": str(f)}
-    except (BudgetSkip, LayeredInfeasibleError) as b:
+    except (BudgetSkip, LayeredInfeasibleError, MaterializationLimitError,
+            BudgetExceededError) as b:
         status, witness, details = "skipped-budget", None, {"reason": str(b)}
     return VerificationReport(name, instance, status, witness, details,
                               time.perf_counter() - t0)
@@ -117,24 +120,20 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
         B = build_boundary(n)
         HK = build_hasse(K)
         HB = build_hasse(B)
+        m = HB.edge_count
+        _ensure(induced_inclusion(B, K) == list(range(m)),
+                "the boundary's Hasse edges are not a prefix of the simplex's")
         _, masks_k = _optimal_masks(HK, budget)
         _, masks_b = _optimal_masks(HB, budget)
         set_k, set_b = set(masks_k), set(masks_b)
-        bd_to_k = induced_inclusion(B, K)
-        k_to_bd = {ke: be for be, ke in enumerate(bd_to_k)}
-        sigma_gid = HK.offsets[n]  # the unique n-face
-        top_edges = HK.edges_down[sigma_gid]
+        low = (1 << m) - 1
 
         phi: dict[int, int] = {}
         for F in masks_k:
-            touching = [e for e in top_edges if (F >> e) & 1]
-            _ensure(len(touching) == 1,
+            _ensure((F >> m).bit_count() == 1,
                     "matching does not pair the top simplex exactly once",
                     lambda: _edge_pairs(HK, F))
-            rest = F & ~(1 << touching[0])
-            img = 0
-            for e in face_vertices(rest):
-                img |= 1 << k_to_bd[e]
+            img = F & low
             _ensure(img in set_b, "deleted matching is not optimal on the boundary",
                     lambda: _edge_pairs(HK, F))
             phi[F] = img
@@ -147,14 +146,9 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
                     and sum(crit.counts) == 2,
                     "boundary matching lacks the expected two critical faces",
                     lambda: _edge_pairs(HB, G))
-            tau = top_crit[0]
-            lifted = 0
-            for e in face_vertices(G):
-                lifted |= 1 << bd_to_k[e]
-            d, pos = K.face_index[tau]
-            tau_gid = HK.offsets[d] + pos
-            e_new = HK.edge_index[(tau_gid, sigma_gid)]
-            lifted |= 1 << e_new
+            # the simplex's edges after the boundary's are the pairs
+            # (facet, sigma), one per facet in lex order
+            lifted = G | 1 << (m + B.face_index[top_crit[0]][1])
             _ensure(lifted in set_k, "adjoined matching is not optimal on the simplex",
                     lambda: _edge_pairs(HB, G))
             psi[G] = lifted
@@ -173,8 +167,7 @@ def verify_layer_counts(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
     vertex."""
     def check() -> dict:
         K = build_simplex(n)
-        H = build_hasse(K)
-        ls = LayerSystem(H)
+        ls = LayerSystem(build_hasse(K))
         S = suffix_tables(ls, acyclic=True)
         best, count = max_cardinality_info(S[0][0])
         expected = tuple(comb(n, k + 1) for k in range(n))
@@ -187,19 +180,6 @@ def verify_layer_counts(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
         m = [fv[d] - (expected[d - 1] if d >= 1 else 0)
              - (expected[d] if d < n else 0) for d in range(n + 1)]
         _ensure(m == [1] + [0] * n, f"critical face counts {m} are not a single vertex")
-        if count <= budget and count <= 100_000:
-            # desk scale: re-derive the profile from each matching directly
-            for mask in iter_matchings_of_cardinality(ls, S, best, acyclic=True):
-                tally = [0] * n
-                for e in face_vertices(mask):
-                    tally[H.layer_of[e]] += 1
-                _ensure(tuple(tally) == expected,
-                        "matching violates the layer counts",
-                        lambda: _edge_pairs(H, mask))
-                crit = critical_faces(H, mask)
-                _ensure(crit.counts == [1] + [0] * n,
-                        "critical faces are not a single vertex",
-                        lambda: _edge_pairs(H, mask))
         return {"count": count, "profile": list(expected)}
 
     return _run("layer-counts", {"n": n}, check)
@@ -267,50 +247,31 @@ def verify_restriction_fibers(n: int, budget: int = DEFAULT_BUDGET,
             raise CheckFailure("requires n >= 3")
         K = build_simplex(n)
         sk = skeleton(K, n - 2)
-        HK = build_hasse(K)
         Hs = build_hasse(sk)
-        ls = LayerSystem(HK)
+        _ensure(induced_inclusion(sk, K) == list(range(Hs.edge_count)),
+                "the skeleton's Hasse edges are not a prefix of the simplex's")
+        ls = LayerSystem(build_hasse(K))
         S = suffix_tables(ls, acyclic=True)
         best_k, count_k = max_cardinality_info(S[0][0])
         best_s, masks_s = _optimal_masks(Hs, budget)
         _ensure(count_k == (n + 1) * len(masks_s),
                 f"{count_k} != {n + 1} x {len(masks_s)}")
-        sk_to_k = induced_inclusion(sk, K)
 
-        if count_k <= budget and count_k <= 100_000:
-            # visit the simplex's matchings and restrict each one directly
-            k_to_sk = {ke: se for se, ke in enumerate(sk_to_k)}
-            target_set = set(masks_s)
-            fibers: dict[int, int] = {}
-            seen = 0
-            for mask in iter_matchings_of_cardinality(ls, S, best_k, True):
-                seen += 1
-                rho = 0
-                for e in face_vertices(mask):
-                    # pairs touching dimensions n-1 and n are dropped
-                    if HK.dim_of_gid[HK.upper[e]] <= n - 2:
-                        rho |= 1 << k_to_sk[e]
-                _ensure(rho in target_set,
-                        "restriction is not a maximum matching on the skeleton",
-                        lambda: _edge_pairs(HK, mask))
-                fibers[rho] = fibers.get(rho, 0) + 1
-            _ensure(seen == count_k, "enumeration mismatch")
-        else:
-            # count each fiber exactly with the suffix tables of the simplex
-            first_high = n - 2  # layers >= n-2 carry the dropped pairs
-            lay = ls.layers[first_high]
-            need = best_k - best_s
-            fibers = {}
-            for mask in masks_s:
-                consumed = 0
-                for e in face_vertices(mask):
-                    up = Hs.upper[e]
-                    if Hs.dim_of_gid[up] == n - 2:
-                        face = Hs.face_of_gid[up]
-                        d, pos = K.face_index[face]
-                        consumed |= 1 << lay.lower_index[HK.offsets[d] + pos]
-                vec = S[first_high][consumed]
-                fibers[mask] = vec[need] if need < len(vec) else 0
+        # count each fiber exactly with the suffix tables of the simplex:
+        # layers >= n-2 carry the pairs the restriction drops, and a skeleton
+        # matching hands them its matched (n-2)-faces, whose gids the
+        # skeleton shares with the simplex
+        first_high = n - 2
+        lay = ls.layers[first_high]
+        need = best_k - best_s
+        fibers: dict[int, int] = {}
+        for mask in masks_s:
+            consumed = 0
+            for e in face_vertices(mask):
+                if Hs.layer_of[e] == first_high - 1:
+                    consumed |= 1 << lay.lower_index[Hs.upper[e]]
+            vec = S[first_high][consumed]
+            fibers[mask] = vec[need] if need < len(vec) else 0
 
         sizes = set(fibers.values())
         _ensure(sizes == {n + 1}, f"fiber sizes {sizes} are not uniformly {n + 1}",
@@ -403,9 +364,9 @@ def verify_les_example(budget: int = DEFAULT_BUDGET) -> VerificationReport:
         Mbd3 = build_matching_complex(bd3, "M", max_faces=budget)
         hA = homology(Md3.complex, reduced=True)
         hB = homology(Mbd3.complex, reduced=True)
-        mapping = induced_inclusion(bd3, d3)
-        emb = embed_faces(Mbd3.complex, mapping, Md3.hasse.edge_count)
-        rel = relative_homology(Md3.complex, emb, reduced=True)
+        _ensure(induced_inclusion(bd3, d3) == list(range(Mbd3.edge_count)),
+                "the boundary's Hasse edges are not a prefix of the simplex's")
+        rel = relative_homology(Md3.complex, Mbd3.complex, reduced=True)
         _ensure(rel.betti(4) == 96 and not rel.torsion(4),
                 f"relative degree 4 is {rel.betti(4)}, expected 96")
         _ensure(rel.betti(5) == 0, f"relative degree 5 is {rel.betti(5)}, expected 0")
@@ -454,9 +415,9 @@ def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET,
         GK = build_matching_complex(K, "GM", max_faces=budget)
         GB = build_matching_complex(B, "GM", max_faces=budget)
         H = GK.hasse
-        mapping = induced_inclusion(B, K)
-        emb = embed_faces(GB.complex, mapping, H.edge_count)
-        boundary_faces = set(emb.faces())
+        _ensure(induced_inclusion(B, K) == list(range(GB.edge_count)),
+                "the boundary's Hasse edges are not a prefix of the simplex's")
+        boundary_faces = set(GB.complex.faces())
 
         sigma_gid = H.offsets[n]
         e_list = H.edges_down[sigma_gid]  # the n+1 apex pairs (F_i, sigma)

@@ -322,6 +322,23 @@ def test_verify_budget_exit(capsys, tmp_path):
     assert doc["result"]["summary"]["skipped-budget"] >= 1
 
 
+def test_small_budget_skips_materializing_checks(capsys, tmp_path):
+    # a face cap below the matching complexes skips the checks that build
+    # them; the run still prints one document and the later checks run
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "3",
+                           "--budget", "5000", "--cache-dir", str(tmp_path))
+    assert code == 3
+    doc = json.loads(out)
+    checks = doc["result"]["checks"]
+    ref = [c for c in checks if c["name"] == "reference-tables"]
+    assert [c["status"] for c in ref] == ["skipped-budget"]
+    assert "exceeds cap 5000" in ref[0]["details"]["reason"]
+    tops = [(c["instance"]["n"], c["status"]) for c in checks
+            if c["name"] == "top-facet-bijection"]
+    assert tops == [(2, "pass"), (3, "pass")]
+    assert doc["result"]["summary"]["fail"] == 0
+
+
 def test_verify_all_small(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "2",
                            "--cache-dir", str(tmp_path))

@@ -9,6 +9,7 @@ from morsematch.morse import (MaterializationLimitError, build_matching_complex,
                               matching_complex_f_vector)
 
 from oracles import modified_digraph_acyclic
+from test_layers import CORPUS
 
 
 def test_table1_f_vectors(m_d3, m_bd3, mp_d3, mp_bd3):
@@ -166,3 +167,14 @@ def test_materialization_guard():
         build_matching_complex(build_simplex(4), "M")
     with pytest.raises(MaterializationLimitError):
         build_matching_complex(build_simplex(4), "MP")
+
+
+def test_skeleton_edges_are_a_prefix():
+    # canonical order puts a skeleton's faces and Hasse edges first, with
+    # the same gids, so its induced inclusion is the identity on a prefix
+    pairs = [(skeleton(K, k), K) for K in CORPUS for k in range(1, K.dim)]
+    pairs += [(build_boundary(n), build_simplex(n)) for n in range(1, 6)]
+    assert len(pairs) == 10
+    for L, K in pairs:
+        m = build_hasse(L).edge_count
+        assert induced_inclusion(L, K) == list(range(m))

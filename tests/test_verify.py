@@ -202,6 +202,27 @@ def test_failed_check_carries_its_witness(monkeypatch):
         assert len(upper) == len(lower) + 1 and set(lower) < set(upper)
 
 
+def test_bijection_and_fibers_fail_when_a_matching_is_missing(monkeypatch):
+    # drop one maximum matching of the boundary (for the bijection) or of
+    # the skeleton (for the fibers); both checks must notice
+    import morsematch.verify as verify_mod
+    optimal_masks = verify_mod._optimal_masks
+
+    def lossy(H, budget):
+        best, masks = optimal_masks(H, budget)
+        return best, masks[1:] if H.base.dim < 3 else masks
+
+    monkeypatch.setattr(verify_mod, "_optimal_masks", lossy)
+    r = verify_top_facet_bijection(3)
+    assert r.status == "fail"
+    assert r.details == {
+        "message": "deleted matching is not optimal on the boundary"}
+    assert len(r.witness) == 7  # a maximum matching of the 3-simplex
+    r = verify_restriction_fibers(3)
+    assert r.status == "fail"
+    assert r.details == {"message": "256 != 4 x 63"}
+
+
 def test_budget_skip():
     r = verify_top_facet_bijection(3, budget=10)
     assert r.status == "skipped-budget"
