@@ -246,7 +246,8 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("count-optimal",
                         help="count maximum acyclic matchings")
-    common(sp)
+    # only acyclic matchings, the faces of M, are counted
+    common(sp, variant_choices=("M",))
     sp.set_defaults(fn=cmd_count_optimal)
 
     sp = sub.add_parser("euler", help="Euler characteristic of a matching complex")

@@ -6,7 +6,10 @@ pairs joining dimensions p and p+1), adjacent layers interact only through
 the faces of the shared dimension, and acyclicity is a per-layer condition.
 Counting therefore reduces to a transfer computation over subsets of each
 dimension's shared faces: enumerate the matchings of every layer once, then
-convolve counts across layers with a subset-sum (zeta) transform.
+convolve counts across layers with a subset-sum (zeta) transform.  The
+transfer keeps each count vector (counts by number of pairs) packed into one
+Python int, W = edge_count + 1 bits per slot, so a layer matching costs one
+shifted int add; no slot can overflow (see `suffix_tables`).
 
 Only a face that is an upper face of layer d-1 and a lower face of layer d
 (dimension >= 1, at least one coface) can be claimed from both sides, so
@@ -138,38 +141,47 @@ def _enumerate_layer(layer: Layer, acyclic: bool) -> list[LayerMatching]:
     return out
 
 
-def _vec_add_scaled(dst: list[int], src: list[int], mult: int, shift: int) -> None:
-    need = len(src) + shift
-    if len(dst) < need:
-        dst.extend([0] * (need - len(dst)))
-    for k, v in enumerate(src):
-        if v:
-            dst[k + shift] += mult * v
-
-
 def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
     """S[d][U][k]: number of ways to match layers d.. with k pairs total,
     avoiding the lower faces in U (a bitmask over dimension d's tracked
-    faces).  S[0] and S[D] have a single entry."""
+    faces).  S[0] and S[D] have a single entry.  A vector has no trailing
+    zeros, and is empty where no matching avoids U.
+
+    The transfer packs each vector into one int, slot k in bits
+    [k*W, (k+1)*W) with W = edge_count + 1: a vector sum is one int add and
+    a shift by s pairs is `<< s*W`.  No slot can carry into the next: every
+    slot of a table entry, and of every partial sum of the zeta transform,
+    counts distinct sets of k Hasse edges, so it is at most
+    C(edge_count, k) < 2^W.  The tables are unpacked into lists at the end.
+    """
     D = ls.D
+    W = ls.H.edge_count + 1
+    slot = (1 << W) - 1
     S: list = [None] * (D + 1)
     S[D] = [[1]]
+    nxt = [1]  # packed S[d + 1]
     for d in range(D - 1, -1, -1):
         w = ls.tracked[d]
         size = 1 << w
         low, up_low = ls.tracked_mask[d], ls.tracked_mask[d + 1]
-        q: list[list[int]] = [[] for _ in range(size)]
-        nxt = S[d + 1]
-        for (lmask, umask, s), mult in ls.classes(d, acyclic).items():
-            _vec_add_scaled(q[lmask & low], nxt[umask & up_low], mult, s)
+        q = [0] * size
+        for m in ls.matchings(d, acyclic):
+            q[m.lower & low] += nxt[m.upper & up_low] << (m.size * W)
         # zeta transform: q[V] becomes the sum over all L subset of V
         for i in range(w):
             bit = 1 << i
             for m in range(size):
-                if m & bit and q[m ^ bit]:
-                    _vec_add_scaled(q[m], q[m ^ bit], 1, 0)
+                if m & bit:
+                    q[m] += q[m ^ bit]
         full = size - 1
-        S[d] = [q[full ^ u] for u in range(size)]
+        nxt = [q[full ^ u] for u in range(size)]
+        S[d] = []
+        for v in nxt:
+            vec = []
+            while v:
+                vec.append(v & slot)
+                v >>= W
+            S[d].append(vec)
     return S
 
 

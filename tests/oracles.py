@@ -3,7 +3,9 @@
 Nothing here shares code with the package: acyclicity is decided on the
 whole modified digraph, matchings are enumerated by filtering raw subsets,
 and Smith normal forms come from sympy.  These are the slow-but-obvious
-routes the fast implementations are checked against.
+routes the fast implementations are checked against.  The one exception is
+the list-based layer transfer at the end, which reads the package's layer
+tables and checks only the packed coefficient arithmetic.
 """
 
 from __future__ import annotations
@@ -116,3 +118,42 @@ def snf_divisors_sympy(dense: list[list[int]]) -> tuple[int, ...]:
         if v:
             out.append(abs(v))
     return tuple(sorted(out))
+
+
+# -- the list-based layer transfer -------------------------------------------
+# Count vectors as lists, one coefficient add at a time: the reference for
+# the packed-int arithmetic of `morsematch.layers.suffix_tables`.
+
+def _vec_add_scaled(dst: list[int], src: list[int], mult: int, shift: int) -> None:
+    need = len(src) + shift
+    if len(dst) < need:
+        dst.extend([0] * (need - len(dst)))
+    for k, v in enumerate(src):
+        if v:
+            dst[k + shift] += mult * v
+
+
+def list_suffix_tables(ls, acyclic: bool) -> list[list[list[int]]]:
+    """S[d][U][k]: number of ways to match layers d.. with k pairs total,
+    avoiding the lower faces in U (a bitmask over dimension d's tracked
+    faces).  S[0] and S[D] have a single entry."""
+    D = ls.D
+    S: list = [None] * (D + 1)
+    S[D] = [[1]]
+    for d in range(D - 1, -1, -1):
+        w = ls.tracked[d]
+        size = 1 << w
+        low, up_low = ls.tracked_mask[d], ls.tracked_mask[d + 1]
+        q: list[list[int]] = [[] for _ in range(size)]
+        nxt = S[d + 1]
+        for (lmask, umask, s), mult in ls.classes(d, acyclic).items():
+            _vec_add_scaled(q[lmask & low], nxt[umask & up_low], mult, s)
+        # zeta transform: q[V] becomes the sum over all L subset of V
+        for i in range(w):
+            bit = 1 << i
+            for m in range(size):
+                if m & bit and q[m ^ bit]:
+                    _vec_add_scaled(q[m], q[m ^ bit], 1, 0)
+        full = size - 1
+        S[d] = [q[full ^ u] for u in range(size)]
+    return S

@@ -175,6 +175,17 @@ def test_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "no-such-check",
                            "--cache-dir", str(tmp_path))
     assert code == 2
+    # count-optimal counts acyclic matchings only: no other variant parses
+    for variant in ("MP", "GM"):
+        code, out, err = run_cli(capsys, "count-optimal", "--complex",
+                                 "simplex:3", "--variant", variant,
+                                 "--cache-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert f"invalid choice: '{variant}'" in err
+    code, out, _ = run_cli(capsys, "count-optimal", "--complex", "simplex:3",
+                           "--variant", "M", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["result"] == {"count": 256, "max_cardinality": 7}
 
 
 def test_unwritable_out_is_usage_error(capsys, tmp_path):

@@ -98,11 +98,13 @@ def command_line(draw, directory):
         spec = draw(st.one_of(small_spec(directory), small_spec(directory),
                               small_spec(directory), malformed_spec(directory)))
         argv = [command, "--complex", spec]
-        variants = ["M", "MP", "GM"] + (["none"] if command == "homology" else [])
+        variants = {"homology": ["none", "M", "MP", "GM"],
+                    "count-optimal": ["M"]}.get(command, ["M", "MP", "GM"])
         variant = draw(st.sampled_from([None] + variants))
         if usage_fault == "variant":
-            variant = draw(st.sampled_from(["X", "m", ""] + (
-                [] if command == "homology" else ["none"])))
+            variant = draw(st.sampled_from(
+                [v for v in ("X", "m", "", "none", "MP", "GM")
+                 if v not in variants]))
         if variant is not None:
             argv += ["--variant", variant]
         if command == "homology":

@@ -14,7 +14,7 @@ from morsematch.layers import (WIDTH_LIMIT, LayerSystem, LayeredInfeasibleError,
                                matching_counts, max_cardinality_info,
                                profile_counts, suffix_tables)
 
-from oracles import all_matchings, counts_by_cardinality
+from oracles import all_matchings, counts_by_cardinality, list_suffix_tables
 
 CORPUS = [build_simplex(1), build_simplex(2), build_simplex(3),
           build_boundary(2), build_boundary(3),
@@ -139,6 +139,49 @@ def test_empty_diagram():
     assert enumerate_optimal(H) == (0, 1)
 
 
+# -- the packed transfer against the list transfer --------------------------------
+
+N4 = {"simplex:4": build_simplex(4), "boundary:4": build_boundary(4),
+      "skeleton:simplex:4:2": skeleton(build_simplex(4), 2)}
+
+
+def test_suffix_tables_match_list_transfer():
+    # every S[d][U] list, empty ones and the absence of trailing zeros too
+    for K in CORPUS + list(N4.values()):
+        ls = LayerSystem(build_hasse(K))
+        for acyclic in (True, False):
+            assert suffix_tables(ls, acyclic) == list_suffix_tables(ls, acyclic)
+
+
+def test_n4_counts_are_frozen():
+    # f-vectors of M and GM (all matchings) of the 4-simplex and its boundary,
+    # as frozen in the benchmark references
+    want = {
+        ("simplex:4", "acyclic"): (
+            [75, 2485, 47955, 598425, 5071367, 29844505, 122685075, 350017175,
+             680808105, 876110235, 712961065, 343320335, 88467825, 10315975,
+             380125], 212456),
+        ("simplex:4", "all"): (
+            [75, 2485, 48035, 602685, 5168119, 31072025, 132269895, 397931395,
+             835688945, 1196294175, 1123298425, 651477055, 211720845,
+             32385555, 1569309], -1728),
+        ("boundary:4", "acyclic"): (
+            [70, 2155, 38420, 439745, 3387062, 17907875, 65162120, 161358215,
+             265139350, 277122385, 172371460, 57378175, 8501650, 380125],
+            11456),
+        ("boundary:4", "all"): (
+            [70, 2155, 38500, 443665, 3468394, 18842035, 71695600, 190253755,
+             346555930, 421001065, 325663060, 149074035, 35738550, 3563385,
+             82584], 62592),
+    }
+    for (spec, mode), (fv, reduced_chi) in want.items():
+        got = matching_counts(build_hasse(N4[spec]), mode)
+        assert got == fv
+        assert sum((-1) ** d * v for d, v in enumerate(got)) - 1 == reduced_chi
+    assert enumerate_optimal(build_hasse(N4["simplex:4"])) == (15, 380125)
+    assert enumerate_optimal(build_hasse(N4["boundary:4"])) == (14, 380125)
+
+
 # -- acyclic layer matchings are unique per class ------------------------------
 
 def assert_unique_per_class(ls: LayerSystem) -> None:
@@ -174,6 +217,8 @@ def test_layer_engine_on_drawn_complexes(K):
     ls = LayerSystem(H)
     assert_unique_per_class(ls)
     for mode in ("acyclic", "all"):
+        assert suffix_tables(ls, mode == "acyclic") \
+            == list_suffix_tables(ls, mode == "acyclic")
         flat = all_matchings(H, mode)
         assert matching_counts(H, mode) == counts_by_cardinality(flat)
         walked = iter_matchings_of_cardinality(ls, None, None, mode == "acyclic")
