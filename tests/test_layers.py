@@ -139,7 +139,7 @@ def test_empty_diagram():
     assert enumerate_optimal(H) == (0, 1)
 
 
-# -- the packed transfer against the list transfer --------------------------------
+# -- the packed transfer against the list transfer ----------------------------
 
 N4 = {"simplex:4": build_simplex(4), "boundary:4": build_boundary(4),
       "skeleton:simplex:4:2": skeleton(build_simplex(4), 2)}
