@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .complexes import (BudgetExceededError, SimplicialComplex, build_boundary,
                         build_simplex, cone, euler_characteristic, f_vector,
                         face_mask, face_vertices, is_full_subcomplex,
-                        is_isomorphic, relabel, skeleton, star_link)
+                        relabel, skeleton, star_link)
 from .hasse import (CriticalReport, HasseDiagram, build_hasse, critical_faces,
                     is_acyclic, is_matching)
 from .homology import (ChainComplex, HomologyResult, SparseIntMatrix,
@@ -28,7 +28,7 @@ from .verify import VerificationReport, default_suite
 __all__ = [
     "BudgetExceededError", "SimplicialComplex", "build_boundary",
     "build_simplex", "cone", "euler_characteristic", "f_vector",
-    "face_mask", "face_vertices", "is_full_subcomplex", "is_isomorphic", "relabel", "skeleton", "star_link",
+    "face_mask", "face_vertices", "is_full_subcomplex", "relabel", "skeleton", "star_link",
     "CriticalReport", "HasseDiagram", "build_hasse", "critical_faces",
     "is_acyclic", "is_matching",
     "ChainComplex", "HomologyResult", "SparseIntMatrix", "boundary_matrices",

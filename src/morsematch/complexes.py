@@ -20,8 +20,6 @@ than MAX_BASE_FACES faces with BudgetExceededError before allocating it.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 Face = int  # vertex bitmask
@@ -33,8 +31,8 @@ _REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive search hit its configured node budget, or a base
-    complex has more than MAX_BASE_FACES faces."""
+    """A base complex has more than MAX_BASE_FACES faces, or a verifier
+    would walk more matchings than its budget allows."""
 
 
 def face_mask(vertices: Iterable[int]) -> Face:
@@ -84,7 +82,8 @@ def _closure(facets: Iterable[Face]) -> set[Face]:
 
 class SimplicialComplex:
     """Immutable complex: per-dimension face-mask lists in canonical order
-    plus an index from mask to (dimension, position).
+    plus an index from mask to its position in its dimension's list (the
+    dimension of a mask f is f.bit_count() - 1).
 
     Instances must be built through the classmethods or the module-level
     constructors, which validate vertex ranges and downward closure.
@@ -93,7 +92,7 @@ class SimplicialComplex:
     __slots__ = ("vertex_count", "faces_by_dim", "face_index")
 
     def __init__(self, vertex_count: int, faces_by_dim: list[list[Face]],
-                 face_index: dict[Face, tuple[int, int]]):
+                 face_index: dict[Face, int]):
         self.vertex_count = vertex_count
         self.faces_by_dim = faces_by_dim
         self.face_index = face_index
@@ -128,9 +127,9 @@ class SimplicialComplex:
                         raise ValueError(f"face {face_vertices(f)} misses its "
                                          f"facet {face_vertices(f ^ b)}; not a complex")
                     m ^= b
-        index: dict[Face, tuple[int, int]] = {}
-        for d, lst in enumerate(faces_by_dim):
-            index.update(zip(lst, zip(repeat(d), range(len(lst)))))
+        index: dict[Face, int] = {}
+        for lst in faces_by_dim:
+            index.update(zip(lst, range(len(lst))))
         return cls(vertex_count, faces_by_dim, index)
 
     @classmethod
@@ -291,147 +290,3 @@ def relabel(K: SimplicialComplex, mapping: Sequence[int] | dict[int, int],
             f ^= b
         faces.append(img)
     return SimplicialComplex.from_faces(faces, vertex_count)
-
-
-# -- small-instance isomorphism -------------------------------------------
-
-def _degree_and_adjacency(K: SimplicialComplex):
-    verts = K.vertices()
-    deg: dict[int, list[int]] = {v: [0] * (K.dim + 1) for v in verts}
-    for d, lst in enumerate(K.faces_by_dim):
-        for f in lst:
-            for v in face_vertices(f):
-                deg[v][d] += 1
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for e in K.faces_by_dim[1] if K.dim >= 1 else []:
-        a, b = face_vertices(e)
-        adj[a].append(b)
-        adj[b].append(a)
-    return {v: tuple(d) for v, d in deg.items()}, adj
-
-
-def _joint_signatures(K: SimplicialComplex, L: SimplicialComplex,
-                      ) -> tuple[dict[int, int], dict[int, int]]:
-    """Iterated refinement of per-vertex invariants, jointly over K and L.
-
-    Starts from the per-dimension face-degree vector of each vertex and
-    refines with sorted neighbour classes over the 1-skeletons.  One shared
-    intern table keeps class labels comparable across the two complexes;
-    refinement stops when the joint partition stabilises.
-    """
-    deg_k, adj_k = _degree_and_adjacency(K)
-    deg_l, adj_l = _degree_and_adjacency(L)
-    intern: dict[tuple, int] = {}
-    code_k = {v: intern.setdefault(s, len(intern)) for v, s in deg_k.items()}
-    code_l = {v: intern.setdefault(s, len(intern)) for v, s in deg_l.items()}
-    n_classes = len(intern)
-    while True:
-        intern = {}
-        nk = {v: intern.setdefault(
-            (code_k[v], tuple(sorted(code_k[u] for u in adj_k[v]))),
-            len(intern)) for v in code_k}
-        nl = {v: intern.setdefault(
-            (code_l[v], tuple(sorted(code_l[u] for u in adj_l[v]))),
-            len(intern)) for v in code_l}
-        if len(intern) == n_classes:
-            return nk, nl
-        code_k, code_l, n_classes = nk, nl, len(intern)
-
-
-def is_isomorphic(K: SimplicialComplex, L: SimplicialComplex,
-                  node_budget: int = 10_000_000) -> Optional[dict[int, int]]:
-    """Search for a face-preserving vertex bijection K -> L.
-
-    Returns the bijection as a dict on 0-face ids, or None if the complexes
-    are not isomorphic.  Backtracking is pruned by iterated vertex-class
-    refinement and incremental face checks in both directions.  Exceeding
-    `node_budget` assignment attempts raises BudgetExceededError; it never
-    silently returns None.
-    """
-    if K.is_void or L.is_void:
-        raise ValueError("isomorphism search requires non-void complexes")
-    if f_vector(K) != f_vector(L):
-        return None
-    sig_k, sig_l = _joint_signatures(K, L)
-    by_class_l: dict[int, list[int]] = {}
-    for v, s in sig_l.items():
-        by_class_l.setdefault(s, []).append(v)
-    if Counter(sig_k.values()) != Counter(sig_l.values()):
-        return None
-
-    verts_k = K.vertices()
-    # the vertex lists of the faces at each vertex
-    faces_at_k: dict[int, list[list[int]]] = {v: [] for v in verts_k}
-    for f in K.faces():
-        vs = face_vertices(f)
-        for v in vs:
-            faces_at_k[v].append(vs)
-    faces_at_l: dict[int, list[list[int]]] = {v: [] for v in L.vertices()}
-    for f in L.faces():
-        vs = face_vertices(f)
-        for v in vs:
-            faces_at_l[v].append(vs)
-
-    mapping: dict[int, int] = {}
-    inverse: dict[int, int] = {}
-    nodes = 0
-
-    def consistent(v: int, w: int) -> bool:
-        # forward: K-faces inside dom(mapping)+v must land on L-faces
-        for f in faces_at_k[v]:
-            img = 0
-            for u in f:
-                t = w if u == v else mapping.get(u)
-                if t is None:
-                    break
-                img |= 1 << t
-            else:
-                if img not in L.face_index:
-                    return False
-        # reverse: L-faces inside img(mapping)+w must pull back to K-faces
-        for g in faces_at_l[w]:
-            pre = 0
-            for u in g:
-                t = v if u == w else inverse.get(u)
-                if t is None:
-                    break
-                pre |= 1 << t
-            else:
-                if pre not in K.face_index:
-                    return False
-        return True
-
-    def extend() -> bool:
-        nonlocal nodes
-        if len(mapping) == len(verts_k):
-            return True
-        # most-constrained unassigned vertex first
-        best_v, best_cands = None, None
-        for v in verts_k:
-            if v in mapping:
-                continue
-            cands = [w for w in by_class_l.get(sig_k[v], ()) if w not in inverse]
-            if best_cands is None or len(cands) < len(best_cands):
-                best_v, best_cands = v, cands
-                if len(cands) <= 1:
-                    break
-        if not best_cands:
-            return False
-        for w in best_cands:
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(
-                    f"isomorphism search exceeded {node_budget} nodes")
-            if not consistent(best_v, w):
-                continue
-            mapping[best_v] = w
-            inverse[w] = best_v
-            if extend():
-                return True
-            del mapping[best_v]
-            del inverse[w]
-        return False
-
-    if extend():
-        return dict(mapping)
-    return None

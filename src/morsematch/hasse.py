@@ -68,7 +68,7 @@ class HasseDiagram:
                 m = f
                 while m:
                     b = m & -m
-                    subs.append(off + index[f ^ b][1])
+                    subs.append(off + index[f ^ b])
                     m ^= b
                 subs.reverse()
                 self.facets_of.append(tuple(subs))
@@ -94,6 +94,10 @@ class HasseDiagram:
         for i, (lo, up) in enumerate(edges):
             self.edges_up[lo].append(i)
             self.edges_down[up].append(i)
+
+    def gid(self, face: Face) -> int:
+        """Global id of a face of the base."""
+        return self.offsets[face.bit_count() - 1] + self.base.face_index[face]
 
     def edge_faces(self, e: int) -> tuple[Face, Face]:
         lo, up = self.edges[e]

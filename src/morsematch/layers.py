@@ -138,6 +138,9 @@ def _enumerate_layer(layer: Layer, acyclic: bool) -> list[LayerMatching]:
                 del matched[lo]
 
     rec(0, 0, 0, 0, 0)
+    # rec reaches itself through its closure; unbinding it breaks that
+    # cycle, so the matchings are freed with their LayerSystem
+    del rec
     return out
 
 
@@ -251,7 +254,12 @@ def iter_matchings_of_cardinality(ls: LayerSystem, S: list | None,
             if not sub:
                 break
 
-    yield from rec(0, 0, 0, 0)
+    try:
+        yield from rec(0, 0, 0, 0)
+    finally:
+        # break rec's self-reference, also when the walk is abandoned, so
+        # the index is freed without the cycle collector
+        del rec
 
 
 def profile_counts(ls: LayerSystem, S: list, target: int, acyclic: bool,

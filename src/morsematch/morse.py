@@ -125,15 +125,10 @@ def induced_inclusion(K: SimplicialComplex, L: SimplicialComplex) -> list[int]:
         raise ValueError("K is not a subcomplex of L")
     HK = build_hasse(K)
     HL = build_hasse(L)
-
-    def gid_L(face) -> int:
-        d, pos = L.face_index[face]
-        return HL.offsets[d] + pos
-
     mapping = []
     for e in range(HK.edge_count):
         lo_f, up_f = HK.edge_faces(e)
-        mapping.append(HL.edge_index[(gid_L(lo_f), gid_L(up_f))])
+        mapping.append(HL.edge_index[(HL.gid(lo_f), HL.gid(up_f))])
     return mapping
 
 
@@ -160,7 +155,5 @@ def cone_pair(K: SimplicialComplex, w0: int = 0,
         raise ValueError(f"w0={w0} is not a vertex of K")
     CK, apex = cone(K)
     H = build_hasse(CK)
-    lo = CK.face_index[1 << apex]
-    up = CK.face_index[(1 << w0) | (1 << apex)]
-    e0 = H.edge_index[(H.offsets[0] + lo[1], H.offsets[1] + up[1])]
+    e0 = H.edge_index[(H.gid(1 << apex), H.gid((1 << w0) | (1 << apex)))]
     return CK, apex, e0

@@ -15,8 +15,7 @@ from typing import Callable, Optional
 
 from .complexes import (BudgetExceededError, SimplicialComplex, build_boundary,
                         build_simplex, cone, euler_characteristic, f_vector,
-                        face_vertices, is_full_subcomplex, is_isomorphic,
-                        skeleton)
+                        face_vertices, is_full_subcomplex, relabel, skeleton)
 from .hasse import HasseDiagram, build_hasse, critical_faces, is_acyclic, is_matching
 from .layers import (LayeredInfeasibleError, LayerSystem, enumerate_optimal,
                      iter_matchings_of_cardinality, max_cardinality_info,
@@ -63,10 +62,6 @@ class CheckFailure(Exception):
         self.witness = witness
 
 
-class BudgetSkip(Exception):
-    pass
-
-
 def _run(name: str, instance: dict, fn: Callable[[], dict]) -> VerificationReport:
     t0 = time.perf_counter()
     try:
@@ -74,7 +69,7 @@ def _run(name: str, instance: dict, fn: Callable[[], dict]) -> VerificationRepor
         status, witness = "pass", None
     except CheckFailure as f:
         status, witness, details = "fail", f.witness, {"message": str(f)}
-    except (BudgetSkip, LayeredInfeasibleError, MaterializationLimitError,
+    except (LayeredInfeasibleError, MaterializationLimitError,
             BudgetExceededError) as b:
         status, witness, details = "skipped-budget", None, {"reason": str(b)}
     return VerificationReport(name, instance, status, witness, details,
@@ -103,7 +98,8 @@ def _optimal_masks(H: HasseDiagram, budget: int) -> tuple[int, list[int]]:
     S = suffix_tables(ls, acyclic=True)
     best, count = max_cardinality_info(S[0][0])
     if count > budget:
-        raise BudgetSkip(f"{count} optimal matchings exceed budget {budget}")
+        raise BudgetExceededError(
+            f"{count} optimal matchings exceed budget {budget}")
     return best, list(iter_matchings_of_cardinality(ls, S, best, acyclic=True))
 
 
@@ -148,7 +144,7 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
                     lambda: _edge_pairs(HB, G))
             # the simplex's edges after the boundary's are the pairs
             # (facet, sigma), one per facet in lex order
-            lifted = G | 1 << (m + B.face_index[top_crit[0]][1])
+            lifted = G | 1 << (m + B.face_index[top_crit[0]])
             _ensure(lifted in set_k, "adjoined matching is not optimal on the simplex",
                     lambda: _edge_pairs(HB, G))
             psi[G] = lifted
@@ -402,11 +398,18 @@ def verify_inclusion_full(k_spec: str, l_spec: str,
 
 # -- generalized matchings ----------------------------------------------------
 
-def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET,
-                        iso_budget: int = 10_000_000) -> VerificationReport:
+def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Covering of the generalized complex by the boundary part and the
-    cones over the apex-pair links, with the link identification and its
-    reference invariants."""
+    cones over the apex-pair links, and each link's reference invariants.
+
+    The link of the apex pair (F_i, sigma) is identified with GM of the
+    model cone(boundary(n-1)), apex n, by an explicit isomorphism: with F_i
+    and its edges removed, the boundary of the n-simplex is the cone over
+    the boundary of F_i with apex i = sigma minus F_i.  Model vertex j < n
+    goes to the j-th vertex of F_i, the apex to i, and each model Hasse
+    edge to the edge of the simplex between the image faces.  That edge
+    map must be injective and carry the model's GM complex onto the link.
+    """
     def check() -> dict:
         if n not in (2, 3):
             raise CheckFailure("supported for n in {2, 3}")
@@ -448,6 +451,7 @@ def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET,
         details: dict = {"apex_pairs": len(e_list)}
         model = build_matching_complex(cone(build_boundary(n - 1))[0], "GM",
                                        max_faces=budget)
+        sigma = H.face_of_gid[sigma_gid]
         for e in e_list:
             _ensure(bool(links[e]), "apex pair has an empty link")
             Li = SimplicialComplex.from_faces(links[e], H.edge_count)
@@ -465,8 +469,16 @@ def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET,
                 hL = homology(Li, reduced=True)
                 _ensure(hL.nonzero() == {3: (2, ()), 4: (2, ())},
                         f"link homology {hL.nonzero()} != Z^2 in degrees 3 and 4")
-            bij = is_isomorphic(Li, model.complex, iso_budget)
-            _ensure(bij is not None, "link is not isomorphic to the cone model")
+            f_i = H.face_of_gid[H.lower[e]]
+            bits = [1 << v for v in face_vertices(f_i)] + [sigma ^ f_i]
+            edge_map = []
+            for me in range(model.edge_count):
+                lo, up = (sum(bits[v] for v in face_vertices(f))
+                          for f in model.hasse.edge_faces(me))
+                edge_map.append(H.edge_index[(H.gid(lo), H.gid(up))])
+            _ensure(len(set(edge_map)) == len(edge_map)
+                    and relabel(model.complex, edge_map, H.edge_count) == Li,
+                    "link is not isomorphic to the cone model")
             details["link_f_vector"] = fv
         return details
 

@@ -36,10 +36,10 @@ def test_boundary_sign_convention():
     cc = boundary_matrices(d3, reduced=False)
     # the face 123 sits at some column of the degree-2 matrix; its boundary
     # must read e23 - e13 + e12
-    j = d3.face_index[face_mask((1, 2, 3))][1]
+    j = d3.face_index[face_mask((1, 2, 3))]
     col = {r: cc.boundaries[2].get(r, j) for r in range(cc.boundaries[2].rows)}
     col = {r: v for r, v in col.items() if v}
-    e = {f: d3.face_index[face_mask(f)][1] for f in [(1, 2), (1, 3), (2, 3)]}
+    e = {f: d3.face_index[face_mask(f)] for f in [(1, 2), (1, 3), (2, 3)]}
     assert col == {e[(2, 3)]: 1, e[(1, 3)]: -1, e[(1, 2)]: 1}
 
 

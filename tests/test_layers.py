@@ -1,3 +1,4 @@
+import gc
 import time
 from collections import Counter
 from math import comb
@@ -9,10 +10,12 @@ from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, cone, face_mask,
                                   face_vertices, skeleton)
 from morsematch.hasse import build_hasse
+from morsematch.homology import homology
 from morsematch.layers import (WIDTH_LIMIT, LayerSystem, LayeredInfeasibleError,
                                enumerate_optimal, iter_matchings_of_cardinality,
                                matching_counts, max_cardinality_info,
                                profile_counts, suffix_tables)
+from morsematch.morse import build_matching_complex
 
 from oracles import all_matchings, counts_by_cardinality, list_suffix_tables
 
@@ -252,3 +255,27 @@ def test_wide_complexes_refused_quickly():
         with pytest.raises(LayeredInfeasibleError):
             matching_counts(H)
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_layer_matchings_are_freed_without_the_cycle_collector():
+    # nothing the counts, the walk or a materialization leaves behind may
+    # wait in a reference cycle for a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        H = build_hasse(build_simplex(3))
+        matching_counts(H)
+        assert gc.collect() == 0
+        ls = LayerSystem(H)
+        assert sum(1 for _ in iter_matchings_of_cardinality(
+            ls, None, None, True)) == 12821
+        assert gc.collect() == 0
+        walk = iter_matchings_of_cardinality(ls, None, None, True)
+        next(walk)
+        next(walk)
+        del walk
+        assert gc.collect() == 0
+        homology(build_matching_complex(build_simplex(3), "M").complex)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -2,6 +2,8 @@ import time
 
 import pytest
 
+from morsematch import verify
+from morsematch.complexes import cone, skeleton
 from morsematch.hasse import CriticalReport
 from morsematch.verify import (default_suite, verify_cone_contiguity,
                                verify_conjecture_evidence,
@@ -156,6 +158,15 @@ def test_gm_structure():
     r3 = verify_gm_structure(3)
     assert r3.passed
     assert r3.details["link_f_vector"] == [21, 162, 570, 924, 612, 116]
+
+
+def test_gm_structure_fails_on_a_wrong_link_model(monkeypatch):
+    # the cone over the vertices of the boundary of the 2-simplex is not the
+    # cone over the whole boundary, so no link can equal its image
+    monkeypatch.setattr(verify, "cone", lambda K: cone(skeleton(K, 0)))
+    r = verify_gm_structure(3)
+    assert r.status == "fail"
+    assert r.details["message"] == "link is not isomorphic to the cone model"
 
 
 def test_gm_structure_out_of_range():
