@@ -13,15 +13,15 @@ from .complexes import (BudgetExceededError, SimplicialComplex, build_boundary,
                         build_simplex, cone, euler_characteristic, f_vector,
                         face_mask, face_vertices, is_full_subcomplex,
                         relabel, skeleton, star_link)
-from .hasse import (CriticalReport, HasseDiagram, build_hasse, critical_faces,
-                    is_acyclic, is_matching)
+from .hasse import (HasseDiagram, build_hasse, critical_faces, is_acyclic,
+                    is_matching)
 from .homology import (ChainComplex, HomologyResult, SparseIntMatrix,
                        boundary_matrices, homology, relative_homology,
                        smith_normal_form)
 from .layers import LayerSystem, enumerate_optimal, matching_counts
 from .morse import (MatchingComplex, MaterializationLimitError,
-                    build_matching_complex, cone_pair, embed_faces,
-                    induced_inclusion, matching_complex_f_vector)
+                    build_matching_complex, cone_pair, induced_inclusion,
+                    matching_complex_f_vector)
 from .specs import SpecError, build_from_spec, canonical_spec, load_facet_file
 from .verify import VerificationReport, default_suite
 
@@ -29,13 +29,13 @@ __all__ = [
     "BudgetExceededError", "SimplicialComplex", "build_boundary",
     "build_simplex", "cone", "euler_characteristic", "f_vector",
     "face_mask", "face_vertices", "is_full_subcomplex", "relabel", "skeleton", "star_link",
-    "CriticalReport", "HasseDiagram", "build_hasse", "critical_faces",
-    "is_acyclic", "is_matching",
+    "HasseDiagram", "build_hasse", "critical_faces", "is_acyclic",
+    "is_matching",
     "ChainComplex", "HomologyResult", "SparseIntMatrix", "boundary_matrices",
     "homology", "relative_homology", "smith_normal_form",
     "LayerSystem", "enumerate_optimal", "matching_counts",
     "MatchingComplex", "MaterializationLimitError", "build_matching_complex",
-    "cone_pair", "embed_faces", "induced_inclusion", "matching_complex_f_vector",
+    "cone_pair", "induced_inclusion", "matching_complex_f_vector",
     "SpecError", "build_from_spec", "canonical_spec", "load_facet_file",
     "VerificationReport", "default_suite",
     "__version__",

@@ -23,12 +23,12 @@ from pathlib import Path
 from . import __version__
 from .cache import (cache_get, cache_key, cache_put, default_cache_dir,
                     faces_to_document)
-from .complexes import BudgetExceededError, f_vector
+from .complexes import BudgetExceededError, f_vector, relabel
 from .hasse import build_hasse
 from .homology import homology, relative_homology
 from .layers import LayeredInfeasibleError, enumerate_optimal
 from .morse import (MaterializationLimitError, build_matching_complex,
-                    embed_faces, induced_inclusion, matching_complex_f_vector)
+                    induced_inclusion, matching_complex_f_vector)
 from .specs import SpecError, build_from_spec, canonical_spec, spec_file
 from .verify import CHECK_NAMES, default_suite, runs_euler_n4
 
@@ -152,8 +152,8 @@ def cmd_homology(args) -> int:
                 sub = build_from_spec(rel_spec)
                 msub = build_matching_complex(sub, args.variant,
                                               max_faces=args.budget)
-                emb = embed_faces(msub.complex, induced_inclusion(sub, K),
-                                  mc.edge_count)
+                emb = relabel(msub.complex, induced_inclusion(sub, K),
+                              mc.edge_count)
                 h = relative_homology(mc.complex, emb, reduced=reduced)
             else:
                 h = homology(mc.complex, reduced=reduced)

@@ -10,36 +10,34 @@ m = edge_count(L) Hasse edges in the same order: the induced
 inclusion of L into K is range(m), a matching of L is a matching of K, and
 a matching of K restricts to L as `mask & ((1 << m) - 1)`.
 
+Edge e runs from gid `lower[e]` up to gid `upper[e]` in layer
+`layer_of[e]`, a face's dimension is its bit count minus one, and
+`edge(lo, up)` finds an edge from its two faces.
+
 Matchings are edge-index bitmasks (Python ints).  A directed cycle in a
 modified Hasse diagram can only alternate between two adjacent dimensions,
 so acyclicity is decided layer by layer: adding a pair (lo, up) creates a
 cycle exactly when the layer digraph already has a directed path from `up`
 back down to `lo` through matched pairs.  `_layer_path_exists` is that one
 test; the layer enumerator in `layers` and `is_acyclic` both use it.
-Enumeration and counting live in `layers`.
+`critical_faces(H, mask)` returns the faces the matching leaves
+unmatched as one list per dimension: entry d lists the critical d-faces
+in canonical order, for d = 0 .. dim of the base.  Enumeration and
+counting live in `layers`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .complexes import Face, SimplicialComplex, face_vertices
 
 
-@dataclass
-class CriticalReport:
-    """Unmatched faces grouped by dimension."""
-    by_dim: list[list[Face]]
-    counts: list[int]
-
-
 class HasseDiagram:
     """Indexed codimension-1 cover relation of a complex."""
 
-    __slots__ = ("base", "offsets", "face_of_gid", "dim_of_gid", "facets_of",
-                 "edges", "edge_count", "lower", "upper", "layer_of",
-                 "edges_up", "edges_down", "edge_index")
+    __slots__ = ("base", "offsets", "face_of_gid", "facets_of", "edge_count",
+                 "lower", "upper", "layer_of", "edges_up", "edges_down")
 
     def __init__(self, K: SimplicialComplex):
         if K.is_void:
@@ -49,21 +47,21 @@ class HasseDiagram:
         for lst in K.faces_by_dim:
             self.offsets.append(self.offsets[-1] + len(lst))
         self.face_of_gid: list[Face] = [f for f in K.faces()]
-        self.dim_of_gid: list[int] = []
-        for d, lst in enumerate(K.faces_by_dim):
-            self.dim_of_gid.extend([d] * len(lst))
-
-        def gid(d: int, pos: int) -> int:
-            return self.offsets[d] + pos
 
         # facet gids per face (empty for vertices), ascending; every facet
         # is present because the complex is downward closed.  Clearing a
-        # higher bit gives a lex-smaller facet.
+        # higher bit gives a lex-smaller facet.  A face's gid is its entry's
+        # index in facets_of, and its cover edges are built with it.
         index = K.face_index
         self.facets_of: list[tuple[int, ...]] = [()] * self.offsets[1]
+        self.lower: list[int] = []
+        self.upper: list[int] = []
+        self.layer_of: list[int] = []
         for d in range(1, K.dim + 1):
             off = self.offsets[d - 1]
+            layer = []
             for f in K.faces_by_dim[d]:
+                up = len(self.facets_of)
                 subs = []
                 m = f
                 while m:
@@ -72,36 +70,34 @@ class HasseDiagram:
                     m ^= b
                 subs.reverse()
                 self.facets_of.append(tuple(subs))
-
-        edges: list[tuple[int, int]] = []
-        for d in range(1, K.dim + 1):
-            layer = []
-            for pos, f in enumerate(K.faces_by_dim[d]):
-                up = gid(d, pos)
-                for lo in self.facets_of[up]:
-                    layer.append((lo, up))
+                layer.extend((lo, up) for lo in subs)
             layer.sort()  # (lower gid, upper gid) == (lex lower, lex upper)
-            edges.extend(layer)
-        self.edges = edges
-        self.edge_count = len(edges)
-        self.lower = [e[0] for e in edges]
-        self.upper = [e[1] for e in edges]
-        self.layer_of = [self.dim_of_gid[lo] for lo, _ in edges]
-        self.edge_index = {e: i for i, e in enumerate(edges)}
+            self.lower.extend(lo for lo, _ in layer)
+            self.upper.extend(up for _, up in layer)
+            self.layer_of.extend([d - 1] * len(layer))
+        self.edge_count = len(self.lower)
 
         self.edges_up: list[list[int]] = [[] for _ in self.face_of_gid]
         self.edges_down: list[list[int]] = [[] for _ in self.face_of_gid]
-        for i, (lo, up) in enumerate(edges):
-            self.edges_up[lo].append(i)
-            self.edges_down[up].append(i)
+        for e, (lo, up) in enumerate(zip(self.lower, self.upper)):
+            self.edges_up[lo].append(e)
+            self.edges_down[up].append(e)
 
     def gid(self, face: Face) -> int:
-        """Global id of a face of the base."""
-        return self.offsets[face.bit_count() - 1] + self.base.face_index[face]
+        """Global id of a face of the base; KeyError for any other mask."""
+        return self.base.face_index[face] + self.offsets[face.bit_count() - 1]
+
+    def edge(self, lo: Face, up: Face) -> int:
+        """Index of the Hasse edge from face lo up to face up; KeyError if
+        the two faces are not a cover pair of the base."""
+        g = self.gid(up)
+        for e in self.edges_up[self.gid(lo)]:
+            if self.upper[e] == g:
+                return e
+        raise KeyError((lo, up))
 
     def edge_faces(self, e: int) -> tuple[Face, Face]:
-        lo, up = self.edges[e]
-        return self.face_of_gid[lo], self.face_of_gid[up]
+        return self.face_of_gid[self.lower[e]], self.face_of_gid[self.upper[e]]
 
     def mask_from_edges(self, edge_ids) -> int:
         m = 0
@@ -124,9 +120,9 @@ def _covered_faces(H: HasseDiagram, mask: int) -> Optional[int]:
     m = mask
     while m:
         b = m & -m
-        lo, up = H.edges[b.bit_length() - 1]
+        e = b.bit_length() - 1
         m ^= b
-        fm = (1 << lo) | (1 << up)
+        fm = (1 << H.lower[e]) | (1 << H.upper[e])
         if used & fm:
             return None
         used |= fm
@@ -186,14 +182,17 @@ def is_acyclic(H: HasseDiagram, mask: int) -> bool:
     return True
 
 
-def critical_faces(H: HasseDiagram, mask: int) -> CriticalReport:
-    """Faces untouched by the matching, grouped by dimension."""
+def critical_faces(H: HasseDiagram, mask: int) -> list[list[Face]]:
+    """Faces untouched by the matching: entry d lists the critical d-faces
+    in canonical order, read off the set bits of the unmatched-gid mask."""
     used = _covered_faces(H, mask)
     if used is None:
         raise ValueError("input is not a matching")
-    K = H.base
-    by_dim: list[list[Face]] = [[] for _ in range(K.dim + 1)]
-    for g, f in enumerate(H.face_of_gid):
-        if not (used >> g) & 1:
-            by_dim[H.dim_of_gid[g]].append(f)
-    return CriticalReport(by_dim, [len(lst) for lst in by_dim])
+    by_dim: list[list[Face]] = [[] for _ in range(H.base.dim + 1)]
+    free = ((1 << len(H.face_of_gid)) - 1) ^ used
+    while free:
+        b = free & -free
+        f = H.face_of_gid[b.bit_length() - 1]
+        by_dim[f.bit_count() - 1].append(f)
+        free ^= b
+    return by_dim

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, cone, relabel
+from .complexes import SimplicialComplex, cone
 from .hasse import HasseDiagram, build_hasse
 from .layers import (LayerSystem, iter_matchings_of_cardinality, matching_counts,
                      max_cardinality_info, suffix_tables)
@@ -125,19 +125,7 @@ def induced_inclusion(K: SimplicialComplex, L: SimplicialComplex) -> list[int]:
         raise ValueError("K is not a subcomplex of L")
     HK = build_hasse(K)
     HL = build_hasse(L)
-    mapping = []
-    for e in range(HK.edge_count):
-        lo_f, up_f = HK.edge_faces(e)
-        mapping.append(HL.edge_index[(HL.gid(lo_f), HL.gid(up_f))])
-    return mapping
-
-
-def embed_faces(MK: SimplicialComplex, mapping: list[int],
-                target_universe: int) -> SimplicialComplex:
-    """Relabel a matching complex through an induced inclusion map."""
-    if MK.is_void:
-        return SimplicialComplex.void(target_universe)
-    return relabel(MK, mapping, target_universe)
+    return [HL.edge(*HK.edge_faces(e)) for e in range(HK.edge_count)]
 
 
 def cone_pair(K: SimplicialComplex, w0: int = 0,
@@ -155,5 +143,5 @@ def cone_pair(K: SimplicialComplex, w0: int = 0,
         raise ValueError(f"w0={w0} is not a vertex of K")
     CK, apex = cone(K)
     H = build_hasse(CK)
-    e0 = H.edge_index[(H.gid(1 << apex), H.gid((1 << w0) | (1 << apex)))]
+    e0 = H.edge(1 << apex, (1 << w0) | (1 << apex))
     return CK, apex, e0

@@ -22,8 +22,7 @@ from .layers import (LayeredInfeasibleError, LayerSystem, enumerate_optimal,
                      profile_counts, suffix_tables)
 from .homology import homology, relative_homology
 from .morse import (MaterializationLimitError, build_matching_complex,
-                    cone_pair, embed_faces, induced_inclusion,
-                    matching_complex_f_vector)
+                    cone_pair, induced_inclusion, matching_complex_f_vector)
 from .specs import build_from_spec
 
 DEFAULT_BUDGET = 10_000_000
@@ -137,9 +136,9 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
         psi: dict[int, int] = {}
         for G in masks_b:
             crit = critical_faces(HB, G)
-            top_crit = crit.by_dim[n - 1]
-            _ensure(len(top_crit) == 1 and crit.counts[0] == 1
-                    and sum(crit.counts) == 2,
+            top_crit = crit[n - 1]
+            _ensure(len(top_crit) == 1 and len(crit[0]) == 1
+                    and sum(map(len, crit)) == 2,
                     "boundary matching lacks the expected two critical faces",
                     lambda: _edge_pairs(HB, G))
             # the simplex's edges after the boundary's are the pairs
@@ -219,8 +218,8 @@ def verify_spanning_tree(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRe
         trees: set[frozenset] = set()
         for mask in masks:
             crit = critical_faces(H, mask)
-            u_faces = crit.by_dim[n - 2]
-            _ensure(len(u_faces) == n and crit.counts[0] == 1,
+            u_faces = crit[n - 2]
+            _ensure(len(u_faces) == n and len(crit[0]) == 1,
                     "unexpected critical face counts on the skeleton",
                     lambda: _edge_pairs(H, mask))
             edges = [_facet_graph_edge(u, n) for u in u_faces]
@@ -332,8 +331,8 @@ def verify_pair_splitting(pairs: list[tuple[str, str]],
             MK = build_matching_complex(K, "M", max_faces=budget)
             hL = homology(ML.complex, reduced=True)
             hK = homology(MK.complex, reduced=True)
-            emb = embed_faces(MK.complex, induced_inclusion(K, L),
-                              ML.hasse.edge_count)
+            emb = relabel(MK.complex, induced_inclusion(K, L),
+                          ML.hasse.edge_count)
             rel = relative_homology(ML.complex, emb, reduced=True)
             top = max(ML.complex.dim + 1, 0)
             for d in range(top + 1):
@@ -386,7 +385,7 @@ def verify_inclusion_full(k_spec: str, l_spec: str,
         ML = build_matching_complex(L, "M", max_faces=budget)
         mapping = induced_inclusion(K, L)
         _ensure(len(set(mapping)) == len(mapping), "induced vertex map not injective")
-        emb = embed_faces(MK.complex, mapping, ML.hasse.edge_count)
+        emb = relabel(MK.complex, mapping, ML.hasse.edge_count)
         _ensure(ML.complex.contains_complex(emb),
                 "image of a face is not a face (map not simplicial)")
         _ensure(is_full_subcomplex(ML.complex, emb), "image is not full")
@@ -408,7 +407,9 @@ def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
     the boundary of F_i with apex i = sigma minus F_i.  Model vertex j < n
     goes to the j-th vertex of F_i, the apex to i, and each model Hasse
     edge to the edge of the simplex between the image faces.  That edge
-    map must be injective and carry the model's GM complex onto the link.
+    map must be injective and carry the model's GM complex onto the link,
+    so the reference invariants, checked once on the model, hold for every
+    link.
     """
     def check() -> dict:
         if n not in (2, 3):
@@ -448,38 +449,37 @@ def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
                     "link of apex pair differs from the predicted subcomplex",
                     lambda: {"edge": e})
 
-        details: dict = {"apex_pairs": len(e_list)}
         model = build_matching_complex(cone(build_boundary(n - 1))[0], "GM",
                                        max_faces=budget)
+        Lm = model.complex
+        fv = f_vector(Lm)
+        if n == 2:
+            _ensure(fv == [4, 3], f"link f-vector {fv} != [4, 3]")
+            pos = {v: i for i, v in enumerate(Lm.vertices())}
+            edges = [tuple(pos[v] for v in face_vertices(f))
+                     for f in Lm.faces_by_dim[1]]
+            _ensure(_is_spanning_tree(edges, 4), "link is not a tree")
+        else:
+            _ensure(fv == [21, 162, 570, 924, 612, 116],
+                    f"link f-vector {fv} is wrong")
+            _ensure(euler_characteristic(Lm) == 1, "link Euler characteristic != 1")
+            hL = homology(Lm, reduced=True)
+            _ensure(hL.nonzero() == {3: (2, ()), 4: (2, ())},
+                    f"link homology {hL.nonzero()} != Z^2 in degrees 3 and 4")
+        details: dict = {"apex_pairs": len(e_list), "link_f_vector": fv}
+
         sigma = H.face_of_gid[sigma_gid]
         for e in e_list:
             _ensure(bool(links[e]), "apex pair has an empty link")
             Li = SimplicialComplex.from_faces(links[e], H.edge_count)
-            fv = f_vector(Li)
-            if n == 2:
-                _ensure(fv == [4, 3], f"link f-vector {fv} != [4, 3]")
-                pos = {v: i for i, v in enumerate(Li.vertices())}
-                edges = [tuple(pos[v] for v in face_vertices(f))
-                         for f in Li.faces_by_dim[1]]
-                _ensure(_is_spanning_tree(edges, 4), "link is not a tree")
-            else:
-                _ensure(fv == [21, 162, 570, 924, 612, 116],
-                        f"link f-vector {fv} is wrong")
-                _ensure(euler_characteristic(Li) == 1, "link Euler characteristic != 1")
-                hL = homology(Li, reduced=True)
-                _ensure(hL.nonzero() == {3: (2, ()), 4: (2, ())},
-                        f"link homology {hL.nonzero()} != Z^2 in degrees 3 and 4")
             f_i = H.face_of_gid[H.lower[e]]
             bits = [1 << v for v in face_vertices(f_i)] + [sigma ^ f_i]
-            edge_map = []
-            for me in range(model.edge_count):
-                lo, up = (sum(bits[v] for v in face_vertices(f))
-                          for f in model.hasse.edge_faces(me))
-                edge_map.append(H.edge_index[(H.gid(lo), H.gid(up))])
+            edge_map = [H.edge(*(sum(bits[v] for v in face_vertices(f))
+                                 for f in model.hasse.edge_faces(me)))
+                        for me in range(model.edge_count)]
             _ensure(len(set(edge_map)) == len(edge_map)
-                    and relabel(model.complex, edge_map, H.edge_count) == Li,
+                    and relabel(Lm, edge_map, H.edge_count) == Li,
                     "link is not isomorphic to the cone model")
-            details["link_f_vector"] = fv
         return details
 
     return _run("gm-structure", {"n": n}, check)

@@ -212,8 +212,8 @@ def test_criterion_10_property_suites():
         betti = [homology(K, reduced=False).betti(d) for d in range(K.dim + 1)]
         all_masks = acyclic_matchings(HK)
         for mask in rng.sample(all_masks, min(200, len(all_masks))):
-            rep = critical_faces(HK, mask)
-            assert all(mi >= bi for mi, bi in zip(rep.counts, betti))
+            crit = critical_faces(HK, mask)
+            assert all(len(ci) >= bi for ci, bi in zip(crit, betti))
 
     # Euler-Betti consistency on every complex computed here
     for K in corpus:

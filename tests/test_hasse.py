@@ -12,7 +12,8 @@ from morsematch.layers import (LayerSystem, enumerate_optimal,
                                max_cardinality_info, matching_counts,
                                suffix_tables)
 
-from oracles import brute_force_counts, modified_digraph_acyclic
+from oracles import all_matchings, brute_force_counts, modified_digraph_acyclic
+from test_layers import CORPUS
 
 TABLE1_M_D3 = [28, 300, 1544, 3932, 4632, 2128, 256]
 TABLE1_M_BD3 = [24, 216, 896, 1692, 1248, 256]
@@ -122,7 +123,7 @@ def test_layered_agrees_with_whole_digraph_oracle():
             mask = 0
             used = 0
             for e in rng.sample(range(H.edge_count), H.edge_count):
-                lo, up = H.edges[e]
+                lo, up = H.lower[e], H.upper[e]
                 fm = (1 << lo) | (1 << up)
                 if rng.random() < 0.4 and not used & fm:
                     mask |= 1 << e
@@ -179,18 +180,38 @@ def test_critical_faces():
     masks = optimal_walk(H)
     assert len(masks) == count
     for mask in masks:
-        rep = critical_faces(H, mask)
-        assert rep.counts == [1, 0, 0, 0]
-        assert sum(rep.counts) + 2 * bin(mask).count("1") == d3.total_faces()
+        counts = [len(faces) for faces in critical_faces(H, mask)]
+        assert counts == [1, 0, 0, 0]
+        assert sum(counts) + 2 * bin(mask).count("1") == d3.total_faces()
 
     Hb = build_hasse(build_boundary(3))
     for mask in optimal_walk(Hb):
-        rep = critical_faces(Hb, mask)
-        assert rep.counts == [1, 0, 1]  # one vertex and one top face
+        counts = [len(faces) for faces in critical_faces(Hb, mask)]
+        assert counts == [1, 0, 1]  # one vertex and one top face
 
     H1 = build_hasse(build_simplex(1))
-    rep = critical_faces(H1, 0)
-    assert rep.counts == [2, 1]
+    assert [len(faces) for faces in critical_faces(H1, 0)] == [2, 1]
+
+
+def test_critical_faces_and_edges_agree_with_gid_scan():
+    for K in CORPUS:
+        H = build_hasse(K)
+        for mask in [0] + all_matchings(H, "all"):
+            matched = set()
+            for e in face_vertices(mask):
+                matched |= {H.lower[e], H.upper[e]}
+            want = [[] for _ in range(K.dim + 1)]
+            for g, f in enumerate(H.face_of_gid):
+                if g not in matched:
+                    want[len(face_vertices(f)) - 1].append(f)
+            assert critical_faces(H, mask) == want
+        for e in range(H.edge_count):
+            assert H.edge(*H.edge_faces(e)) == e
+        # reversed, same dimension, and a coface outside the base
+        lo, up = H.edge_faces(H.edge_count - 1)
+        for pair in [(up, lo), (lo, lo), (lo, lo | 1 << K.vertex_count)]:
+            with pytest.raises(KeyError):
+                H.edge(*pair)
 
 
 def test_weak_morse_inequalities():
@@ -203,8 +224,8 @@ def test_weak_morse_inequalities():
         masks = walked(H, acyclic=True)
         sample = masks if len(masks) <= 300 else rng.sample(masks, 300)
         for mask in sample:
-            rep = critical_faces(H, mask)
-            assert all(m_i >= b_i for m_i, b_i in zip(rep.counts, betti))
+            crit = critical_faces(H, mask)
+            assert all(len(c_i) >= b_i for c_i, b_i in zip(crit, betti))
 
 
 def test_optimal_counts_small():

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, cone, euler_characteristic,
-                                  face_mask, skeleton)
+                                  face_mask, relabel, skeleton)
 from morsematch.homology import (SparseIntMatrix, _chain, boundary_matrices,
                                  homology, relative_homology,
                                  smith_normal_form)
-from morsematch.morse import (build_matching_complex, embed_faces,
-                              induced_inclusion)
+from morsematch.morse import build_matching_complex, induced_inclusion
 from morsematch.specs import build_from_spec
 
 from oracles import snf_divisors_sympy
@@ -191,7 +190,7 @@ def test_relative_homology_rejects_non_subcomplex():
 
 def test_relative_homology_of_matching_pair(m_d3, m_bd3, d3, bd3):
     mapping = induced_inclusion(bd3, d3)
-    emb = embed_faces(m_bd3.complex, mapping, 28)
+    emb = relabel(m_bd3.complex, mapping, 28)
     rel = relative_homology(m_d3.complex, emb)
     assert rel.nonzero() == {4: (96, ())}
 
@@ -200,7 +199,7 @@ def test_relative_homology_simplex_pair_with_triangle(m_d3, d3, d2):
     from morsematch.morse import build_matching_complex
     m_d2 = build_matching_complex(d2, "M")
     mapping = induced_inclusion(d2, d3)
-    emb = embed_faces(m_d2.complex, mapping, 28)
+    emb = relabel(m_d2.complex, mapping, 28)
     rel = relative_homology(m_d3.complex, emb)
     # forced by the cone splitting: degree 4 from the simplex side and the
     # wedge of four circles shifted up one degree
@@ -261,7 +260,7 @@ def test_cleared_homology_matches_uncleared_and_sympy(reduced):
 @pytest.mark.parametrize("reduced", [True, False])
 def test_cleared_relative_homology_matches_uncleared(m_d3, m_bd3, d3, bd3,
                                                      reduced):
-    emb = embed_faces(m_bd3.complex, induced_inclusion(bd3, d3), 28)
+    emb = relabel(m_bd3.complex, induced_inclusion(bd3, d3), 28)
     rel = relative_homology(m_d3.complex, emb, reduced)
     assert rel.nonzero() == {4: (96, ())}
     cc = _chain(m_d3.complex, emb.face_index, False)

@@ -2,10 +2,11 @@ import pytest
 
 from morsematch.complexes import (build_boundary, build_simplex, cone,
                                   euler_characteristic, f_vector, face_mask,
-                                  face_vertices, is_full_subcomplex, skeleton)
+                                  face_vertices, is_full_subcomplex, relabel,
+                                  skeleton)
 from morsematch.hasse import build_hasse, is_acyclic, is_matching
 from morsematch.morse import (MaterializationLimitError, build_matching_complex,
-                              cone_pair, embed_faces, induced_inclusion,
+                              cone_pair, induced_inclusion,
                               matching_complex_f_vector)
 
 from oracles import modified_digraph_acyclic
@@ -115,7 +116,7 @@ def test_induced_inclusion_boundary_into_simplex(d3, bd3, m_d3, m_bd3):
     mapping = induced_inclusion(bd3, d3)
     assert len(mapping) == 24
     assert len(set(mapping)) == 24
-    emb = embed_faces(m_bd3.complex, mapping, 28)
+    emb = relabel(m_bd3.complex, mapping, 28)
     assert m_d3.complex.contains_complex(emb)
     assert is_full_subcomplex(m_d3.complex, emb)
 

@@ -3,8 +3,8 @@ import time
 import pytest
 
 from morsematch import verify
-from morsematch.complexes import cone, skeleton
-from morsematch.hasse import CriticalReport
+from morsematch.complexes import build_boundary, cone, relabel, skeleton
+from morsematch.morse import MatchingComplex
 from morsematch.verify import (default_suite, verify_cone_contiguity,
                                verify_conjecture_evidence,
                                verify_euler_obstruction_n4,
@@ -53,8 +53,8 @@ def test_spanning_tree_specific_matching():
             if H.edge_faces(e) == (face_mask(lo), face_mask(up)):
                 mask |= 1 << e
     crit = critical_faces(H, mask)
-    assert crit.by_dim[0] == [face_mask((0,))]
-    edges = [_facet_graph_edge(u, 3) for u in crit.by_dim[1]]
+    assert crit[0] == [face_mask((0,))]
+    edges = [_facet_graph_edge(u, 3) for u in crit[1]]
     assert edges == [(0, 3), (0, 2), (0, 1)]  # a star centered at F_0
     assert len({v for e in edges for v in e}) == 4
 
@@ -162,9 +162,31 @@ def test_gm_structure():
 
 def test_gm_structure_fails_on_a_wrong_link_model(monkeypatch):
     # the cone over the vertices of the boundary of the 2-simplex is not the
-    # cone over the whole boundary, so no link can equal its image
+    # cone over the whole boundary; the invariants checked on the model
+    # already tell them apart
     monkeypatch.setattr(verify, "cone", lambda K: cone(skeleton(K, 0)))
     r = verify_gm_structure(3)
+    assert r.status == "fail"
+    assert r.details["message"] == "link f-vector [6, 9, 4] is wrong"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gm_structure_fails_on_a_relabelled_link_model(monkeypatch, n):
+    # reversing the model's vertex order keeps every invariant of the model
+    # but breaks the edge map, so only the isomorphism check can fail
+    build = verify.build_matching_complex
+    model_base = cone(build_boundary(n - 1))[0]
+
+    def build_reversed_model(K, variant, max_faces):
+        mc = build(K, variant, max_faces=max_faces)
+        if K != model_base:
+            return mc
+        m = mc.edge_count
+        return MatchingComplex(variant, K, mc.hasse,
+                               relabel(mc.complex, range(m - 1, -1, -1), m))
+
+    monkeypatch.setattr(verify, "build_matching_complex", build_reversed_model)
+    r = verify_gm_structure(n)
     assert r.status == "fail"
     assert r.details["message"] == "link is not isomorphic to the cone model"
 
@@ -202,7 +224,7 @@ def test_euler_obstruction_computes_without_data():
 def test_failed_check_carries_its_witness(monkeypatch):
     import morsematch.verify as verify_mod
     monkeypatch.setattr(verify_mod, "critical_faces",
-                        lambda H, mask: CriticalReport([[], []], [0, 0]))
+                        lambda H, mask: [[], []])
     r = verify_spanning_tree(3)
     assert r.status == "fail"
     assert r.details == {
