@@ -12,7 +12,9 @@ a matching of K restricts to L as `mask & ((1 << m) - 1)`.
 
 Edge e runs from gid `lower[e]` up to gid `upper[e]` in layer
 `layer_of[e]`, a face's dimension is its bit count minus one, and
-`edge(lo, up)` finds an edge from its two faces.
+`edge(lo, up)` finds an edge from its two faces.  `edges_up[g]` lists the
+edges leaving face g upward; the edges into g join it to the faces
+`facets_of[g]` names, so they are found with `edge` and not stored.
 
 Matchings are edge-index bitmasks (Python ints).  A directed cycle in a
 modified Hasse diagram can only alternate between two adjacent dimensions,
@@ -37,7 +39,7 @@ class HasseDiagram:
     """Indexed codimension-1 cover relation of a complex."""
 
     __slots__ = ("base", "offsets", "face_of_gid", "facets_of", "edge_count",
-                 "lower", "upper", "layer_of", "edges_up", "edges_down")
+                 "lower", "upper", "layer_of", "edges_up")
 
     def __init__(self, K: SimplicialComplex):
         if K.is_void:
@@ -78,10 +80,8 @@ class HasseDiagram:
         self.edge_count = len(self.lower)
 
         self.edges_up: list[list[int]] = [[] for _ in self.face_of_gid]
-        self.edges_down: list[list[int]] = [[] for _ in self.face_of_gid]
-        for e, (lo, up) in enumerate(zip(self.lower, self.upper)):
+        for e, lo in enumerate(self.lower):
             self.edges_up[lo].append(e)
-            self.edges_down[up].append(e)
 
     def gid(self, face: Face) -> int:
         """Global id of a face of the base; KeyError for any other mask."""

@@ -14,9 +14,10 @@ shifted int add; no slot can overflow (see `suffix_tables`).
 Only a face that is an upper face of layer d-1 and a lower face of layer d
 (dimension >= 1, at least one coface) can be claimed from both sides, so
 only those faces are tracked by the subset tables.  A dimension with more
-than WIDTH_LIMIT tracked faces is refused with LayeredInfeasibleError.
-Vertices and top faces are never tracked, so every 1-dimensional complex
-is admitted.
+than WIDTH_LIMIT tracked faces is refused with LayeredInfeasibleError by
+`check_width`, which reads the faces alone, so a caller can refuse a
+complex before building its Hasse diagram.  Vertices and top faces are
+never tracked, so every 1-dimensional complex is admitted.
 
 There is one walk over the per-layer product, `iter_matchings_of_cardinality`:
 with a target it yields the matchings of that size, the suffix tables
@@ -33,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
+from .complexes import SimplicialComplex
 from .hasse import HasseDiagram, _layer_path_exists
 
 WIDTH_LIMIT = 18  # largest subset table: 2^WIDTH_LIMIT entries
@@ -40,6 +42,25 @@ WIDTH_LIMIT = 18  # largest subset table: 2^WIDTH_LIMIT entries
 
 class LayeredInfeasibleError(RuntimeError):
     """A dimension has more tracked faces than a subset table may index."""
+
+
+def check_width(K: SimplicialComplex) -> None:
+    """Raise LayeredInfeasibleError for the lowest dimension of K with more
+    than WIDTH_LIMIT tracked faces: faces of dimension d >= 1 that some
+    (d+1)-face contains."""
+    for d in range(1, K.dim):
+        tracked = set()
+        for f in K.faces_by_dim[d + 1]:
+            m = f
+            while m:
+                b = m & -m
+                tracked.add(f ^ b)
+                m ^= b
+        if len(tracked) > WIDTH_LIMIT:
+            raise LayeredInfeasibleError(
+                f"dimension {d} has {len(tracked)} tracked faces; its "
+                f"subset table would need 2^{len(tracked)} entries "
+                f"(limit 2^{WIDTH_LIMIT})")
 
 
 @dataclass
@@ -68,6 +89,7 @@ class LayerSystem:
     """
 
     def __init__(self, H: HasseDiagram):
+        check_width(H.base)
         self.H = H
         self.D = H.base.dim  # number of layers
         order: list[list[int]] = []
@@ -75,11 +97,6 @@ class LayerSystem:
         for d in range(self.D + 1):
             gids = range(H.offsets[d], H.offsets[d + 1])
             shared = [g for g in gids if d and H.edges_up[g]]
-            if len(shared) > WIDTH_LIMIT:
-                raise LayeredInfeasibleError(
-                    f"dimension {d} has {len(shared)} tracked faces; its "
-                    f"subset table would need 2^{len(shared)} entries "
-                    f"(limit 2^{WIDTH_LIMIT})")
             order.append(shared + [g for g in gids if not (d and H.edges_up[g])])
             self.tracked.append(len(shared))
         self.tracked_mask = [(1 << t) - 1 for t in self.tracked]

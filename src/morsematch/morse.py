@@ -21,8 +21,8 @@ from typing import Optional
 
 from .complexes import SimplicialComplex, cone
 from .hasse import HasseDiagram, build_hasse
-from .layers import (LayerSystem, iter_matchings_of_cardinality, matching_counts,
-                     max_cardinality_info, suffix_tables)
+from .layers import (LayerSystem, check_width, iter_matchings_of_cardinality,
+                     matching_counts, max_cardinality_info, suffix_tables)
 
 VARIANTS = ("M", "MP", "GM")
 
@@ -62,6 +62,7 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if K.is_void or K.dim == 0:
         return MatchingComplex(variant, K, None, SimplicialComplex.void(0))
+    check_width(K)
     H = build_hasse(K)
     ls = LayerSystem(H)
     acyclic = variant != "GM"
@@ -110,8 +111,8 @@ def matching_complex_f_vector(K: SimplicialComplex, variant: str,
     if variant == "MP":
         from .complexes import f_vector
         return f_vector(build_matching_complex(K, "MP", max_faces).complex)
-    H = build_hasse(K)
-    return matching_counts(H, "all" if variant == "GM" else "acyclic")
+    check_width(K)
+    return matching_counts(build_hasse(K), "all" if variant == "GM" else "acyclic")
 
 
 def induced_inclusion(K: SimplicialComplex, L: SimplicialComplex) -> list[int]:

@@ -20,10 +20,11 @@ from .hasse import HasseDiagram, build_hasse, critical_faces, is_acyclic, is_mat
 from .layers import (LayeredInfeasibleError, LayerSystem, enumerate_optimal,
                      iter_matchings_of_cardinality, max_cardinality_info,
                      profile_counts, suffix_tables)
-from .homology import homology, relative_homology
-from .morse import (MaterializationLimitError, build_matching_complex,
-                    cone_pair, induced_inclusion, matching_complex_f_vector)
-from .specs import build_from_spec
+from .homology import HomologyResult, homology, relative_homology
+from .morse import (MatchingComplex, MaterializationLimitError,
+                    build_matching_complex, cone_pair, induced_inclusion,
+                    matching_complex_f_vector)
+from .specs import build_from_spec, canonical_spec
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -89,6 +90,30 @@ def _edge_pairs(H: HasseDiagram, mask: int) -> list[list[list[int]]]:
         lo, up = H.edge_faces(e)
         out.append([face_vertices(lo), face_vertices(up)])
     return out
+
+
+# (canonical spec, variant) -> reduced homology of that matching complex,
+# shared by the checks of one `default_suite` call and None outside one, so
+# a verifier called on its own computes everything itself.  Only the
+# results are kept: holding the complexes too would raise the peak memory.
+_memo: Optional[dict[tuple[str, str], HomologyResult]] = None
+
+
+def _reduced_homology(spec: str, variant: str, budget: int,
+                      mc: Optional[MatchingComplex] = None) -> HomologyResult:
+    """Reduced homology of the variant's matching complex of spec, read
+    from the suite's memo when an earlier check computed it.  On a miss
+    the complex `mc` is reduced, or built first when the caller has none."""
+    key = (canonical_spec(spec), variant)
+    if _memo is not None and key in _memo:
+        return _memo[key]
+    if mc is None:
+        mc = build_matching_complex(build_from_spec(spec), variant,
+                                    max_faces=budget)
+    h = homology(mc.complex, reduced=True)
+    if _memo is not None:
+        _memo[key] = h
+    return h
 
 
 def _optimal_masks(H: HasseDiagram, budget: int) -> tuple[int, list[int]]:
@@ -215,18 +240,24 @@ def verify_spanning_tree(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRe
         sk = skeleton(build_simplex(n), n - 2)
         H = build_hasse(sk)
         _, masks = _optimal_masks(H, budget)
-        trees: set[frozenset] = set()
+        # the critical (n-2)-face sets already found to be trees.  An
+        # (n-2)-face is the edge between the two facets containing it, one
+        # to one, so distinct critical sets are distinct edge sets.  Each
+        # set is tested at the first matching that leaves it, which is the
+        # witness if it fails.
+        trees: set[tuple[int, ...]] = set()
         for mask in masks:
             crit = critical_faces(H, mask)
-            u_faces = crit[n - 2]
+            u_faces = tuple(crit[n - 2])
             _ensure(len(u_faces) == n and len(crit[0]) == 1,
                     "unexpected critical face counts on the skeleton",
                     lambda: _edge_pairs(H, mask))
-            edges = [_facet_graph_edge(u, n) for u in u_faces]
-            _ensure(_is_spanning_tree(edges, n + 1),
-                    "critical faces do not form a spanning tree",
-                    lambda: {"matching": _edge_pairs(H, mask), "edges": edges})
-            trees.add(frozenset(edges))
+            if u_faces not in trees:
+                edges = [_facet_graph_edge(u, n) for u in u_faces]
+                _ensure(_is_spanning_tree(edges, n + 1),
+                        "critical faces do not form a spanning tree",
+                        lambda: {"matching": _edge_pairs(H, mask), "edges": edges})
+                trees.add(u_faces)
         return {"count": len(masks), "distinct_trees": len(trees)}
 
     return _run("spanning-tree", {"n": n}, check)
@@ -329,8 +360,8 @@ def verify_pair_splitting(pairs: list[tuple[str, str]],
                 raise ValueError(f"{l_spec} is not the cone over {k_spec}")
             ML = build_matching_complex(L, "M", max_faces=budget)
             MK = build_matching_complex(K, "M", max_faces=budget)
-            hL = homology(ML.complex, reduced=True)
-            hK = homology(MK.complex, reduced=True)
+            hL = _reduced_homology(l_spec, "M", budget, ML)
+            hK = _reduced_homology(k_spec, "M", budget, MK)
             emb = relabel(MK.complex, induced_inclusion(K, L),
                           ML.hasse.edge_count)
             rel = relative_homology(ML.complex, emb, reduced=True)
@@ -357,8 +388,8 @@ def verify_les_example(budget: int = DEFAULT_BUDGET) -> VerificationReport:
         bd3 = build_boundary(3)
         Md3 = build_matching_complex(d3, "M", max_faces=budget)
         Mbd3 = build_matching_complex(bd3, "M", max_faces=budget)
-        hA = homology(Md3.complex, reduced=True)
-        hB = homology(Mbd3.complex, reduced=True)
+        hA = _reduced_homology("simplex:3", "M", budget, Md3)
+        hB = _reduced_homology("boundary:3", "M", budget, Mbd3)
         _ensure(induced_inclusion(bd3, d3) == list(range(Mbd3.edge_count)),
                 "the boundary's Hasse edges are not a prefix of the simplex's")
         rel = relative_homology(Md3.complex, Mbd3.complex, reduced=True)
@@ -424,7 +455,9 @@ def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
         boundary_faces = set(GB.complex.faces())
 
         sigma_gid = H.offsets[n]
-        e_list = H.edges_down[sigma_gid]  # the n+1 apex pairs (F_i, sigma)
+        sigma = H.face_of_gid[sigma_gid]
+        # the n+1 apex pairs (F_i, sigma), F_i in lex order
+        e_list = [H.edge(H.face_of_gid[g], sigma) for g in H.facets_of[sigma_gid]]
         apex_pairs = H.mask_from_edges(e_list)
 
         links: dict[int, set] = {e: set() for e in e_list}
@@ -443,7 +476,9 @@ def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
         # each link must equal the boundary matchings avoiding edges at F_i
         for e in e_list:
             f_i_gid = H.lower[e]
-            banned = H.mask_from_edges(H.edges_up[f_i_gid] + H.edges_down[f_i_gid])
+            f_i = H.face_of_gid[f_i_gid]
+            into_f_i = [H.edge(H.face_of_gid[g], f_i) for g in H.facets_of[f_i_gid]]
+            banned = H.mask_from_edges(H.edges_up[f_i_gid] + into_f_i)
             expected = {f for f in boundary_faces if not f & banned}
             _ensure(links[e] == expected,
                     "link of apex pair differs from the predicted subcomplex",
@@ -468,7 +503,6 @@ def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
                     f"link homology {hL.nonzero()} != Z^2 in degrees 3 and 4")
         details: dict = {"apex_pairs": len(e_list), "link_f_vector": fv}
 
-        sigma = H.face_of_gid[sigma_gid]
         for e in e_list:
             _ensure(bool(links[e]), "apex pair has an empty link")
             Li = SimplicialComplex.from_faces(links[e], H.edge_count)
@@ -507,16 +541,17 @@ def verify_reference_tables(budget: int = DEFAULT_BUDGET) -> VerificationReport:
 
     def check() -> dict:
         for (spec, variant), want in TABLE_H.items():
-            mc = build_matching_complex(build_from_spec(spec), variant,
-                                        max_faces=budget)
+            mc = None
             if (spec, variant) in TABLE_F:
+                mc = build_matching_complex(build_from_spec(spec), variant,
+                                            max_faces=budget)
                 fv_want, chi_want = TABLE_F[spec, variant]
                 fv = f_vector(mc.complex)
                 chi = euler_characteristic(mc.complex)
                 _ensure(fv == fv_want, f"f-vector of {variant}({spec}) is {fv}",
                         lambda: {"expected": fv_want})
                 _ensure(chi == chi_want, f"chi of {variant}({spec}) is {chi}")
-            h = homology(mc.complex, reduced=True)
+            h = _reduced_homology(spec, variant, budget, mc)
             _ensure(h.nonzero() == want,
                     f"homology of {variant}({spec}) is {h.nonzero()}",
                     lambda: {"expected": {str(k): list(v) for k, v in want.items()}})
@@ -565,10 +600,8 @@ def verify_conjecture_evidence(variant: str, n: int,
     def check() -> dict:
         if n < 2:
             raise CheckFailure("requires n >= 2")
-        a = build_matching_complex(build_simplex(n), variant, max_faces=budget)
-        b = build_matching_complex(build_boundary(n), variant, max_faces=budget)
-        ha = homology(a.complex, reduced=True)
-        hb = homology(b.complex, reduced=True)
+        ha = _reduced_homology(f"simplex:{n}", variant, budget)
+        hb = _reduced_homology(f"boundary:{n}", variant, budget)
         _ensure(ha.nonzero() == hb.nonzero(),
                 f"homology differs: {ha.nonzero()} vs {hb.nonzero()}")
         return {"label": "conjecture evidence (homology equality only)",
@@ -587,7 +620,10 @@ def default_suite(max_n: int = 3, budget: int = DEFAULT_BUDGET,
 
     Checks with fixed instances above max_n are excluded from a full run but
     still execute when requested by name, reporting their own budget status.
+    The checks of one call reduce each matching complex once; nothing is
+    kept from one call to the next.
     """
+    global _memo
     if only is not None and only not in CHECK_NAMES:
         raise ValueError(f"unknown check name {only!r}")
     explicit = only is not None
@@ -596,48 +632,52 @@ def default_suite(max_n: int = 3, budget: int = DEFAULT_BUDGET,
     def want(name: str) -> bool:
         return only is None or only == name
 
-    if want("reference-tables") and (max_n >= 3 or explicit):
-        reports.append(verify_reference_tables(budget))
-    if want("top-facet-bijection"):
-        for n in range(2, max_n + 1):
-            reports.append(verify_top_facet_bijection(n, budget))
-    if want("layer-counts"):
-        for n in range(2, max_n + 1):
-            reports.append(verify_layer_counts(n, budget))
-    if want("spanning-tree"):
-        for n in range(3, max_n + 1):
-            reports.append(verify_spanning_tree(n, budget))
-    if want("restriction-fibers"):
-        for n in range(3, max_n + 1):
-            reports.append(verify_restriction_fibers(n, budget))
-    if want("cone-contiguity"):
-        for spec in ("simplex:1", "boundary:2", "simplex:2"):
-            reports.append(verify_cone_contiguity(spec, 0, budget))
-    if want("pair-splitting"):
-        pairs = [("simplex:1", "simplex:0"), ("simplex:2", "simplex:1")]
-        if max_n >= 3 or explicit:
-            pairs.append(("simplex:3", "simplex:2"))
-        reports.append(verify_pair_splitting(pairs, budget))
-    if want("les-example") and (max_n >= 3 or explicit):
-        reports.append(verify_les_example(budget))
-    if want("inclusion-full"):
-        instances = [("boundary:2", "simplex:2"), ("simplex:2", "simplex:2")]
-        if max_n >= 3 or explicit:
-            instances += [("boundary:3", "simplex:3"), ("simplex:2", "simplex:3")]
-        for k_spec, l_spec in instances:
-            reports.append(verify_inclusion_full(k_spec, l_spec, budget))
-    if want("gm-structure"):
-        for n in range(2, min(max_n, 3) + 1):
-            reports.append(verify_gm_structure(n, budget))
-    if want("conjecture-pure"):
-        for n in range(2, min(max_n, 3) + 1):
-            reports.append(verify_conjecture_evidence("MP", n, budget))
-    if want("conjecture-gm"):
-        for n in range(2, min(max_n, 3) + 1):
-            reports.append(verify_conjecture_evidence("GM", n, budget))
-    if runs_euler_n4(max_n, only):
-        reports.append(verify_euler_obstruction_n4(cached_n4_fvector))
-    return reports
+    _memo = {}
+    try:
+        if want("reference-tables") and (max_n >= 3 or explicit):
+            reports.append(verify_reference_tables(budget))
+        if want("top-facet-bijection"):
+            for n in range(2, max_n + 1):
+                reports.append(verify_top_facet_bijection(n, budget))
+        if want("layer-counts"):
+            for n in range(2, max_n + 1):
+                reports.append(verify_layer_counts(n, budget))
+        if want("spanning-tree"):
+            for n in range(3, max_n + 1):
+                reports.append(verify_spanning_tree(n, budget))
+        if want("restriction-fibers"):
+            for n in range(3, max_n + 1):
+                reports.append(verify_restriction_fibers(n, budget))
+        if want("cone-contiguity"):
+            for spec in ("simplex:1", "boundary:2", "simplex:2"):
+                reports.append(verify_cone_contiguity(spec, 0, budget))
+        if want("pair-splitting"):
+            pairs = [("simplex:1", "simplex:0"), ("simplex:2", "simplex:1")]
+            if max_n >= 3 or explicit:
+                pairs.append(("simplex:3", "simplex:2"))
+            reports.append(verify_pair_splitting(pairs, budget))
+        if want("les-example") and (max_n >= 3 or explicit):
+            reports.append(verify_les_example(budget))
+        if want("inclusion-full"):
+            instances = [("boundary:2", "simplex:2"), ("simplex:2", "simplex:2")]
+            if max_n >= 3 or explicit:
+                instances += [("boundary:3", "simplex:3"), ("simplex:2", "simplex:3")]
+            for k_spec, l_spec in instances:
+                reports.append(verify_inclusion_full(k_spec, l_spec, budget))
+        if want("gm-structure"):
+            for n in range(2, min(max_n, 3) + 1):
+                reports.append(verify_gm_structure(n, budget))
+        if want("conjecture-pure"):
+            for n in range(2, min(max_n, 3) + 1):
+                reports.append(verify_conjecture_evidence("MP", n, budget))
+        if want("conjecture-gm"):
+            for n in range(2, min(max_n, 3) + 1):
+                reports.append(verify_conjecture_evidence("GM", n, budget))
+        if runs_euler_n4(max_n, only):
+            reports.append(verify_euler_obstruction_n4(cached_n4_fvector))
+        return reports
+    finally:
+        _memo = None
 
 
 def runs_euler_n4(max_n: int, only: Optional[str]) -> bool:

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from morsematch import cli, morse
 from morsematch.cache import (cache_get, cache_key, cache_put,
                               default_cache_dir, document_to_faces,
                               faces_to_document)
@@ -295,15 +296,24 @@ def test_relative_homology_of_void_matching_complexes(capsys, tmp_path):
     assert all(not g["betti"] and not g["torsion"] for g in result["degrees"])
 
 
-def test_wide_complexes_refused(capsys, tmp_path):
-    for spec in ("simplex:5", "boundary:5"):
-        t0 = time.perf_counter()
-        code, out, err = run_cli(capsys, "fvector", "--complex", spec,
-                                 "--cache-dir", str(tmp_path))
-        assert time.perf_counter() - t0 < 1.0
-        assert code == 3 and out == ""
-        assert "dimension 2 has 20 tracked faces" in err
-        assert "2^20" in err
+def test_wide_complexes_refused(capsys, tmp_path, monkeypatch):
+    # the width rule reads the faces alone, so no Hasse diagram is built
+    # for a complex it refuses
+    def no_diagram(K):
+        raise AssertionError("Hasse diagram built for a refused complex")
+
+    for module in (cli, morse):
+        monkeypatch.setattr(module, "build_hasse", no_diagram)
+    for command in (["fvector"], ["fvector", "--variant", "MP"],
+                    ["count-optimal"]):
+        for spec in ("simplex:5", "boundary:5"):
+            t0 = time.perf_counter()
+            code, out, err = run_cli(capsys, *command, "--complex", spec,
+                                     "--cache-dir", str(tmp_path))
+            assert time.perf_counter() - t0 < 1.0
+            assert code == 3 and out == ""
+            assert "dimension 2 has 20 tracked faces" in err
+            assert "2^20" in err
 
 
 def test_euler_command(capsys, tmp_path):

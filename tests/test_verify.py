@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 
 import pytest
 
@@ -57,6 +58,29 @@ def test_spanning_tree_specific_matching():
     edges = [_facet_graph_edge(u, 3) for u in crit[1]]
     assert edges == [(0, 3), (0, 2), (0, 1)]  # a star centered at F_0
     assert len({v for e in edges for v in e}) == 4
+
+
+def test_spanning_tree_witness_has_the_rejected_critical_set(monkeypatch):
+    # the tree test runs once per distinct critical set; rejecting one set
+    # must still fail the check on a matching that leaves exactly that set
+    from morsematch.complexes import build_simplex, face_mask, skeleton
+    from morsematch.hasse import build_hasse, critical_faces
+    from morsematch.verify import _facet_graph_edge
+    star = [(0, 1), (0, 2), (0, 3), (0, 4)]
+    is_tree = verify._is_spanning_tree
+    monkeypatch.setattr(verify, "_is_spanning_tree",
+                        lambda edges, nv: sorted(edges) != star
+                        and is_tree(edges, nv))
+    r = verify_spanning_tree(4)
+    assert r.status == "fail"
+    assert r.details == {"message": "critical faces do not form a spanning tree"}
+    assert sorted(r.witness["edges"]) == star
+    H = build_hasse(skeleton(build_simplex(4), 2))
+    mask = 0
+    for lower, upper in r.witness["matching"]:
+        mask |= 1 << H.edge(face_mask(lower), face_mask(upper))
+    crit = critical_faces(H, mask)
+    assert sorted(_facet_graph_edge(u, 4) for u in crit[2]) == star
 
 
 def test_facet_graph_is_complete():
@@ -279,3 +303,72 @@ def test_default_suite_all_pass():
 def test_default_suite_unknown_name():
     with pytest.raises(ValueError):
         default_suite(only="no-such-check")
+
+
+def _faces(K) -> tuple:
+    return tuple(map(tuple, K.faces_by_dim))
+
+
+def _count_reductions(monkeypatch) -> Counter:
+    """Count the reduced-homology computations of verify by complex."""
+    calls: Counter = Counter()
+    reduce = verify.homology
+
+    def counting(K, reduced=True):
+        calls[_faces(K)] += 1
+        return reduce(K, reduced=reduced)
+
+    monkeypatch.setattr(verify, "homology", counting)
+    return calls
+
+
+def test_default_suite_reduces_each_matching_complex_once(monkeypatch):
+    from morsematch.morse import build_matching_complex
+    from morsematch.specs import build_from_spec
+    calls = _count_reductions(monkeypatch)
+    reports = default_suite(max_n=3)
+    # the tables at n = 3, pair-splitting's M of simplex:0..2, the
+    # conjectures at n = 2 and the gm-structure link model, each once.
+    # M and MP of simplex:2 are one complex, under two keys.
+    reduced = [(s, v) for s in ("simplex:3", "boundary:3")
+               for v in ("M", "MP", "GM")]
+    reduced += [(f"simplex:{n}", "M") for n in range(3)]
+    reduced += [(s, v) for v in ("MP", "GM") for s in ("simplex:2", "boundary:2")]
+    reduced.append(("cone:boundary:2", "GM"))
+    assert calls == Counter(
+        _faces(build_matching_complex(build_from_spec(s), v).complex)
+        for s, v in reduced)
+    one_by_one = [verify_reference_tables(),
+                  verify_top_facet_bijection(2), verify_top_facet_bijection(3),
+                  verify_layer_counts(2), verify_layer_counts(3),
+                  verify_spanning_tree(3), verify_restriction_fibers(3)]
+    one_by_one += [verify_cone_contiguity(spec, 0)
+                   for spec in ("simplex:1", "boundary:2", "simplex:2")]
+    one_by_one.append(verify_pair_splitting([("simplex:1", "simplex:0"),
+                                             ("simplex:2", "simplex:1"),
+                                             ("simplex:3", "simplex:2")]))
+    one_by_one.append(verify_les_example())
+    one_by_one += [verify_inclusion_full(k, l) for k, l in [
+        ("boundary:2", "simplex:2"), ("simplex:2", "simplex:2"),
+        ("boundary:3", "simplex:3"), ("simplex:2", "simplex:3")]]
+    one_by_one += [verify_gm_structure(n) for n in (2, 3)]
+    one_by_one += [verify_conjecture_evidence(v, n)
+                   for v in ("MP", "GM") for n in (2, 3)]
+    assert [r.to_json() for r in reports] == [r.to_json() for r in one_by_one]
+
+
+def test_default_suite_keeps_nothing_between_calls(monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    for run in (1, 2):
+        assert all(r.passed for r in default_suite(3, only="conjecture-gm"))
+        # GM of the simplex and its boundary at n = 2 and n = 3
+        assert len(calls) == 4 and set(calls.values()) == {run}
+    # a verifier called after a suite run computes for itself too
+    assert verify_conjecture_evidence("GM", 2).passed
+    assert sorted(calls.values()) == [2, 2, 3, 3]
+
+
+def test_les_example_alone_reduces_its_complexes(monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    assert verify_les_example().passed
+    assert len(calls) == 2 and set(calls.values()) == {1}
