@@ -24,9 +24,8 @@ from . import __version__
 from .cache import (cache_get, cache_key, cache_put, default_cache_dir,
                     faces_to_document)
 from .complexes import BudgetExceededError, f_vector, relabel
-from .hasse import build_hasse
 from .homology import homology, relative_homology
-from .layers import LayeredInfeasibleError, check_width, enumerate_optimal
+from .layers import LayeredInfeasibleError, enumerate_optimal
 from .morse import (MaterializationLimitError, build_matching_complex,
                     induced_inclusion, matching_complex_f_vector)
 from .specs import SpecError, build_from_spec, canonical_spec, spec_file
@@ -170,9 +169,7 @@ def cmd_count_optimal(args) -> int:
     spec = canonical_spec(args.complex)
 
     def compute() -> dict:
-        K = build_from_spec(spec)
-        check_width(K)
-        best, count = enumerate_optimal(build_hasse(K))
+        best, count = enumerate_optimal(build_from_spec(spec))
         return {"max_cardinality": best, "count": count}
 
     result = _cached(args, "count-optimal", spec, "M", compute)

@@ -33,7 +33,6 @@ of a pair.  Pivots of the dense residual do not feed the clearing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .complexes import SimplicialComplex
 
@@ -67,7 +66,8 @@ class SparseIntMatrix:
 def _dense_smith(M: list[list[int]]) -> list[int]:
     """Textbook Smith reduction of a dense integer matrix, in place.
 
-    Returns the diagonal divisors as a divisibility chain.
+    Returns the diagonal divisors as a divisibility chain of positive
+    integers.
     """
     nr = len(M)
     nc = len(M[0]) if nr else 0
@@ -212,32 +212,9 @@ def smith_normal_form(A: SparseIntMatrix,
                 dense[i][col_pos[c]] = v
         residual = _dense_smith(dense)
 
-    divisors = [1] * units + [abs(d) for d in residual]
-    divisors = _normalize_chain(divisors)
+    # units divide everything and the residual is already a positive chain
+    divisors = [1] * units + residual
     return tuple(divisors), len(divisors)
-
-
-def _normalize_chain(divisors: list[int]) -> list[int]:
-    """Rewrite a diagonal multiset as a proper divisibility chain.
-
-    Units divide everything and are split off up front; the quadratic
-    gcd/lcm exchange only runs on the handful of nontrivial entries.
-    """
-    ones = sum(1 for d in divisors if d == 1)
-    ds = sorted(d for d in divisors if d != 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                a, b = ds[i], ds[j]
-                if b % a:
-                    g = gcd(a, b)
-                    ds[i], ds[j] = g, a * b // g
-                    changed = True
-        if changed:
-            ds.sort()
-    return [1] * ones + ds
 
 
 # -- chain complexes ---------------------------------------------------------
@@ -255,7 +232,7 @@ class ChainComplex:
 
 
 def boundary_matrices(K: SimplicialComplex, reduced: bool = True) -> ChainComplex:
-    """Boundary matrices in the canonical bases; validates dd = 0."""
+    """Boundary matrices in the canonical bases (dd = 0: see `_chain`)."""
     if K.is_void:
         raise ValueError("void complex has no chain complex")
     return _chain(K, frozenset(), reduced)
@@ -265,7 +242,12 @@ def _chain(L: SimplicialComplex, drop, augment: bool) -> ChainComplex:
     """Chain complex on the faces of L outside `drop`, in canonical order.
 
     Facets that fall in `drop` have no row, so with drop = the faces of a
-    subcomplex this is the quotient complex of the pair.  Validates dd = 0.
+    subcomplex this is the quotient complex of the pair.  dd = 0 holds by
+    construction: L is closed under taking faces, so both paths from a face
+    down to each of its codimension-2 faces exist, with opposite signs; and
+    when `drop` is a subcomplex (`relative_homology` checks it), a path
+    through a dropped face ends at a dropped face, which has no row.  The
+    tests multiply the matrices out (`dd_nonzero` in `tests/oracles.py`).
     """
     bases = [[f for f in faces if f not in drop] for faces in L.faces_by_dim]
     sizes = [len(b) for b in bases]
@@ -287,25 +269,7 @@ def _chain(L: SimplicialComplex, drop, augment: bool) -> ChainComplex:
                 sign = -sign
                 x ^= b
         mats.append(m)
-    _check_dd_zero(mats)
     return ChainComplex(sizes, mats, augment)
-
-
-def _check_dd_zero(mats: list[SparseIntMatrix]) -> None:
-    """Row i of d_{d-1} d_d is the sum over mid of d_{d-1}[i, mid] times
-    row mid of d_d; every such row must vanish."""
-    for d in range(1, len(mats)):
-        upper = mats[d].row
-        for lower_row in mats[d - 1].row:
-            acc: dict[int, int] = {}
-            get = acc.get
-            for mid, w in lower_row.items():
-                for j, v in upper[mid].items():
-                    acc[j] = get(j, 0) + w * v
-            for j, v in acc.items():
-                if v:
-                    raise AssertionError(
-                        f"boundary of boundary nonzero at degree {d}, column {j}")
 
 
 @dataclass

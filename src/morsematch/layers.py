@@ -15,9 +15,10 @@ Only a face that is an upper face of layer d-1 and a lower face of layer d
 (dimension >= 1, at least one coface) can be claimed from both sides, so
 only those faces are tracked by the subset tables.  A dimension with more
 than WIDTH_LIMIT tracked faces is refused with LayeredInfeasibleError by
-`check_width`, which reads the faces alone, so a caller can refuse a
-complex before building its Hasse diagram.  Vertices and top faces are
-never tracked, so every 1-dimensional complex is admitted.
+`check_width`, which reads the faces alone.  `LayerSystem` takes the
+complex, runs `check_width` first and only then builds the Hasse diagram,
+so a refused complex never gets one.  Vertices and top faces are never
+tracked, so every 1-dimensional complex is admitted.
 
 There is one walk over the per-layer product, `iter_matchings_of_cardinality`:
 with a target it yields the matchings of that size, the suffix tables
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .complexes import SimplicialComplex
-from .hasse import HasseDiagram, _layer_path_exists
+from .hasse import _layer_path_exists, build_hasse
 
 WIDTH_LIMIT = 18  # largest subset table: 2^WIDTH_LIMIT entries
 
@@ -82,16 +83,19 @@ class LayerMatching:
 
 
 class LayerSystem:
-    """Cached per-layer matching lists and their (lower, upper, size) classes.
+    """Cached per-layer matching lists and their (lower, upper, size) classes
+    over the Hasse diagram `H` of a complex.
 
-    Local indices of each dimension list its tracked faces first, so a local
-    mask projects onto the subset-table index with `& tracked_mask[d]`.
+    Raises LayeredInfeasibleError, before the diagram is built, when a
+    dimension has more than WIDTH_LIMIT tracked faces.  Local indices of
+    each dimension list its tracked faces first, so a local mask projects
+    onto the subset-table index with `& tracked_mask[d]`.
     """
 
-    def __init__(self, H: HasseDiagram):
-        check_width(H.base)
-        self.H = H
-        self.D = H.base.dim  # number of layers
+    def __init__(self, K: SimplicialComplex):
+        check_width(K)
+        self.H = H = build_hasse(K)
+        self.D = K.dim  # number of layers
         order: list[list[int]] = []
         self.tracked: list[int] = []
         for d in range(self.D + 1):
@@ -291,17 +295,18 @@ def profile_counts(ls: LayerSystem, S: list, target: int, acyclic: bool,
     return dict(out)
 
 
-def matching_counts(H: HasseDiagram, mode: str = "acyclic") -> list[int]:
-    """f-vector of the complex of matchings (counts by cardinality >= 1).
+def matching_counts(K: SimplicialComplex, mode: str = "acyclic") -> list[int]:
+    """f-vector of the complex of matchings of K (counts by cardinality
+    >= 1).
 
     Raises LayeredInfeasibleError when a dimension has more than
     WIDTH_LIMIT tracked faces.
     """
-    return suffix_tables(LayerSystem(H), mode == "acyclic")[0][0][1:]
+    return suffix_tables(LayerSystem(K), mode == "acyclic")[0][0][1:]
 
 
-def enumerate_optimal(H: HasseDiagram) -> tuple[int, int]:
-    """Maximum acyclic matching cardinality and the number of matchings
-    that reach it, counted through the layer transfer."""
-    S = suffix_tables(LayerSystem(H), acyclic=True)
+def enumerate_optimal(K: SimplicialComplex) -> tuple[int, int]:
+    """Maximum acyclic matching cardinality on K and the number of
+    matchings that reach it, counted through the layer transfer."""
+    S = suffix_tables(LayerSystem(K), acyclic=True)
     return max_cardinality_info(S[0][0])

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, cone
+from .complexes import SimplicialComplex, cone, f_vector
 from .hasse import HasseDiagram, build_hasse
-from .layers import (LayerSystem, check_width, iter_matchings_of_cardinality,
+from .layers import (LayerSystem, iter_matchings_of_cardinality,
                      matching_counts, max_cardinality_info, suffix_tables)
 
 VARIANTS = ("M", "MP", "GM")
@@ -62,9 +62,7 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if K.is_void or K.dim == 0:
         return MatchingComplex(variant, K, None, SimplicialComplex.void(0))
-    check_width(K)
-    H = build_hasse(K)
-    ls = LayerSystem(H)
+    ls = LayerSystem(K)
     acyclic = variant != "GM"
     S = suffix_tables(ls, acyclic)
     if variant == "MP":
@@ -92,8 +90,8 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
         masks = [m for m in iter_matchings_of_cardinality(ls, None, None,
                                                           acyclic) if m]
 
-    cx = SimplicialComplex.from_faces(masks, H.edge_count)
-    return MatchingComplex(variant, K, H, cx)
+    cx = SimplicialComplex.from_faces(masks, ls.H.edge_count)
+    return MatchingComplex(variant, K, ls.H, cx)
 
 
 def matching_complex_f_vector(K: SimplicialComplex, variant: str,
@@ -109,10 +107,8 @@ def matching_complex_f_vector(K: SimplicialComplex, variant: str,
     if K.is_void or K.dim == 0:
         return []
     if variant == "MP":
-        from .complexes import f_vector
         return f_vector(build_matching_complex(K, "MP", max_faces).complex)
-    check_width(K)
-    return matching_counts(build_hasse(K), "all" if variant == "GM" else "acyclic")
+    return matching_counts(K, "all" if variant == "GM" else "acyclic")
 
 
 def induced_inclusion(K: SimplicialComplex, L: SimplicialComplex) -> list[int]:

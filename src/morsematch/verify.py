@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, gcd
 from typing import Callable, Optional
 
 from .complexes import (BudgetExceededError, SimplicialComplex, build_boundary,
@@ -116,9 +116,8 @@ def _reduced_homology(spec: str, variant: str, budget: int,
     return h
 
 
-def _optimal_masks(H: HasseDiagram, budget: int) -> tuple[int, list[int]]:
+def _optimal_masks(ls: LayerSystem, budget: int) -> tuple[int, list[int]]:
     """All maximum acyclic matchings, guarded by the visit budget."""
-    ls = LayerSystem(H)
     S = suffix_tables(ls, acyclic=True)
     best, count = max_cardinality_info(S[0][0])
     if count > budget:
@@ -136,15 +135,15 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
     def check() -> dict:
         if n < 2:
             raise CheckFailure("the bijection fails at n=1; n >= 2 required")
-        K = build_simplex(n)
         B = build_boundary(n)
-        HK = build_hasse(K)
-        HB = build_hasse(B)
+        ls_k = LayerSystem(build_simplex(n))
+        ls_b = LayerSystem(B)
+        HK, HB = ls_k.H, ls_b.H
         m = HB.edge_count
-        _ensure(induced_inclusion(B, K) == list(range(m)),
+        _ensure(all(HK.edge(*HB.edge_faces(e)) == e for e in range(m)),
                 "the boundary's Hasse edges are not a prefix of the simplex's")
-        _, masks_k = _optimal_masks(HK, budget)
-        _, masks_b = _optimal_masks(HB, budget)
+        _, masks_k = _optimal_masks(ls_k, budget)
+        _, masks_b = _optimal_masks(ls_b, budget)
         set_k, set_b = set(masks_k), set(masks_b)
         low = (1 << m) - 1
 
@@ -187,7 +186,7 @@ def verify_layer_counts(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
     vertex."""
     def check() -> dict:
         K = build_simplex(n)
-        ls = LayerSystem(build_hasse(K))
+        ls = LayerSystem(K)
         S = suffix_tables(ls, acyclic=True)
         best, count = max_cardinality_info(S[0][0])
         expected = tuple(comb(n, k + 1) for k in range(n))
@@ -237,9 +236,9 @@ def verify_spanning_tree(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRe
     def check() -> dict:
         if n < 3:
             raise CheckFailure("requires n >= 3")
-        sk = skeleton(build_simplex(n), n - 2)
-        H = build_hasse(sk)
-        _, masks = _optimal_masks(H, budget)
+        ls = LayerSystem(skeleton(build_simplex(n), n - 2))
+        H = ls.H
+        _, masks = _optimal_masks(ls, budget)
         # the critical (n-2)-face sets already found to be trees.  An
         # (n-2)-face is the edge between the two facets containing it, one
         # to one, so distinct critical sets are distinct edge sets.  Each
@@ -272,14 +271,15 @@ def verify_restriction_fibers(n: int, budget: int = DEFAULT_BUDGET,
         if n < 3:
             raise CheckFailure("requires n >= 3")
         K = build_simplex(n)
-        sk = skeleton(K, n - 2)
-        Hs = build_hasse(sk)
-        _ensure(induced_inclusion(sk, K) == list(range(Hs.edge_count)),
+        ls = LayerSystem(K)
+        ls_s = LayerSystem(skeleton(K, n - 2))
+        Hs = ls_s.H
+        _ensure(all(ls.H.edge(*Hs.edge_faces(e)) == e
+                    for e in range(Hs.edge_count)),
                 "the skeleton's Hasse edges are not a prefix of the simplex's")
-        ls = LayerSystem(build_hasse(K))
         S = suffix_tables(ls, acyclic=True)
         best_k, count_k = max_cardinality_info(S[0][0])
-        best_s, masks_s = _optimal_masks(Hs, budget)
+        best_s, masks_s = _optimal_masks(ls_s, budget)
         _ensure(count_k == (n + 1) * len(masks_s),
                 f"{count_k} != {n + 1} x {len(masks_s)}")
 
@@ -342,8 +342,26 @@ def verify_cone_contiguity(spec: str, w0: int = 0, budget: int = DEFAULT_BUDGET,
 
 
 def _merge_torsion(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    from .homology import _normalize_chain
-    return tuple(_normalize_chain(list(a) + list(b)))
+    """The divisors of a direct sum as a proper divisibility chain.
+
+    Units divide everything and are split off up front; the quadratic
+    gcd/lcm exchange only runs on the handful of nontrivial entries.
+    """
+    ones = (a + b).count(1)
+    ds = sorted(d for d in a + b if d != 1)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                x, y = ds[i], ds[j]
+                if y % x:
+                    g = gcd(x, y)
+                    ds[i], ds[j] = g, x * y // g
+                    changed = True
+        if changed:
+            ds.sort()
+    return (1,) * ones + tuple(ds)
 
 
 def verify_pair_splitting(pairs: list[tuple[str, str]],
@@ -558,7 +576,7 @@ def verify_reference_tables(budget: int = DEFAULT_BUDGET) -> VerificationReport:
             _ensure(h.is_torsion_free(), f"{variant}({spec}) has torsion")
         counts = {}
         for n, want in [(1, 2), (2, 9), (3, 256)]:
-            _, c = enumerate_optimal(build_hasse(build_simplex(n)))
+            _, c = enumerate_optimal(build_simplex(n))
             _ensure(c == want, f"optimal count on simplex:{n} is {c}, expected {want}")
             counts[n] = c
         return {"optimal_counts": counts}

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package: acyclicity is decided on the
 whole modified digraph, matchings are enumerated by filtering raw subsets,
-and Smith normal forms come from sympy.  These are the slow-but-obvious
+Smith normal forms come from sympy, and dd = 0 is checked by multiplying
+the boundary matrices out.  These are the slow-but-obvious
 routes the fast implementations are checked against.  The one exception is
 the list-based layer transfer at the end, which reads the package's layer
 tables and checks only the packed coefficient arithmetic.
@@ -118,6 +119,25 @@ def snf_divisors_sympy(dense: list[list[int]]) -> tuple[int, ...]:
         if v:
             out.append(abs(v))
     return tuple(sorted(out))
+
+
+def dd_nonzero(cc) -> tuple[int, int, int] | None:
+    """First nonzero entry (degree d, row, column) of a product
+    d_{d-1} d_d of the chain complex `cc`, or None when every product
+    vanishes.  Row i of d_{d-1} d_d is the sum over mid of
+    d_{d-1}[i, mid] times row mid of d_d."""
+    mats = cc.boundaries
+    for d in range(1, len(mats)):
+        upper = mats[d].row
+        for i, lower_row in enumerate(mats[d - 1].row):
+            acc: dict[int, int] = {}
+            for mid, w in lower_row.items():
+                for j, v in upper[mid].items():
+                    acc[j] = acc.get(j, 0) + w * v
+            for j in sorted(acc):
+                if acc[j]:
+                    return d, i, j
+    return None
 
 
 # -- the list-based layer transfer -------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from morsematch.complexes import (build_boundary, build_simplex,
                                   euler_characteristic, f_vector, face_mask,
                                   face_vertices, skeleton)
-from morsematch.hasse import build_hasse, critical_faces, is_acyclic
+from morsematch.hasse import critical_faces, is_acyclic
 from morsematch.homology import (boundary_matrices, homology,
                                  smith_normal_form, SparseIntMatrix)
 from morsematch.layers import (LayerSystem, enumerate_optimal,
@@ -27,14 +27,14 @@ from morsematch.verify import (N4_F_VECTOR, verify_cone_contiguity,
                                verify_restriction_fibers, verify_spanning_tree,
                                verify_top_facet_bijection)
 
-from oracles import snf_divisors_sympy
+from oracles import dd_nonzero, snf_divisors_sympy
 
 
-def acyclic_matchings(H) -> list[int]:
+def acyclic_matchings(ls) -> list[int]:
     """Non-empty acyclic matchings from the layer walk, in canonical edge
     order."""
-    masks = [m for m in iter_matchings_of_cardinality(LayerSystem(H), None,
-                                                      None, acyclic=True) if m]
+    masks = [m for m in iter_matchings_of_cardinality(ls, None, None,
+                                                      acyclic=True) if m]
     return sorted(masks, key=face_vertices)
 
 
@@ -44,10 +44,9 @@ def report(criterion: int, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def d4_layers():
-    H = build_hasse(build_simplex(4))
-    ls = LayerSystem(H)
+    ls = LayerSystem(build_simplex(4))
     S = suffix_tables(ls, acyclic=True)
-    return H, ls, S
+    return ls.H, ls, S
 
 
 def test_criterion_01_table1_f_vectors(m_d3, m_bd3, mp_d3, mp_bd3):
@@ -79,10 +78,10 @@ def test_criterion_02_table2_homology(m_d3, m_bd3, mp_d3, mp_bd3):
 
 def test_criterion_03_optimal_counts():
     for n, want in [(1, 2), (2, 9), (3, 256)]:
-        best, count = enumerate_optimal(build_hasse(build_simplex(n)))
+        best, count = enumerate_optimal(build_simplex(n))
         assert count == want and best == 2 ** n - 1
     sk = skeleton(build_simplex(3), 1)
-    best, count = enumerate_optimal(build_hasse(sk))
+    best, count = enumerate_optimal(sk)
     assert (best, count) == (3, 64)
     r = verify_spanning_tree(3)
     assert r.passed and r.details == {"count": 64, "distinct_trees": 16}
@@ -138,7 +137,7 @@ def test_criterion_08_n4_desk_scale(d4_layers):
     assert (best4, count4) == (15, 380125)
 
     sk = skeleton(build_simplex(4), 2)
-    best_s, count_s = enumerate_optimal(build_hasse(sk))
+    best_s, count_s = enumerate_optimal(sk)
     assert (best_s, count_s) == (10, 76025)
     assert count4 == 5 * count_s == 380125
 
@@ -181,9 +180,10 @@ def test_criterion_10_property_suites():
                 for i in range(len(f)):
                     assert K.has_face(face_mask(f[:i] + f[i + 1:]))
 
-    # boundary of boundary vanishes (validated during construction)
+    # boundary of boundary vanishes, multiplied out
     for K in corpus:
-        boundary_matrices(K, reduced=True)
+        for reduced in (True, False):
+            assert dd_nonzero(boundary_matrices(K, reduced)) is None
 
     # Smith normal form against an independent implementation
     for _ in range(30):
@@ -197,8 +197,9 @@ def test_criterion_10_property_suites():
         assert smith_normal_form(m)[0] == snf_divisors_sympy(dense)
 
     # matching heredity on sampled faces
-    H = build_hasse(build_simplex(3))
-    masks = acyclic_matchings(H)
+    ls = LayerSystem(build_simplex(3))
+    H = ls.H
+    masks = acyclic_matchings(ls)
     for mask in rng.sample(masks, 200):
         sub = 0
         for e in face_vertices(mask):
@@ -208,9 +209,10 @@ def test_criterion_10_property_suites():
 
     # weak Morse inequalities on sampled matchings
     for K in (build_boundary(2), build_boundary(3)):
-        HK = build_hasse(K)
+        ls = LayerSystem(K)
+        HK = ls.H
         betti = [homology(K, reduced=False).betti(d) for d in range(K.dim + 1)]
-        all_masks = acyclic_matchings(HK)
+        all_masks = acyclic_matchings(ls)
         for mask in rng.sample(all_masks, min(200, len(all_masks))):
             crit = critical_faces(HK, mask)
             assert all(len(ci) >= bi for ci, bi in zip(crit, betti))

@@ -4,11 +4,11 @@ import time
 
 import pytest
 
-from morsematch import cli, morse
 from morsematch.cache import (cache_get, cache_key, cache_put,
                               default_cache_dir, document_to_faces,
                               faces_to_document)
 from morsematch.cli import main
+from morsematch.hasse import HasseDiagram
 
 
 def run_cli(capsys, *argv):
@@ -299,11 +299,10 @@ def test_relative_homology_of_void_matching_complexes(capsys, tmp_path):
 def test_wide_complexes_refused(capsys, tmp_path, monkeypatch):
     # the width rule reads the faces alone, so no Hasse diagram is built
     # for a complex it refuses
-    def no_diagram(K):
+    def no_diagram(self, K):
         raise AssertionError("Hasse diagram built for a refused complex")
 
-    for module in (cli, morse):
-        monkeypatch.setattr(module, "build_hasse", no_diagram)
+    monkeypatch.setattr(HasseDiagram, "__init__", no_diagram)
     for command in (["fvector"], ["fvector", "--variant", "MP"],
                     ["count-optimal"]):
         for spec in ("simplex:5", "boundary:5"):

@@ -19,18 +19,17 @@ TABLE1_M_D3 = [28, 300, 1544, 3932, 4632, 2128, 256]
 TABLE1_M_BD3 = [24, 216, 896, 1692, 1248, 256]
 
 
-def optimal_walk(H) -> list[int]:
+def optimal_walk(ls) -> list[int]:
     """Every maximum acyclic matching, walked on one layer system."""
-    ls = LayerSystem(H)
     S = suffix_tables(ls, acyclic=True)
     best, _ = max_cardinality_info(S[0][0])
     return list(iter_matchings_of_cardinality(ls, S, best, acyclic=True))
 
 
-def walked(H, acyclic: bool) -> list[int]:
+def walked(ls, acyclic: bool) -> list[int]:
     """Non-empty matchings from the layer walk, in canonical edge order."""
-    masks = [m for m in iter_matchings_of_cardinality(LayerSystem(H), None,
-                                                      None, acyclic) if m]
+    masks = [m for m in iter_matchings_of_cardinality(ls, None, None, acyclic)
+             if m]
     return sorted(masks, key=face_vertices)
 
 
@@ -132,10 +131,10 @@ def test_layered_agrees_with_whole_digraph_oracle():
 
 
 def test_enumerate_matchings_counts():
-    assert matching_counts(build_hasse(build_simplex(1))) == [2]
-    assert matching_counts(build_hasse(build_boundary(2))) == [6, 9]
-    assert matching_counts(build_hasse(build_simplex(3))) == TABLE1_M_D3
-    assert matching_counts(build_hasse(build_boundary(3))) == TABLE1_M_BD3
+    assert matching_counts(build_simplex(1)) == [2]
+    assert matching_counts(build_boundary(2)) == [6, 9]
+    assert matching_counts(build_simplex(3)) == TABLE1_M_D3
+    assert matching_counts(build_boundary(3)) == TABLE1_M_BD3
 
 
 def test_enumerate_against_brute_force():
@@ -145,13 +144,13 @@ def test_enumerate_against_brute_force():
     for K in complexes:
         H = build_hasse(K)
         for mode in ("acyclic", "all"):
-            assert matching_counts(H, mode) == brute_force_counts(H, mode)
+            assert matching_counts(K, mode) == brute_force_counts(H, mode)
 
 
 def test_gm_dominates_and_matches_low_dims():
-    H = build_hasse(build_simplex(3))
-    m = matching_counts(H, "acyclic")
-    gm = matching_counts(H, "all")
+    K = build_simplex(3)
+    m = matching_counts(K, "acyclic")
+    gm = matching_counts(K, "all")
     assert len(gm) >= len(m)
     assert all(g >= a for g, a in zip(gm, m))
     assert gm[0] == m[0] and gm[1] == m[1]  # 1-skeletons coincide
@@ -160,8 +159,9 @@ def test_gm_dominates_and_matches_low_dims():
 def test_matching_heredity():
     # every subset of an acyclic matching is acyclic
     rng = random.Random(5)
-    H = build_hasse(build_simplex(3))
-    acyclic_masks = walked(H, acyclic=True)
+    ls = LayerSystem(build_simplex(3))
+    H = ls.H
+    acyclic_masks = walked(ls, acyclic=True)
     for mask in rng.sample(acyclic_masks, 400):
         sub = mask
         keep = rng.randrange(1 << bin(mask).count("1"))
@@ -174,18 +174,20 @@ def test_matching_heredity():
 
 def test_critical_faces():
     d3 = build_simplex(3)
-    H = build_hasse(d3)
-    best, count = enumerate_optimal(H)
+    ls = LayerSystem(d3)
+    H = ls.H
+    best, count = enumerate_optimal(d3)
     assert (best, count) == (7, 256)
-    masks = optimal_walk(H)
+    masks = optimal_walk(ls)
     assert len(masks) == count
     for mask in masks:
         counts = [len(faces) for faces in critical_faces(H, mask)]
         assert counts == [1, 0, 0, 0]
         assert sum(counts) + 2 * bin(mask).count("1") == d3.total_faces()
 
-    Hb = build_hasse(build_boundary(3))
-    for mask in optimal_walk(Hb):
+    ls_b = LayerSystem(build_boundary(3))
+    Hb = ls_b.H
+    for mask in optimal_walk(ls_b):
         counts = [len(faces) for faces in critical_faces(Hb, mask)]
         assert counts == [1, 0, 1]  # one vertex and one top face
 
@@ -219,9 +221,10 @@ def test_weak_morse_inequalities():
     rng = random.Random(11)
     for K in (build_simplex(2), build_boundary(2), build_boundary(3),
               skeleton(build_simplex(3), 1)):
-        H = build_hasse(K)
+        ls = LayerSystem(K)
+        H = ls.H
         betti = [homology(K, reduced=False).betti(d) for d in range(K.dim + 1)]
-        masks = walked(H, acyclic=True)
+        masks = walked(ls, acyclic=True)
         sample = masks if len(masks) <= 300 else rng.sample(masks, 300)
         for mask in sample:
             crit = critical_faces(H, mask)
@@ -230,6 +233,5 @@ def test_weak_morse_inequalities():
 
 def test_optimal_counts_small():
     for n, best_want, count_want in [(1, 1, 2), (2, 3, 9), (3, 7, 256)]:
-        H = build_hasse(build_simplex(n))
-        assert enumerate_optimal(H) == (best_want, count_want)
+        assert enumerate_optimal(build_simplex(n)) == (best_want, count_want)
         assert best_want == 2 ** n - 1

@@ -14,7 +14,7 @@ from morsematch.homology import (SparseIntMatrix, _chain, boundary_matrices,
 from morsematch.morse import build_matching_complex, induced_inclusion
 from morsematch.specs import build_from_spec
 
-from oracles import snf_divisors_sympy
+from oracles import dd_nonzero, snf_divisors_sympy
 
 # antipodal 6-vertex triangulation of the projective plane; the standard
 # example with 2-torsion in degree 1
@@ -42,11 +42,16 @@ def test_boundary_sign_convention():
     assert col == {e[(2, 3)]: 1, e[(1, 3)]: -1, e[(1, 2)]: 1}
 
 
-def test_quotient_chain_validates_dd_zero():
+def test_dd_oracle_finds_non_subcomplex_quotient():
     # dropping an edge but not the triangle on it is no subcomplex: the
-    # triangle's boundary keeps e12 - e02, whose boundary is v0 - v1
-    with pytest.raises(AssertionError, match="boundary of boundary"):
-        _chain(build_simplex(2), {face_mask((0, 1))}, False)
+    # triangle's boundary keeps e12 - e02, whose boundary is v0 - v1, so
+    # the product is nonzero on vertex 0
+    cc = _chain(build_simplex(2), {face_mask((0, 1))}, False)
+    assert dd_nonzero(cc) == (2, 0, 0)
+    # dropping the triangle too leaves a quotient with dd = 0
+    assert dd_nonzero(_chain(build_simplex(2),
+                             {face_mask((0, 1)), face_mask((0, 1, 2))},
+                             False)) is None
 
 
 def test_boundary_of_vertices_is_zero_unreduced():
@@ -57,10 +62,22 @@ def test_boundary_of_vertices_is_zero_unreduced():
     assert all(cc.boundaries[0].get(0, j) == 1 for j in range(3))
 
 
-def test_dd_zero_is_validated_on_build():
-    for K in (build_simplex(3), build_boundary(3), build_simplex(4)):
-        boundary_matrices(K, reduced=True)
-        boundary_matrices(K, reduced=False)
+def test_dd_zero_on_small_complexes():
+    rp2 = SimplicialComplex.from_facets(map(face_mask, RP2_FACETS))
+    for K in (build_simplex(3), build_boundary(3), build_simplex(4), rp2):
+        for reduced in (True, False):
+            assert dd_nonzero(boundary_matrices(K, reduced)) is None
+
+
+def test_dd_zero_on_the_n3_matching_complexes(m_d3, m_bd3, mp_d3, mp_bd3,
+                                              gm_d3, gm_bd3, d3, bd3):
+    # the complexes whose homology the paper tabulates; the augmentation
+    # row makes the reduced product cover the unreduced one
+    for mc in (m_d3, m_bd3, mp_d3, mp_bd3, gm_d3, gm_bd3):
+        assert dd_nonzero(boundary_matrices(mc.complex, True)) is None
+    # and the quotient of the pair (M(simplex:3), M(boundary:3))
+    emb = relabel(m_bd3.complex, induced_inclusion(bd3, d3), 28)
+    assert dd_nonzero(_chain(m_d3.complex, emb.face_index, False)) is None
 
 
 def test_snf_basic():

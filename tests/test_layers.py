@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, cone, face_mask,
                                   face_vertices, skeleton)
-from morsematch.hasse import build_hasse
 from morsematch.homology import homology
 from morsematch.layers import (WIDTH_LIMIT, LayerSystem, LayeredInfeasibleError,
                                enumerate_optimal, iter_matchings_of_cardinality,
@@ -26,11 +25,10 @@ CORPUS = [build_simplex(1), build_simplex(2), build_simplex(3),
 
 def test_counts_agree_with_flat_enumeration():
     for K in CORPUS:
-        H = build_hasse(K)
-        ls = LayerSystem(H)
+        ls = LayerSystem(K)
         for mode in ("acyclic", "all"):
-            flat = all_matchings(H, mode)
-            assert matching_counts(H, mode) == counts_by_cardinality(flat)
+            flat = all_matchings(ls.H, mode)
+            assert matching_counts(K, mode) == counts_by_cardinality(flat)
             walked = list(iter_matchings_of_cardinality(ls, None, None,
                                                         mode == "acyclic"))
             assert walked[0] == 0
@@ -39,31 +37,26 @@ def test_counts_agree_with_flat_enumeration():
 
 def test_optimal_counts():
     for n, want in [(1, 2), (2, 9), (3, 256)]:
-        H = build_hasse(build_simplex(n))
-        assert enumerate_optimal(H) == (2 ** n - 1, want)
-    Hs = build_hasse(skeleton(build_simplex(3), 1))
-    assert enumerate_optimal(Hs) == (3, 64)
-    Hs42 = build_hasse(skeleton(build_simplex(4), 2))
-    assert enumerate_optimal(Hs42) == (10, 76025)
+        assert enumerate_optimal(build_simplex(n)) == (2 ** n - 1, want)
+    assert enumerate_optimal(skeleton(build_simplex(3), 1)) == (3, 64)
+    assert enumerate_optimal(skeleton(build_simplex(4), 2)) == (10, 76025)
 
 
 def test_profile_counts_small():
-    H = build_hasse(build_simplex(3))
-    ls = LayerSystem(H)
+    ls = LayerSystem(build_simplex(3))
     S = suffix_tables(ls, True)
     best, count = max_cardinality_info(S[0][0])
     assert profile_counts(ls, S, best, True) == {(3, 3, 1): 256}
 
-    H2 = build_hasse(build_simplex(2))
-    ls2 = LayerSystem(H2)
+    ls2 = LayerSystem(build_simplex(2))
     S2 = suffix_tables(ls2, True)
     assert profile_counts(ls2, S2, 3, True) == {(2, 1): 9}
 
     # every corpus complex, both modes: the per-layer pair counts of the
     # maximum matchings of the flat enumeration
     for K in CORPUS:
-        H = build_hasse(K)
-        ls = LayerSystem(H)
+        ls = LayerSystem(K)
+        H = ls.H
         for mode in ("acyclic", "all"):
             flat = all_matchings(H, mode)
             top = max(m.bit_count() for m in flat)
@@ -79,35 +72,32 @@ def test_profile_counts_small():
 
 def test_guided_iteration_matches_flat_maxima():
     for K in CORPUS:
-        H = build_hasse(K)
-        flat = all_matchings(H, "acyclic")
+        ls = LayerSystem(K)
+        flat = all_matchings(ls.H, "acyclic")
         top = max(bin(m).count("1") for m in flat)
         flat = [m for m in flat if bin(m).count("1") == top]
-        ls = LayerSystem(H)
         S = suffix_tables(ls, True)
         best, count = max_cardinality_info(S[0][0])
         guided = list(iter_matchings_of_cardinality(ls, S, best, True))
         assert sorted(guided) == sorted(flat)
         assert len(guided) == count
-        assert enumerate_optimal(H) == (top, len(flat))
+        assert enumerate_optimal(K) == (top, len(flat))
         # deterministic order
         assert guided == list(iter_matchings_of_cardinality(ls, S, best, True))
 
 
 def test_iteration_of_non_maximal_cardinality():
-    H = build_hasse(build_boundary(2))
-    ls = LayerSystem(H)
+    ls = LayerSystem(build_boundary(2))
     S = suffix_tables(ls, True)
     singles = list(iter_matchings_of_cardinality(ls, S, 1, True))
-    assert sorted(singles) == [1 << e for e in range(H.edge_count)]
+    assert sorted(singles) == [1 << e for e in range(ls.H.edge_count)]
 
     for K in CORPUS:
-        H = build_hasse(K)
-        ls = LayerSystem(H)
+        ls = LayerSystem(K)
         for mode in ("acyclic", "all"):
             acyclic = mode == "acyclic"
             S = suffix_tables(ls, acyclic)
-            flat = [0] + all_matchings(H, mode)
+            flat = [0] + all_matchings(ls.H, mode)
             union = []
             for k in range(max(m.bit_count() for m in flat) + 1):
                 walked = list(iter_matchings_of_cardinality(ls, S, k, acyclic))
@@ -124,22 +114,23 @@ def test_width_limit():
     # 15 edges of K6 need no subset table
     wide = SimplicialComplex.from_facets(
         [face_mask((a, b)) for a in range(6) for b in range(a + 1, 6)])
-    H = build_hasse(wide)
-    assert LayerSystem(H).tracked == [0, 0]
-    assert matching_counts(H, "acyclic") \
-        == counts_by_cardinality(all_matchings(H, "acyclic"))
-    assert LayerSystem(build_hasse(build_simplex(4))).tracked == [0, 10, 10, 5, 0]
+    ls = LayerSystem(wide)
+    assert ls.tracked == [0, 0]
+    assert matching_counts(wide, "acyclic") \
+        == counts_by_cardinality(all_matchings(ls.H, "acyclic"))
+    assert LayerSystem(build_simplex(4)).tracked == [0, 10, 10, 5, 0]
     # the 20 triangles of the 5-simplex are shared by layers 1 and 2
     for K in (build_simplex(5), build_boundary(5)):
         with pytest.raises(LayeredInfeasibleError, match="dimension 2 has 20"):
-            LayerSystem(build_hasse(K))
+            LayerSystem(K)
     assert WIDTH_LIMIT == 18
 
 
 def test_empty_diagram():
-    H = build_hasse(build_simplex(0))
-    assert matching_counts(H, "acyclic") == []
-    assert enumerate_optimal(H) == (0, 1)
+    K = build_simplex(0)
+    assert LayerSystem(K).H.edge_count == 0
+    assert matching_counts(K, "acyclic") == []
+    assert enumerate_optimal(K) == (0, 1)
 
 
 # -- the packed transfer against the list transfer ----------------------------
@@ -151,7 +142,7 @@ N4 = {"simplex:4": build_simplex(4), "boundary:4": build_boundary(4),
 def test_suffix_tables_match_list_transfer():
     # every S[d][U] list, empty ones and the absence of trailing zeros too
     for K in CORPUS + list(N4.values()):
-        ls = LayerSystem(build_hasse(K))
+        ls = LayerSystem(K)
         for acyclic in (True, False):
             assert suffix_tables(ls, acyclic) == list_suffix_tables(ls, acyclic)
 
@@ -178,11 +169,11 @@ def test_n4_counts_are_frozen():
              82584], 62592),
     }
     for (spec, mode), (fv, reduced_chi) in want.items():
-        got = matching_counts(build_hasse(N4[spec]), mode)
+        got = matching_counts(N4[spec], mode)
         assert got == fv
         assert sum((-1) ** d * v for d, v in enumerate(got)) - 1 == reduced_chi
-    assert enumerate_optimal(build_hasse(N4["simplex:4"])) == (15, 380125)
-    assert enumerate_optimal(build_hasse(N4["boundary:4"])) == (14, 380125)
+    assert enumerate_optimal(N4["simplex:4"]) == (15, 380125)
+    assert enumerate_optimal(N4["boundary:4"]) == (14, 380125)
 
 
 # -- acyclic layer matchings are unique per class ------------------------------
@@ -199,7 +190,7 @@ def assert_unique_per_class(ls: LayerSystem) -> None:
 
 def test_layer_matchings_unique_per_class():
     for K in CORPUS:
-        assert_unique_per_class(LayerSystem(build_hasse(K)))
+        assert_unique_per_class(LayerSystem(K))
 
 
 @st.composite
@@ -216,14 +207,13 @@ def small_complexes(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_complexes())
 def test_layer_engine_on_drawn_complexes(K):
-    H = build_hasse(K)
-    ls = LayerSystem(H)
+    ls = LayerSystem(K)
     assert_unique_per_class(ls)
     for mode in ("acyclic", "all"):
         assert suffix_tables(ls, mode == "acyclic") \
             == list_suffix_tables(ls, mode == "acyclic")
-        flat = all_matchings(H, mode)
-        assert matching_counts(H, mode) == counts_by_cardinality(flat)
+        flat = all_matchings(ls.H, mode)
+        assert matching_counts(K, mode) == counts_by_cardinality(flat)
         walked = iter_matchings_of_cardinality(ls, None, None, mode == "acyclic")
         assert sorted(m for m in walked if m) == sorted(flat)
 
@@ -233,7 +223,7 @@ def test_layer_engine_on_drawn_complexes(K):
 def test_disjoint_edges_gm_counts():
     K = SimplicialComplex.from_facets(
         [face_mask((2 * i, 2 * i + 1)) for i in range(10)])
-    gm = matching_counts(build_hasse(K), "all")
+    gm = matching_counts(K, "all")
     assert gm[:3] == [20, 180, 960]
     assert gm == [comb(10, k) * 2 ** k for k in range(1, 11)]
     assert gm[-1] == 1024
@@ -241,19 +231,17 @@ def test_disjoint_edges_gm_counts():
 
 def test_k7_graph_counts():
     K = skeleton(build_simplex(6), 1)
-    H = build_hasse(K)
-    assert matching_counts(H, "acyclic") == [42, 735, 6860, 36015, 100842, 117649]
-    assert matching_counts(H, "all") \
+    assert matching_counts(K, "acyclic") == [42, 735, 6860, 36015, 100842, 117649]
+    assert matching_counts(K, "all") \
         == [42, 735, 6930, 37905, 119826, 201747, 138690]
-    assert enumerate_optimal(H) == (6, 117649)
+    assert enumerate_optimal(K) == (6, 117649)
 
 
 def test_wide_complexes_refused_quickly():
     for K in (build_simplex(5), build_boundary(5)):
-        H = build_hasse(K)
         t0 = time.perf_counter()
         with pytest.raises(LayeredInfeasibleError):
-            matching_counts(H)
+            matching_counts(K)
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -263,10 +251,10 @@ def test_layer_matchings_are_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        H = build_hasse(build_simplex(3))
-        matching_counts(H)
+        K = build_simplex(3)
+        matching_counts(K)
         assert gc.collect() == 0
-        ls = LayerSystem(H)
+        ls = LayerSystem(K)
         assert sum(1 for _ in iter_matchings_of_cardinality(
             ls, None, None, True)) == 12821
         assert gc.collect() == 0

@@ -5,6 +5,7 @@ import pytest
 
 from morsematch import verify
 from morsematch.complexes import build_boundary, cone, relabel, skeleton
+from morsematch.hasse import HasseDiagram
 from morsematch.morse import MatchingComplex
 from morsematch.verify import (default_suite, verify_cone_contiguity,
                                verify_conjecture_evidence,
@@ -25,6 +26,26 @@ def test_top_facet_bijection():
 
 def test_top_facet_bijection_rejects_n1():
     assert verify_top_facet_bijection(1).status == "fail"
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_matching_walks_refused_before_any_diagram(n, monkeypatch):
+    # the width rule reads the faces alone, so an instance it refuses
+    # never gets a Hasse diagram
+    built = []
+    init = HasseDiagram.__init__
+
+    def spy(self, K):
+        built.append(K)
+        init(self, K)
+
+    monkeypatch.setattr(HasseDiagram, "__init__", spy)
+    for verifier in (verify_top_facet_bijection, verify_layer_counts,
+                     verify_spanning_tree, verify_restriction_fibers):
+        r = verifier(n)
+        assert r.status == "skipped-budget", r.name
+        assert "tracked faces" in r.details["reason"]
+    assert built == []
 
 
 def test_layer_counts():
@@ -111,7 +132,6 @@ def test_restriction_fiber_of_star_matching():
     from morsematch.morse import induced_inclusion
     d3 = build_simplex(3)
     sk = skeleton(d3, 1)
-    HK = build_hasse(d3)
     Hs = build_hasse(sk)
     star = 0
     for lo, up in [((1,), (0, 1)), ((2,), (0, 2)), ((3,), (0, 3))]:
@@ -121,7 +141,8 @@ def test_restriction_fiber_of_star_matching():
     sk_to_k = induced_inclusion(sk, d3)
     k_to_sk = {ke: se for se, ke in enumerate(sk_to_k)}
     fiber = []
-    ls = LayerSystem(HK)
+    ls = LayerSystem(d3)
+    HK = ls.H
     S = suffix_tables(ls, acyclic=True)
     best, _ = max_cardinality_info(S[0][0])
     for mask in iter_matchings_of_cardinality(ls, S, best, acyclic=True):
@@ -265,9 +286,9 @@ def test_bijection_and_fibers_fail_when_a_matching_is_missing(monkeypatch):
     import morsematch.verify as verify_mod
     optimal_masks = verify_mod._optimal_masks
 
-    def lossy(H, budget):
-        best, masks = optimal_masks(H, budget)
-        return best, masks[1:] if H.base.dim < 3 else masks
+    def lossy(ls, budget):
+        best, masks = optimal_masks(ls, budget)
+        return best, masks[1:] if ls.D < 3 else masks
 
     monkeypatch.setattr(verify_mod, "_optimal_masks", lossy)
     r = verify_top_facet_bijection(3)
