@@ -179,10 +179,6 @@ def cmd_count_optimal(args) -> int:
 
 def cmd_verify(args) -> int:
     only = None if args.check == "all" else args.check
-    if only is not None and only not in CHECK_NAMES:
-        print(f"morsematch: unknown check {only!r}; choose from "
-              f"{', '.join(CHECK_NAMES)} or 'all'", file=sys.stderr)
-        return EXIT_USAGE
     # read-only: a cached 4-simplex vector spares euler-n4 its enumeration,
     # and no other check may start one
     n4 = None
@@ -254,7 +250,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_euler)
 
     sp = sub.add_parser("verify", help="run named checks or all of them")
-    sp.add_argument("check", help="check name or 'all'")
+    sp.add_argument("check", choices=CHECK_NAMES + ["all"],
+                    help="check name or 'all'")
     sp.add_argument("--max-n", type=int, default=3)
     shared(sp, 10 ** 7)
     sp.set_defaults(fn=cmd_verify)

@@ -20,13 +20,21 @@ complex, runs `check_width` first and only then builds the Hasse diagram,
 so a refused complex never gets one.  Vertices and top faces are never
 tracked, so every 1-dimensional complex is admitted.
 
-There is one walk over the per-layer product, `iter_matchings_of_cardinality`:
-with a target it yields the matchings of that size, the suffix tables
-serving as exact lookahead, and with None every matching.  It reads one
-index, built by `_lower_index`: each layer's matchings keyed by tracked
-lower mask.  At each node it takes the submasks of the tracked faces the
-layer below left free, in increasing order, so the order is fixed (see its
-docstring).  `profile_counts` tallies that walk.
+A layer matching is an int tuple (lower, upper, edge_mask): local bitmasks
+over the layer's lower and upper faces, and the global Hasse-edge bitmask;
+its pair count is `lower.bit_count()`.  The cycle collector stops tracking
+such tuples at its first pass.  `LayerSystem` owns everything derived from
+(K, acyclic): the layer matchings, and the suffix tables that
+`suffix_tables` memoizes on it.
+
+There is one walk over the per-layer product,
+`iter_matchings_of_cardinality(ls, target, acyclic)`: with a target it
+yields the matchings of that size, the system's suffix tables serving as
+exact lookahead, and with None every matching.  It reads one index, built
+by `_lower_index`: each layer's matchings keyed by tracked lower mask.  At
+each node it takes the submasks of the tracked faces the layer below left
+free, in increasing order, so the order is fixed (see its docstring).
+`profile_counts(ls, target, acyclic)` tallies that walk.
 """
 
 from __future__ import annotations
@@ -74,16 +82,8 @@ class Layer:
     upper_facets: list[list[int]]
 
 
-@dataclass(slots=True)
-class LayerMatching:
-    edge_mask: int   # global edge-index bitmask
-    lower: int       # local bitmask over the layer's lower faces
-    upper: int       # local bitmask over the layer's upper faces
-    size: int
-
-
 class LayerSystem:
-    """Cached per-layer matching lists and their (lower, upper, size) classes
+    """Layer matchings and suffix tables, each kept per value of `acyclic`,
     over the Hasse diagram `H` of a complex.
 
     Raises LayeredInfeasibleError, before the diagram is built, when a
@@ -113,11 +113,11 @@ class LayerSystem:
             upper_facets = [[lo_i[s] for s in H.facets_of[g]]
                             for g in order[p + 1]]
             self.layers.append(Layer(lo_i, edges_local, upper_facets))
-        self._matchings: dict[tuple[int, bool], list[LayerMatching]] = {}
-        self._classes: dict[tuple[int, bool], dict] = {}
+        self._matchings: dict[tuple[int, bool], list[tuple[int, int, int]]] = {}
+        self._suffix: dict[bool, list[list[list[int]]]] = {}
 
-    def matchings(self, d: int, acyclic: bool) -> list[LayerMatching]:
-        """All matchings within one layer, empty matching included."""
+    def matchings(self, d: int, acyclic: bool) -> list[tuple[int, int, int]]:
+        """All matchings within one layer, empty matching first."""
         key = (d, acyclic)
         if key not in self._matchings:
             self._matchings[key] = _enumerate_layer(self.layers[d], acyclic)
@@ -125,40 +125,35 @@ class LayerSystem:
 
     def classes(self, d: int, acyclic: bool) -> dict[tuple[int, int, int], int]:
         """Matching counts aggregated by (lower mask, upper mask, size)."""
-        key = (d, acyclic)
-        if key not in self._classes:
-            agg: Counter = Counter()
-            for m in self.matchings(d, acyclic):
-                agg[(m.lower, m.upper, m.size)] += 1
-            self._classes[key] = dict(agg)
-        return self._classes[key]
+        return dict(Counter((lower, upper, lower.bit_count())
+                            for lower, upper, _ in self.matchings(d, acyclic)))
 
 
-def _enumerate_layer(layer: Layer, acyclic: bool) -> list[LayerMatching]:
-    """DFS over the layer's edges in canonical order; empty matching first."""
-    out = [LayerMatching(0, 0, 0, 0)]
+def _enumerate_layer(layer: Layer, acyclic: bool) -> list[tuple[int, int, int]]:
+    """(lower, upper, edge_mask) of every matching of the layer, by DFS over
+    its edges in canonical order; the empty matching (0, 0, 0) first."""
+    out = [(0, 0, 0)]
     edges = layer.edges_local
     n = len(edges)
     facets = layer.upper_facets
     matched: dict[int, int] = {}  # lower local -> upper local
 
-    def rec(start: int, emask: int, lmask: int, umask: int, size: int) -> None:
+    def rec(start: int, lmask: int, umask: int, emask: int) -> None:
         for i in range(start, n):
             e, lo, up = edges[i]
             if (lmask >> lo) & 1 or (umask >> up) & 1:
                 continue
             if acyclic and _layer_path_exists(facets, matched, up, lo):
                 continue
-            nm = LayerMatching(emask | (1 << e), lmask | (1 << lo),
-                               umask | (1 << up), size + 1)
+            nm = (lmask | (1 << lo), umask | (1 << up), emask | (1 << e))
             out.append(nm)
             if acyclic:
                 matched[lo] = up
-            rec(i + 1, nm.edge_mask, nm.lower, nm.upper, nm.size)
+            rec(i + 1, *nm)
             if acyclic:
                 del matched[lo]
 
-    rec(0, 0, 0, 0, 0)
+    rec(0, 0, 0, 0)
     # rec reaches itself through its closure; unbinding it breaks that
     # cycle, so the matchings are freed with their LayerSystem
     del rec
@@ -169,7 +164,8 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
     """S[d][U][k]: number of ways to match layers d.. with k pairs total,
     avoiding the lower faces in U (a bitmask over dimension d's tracked
     faces).  S[0] and S[D] have a single entry.  A vector has no trailing
-    zeros, and is empty where no matching avoids U.
+    zeros, and is empty where no matching avoids U.  Computed once per
+    `acyclic` and memoized on `ls`; callers must not mutate the result.
 
     The transfer packs each vector into one int, slot k in bits
     [k*W, (k+1)*W) with W = edge_count + 1: a vector sum is one int add and
@@ -178,6 +174,8 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
     counts distinct sets of k Hasse edges, so it is at most
     C(edge_count, k) < 2^W.  The tables are unpacked into lists at the end.
     """
+    if acyclic in ls._suffix:
+        return ls._suffix[acyclic]
     D = ls.D
     W = ls.H.edge_count + 1
     slot = (1 << W) - 1
@@ -189,8 +187,8 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
         size = 1 << w
         low, up_low = ls.tracked_mask[d], ls.tracked_mask[d + 1]
         q = [0] * size
-        for m in ls.matchings(d, acyclic):
-            q[m.lower & low] += nxt[m.upper & up_low] << (m.size * W)
+        for lower, upper, _ in ls.matchings(d, acyclic):
+            q[lower & low] += nxt[upper & up_low] << (lower.bit_count() * W)
         # zeta transform: q[V] becomes the sum over all L subset of V
         for i in range(w):
             bit = 1 << i
@@ -206,35 +204,33 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
                 vec.append(v & slot)
                 v >>= W
             S[d].append(vec)
+    ls._suffix[acyclic] = S
     return S
 
 
 def max_cardinality_info(vec: list[int]) -> tuple[int, int]:
-    """(maximum cardinality, count at the maximum) from a count vector."""
-    top = len(vec) - 1
-    while top > 0 and vec[top] == 0:
-        top -= 1
-    return top, vec[top]
+    """(maximum cardinality, count at the maximum) from a count vector
+    without trailing zeros, such as a suffix-table entry."""
+    return len(vec) - 1, vec[-1]
 
 
 def _lower_index(ls: LayerSystem, acyclic: bool,
-                 ) -> list[dict[int, list[LayerMatching]]]:
+                 ) -> list[dict[int, list[tuple[int, int, int]]]]:
     """Each layer's matchings keyed by their tracked lower mask, each key's
     matchings in canonical DFS order."""
     index = []
     for d in range(ls.D):
-        idx: dict[int, list[LayerMatching]] = {}
+        idx: dict[int, list[tuple[int, int, int]]] = {}
         for m in ls.matchings(d, acyclic):
-            idx.setdefault(m.lower & ls.tracked_mask[d], []).append(m)
+            idx.setdefault(m[0] & ls.tracked_mask[d], []).append(m)
         index.append(idx)
     return index
 
 
-def iter_matchings_of_cardinality(ls: LayerSystem, S: list | None,
-                                  target: int | None, acyclic: bool,
-                                  ) -> Iterator[int]:
+def iter_matchings_of_cardinality(ls: LayerSystem, target: int | None,
+                                  acyclic: bool) -> Iterator[int]:
     """Yield the edge mask of every matching with exactly `target` pairs,
-    or of every matching when `target` is None (S is then not read).
+    or of every matching when `target` is None.
 
     Layers are filled bottom up.  At layer d the tracked faces that the
     layer below left unmatched are free; their submasks are taken in
@@ -245,6 +241,7 @@ def iter_matchings_of_cardinality(ls: LayerSystem, S: list | None,
     """
     D = ls.D
     index = _lower_index(ls, acyclic)
+    S = suffix_tables(ls, acyclic) if target is not None else None
 
     def rec(d: int, avoid: int, k_acc: int, acc_mask: int) -> Iterator[int]:
         if d == D:
@@ -263,14 +260,15 @@ def iter_matchings_of_cardinality(ls: LayerSystem, S: list | None,
         while True:
             group = idx.get(sub)
             if group and (target is None or sub.bit_count() >= fewest):
-                for m in group:
+                for lower, upper, emask in group:
+                    size = lower.bit_count()
                     if target is not None:
-                        need = target - k_acc - m.size
-                        vec = nxt[m.upper & up_low]
+                        need = target - k_acc - size
+                        vec = nxt[upper & up_low]
                         if not (0 <= need < len(vec) and vec[need]):
                             continue
-                    yield from rec(d + 1, m.upper, k_acc + m.size,
-                                   acc_mask | m.edge_mask)
+                    yield from rec(d + 1, upper, k_acc + size,
+                                   acc_mask | emask)
             sub = (sub - free) & free
             if not sub:
                 break
@@ -283,14 +281,14 @@ def iter_matchings_of_cardinality(ls: LayerSystem, S: list | None,
         del rec
 
 
-def profile_counts(ls: LayerSystem, S: list, target: int, acyclic: bool,
+def profile_counts(ls: LayerSystem, target: int, acyclic: bool,
                    ) -> dict[tuple[int, ...], int]:
     """Counts of cardinality-`target` matchings by per-layer pair profile,
     tallied over the walk."""
     layer_edges = [sum(1 << e for e, _, _ in lay.edges_local)
                    for lay in ls.layers]
     out: Counter = Counter()
-    for mask in iter_matchings_of_cardinality(ls, S, target, acyclic):
+    for mask in iter_matchings_of_cardinality(ls, target, acyclic):
         out[tuple([(mask & le).bit_count() for le in layer_edges])] += 1
     return dict(out)
 
@@ -307,6 +305,8 @@ def matching_counts(K: SimplicialComplex, mode: str = "acyclic") -> list[int]:
 
 def enumerate_optimal(K: SimplicialComplex) -> tuple[int, int]:
     """Maximum acyclic matching cardinality on K and the number of
-    matchings that reach it, counted through the layer transfer."""
-    S = suffix_tables(LayerSystem(K), acyclic=True)
-    return max_cardinality_info(S[0][0])
+    matchings that reach it, counted through the layer transfer; (0, 1)
+    for the void complex, whose one matching is the empty one."""
+    if K.is_void:
+        return 0, 1
+    return max_cardinality_info(suffix_tables(LayerSystem(K), True)[0][0])

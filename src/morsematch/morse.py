@@ -77,7 +77,7 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
 
     if variant == "MP":
         closed: set[int] = set()
-        for mask in iter_matchings_of_cardinality(ls, S, best, acyclic=True):
+        for mask in iter_matchings_of_cardinality(ls, best, acyclic=True):
             sub = mask
             while sub:
                 closed.add(sub)
@@ -87,8 +87,7 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
                 sub = (sub - 1) & mask
         masks = closed
     else:
-        masks = [m for m in iter_matchings_of_cardinality(ls, None, None,
-                                                          acyclic) if m]
+        masks = [m for m in iter_matchings_of_cardinality(ls, None, acyclic) if m]
 
     cx = SimplicialComplex.from_faces(masks, ls.H.edge_count)
     return MatchingComplex(variant, K, ls.H, cx)
@@ -116,10 +115,13 @@ def induced_inclusion(K: SimplicialComplex, L: SimplicialComplex) -> list[int]:
 
     Entry i is the index in the Hasse diagram of L of the i-th Hasse edge of
     K (the same pair of faces, located in the larger diagram).  Injective by
-    construction; raises if K is not a subcomplex of L.
+    construction, and empty for a void K; raises if K is not a subcomplex
+    of L.
     """
     if not L.contains_complex(K):
         raise ValueError("K is not a subcomplex of L")
+    if K.is_void:
+        return []
     HK = build_hasse(K)
     HL = build_hasse(L)
     return [HL.edge(*HK.edge_faces(e)) for e in range(HK.edge_count)]

@@ -118,12 +118,11 @@ def _reduced_homology(spec: str, variant: str, budget: int,
 
 def _optimal_masks(ls: LayerSystem, budget: int) -> tuple[int, list[int]]:
     """All maximum acyclic matchings, guarded by the visit budget."""
-    S = suffix_tables(ls, acyclic=True)
-    best, count = max_cardinality_info(S[0][0])
+    best, count = max_cardinality_info(suffix_tables(ls, acyclic=True)[0][0])
     if count > budget:
         raise BudgetExceededError(
             f"{count} optimal matchings exceed budget {budget}")
-    return best, list(iter_matchings_of_cardinality(ls, S, best, acyclic=True))
+    return best, list(iter_matchings_of_cardinality(ls, best, acyclic=True))
 
 
 # -- counting and bijections -------------------------------------------------
@@ -187,10 +186,9 @@ def verify_layer_counts(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
     def check() -> dict:
         K = build_simplex(n)
         ls = LayerSystem(K)
-        S = suffix_tables(ls, acyclic=True)
-        best, count = max_cardinality_info(S[0][0])
+        best, count = max_cardinality_info(suffix_tables(ls, acyclic=True)[0][0])
         expected = tuple(comb(n, k + 1) for k in range(n))
-        profiles = profile_counts(ls, S, best, acyclic=True)
+        profiles = profile_counts(ls, best, acyclic=True)
         _ensure(profiles == {expected: count},
                 f"layer profiles {profiles} differ from {expected}",
                 lambda: {str(k): v for k, v in profiles.items()})

@@ -33,7 +33,7 @@ from oracles import dd_nonzero, snf_divisors_sympy
 def acyclic_matchings(ls) -> list[int]:
     """Non-empty acyclic matchings from the layer walk, in canonical edge
     order."""
-    masks = [m for m in iter_matchings_of_cardinality(ls, None, None,
+    masks = [m for m in iter_matchings_of_cardinality(ls, None,
                                                       acyclic=True) if m]
     return sorted(masks, key=face_vertices)
 
@@ -141,7 +141,7 @@ def test_criterion_08_n4_desk_scale(d4_layers):
     assert (best_s, count_s) == (10, 76025)
     assert count4 == 5 * count_s == 380125
 
-    profiles = profile_counts(ls4, S4, best4, acyclic=True)
+    profiles = profile_counts(ls4, best4, acyclic=True)
     assert profiles == {(4, 6, 4, 1): 380125}
 
     r = verify_restriction_fibers(4)

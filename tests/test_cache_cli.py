@@ -173,9 +173,10 @@ def test_usage_errors(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "fvector", "--complex", "nonsense:3",
                          "--cache-dir", str(tmp_path))
     assert code == 2
-    code, _, err = run_cli(capsys, "verify", "no-such-check",
-                           "--cache-dir", str(tmp_path))
-    assert code == 2
+    code, out, err = run_cli(capsys, "verify", "no-such-check",
+                             "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "invalid choice: 'no-such-check'" in err
     # count-optimal counts acyclic matchings only: no other variant parses
     for variant in ("MP", "GM"):
         code, out, err = run_cli(capsys, "count-optimal", "--complex",
@@ -294,6 +295,31 @@ def test_relative_homology_of_void_matching_complexes(capsys, tmp_path):
     result = json.loads(out)["result"]
     assert result["relative"] == "simplex:0"
     assert all(not g["betti"] and not g["torsion"] for g in result["degrees"])
+
+
+def test_void_base_is_ordinary_input(capsys, tmp_path):
+    p = tmp_path / "void.json"
+    p.write_text(json.dumps({"vertices": 3, "facets": []}))
+    void = f"file:{p}"
+    for argv in (["fvector", "--complex", void], ["euler", "--complex", void],
+                 ["homology", "--complex", "simplex:2", "--variant", "none",
+                  "--relative", void]):
+        code, _, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0, (argv, err)
+    code, out, _ = run_cli(capsys, "count-optimal", "--complex", void,
+                           "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["result"] == {"count": 1, "max_cardinality": 0}
+    # relative to the void complex, homology is the absolute homology
+    for variant in ("M", "MP", "GM"):
+        degrees = []
+        for rel in (["--relative", void], []):
+            code, out, err = run_cli(capsys, "homology", "--complex",
+                                     "simplex:2", "--variant", variant, *rel,
+                                     "--cache-dir", str(tmp_path))
+            assert code == 0, (variant, err)
+            degrees.append(json.loads(out)["result"]["degrees"])
+        assert degrees[0] == degrees[1]
 
 
 def test_wide_complexes_refused(capsys, tmp_path, monkeypatch):

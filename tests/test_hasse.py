@@ -23,13 +23,12 @@ def optimal_walk(ls) -> list[int]:
     """Every maximum acyclic matching, walked on one layer system."""
     S = suffix_tables(ls, acyclic=True)
     best, _ = max_cardinality_info(S[0][0])
-    return list(iter_matchings_of_cardinality(ls, S, best, acyclic=True))
+    return list(iter_matchings_of_cardinality(ls, best, acyclic=True))
 
 
 def walked(ls, acyclic: bool) -> list[int]:
     """Non-empty matchings from the layer walk, in canonical edge order."""
-    masks = [m for m in iter_matchings_of_cardinality(ls, None, None, acyclic)
-             if m]
+    masks = [m for m in iter_matchings_of_cardinality(ls, None, acyclic) if m]
     return sorted(masks, key=face_vertices)
 
 

@@ -29,7 +29,7 @@ def test_counts_agree_with_flat_enumeration():
         for mode in ("acyclic", "all"):
             flat = all_matchings(ls.H, mode)
             assert matching_counts(K, mode) == counts_by_cardinality(flat)
-            walked = list(iter_matchings_of_cardinality(ls, None, None,
+            walked = list(iter_matchings_of_cardinality(ls, None,
                                                         mode == "acyclic"))
             assert walked[0] == 0
             assert sorted(walked[1:]) == sorted(flat)
@@ -46,11 +46,10 @@ def test_profile_counts_small():
     ls = LayerSystem(build_simplex(3))
     S = suffix_tables(ls, True)
     best, count = max_cardinality_info(S[0][0])
-    assert profile_counts(ls, S, best, True) == {(3, 3, 1): 256}
+    assert profile_counts(ls, best, True) == {(3, 3, 1): 256}
 
     ls2 = LayerSystem(build_simplex(2))
-    S2 = suffix_tables(ls2, True)
-    assert profile_counts(ls2, S2, 3, True) == {(2, 1): 9}
+    assert profile_counts(ls2, 3, True) == {(2, 1): 9}
 
     # every corpus complex, both modes: the per-layer pair counts of the
     # maximum matchings of the flat enumeration
@@ -66,8 +65,7 @@ def test_profile_counts_small():
                     layer = [H.layer_of[e] for e in face_vertices(m)]
                     want[tuple(layer.count(d) for d in range(ls.D))] += 1
             acyclic = mode == "acyclic"
-            assert profile_counts(ls, suffix_tables(ls, acyclic), top,
-                                  acyclic) == want
+            assert profile_counts(ls, top, acyclic) == want
 
 
 def test_guided_iteration_matches_flat_maxima():
@@ -78,35 +76,48 @@ def test_guided_iteration_matches_flat_maxima():
         flat = [m for m in flat if bin(m).count("1") == top]
         S = suffix_tables(ls, True)
         best, count = max_cardinality_info(S[0][0])
-        guided = list(iter_matchings_of_cardinality(ls, S, best, True))
+        guided = list(iter_matchings_of_cardinality(ls, best, True))
         assert sorted(guided) == sorted(flat)
         assert len(guided) == count
         assert enumerate_optimal(K) == (top, len(flat))
         # deterministic order
-        assert guided == list(iter_matchings_of_cardinality(ls, S, best, True))
+        assert guided == list(iter_matchings_of_cardinality(ls, best, True))
 
 
 def test_iteration_of_non_maximal_cardinality():
     ls = LayerSystem(build_boundary(2))
-    S = suffix_tables(ls, True)
-    singles = list(iter_matchings_of_cardinality(ls, S, 1, True))
+    singles = list(iter_matchings_of_cardinality(ls, 1, True))
     assert sorted(singles) == [1 << e for e in range(ls.H.edge_count)]
 
     for K in CORPUS:
         ls = LayerSystem(K)
         for mode in ("acyclic", "all"):
             acyclic = mode == "acyclic"
-            S = suffix_tables(ls, acyclic)
             flat = [0] + all_matchings(ls.H, mode)
             union = []
             for k in range(max(m.bit_count() for m in flat) + 1):
-                walked = list(iter_matchings_of_cardinality(ls, S, k, acyclic))
+                walked = list(iter_matchings_of_cardinality(ls, k, acyclic))
                 assert sorted(walked) \
                     == sorted(m for m in flat if m.bit_count() == k)
                 union += walked
-            everything = list(iter_matchings_of_cardinality(ls, None, None,
-                                                            acyclic))
+            everything = list(iter_matchings_of_cardinality(ls, None, acyclic))
             assert sorted(union) == sorted(everything)
+
+
+def test_targeted_walks_read_the_tables_of_their_own_mode():
+    # one system holds the suffix tables of both modes; alternating the
+    # modes on it shows that each walk prunes with its own mode's tables
+    for K in (build_simplex(3), build_boundary(3)):
+        ls = LayerSystem(K)
+        flat = {acyclic: [0] + all_matchings(ls.H, "acyclic" if acyclic
+                                             else "all")
+                for acyclic in (True, False)}
+        for k in range(max(m.bit_count() for m in flat[False]) + 1):
+            for acyclic in (True, False):
+                walked = list(iter_matchings_of_cardinality(ls, k, acyclic))
+                assert sorted(walked) \
+                    == sorted(m for m in flat[acyclic] if m.bit_count() == k)
+        assert suffix_tables(ls, True) is suffix_tables(ls, True)
 
 
 def test_width_limit():
@@ -131,6 +142,7 @@ def test_empty_diagram():
     assert LayerSystem(K).H.edge_count == 0
     assert matching_counts(K, "acyclic") == []
     assert enumerate_optimal(K) == (0, 1)
+    assert enumerate_optimal(SimplicialComplex.void(3)) == (0, 1)
 
 
 # -- the packed transfer against the list transfer ----------------------------
@@ -214,7 +226,7 @@ def test_layer_engine_on_drawn_complexes(K):
             == list_suffix_tables(ls, mode == "acyclic")
         flat = all_matchings(ls.H, mode)
         assert matching_counts(K, mode) == counts_by_cardinality(flat)
-        walked = iter_matchings_of_cardinality(ls, None, None, mode == "acyclic")
+        walked = iter_matchings_of_cardinality(ls, None, mode == "acyclic")
         assert sorted(m for m in walked if m) == sorted(flat)
 
 
@@ -256,9 +268,9 @@ def test_layer_matchings_are_freed_without_the_cycle_collector():
         assert gc.collect() == 0
         ls = LayerSystem(K)
         assert sum(1 for _ in iter_matchings_of_cardinality(
-            ls, None, None, True)) == 12821
+            ls, None, True)) == 12821
         assert gc.collect() == 0
-        walk = iter_matchings_of_cardinality(ls, None, None, True)
+        walk = iter_matchings_of_cardinality(ls, None, True)
         next(walk)
         next(walk)
         del walk
@@ -267,3 +279,12 @@ def test_layer_matchings_are_freed_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_layer_matchings_are_untracked_by_the_cycle_collector():
+    # a layer matching is a tuple of ints, which a collection stops tracking
+    ls = LayerSystem(build_simplex(4))
+    lists = [ls.matchings(d, acyclic) for d in range(ls.D)
+             for acyclic in (True, False)]
+    gc.collect()
+    assert not any(gc.is_tracked(m) for mats in lists for m in mats)

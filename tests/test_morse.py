@@ -1,6 +1,7 @@
 import pytest
 
-from morsematch.complexes import (build_boundary, build_simplex, cone,
+from morsematch.complexes import (SimplicialComplex, build_boundary,
+                                  build_simplex, cone,
                                   euler_characteristic, f_vector, face_mask,
                                   face_vertices, is_full_subcomplex, relabel,
                                   skeleton)
@@ -98,6 +99,8 @@ def test_void_cases():
 
     point = build_simplex(0)
     assert build_matching_complex(point, "GM").is_void
+    # the void complex is a subcomplex of every complex, with no Hasse edges
+    assert induced_inclusion(SimplicialComplex.void(3), build_simplex(2)) == []
 
 
 def test_m_of_edge_is_two_points():

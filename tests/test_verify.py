@@ -145,7 +145,7 @@ def test_restriction_fiber_of_star_matching():
     HK = ls.H
     S = suffix_tables(ls, acyclic=True)
     best, _ = max_cardinality_info(S[0][0])
-    for mask in iter_matchings_of_cardinality(ls, S, best, acyclic=True):
+    for mask in iter_matchings_of_cardinality(ls, best, acyclic=True):
         rho = 0
         for e in face_vertices(mask):
             se = k_to_sk.get(e)
