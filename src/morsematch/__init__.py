@@ -20,7 +20,7 @@ from .homology import (ChainComplex, HomologyResult, SparseIntMatrix,
                        smith_normal_form)
 from .layers import LayerSystem, enumerate_optimal, matching_counts
 from .morse import (MatchingComplex, MaterializationLimitError,
-                    build_matching_complex, cone_pair, induced_inclusion,
+                    build_matching_complex, induced_inclusion,
                     matching_complex_f_vector)
 from .specs import SpecError, build_from_spec, canonical_spec, load_facet_file
 from .verify import VerificationReport, default_suite
@@ -35,7 +35,7 @@ __all__ = [
     "homology", "relative_homology", "smith_normal_form",
     "LayerSystem", "enumerate_optimal", "matching_counts",
     "MatchingComplex", "MaterializationLimitError", "build_matching_complex",
-    "cone_pair", "induced_inclusion", "matching_complex_f_vector",
+    "induced_inclusion", "matching_complex_f_vector",
     "SpecError", "build_from_spec", "canonical_spec", "load_facet_file",
     "VerificationReport", "default_suite",
     "__version__",

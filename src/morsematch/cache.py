@@ -5,11 +5,12 @@ with a header line carrying a checksum of the payload; a mismatch means the
 entry is ignored (and reported on stderr), never trusted.  Writes go through
 a temp file and an atomic rename.
 
-Face-set documents serialize a matching complex's faces, one per line and
-in canonical order, as the lowercase hex of the little-endian face bitmask
-(bit i is Hasse edge i of the base), after a header
-``morsematch-faces v1 <edge-count>``.  A face mask is written verbatim, so
-the format is bit-exact and diffable.
+Face-set documents serialize a complex's faces, one per line and in
+canonical order, as the lowercase hex of the little-endian face bitmask,
+after a header ``morsematch-faces v1 <vertex-count>``.  Bit i is vertex i
+of the complex written; for a matching complex, that is Hasse edge i of its
+base.  A face mask is written verbatim, so the format is bit-exact and
+diffable.
 """
 
 from __future__ import annotations

@@ -91,19 +91,14 @@ def _cached(args, operation: str, spec: str, variant: str, compute=None,
 
 def cmd_build(args) -> int:
     spec = canonical_spec(args.complex)
-    K = build_from_spec(spec)
+    cx = build_from_spec(spec)
     if args.variant:
-        mc = build_matching_complex(K, args.variant, max_faces=args.budget)
-        cx = mc.complex
-        if args.out:
-            _write_out(args.out, faces_to_document(cx.faces(), mc.edge_count))
-        result = {"variant": args.variant, "f_vector": f_vector(cx),
-                  "faces": cx.total_faces(), "void": cx.is_void,
-                  "out": args.out}
-    else:
-        result = {"variant": None, "f_vector": f_vector(K),
-                  "faces": K.total_faces(), "void": K.is_void,
-                  "out": None}
+        cx = build_matching_complex(cx, args.variant,
+                                    max_faces=args.budget).complex
+    if args.out:
+        _write_out(args.out, faces_to_document(cx.faces(), cx.vertex_count))
+    result = {"variant": args.variant, "f_vector": f_vector(cx),
+              "faces": cx.total_faces(), "void": cx.is_void, "out": args.out}
     _emit("build", spec, result)
     return EXIT_OK
 
@@ -148,10 +143,11 @@ def cmd_homology(args) -> int:
         else:
             mc = build_matching_complex(K, args.variant, max_faces=args.budget)
             if rel_spec:
-                sub = build_from_spec(rel_spec)
-                msub = build_matching_complex(sub, args.variant,
+                msub = build_matching_complex(build_from_spec(rel_spec),
+                                              args.variant,
                                               max_faces=args.budget)
-                emb = relabel(msub.complex, induced_inclusion(sub, K),
+                emb = relabel(msub.complex,
+                              induced_inclusion(msub.hasse, mc.hasse),
                               mc.edge_count)
                 h = relative_homology(mc.complex, emb, reduced=reduced)
             else:

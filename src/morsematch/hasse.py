@@ -8,7 +8,11 @@ skeleton L = skeleton(K, k) (the boundary of the n-simplex is its
 (n-1)-skeleton) keeps K's first faces with the same gids and K's first
 m = edge_count(L) Hasse edges in the same order: the induced
 inclusion of L into K is range(m), a matching of L is a matching of K, and
-a matching of K restricts to L as `mask & ((1 << m) - 1)`.
+a matching of K restricts to L as `mask & ((1 << m) - 1)`.  The verifiers
+rely on this prefix fact without checking it at run time;
+`tests/test_morse.py::test_skeleton_edges_are_a_prefix` checks it on every
+pair they reach.  Every complex has a diagram: a void or 0-dimensional
+base has one with no edges.
 
 Edge e runs from gid `lower[e]` up to gid `upper[e]` in layer
 `layer_of[e]`, a face's dimension is its bit count minus one, and
@@ -42,11 +46,11 @@ class HasseDiagram:
                  "lower", "upper", "layer_of", "edges_up")
 
     def __init__(self, K: SimplicialComplex):
-        if K.is_void:
-            raise ValueError("void complex has no Hasse diagram")
         self.base = K
+        # a void base counts as one empty dimension of vertices, so
+        # offsets[1] exists and the diagram has no faces and no edges
         self.offsets = [0]
-        for lst in K.faces_by_dim:
+        for lst in K.faces_by_dim or [[]]:
             self.offsets.append(self.offsets[-1] + len(lst))
         self.face_of_gid: list[Face] = [f for f in K.faces()]
 

@@ -95,7 +95,7 @@ class LayerSystem:
     def __init__(self, K: SimplicialComplex):
         check_width(K)
         self.H = H = build_hasse(K)
-        self.D = K.dim  # number of layers
+        self.D = max(K.dim, 0)  # number of layers, 0 for a void base
         order: list[list[int]] = []
         self.tracked: list[int] = []
         for d in range(self.D + 1):
@@ -295,18 +295,19 @@ def profile_counts(ls: LayerSystem, target: int, acyclic: bool,
 
 def matching_counts(K: SimplicialComplex, mode: str = "acyclic") -> list[int]:
     """f-vector of the complex of matchings of K (counts by cardinality
-    >= 1).
+    >= 1): of the acyclic matchings for mode "acyclic", of all matchings
+    for mode "all".
 
-    Raises LayeredInfeasibleError when a dimension has more than
-    WIDTH_LIMIT tracked faces.
+    Raises ValueError for any other mode, and LayeredInfeasibleError when a
+    dimension has more than WIDTH_LIMIT tracked faces.
     """
+    if mode not in ("acyclic", "all"):
+        raise ValueError(f"mode must be 'acyclic' or 'all', got {mode!r}")
     return suffix_tables(LayerSystem(K), mode == "acyclic")[0][0][1:]
 
 
 def enumerate_optimal(K: SimplicialComplex) -> tuple[int, int]:
     """Maximum acyclic matching cardinality on K and the number of
     matchings that reach it, counted through the layer transfer; (0, 1)
-    for the void complex, whose one matching is the empty one."""
-    if K.is_void:
-        return 0, 1
+    when K has no Hasse edges, whose one matching is the empty one."""
     return max_cardinality_info(suffix_tables(LayerSystem(K), True)[0][0])

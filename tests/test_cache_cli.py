@@ -8,6 +8,7 @@ from morsematch.cache import (cache_get, cache_key, cache_put,
                               default_cache_dir, document_to_faces,
                               faces_to_document)
 from morsematch.cli import main
+from morsematch.complexes import SimplicialComplex, build_boundary
 from morsematch.hasse import HasseDiagram
 
 
@@ -193,6 +194,7 @@ def test_usage_errors(capsys, tmp_path):
 def test_unwritable_out_is_usage_error(capsys, tmp_path):
     out = str(tmp_path / "missing" / "x.txt")
     for argv in (["build", "--complex", "simplex:1", "--variant", "M"],
+                 ["build", "--complex", "simplex:1"],
                  ["fvector", "--complex", "simplex:2"]):
         code, _, err = run_cli(capsys, *argv, "--out", out,
                                "--cache-dir", str(tmp_path))
@@ -221,9 +223,16 @@ def test_build_command_with_face_document(capsys, tmp_path):
     assert len(masks) == 15
     assert len(set(masks)) == 15
 
+    # without --variant the base itself is written: bit i is vertex i
     code, out, _ = run_cli(capsys, "build", "--complex", "boundary:2",
-                           "--cache-dir", str(tmp_path))
-    assert json.loads(out)["result"]["f_vector"] == [3, 3]
+                           "--out", str(out_path), "--cache-dir", str(tmp_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["f_vector"] == [3, 3]
+    assert doc["result"]["out"] == str(out_path)
+    masks, vertex_count = document_to_faces(out_path.read_bytes())
+    assert vertex_count == 3
+    assert SimplicialComplex.from_faces(masks, vertex_count) == build_boundary(2)
 
 
 # SHA-256 of the `build --out` document, measured at commit 0262a07 (faces

@@ -44,6 +44,9 @@ def test_edge_counts():
     assert build_hasse(build_simplex(3)).edge_count == 28
     assert build_hasse(build_boundary(3)).edge_count == 24
     assert build_hasse(build_simplex(4)).edge_count == 75
+    # a void base has a diagram too: no faces, no edges
+    H = build_hasse(SimplicialComplex.void(3))
+    assert H.edge_count == 0 and H.face_of_gid == [] and H.offsets == [0, 0]
 
 
 def test_edge_order_canonical():

@@ -70,13 +70,14 @@ def test_dd_zero_on_small_complexes():
 
 
 def test_dd_zero_on_the_n3_matching_complexes(m_d3, m_bd3, mp_d3, mp_bd3,
-                                              gm_d3, gm_bd3, d3, bd3):
+                                              gm_d3, gm_bd3):
     # the complexes whose homology the paper tabulates; the augmentation
     # row makes the reduced product cover the unreduced one
     for mc in (m_d3, m_bd3, mp_d3, mp_bd3, gm_d3, gm_bd3):
         assert dd_nonzero(boundary_matrices(mc.complex, True)) is None
     # and the quotient of the pair (M(simplex:3), M(boundary:3))
-    emb = relabel(m_bd3.complex, induced_inclusion(bd3, d3), 28)
+    emb = relabel(m_bd3.complex, induced_inclusion(m_bd3.hasse, m_d3.hasse),
+                  28)
     assert dd_nonzero(_chain(m_d3.complex, emb.face_index, False)) is None
 
 
@@ -205,17 +206,17 @@ def test_relative_homology_rejects_non_subcomplex():
         relative_homology(build_simplex(2), build_simplex(3))
 
 
-def test_relative_homology_of_matching_pair(m_d3, m_bd3, d3, bd3):
-    mapping = induced_inclusion(bd3, d3)
+def test_relative_homology_of_matching_pair(m_d3, m_bd3):
+    mapping = induced_inclusion(m_bd3.hasse, m_d3.hasse)
     emb = relabel(m_bd3.complex, mapping, 28)
     rel = relative_homology(m_d3.complex, emb)
     assert rel.nonzero() == {4: (96, ())}
 
 
-def test_relative_homology_simplex_pair_with_triangle(m_d3, d3, d2):
+def test_relative_homology_simplex_pair_with_triangle(m_d3, d2):
     from morsematch.morse import build_matching_complex
     m_d2 = build_matching_complex(d2, "M")
-    mapping = induced_inclusion(d2, d3)
+    mapping = induced_inclusion(m_d2.hasse, m_d3.hasse)
     emb = relabel(m_d2.complex, mapping, 28)
     rel = relative_homology(m_d3.complex, emb)
     # forced by the cone splitting: degree 4 from the simplex side and the
@@ -275,9 +276,9 @@ def test_cleared_homology_matches_uncleared_and_sympy(reduced):
 
 
 @pytest.mark.parametrize("reduced", [True, False])
-def test_cleared_relative_homology_matches_uncleared(m_d3, m_bd3, d3, bd3,
-                                                     reduced):
-    emb = relabel(m_bd3.complex, induced_inclusion(bd3, d3), 28)
+def test_cleared_relative_homology_matches_uncleared(m_d3, m_bd3, reduced):
+    emb = relabel(m_bd3.complex, induced_inclusion(m_bd3.hasse, m_d3.hasse),
+                  28)
     rel = relative_homology(m_d3.complex, emb, reduced)
     assert rel.nonzero() == {4: (96, ())}
     cc = _chain(m_d3.complex, emb.face_index, False)

@@ -137,6 +137,14 @@ def test_width_limit():
     assert WIDTH_LIMIT == 18
 
 
+def test_matching_counts_rejects_unknown_mode():
+    # "M" is a variant name, not a mode; it must not count all matchings
+    with pytest.raises(ValueError, match="mode must be 'acyclic' or 'all'"):
+        matching_counts(build_simplex(2), "M")
+    assert matching_counts(build_simplex(2), "acyclic") == [9, 21, 9]
+    assert matching_counts(build_simplex(2), "all") == [9, 21, 11]
+
+
 def test_empty_diagram():
     K = build_simplex(0)
     assert LayerSystem(K).H.edge_count == 0

@@ -1,14 +1,13 @@
 import pytest
 
 from morsematch.complexes import (SimplicialComplex, build_boundary,
-                                  build_simplex, cone,
-                                  euler_characteristic, f_vector, face_mask,
-                                  face_vertices, is_full_subcomplex, relabel,
-                                  skeleton)
+                                  build_simplex, euler_characteristic,
+                                  f_vector, face_vertices, is_full_subcomplex,
+                                  relabel, skeleton)
 from morsematch.hasse import build_hasse, is_acyclic, is_matching
+from morsematch.layers import enumerate_optimal, matching_counts
 from morsematch.morse import (MaterializationLimitError, build_matching_complex,
-                              cone_pair, induced_inclusion,
-                              matching_complex_f_vector)
+                              induced_inclusion, matching_complex_f_vector)
 
 from oracles import modified_digraph_acyclic
 from test_layers import CORPUS
@@ -91,16 +90,20 @@ def test_faces_satisfy_defining_predicates(bd2, d3):
 
 
 def test_void_cases():
-    bd1 = build_boundary(1)  # two isolated vertices, no Hasse edges
-    mc = build_matching_complex(bd1, "M")
-    assert mc.is_void
-    assert f_vector(mc.complex) == []
-    assert matching_complex_f_vector(bd1, "M") == []
-
-    point = build_simplex(0)
-    assert build_matching_complex(point, "GM").is_void
+    # bases without Hasse edges take the general path: the void complex,
+    # a point, and two isolated vertices
+    for K in (SimplicialComplex.void(3), build_simplex(0), build_boundary(1)):
+        assert enumerate_optimal(K) == (0, 1)
+        assert matching_counts(K, "acyclic") == matching_counts(K, "all") == []
+        for variant in ("M", "MP", "GM"):
+            mc = build_matching_complex(K, variant, max_faces=0)
+            assert mc.hasse is not None and mc.hasse.edge_count == 0
+            assert mc.is_void and mc.edge_count == 0
+            assert mc.complex == SimplicialComplex.void(0)
+            assert matching_complex_f_vector(K, variant) == []
     # the void complex is a subcomplex of every complex, with no Hasse edges
-    assert induced_inclusion(SimplicialComplex.void(3), build_simplex(2)) == []
+    void = build_hasse(SimplicialComplex.void(3))
+    assert induced_inclusion(void, build_hasse(build_simplex(2))) == []
 
 
 def test_m_of_edge_is_two_points():
@@ -115,8 +118,8 @@ def test_streamed_f_vector_matches_materialization():
                 == f_vector(build_matching_complex(K, variant).complex)
 
 
-def test_induced_inclusion_boundary_into_simplex(d3, bd3, m_d3, m_bd3):
-    mapping = induced_inclusion(bd3, d3)
+def test_induced_inclusion_boundary_into_simplex(m_d3, m_bd3):
+    mapping = induced_inclusion(m_bd3.hasse, m_d3.hasse)
     assert len(mapping) == 24
     assert len(set(mapping)) == 24
     emb = relabel(m_bd3.complex, mapping, 28)
@@ -125,42 +128,22 @@ def test_induced_inclusion_boundary_into_simplex(d3, bd3, m_d3, m_bd3):
 
 
 def test_induced_inclusion_identity(d2):
-    assert induced_inclusion(d2, d2) == list(range(9))
+    H2 = build_hasse(d2)
+    assert induced_inclusion(H2, H2) == list(range(9))
 
 
 def test_induced_inclusion_edge_into_triangle(d2):
-    edge = build_simplex(1)
-    mapping = induced_inclusion(edge, d2)
-    assert len(mapping) == 2
     H2 = build_hasse(d2)
+    mapping = induced_inclusion(build_hasse(build_simplex(1)), H2)
+    assert len(mapping) == 2
     assert [tuple(tuple(face_vertices(f)) for f in H2.edge_faces(e))
             for e in mapping] == [((0,), (0, 1)), ((1,), (0, 1))]
 
 
 def test_induced_inclusion_rejects_non_subcomplex():
     with pytest.raises(ValueError):
-        induced_inclusion(build_simplex(3), build_simplex(2))
-
-
-def test_cone_pair():
-    CK, apex, e0 = cone_pair(build_simplex(1))
-    assert CK == build_simplex(2) and apex == 2
-    H = build_hasse(CK)
-    assert H.edge_faces(e0) == (face_mask((2,)), face_mask((0, 2)))
-
-    CK, apex, e0 = cone_pair(build_simplex(0))
-    assert CK == build_simplex(1)
-    H = build_hasse(CK)
-    assert H.edge_count == 2 \
-        and H.edge_faces(e0) == (face_mask((1,)), face_mask((0, 1)))
-
-    CK, apex, e0 = cone_pair(build_boundary(2))
-    assert CK.total_faces() == 13
-    H = build_hasse(CK)
-    assert H.edge_faces(e0) == (face_mask((3,)), face_mask((0, 3)))
-
-    with pytest.raises(ValueError):
-        cone_pair(build_simplex(1), w0=7)
+        induced_inclusion(build_hasse(build_simplex(3)),
+                          build_hasse(build_simplex(2)))
 
 
 def test_materialization_guard():
@@ -171,14 +154,29 @@ def test_materialization_guard():
         build_matching_complex(build_simplex(4), "M")
     with pytest.raises(MaterializationLimitError):
         build_matching_complex(build_simplex(4), "MP")
+    # MP of the boundary of the 3-simplex closes its 256 maximum matchings
+    # of 6 pairs each, so it is projected at 256 * 63 non-empty faces
+    bd3 = build_boundary(3)
+    projected = 256 * ((1 << 6) - 1)
+    mp = build_matching_complex(bd3, "MP", max_faces=projected)
+    assert f_vector(mp.complex) == [24, 216, 896, 1680, 1152, 256]
+    with pytest.raises(MaterializationLimitError,
+                       match=f"projected face count {projected} "):
+        build_matching_complex(bd3, "MP", max_faces=projected - 1)
 
 
 def test_skeleton_edges_are_a_prefix():
     # canonical order puts a skeleton's faces and Hasse edges first, with
-    # the same gids, so its induced inclusion is the identity on a prefix
+    # the same gids, so its induced inclusion is the identity on a prefix.
+    # The verifiers rely on this for every pair below without checking it:
+    # boundary in simplex (top-facet-bijection, les-example, gm-structure)
+    # and codimension-2 skeleton in simplex (restriction-fibers)
     pairs = [(skeleton(K, k), K) for K in CORPUS for k in range(1, K.dim)]
     pairs += [(build_boundary(n), build_simplex(n)) for n in range(1, 6)]
-    assert len(pairs) == 10
+    pairs += [(skeleton(build_simplex(n), n - 2), build_simplex(n))
+              for n in (3, 4)]
+    assert len(pairs) == 12
     for L, K in pairs:
-        m = build_hasse(L).edge_count
-        assert induced_inclusion(L, K) == list(range(m))
+        HL, HK = build_hasse(L), build_hasse(K)
+        assert induced_inclusion(HL, HK) == list(range(HL.edge_count))
+        assert HK.face_of_gid[:len(HL.face_of_gid)] == HL.face_of_gid

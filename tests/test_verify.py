@@ -138,11 +138,11 @@ def test_restriction_fiber_of_star_matching():
         for e in range(Hs.edge_count):
             if Hs.edge_faces(e) == (face_mask(lo), face_mask(up)):
                 star |= 1 << e
-    sk_to_k = induced_inclusion(sk, d3)
-    k_to_sk = {ke: se for se, ke in enumerate(sk_to_k)}
-    fiber = []
     ls = LayerSystem(d3)
     HK = ls.H
+    sk_to_k = induced_inclusion(Hs, HK)
+    k_to_sk = {ke: se for se, ke in enumerate(sk_to_k)}
+    fiber = []
     S = suffix_tables(ls, acyclic=True)
     best, _ = max_cardinality_info(S[0][0])
     for mask in iter_matchings_of_cardinality(ls, best, acyclic=True):
@@ -162,6 +162,9 @@ def test_cone_contiguity():
         assert r.passed, r.details
     # face counts: two for the edge, the full matching complex otherwise
     assert verify_cone_contiguity("simplex:1").details["faces_checked"] == 2
+    # the distinguished pair needs w0 to be a vertex of the base
+    with pytest.raises(ValueError, match="w0=7 is not a vertex"):
+        verify_cone_contiguity("simplex:1", w0=7)
 
 
 def test_pair_splitting():
@@ -227,7 +230,7 @@ def test_gm_structure_fails_on_a_relabelled_link_model(monkeypatch, n):
         if K != model_base:
             return mc
         m = mc.edge_count
-        return MatchingComplex(variant, K, mc.hasse,
+        return MatchingComplex(mc.hasse,
                                relabel(mc.complex, range(m - 1, -1, -1), m))
 
     monkeypatch.setattr(verify, "build_matching_complex", build_reversed_model)
