@@ -88,27 +88,27 @@ def cache_get(cache_dir: Path, key: str) -> Optional[bytes]:
 
 # -- face-set documents -------------------------------------------------------
 
-def faces_to_document(faces, edge_count: int) -> bytes:
+def faces_to_document(faces, vertex_count: int) -> bytes:
     """Serialize face bitmasks (ints) to the line format."""
-    width = max((edge_count + 7) // 8, 1)
-    lines = [f"morsematch-faces v1 {edge_count}".encode()]
+    width = max((vertex_count + 7) // 8, 1)
+    lines = [f"morsematch-faces v1 {vertex_count}".encode()]
     for mask in faces:
         lines.append(mask.to_bytes(width, "little").hex().encode())
     return b"\n".join(lines) + b"\n"
 
 
 def document_to_faces(blob: bytes) -> tuple[list[int], int]:
-    """Parse the line format back to (face masks, edge count)."""
+    """Parse the line format back to (face masks, vertex count)."""
     lines = blob.decode().splitlines()
     if not lines or not lines[0].startswith("morsematch-faces v1 "):
         raise ValueError("not a morsematch-faces v1 document")
-    edge_count = int(lines[0].rsplit(" ", 1)[1])
+    vertex_count = int(lines[0].rsplit(" ", 1)[1])
     masks = []
     for ln in lines[1:]:
         if ln:
             mask = int.from_bytes(bytes.fromhex(ln), "little")
-            if mask >> edge_count:
-                raise ValueError(f"face {ln} has a bit at or above edge "
-                                 f"count {edge_count}")
+            if mask >> vertex_count:
+                raise ValueError(f"face {ln} has a bit at or above vertex "
+                                 f"count {vertex_count}")
             masks.append(mask)
-    return masks, edge_count
+    return masks, vertex_count

@@ -24,8 +24,11 @@ Matchings are edge-index bitmasks (Python ints).  A directed cycle in a
 modified Hasse diagram can only alternate between two adjacent dimensions,
 so acyclicity is decided layer by layer: adding a pair (lo, up) creates a
 cycle exactly when the layer digraph already has a directed path from `up`
-back down to `lo` through matched pairs.  `_layer_path_exists` is that one
-test; the layer enumerator in `layers` and `is_acyclic` both use it.
+back down to `lo` through matched pairs.  `is_acyclic` inserts the pairs
+one at a time and searches for that path with `_layer_path_exists`.
+verify's cone-contiguity check calls it at run time, as a cycle test
+independent of the layer enumerator in `layers`, which decides the same
+question with a reach closure instead (see `layers._enumerate_layer`).
 `critical_faces(H, mask)` returns the faces the matching leaves
 unmatched as one list per dimension: entry d lists the critical d-faces
 in canonical order, for d = 0 .. dim of the base.  Enumeration and

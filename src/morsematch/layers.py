@@ -23,7 +23,10 @@ tracked, so every 1-dimensional complex is admitted.
 A layer matching is an int tuple (lower, upper, edge_mask): local bitmasks
 over the layer's lower and upper faces, and the global Hasse-edge bitmask;
 its pair count is `lower.bit_count()`.  The cycle collector stops tracking
-such tuples at its first pass.  `LayerSystem` owns everything derived from
+such tuples at its first pass.  `_enumerate_layer` lists them by a DFS
+that carries a bitmask of the still-compatible later edges, and, for
+acyclic matchings, a closure of the lower faces each matched face reaches,
+so a pair closing a cycle is refused with a few ORs and no path search.  `LayerSystem` owns everything derived from
 (K, acyclic): the layer matchings, and the suffix tables that
 `suffix_tables` memoizes on it.
 
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .complexes import SimplicialComplex
-from .hasse import _layer_path_exists, build_hasse
+from .hasse import build_hasse
 
 WIDTH_LIMIT = 18  # largest subset table: 2^WIDTH_LIMIT entries
 
@@ -131,29 +134,75 @@ class LayerSystem:
 
 def _enumerate_layer(layer: Layer, acyclic: bool) -> list[tuple[int, int, int]]:
     """(lower, upper, edge_mask) of every matching of the layer, by DFS over
-    its edges in canonical order; the empty matching (0, 0, 0) first."""
+    its edges in canonical order; the empty matching (0, 0, 0) first.
+
+    A node holds `cand`, the bitmask of later edge positions still
+    compatible with its pairs; it takes them lowest first, and a child
+    gets the rest less the taken edge's conflicts, so no conflicting edge
+    is visited.  The edges of one lower face are a contiguous block of
+    positions, cleared by a shift; the at most d+2 edges of an upper face
+    are cleared one at a time.
+
+    With `acyclic`, `reach[s]` is the bitmask of lower faces reachable in
+    the modified digraph from matched lower face s, up to its partner and
+    down.  Pair (lo, up) closes a cycle exactly when lo is reachable from
+    up through its other facets.  A child gets a copy of `reach` with
+    `reach[lo]` set and OR-ed into every entry that reached lo.
+    """
     out = [(0, 0, 0)]
     edges = layer.edges_local
-    n = len(edges)
     facets = layer.upper_facets
-    matched: dict[int, int] = {}  # lower local -> upper local
+    n = len(edges)
+    # block_end[i]: one past the last position of edge i's lower face
+    block_end = list(range(1, n + 1))
+    for i in range(n - 2, -1, -1):
+        if edges[i][1] == edges[i + 1][1]:
+            block_end[i] = block_end[i + 1]
+    at_upper: list[list[int]] = [[] for _ in facets]
+    for i, (_, _, up) in enumerate(edges):
+        at_upper[up].append(i)
+    # per position: the edge, its block end, and the positions of its
+    # upper face's edges past that block
+    steps = [(e, lo, up, block_end[i],
+              [j for j in at_upper[up] if j >= block_end[i]])
+             for i, (e, lo, up) in enumerate(edges)]
+    facet_mask = [sum(1 << s for s in f) for f in facets]
 
-    def rec(start: int, lmask: int, umask: int, emask: int) -> None:
-        for i in range(start, n):
-            e, lo, up = edges[i]
-            if (lmask >> lo) & 1 or (umask >> up) & 1:
-                continue
-            if acyclic and _layer_path_exists(facets, matched, up, lo):
-                continue
-            nm = (lmask | (1 << lo), umask | (1 << up), emask | (1 << e))
-            out.append(nm)
+    def rec(cand: int, lmask: int, umask: int, emask: int,
+            reach: dict[int, int]) -> None:
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            e, lo, up, end, later = steps[b.bit_length() - 1]
+            lb = 1 << lo
             if acyclic:
-                matched[lo] = up
-            rec(i + 1, *nm)
+                r = facet_mask[up] ^ lb
+                for s in facets[up]:
+                    if s in reach:
+                        r |= reach[s]
+                if r & lb:
+                    continue
+            lm, um, em = lmask | lb, umask | (1 << up), emask | (1 << e)
+            out.append((lm, um, em))
+            c = cand >> end
+            if not c:
+                continue
+            c <<= end
+            for j in later:
+                c &= ~(1 << j)
+            if not c:
+                continue
             if acyclic:
-                del matched[lo]
+                child = reach.copy()
+                for s, m in reach.items():
+                    if m & lb:
+                        child[s] = m | r
+                child[lo] = r
+                rec(c, lm, um, em, child)
+            else:
+                rec(c, lm, um, em, reach)
 
-    rec(0, 0, 0, 0)
+    rec((1 << n) - 1, 0, 0, 0, {})
     # rec reaches itself through its closure; unbinding it breaks that
     # cycle, so the matchings are freed with their LayerSystem
     del rec

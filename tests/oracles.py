@@ -6,7 +6,8 @@ Smith normal forms come from sympy, and dd = 0 is checked by multiplying
 the boundary matrices out.  These are the slow-but-obvious
 routes the fast implementations are checked against.  The one exception is
 the list-based layer transfer at the end, which reads the package's layer
-tables and checks only the packed coefficient arithmetic.
+tables and checks only the packed coefficient arithmetic, and the
+path-search layer enumerator, which reads the package's `Layer` records.
 """
 
 from __future__ import annotations
@@ -177,3 +178,48 @@ def list_suffix_tables(ls, acyclic: bool) -> list[list[list[int]]]:
         full = size - 1
         S[d] = [q[full ^ u] for u in range(size)]
     return S
+
+
+# -- the path-search layer enumerator ------------------------------------------
+# One depth-first search per accepted pair: the reference for the candidate
+# masks and the reach closure of `morsematch.layers._enumerate_layer`.
+
+def _closes_cycle(facets, matched: dict[int, int], up: int, lo: int) -> bool:
+    """Is there a path from upper face `up` down to lower face `lo` through
+    matched pairs, leaving `up` by any facet but `lo`?"""
+    stack = [matched[s] for s in facets[up] if s != lo and s in matched]
+    seen = set(stack)
+    while stack:
+        for s in facets[stack.pop()]:
+            if s == lo:
+                return True
+            t = matched.get(s)
+            if t is not None and t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return False
+
+
+def layer_matchings_reference(layer, acyclic: bool) -> list[tuple[int, int, int]]:
+    """(lower, upper, edge_mask) of every matching of a `Layer`, by DFS over
+    its edges in canonical order, testing each later edge for a shared face
+    and, with `acyclic`, for a closed cycle; the empty matching first."""
+    out = [(0, 0, 0)]
+    edges = layer.edges_local
+    matched: dict[int, int] = {}  # lower local -> upper local
+
+    def rec(start: int, lmask: int, umask: int, emask: int) -> None:
+        for i in range(start, len(edges)):
+            e, lo, up = edges[i]
+            if (lmask >> lo) & 1 or (umask >> up) & 1:
+                continue
+            if acyclic and _closes_cycle(layer.upper_facets, matched, up, lo):
+                continue
+            nm = (lmask | (1 << lo), umask | (1 << up), emask | (1 << e))
+            out.append(nm)
+            matched[lo] = up
+            rec(i + 1, *nm)
+            del matched[lo]
+
+    rec(0, 0, 0, 0)
+    return out

@@ -64,7 +64,7 @@ def test_faces_document_round_trip():
 
 
 def test_faces_document_rejects_bits_beyond_edge_count():
-    with pytest.raises(ValueError, match="edge count 2"):
+    with pytest.raises(ValueError, match="vertex count 2"):
         document_to_faces(b"morsematch-faces v1 2\nff\n")
     assert document_to_faces(b"morsematch-faces v1 2\n03\n") == ([3], 2)
 

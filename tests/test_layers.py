@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, cone, face_mask,
                                   face_vertices, skeleton)
+from morsematch.hasse import is_acyclic
 from morsematch.homology import homology
 from morsematch.layers import (WIDTH_LIMIT, LayerSystem, LayeredInfeasibleError,
                                enumerate_optimal, iter_matchings_of_cardinality,
@@ -16,7 +17,8 @@ from morsematch.layers import (WIDTH_LIMIT, LayerSystem, LayeredInfeasibleError,
                                profile_counts, suffix_tables)
 from morsematch.morse import build_matching_complex
 
-from oracles import all_matchings, counts_by_cardinality, list_suffix_tables
+from oracles import (all_matchings, counts_by_cardinality,
+                     layer_matchings_reference, list_suffix_tables)
 
 CORPUS = [build_simplex(1), build_simplex(2), build_simplex(3),
           build_boundary(2), build_boundary(3),
@@ -196,6 +198,41 @@ def test_n4_counts_are_frozen():
     assert enumerate_optimal(N4["boundary:4"]) == (14, 380125)
 
 
+# -- the layer enumerator against the path search -----------------------------
+
+def assert_layers_match_reference(ls: LayerSystem, layers=None) -> None:
+    """Every layer's matchings, in both modes, are the path-search
+    enumerator's list: same tuples in the same order."""
+    for d in range(ls.D) if layers is None else layers:
+        for acyclic in (True, False):
+            assert ls.matchings(d, acyclic) \
+                == layer_matchings_reference(ls.layers[d], acyclic)
+
+
+def test_layer_matchings_match_the_path_search():
+    for K in CORPUS + list(N4.values()):
+        assert_layers_match_reference(LayerSystem(K))
+    # layer 0 of K7: 262,144 acyclic and 505,876 matchings on 42 edges
+    assert_layers_match_reference(LayerSystem(skeleton(build_simplex(6), 1)),
+                                  [0])
+
+
+def test_layer_matchings_are_exactly_the_acyclic_ones():
+    # the reach closure refuses a pair exactly when the independent cycle
+    # test of the whole diagram fails
+    refused = 0
+    for K in CORPUS:
+        ls = LayerSystem(K)
+        for d in range(ls.D):
+            acyclic = {m[2] for m in ls.matchings(d, True)}
+            assert all(is_acyclic(ls.H, em) for em in acyclic)
+            cyclic = [m[2] for m in ls.matchings(d, False)
+                      if m[2] not in acyclic]
+            assert not any(is_acyclic(ls.H, em) for em in cyclic)
+            refused += len(cyclic)
+    assert refused > 0
+
+
 # -- acyclic layer matchings are unique per class ------------------------------
 
 def assert_unique_per_class(ls: LayerSystem) -> None:
@@ -229,6 +266,7 @@ def small_complexes(draw):
 def test_layer_engine_on_drawn_complexes(K):
     ls = LayerSystem(K)
     assert_unique_per_class(ls)
+    assert_layers_match_reference(ls)
     for mode in ("acyclic", "all"):
         assert suffix_tables(ls, mode == "acyclic") \
             == list_suffix_tables(ls, mode == "acyclic")
