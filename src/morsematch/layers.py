@@ -140,7 +140,7 @@ def _enumerate_layer(layer: Layer, acyclic: bool) -> list[tuple[int, int, int]]:
     compatible with its pairs; it takes them lowest first, and a child
     gets the rest less the taken edge's conflicts, so no conflicting edge
     is visited.  The edges of one lower face are a contiguous block of
-    positions, cleared by a shift; the at most d+2 edges of an upper face
+    positions, cleared by a shift; those of an upper face, one per facet,
     are cleared one at a time.
 
     With `acyclic`, `reach[s]` is the bitmask of lower faces reachable in
