@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 from .complexes import (BudgetExceededError, SimplicialComplex, build_boundary,
                         build_simplex, cone, euler_characteristic, f_vector,
                         face_mask, face_vertices, is_full_subcomplex,
-                        relabel, skeleton, star_link)
+                        relabel, skeleton)
 from .hasse import (HasseDiagram, build_hasse, critical_faces, is_acyclic,
                     is_matching)
-from .homology import (ChainComplex, HomologyResult, SparseIntMatrix,
-                       boundary_matrices, homology, relative_homology,
-                       smith_normal_form)
+from .homology import (HomologyResult, SparseIntMatrix, boundary_matrices,
+                       homology, relative_homology, smith_normal_form)
 from .layers import LayerSystem, enumerate_optimal, matching_counts
 from .morse import (MatchingComplex, MaterializationLimitError,
                     build_matching_complex, induced_inclusion,
@@ -28,10 +27,10 @@ from .verify import VerificationReport, default_suite
 __all__ = [
     "BudgetExceededError", "SimplicialComplex", "build_boundary",
     "build_simplex", "cone", "euler_characteristic", "f_vector",
-    "face_mask", "face_vertices", "is_full_subcomplex", "relabel", "skeleton", "star_link",
+    "face_mask", "face_vertices", "is_full_subcomplex", "relabel", "skeleton",
     "HasseDiagram", "build_hasse", "critical_faces", "is_acyclic",
     "is_matching",
-    "ChainComplex", "HomologyResult", "SparseIntMatrix", "boundary_matrices",
+    "HomologyResult", "SparseIntMatrix", "boundary_matrices",
     "homology", "relative_homology", "smith_normal_form",
     "LayerSystem", "enumerate_optimal", "matching_counts",
     "MatchingComplex", "MaterializationLimitError", "build_matching_complex",

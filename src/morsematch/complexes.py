@@ -156,9 +156,6 @@ class SimplicialComplex:
     def total_faces(self) -> int:
         return sum(len(lst) for lst in self.faces_by_dim)
 
-    def has_face(self, f: Face) -> bool:
-        return f in self.face_index
-
     def faces(self) -> Iterator[Face]:
         """All faces in canonical order (dimension, then lex)."""
         for lst in self.faces_by_dim:
@@ -248,16 +245,6 @@ def f_vector(K: SimplicialComplex) -> list[int]:
 
 def euler_characteristic(K: SimplicialComplex) -> int:
     return sum((-1) ** d * len(lst) for d, lst in enumerate(K.faces_by_dim))
-
-def star_link(K: SimplicialComplex, s: Face) -> tuple[set[Face], SimplicialComplex]:
-    """Star of s (faces containing s) and link of s (a subcomplex)."""
-    if s not in K.face_index:
-        raise ValueError(f"{face_vertices(s)} is not a face")
-    star = {f for f in K.faces() if f & s == s}
-    link_faces = [f for f in K.faces() if not f & s and f | s in K.face_index]
-    if not link_faces:
-        return star, SimplicialComplex.void(K.vertex_count)
-    return star, SimplicialComplex.from_faces(link_faces, K.vertex_count)
 
 def is_full_subcomplex(K: SimplicialComplex, sub) -> bool:
     """Is `sub` a full subcomplex of K?

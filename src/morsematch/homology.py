@@ -13,10 +13,12 @@ repeats the pass until a pass finds no unit.  A dense textbook reduction
 finishes the unit-free residual.  All arithmetic is exact; Python integers
 make the growth harmless.
 
-Homology reduces the boundary matrices in increasing degree (augmentation,
-then d_1, d_2, ...) with clearing: the columns Q where the unit elimination
-of d_d pivoted, on rows P, are faces of degree d, and d_{d+1} skips those
-rows.  This leaves its divisors and rank unchanged:
+Homology holds one boundary matrix at a time: in increasing degree
+(augmentation, then d_1, d_2, ...) each is built, reduced in place and
+dropped before the next is built.  Only the rank, the torsion and the
+clearing set carry over: the columns Q where the unit elimination of d_d
+pivoted, on rows P, are faces of degree d, and d_{d+1} skips those rows.
+This leaves its divisors and rank unchanged:
 
 * A pivot row changes only by subtracting earlier pivot rows, so the pivot
   block factors as d_d[P, Q] = L U with L unit lower triangular and U
@@ -32,6 +34,7 @@ of a pair.  Pivots of the dense residual do not feed the clearing.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
@@ -152,12 +155,15 @@ def smith_normal_form(A: SparseIntMatrix,
                       ) -> tuple[tuple[int, ...], int]:
     """Elementary divisors d1 | d2 | ... | dr (all positive) and the rank.
 
-    Rows in `skip_rows` are left out of the elimination; the caller vouches
-    that they are integer combinations of the other rows (see the module
-    docstring).  The columns where the unit elimination pivots are added to
-    `unit_pivots` when it is given.
+    Consumes A: it reduces `A.row` in place and leaves only the unit-free
+    residual there.  Rows in `skip_rows` are emptied and left out; the
+    caller vouches that they are integer combinations of the other rows
+    (see the module docstring).  The columns where the unit elimination
+    pivots are added to `unit_pivots` when it is given.
     """
-    rows = [{} if r in skip_rows else dict(d) for r, d in enumerate(A.row)]
+    rows = A.row
+    for r in skip_rows:
+        rows[r] = {}
     col_rows: list[set[int]] = [set() for _ in range(A.cols)]
     for r, d in enumerate(rows):
         for c in d:
@@ -219,27 +225,24 @@ def smith_normal_form(A: SparseIntMatrix,
 
 # -- chain complexes ---------------------------------------------------------
 
-@dataclass
-class ChainComplex:
-    """Per-degree basis sizes and boundary matrices.
+def boundary_matrices(K: SimplicialComplex,
+                      reduced: bool = True) -> list[SparseIntMatrix]:
+    """Every boundary matrix of K in the canonical bases, all at once.
 
-    boundaries[d] maps C_d to C_{d-1} for d >= 1; boundaries[0] is the
-    augmentation (one row of ones) when reduced, else a 0 x n_0 matrix.
+    Entry d maps C_d to C_{d-1} for d >= 1; entry 0 is the augmentation (one
+    row of ones) when reduced, else a 0 x n_0 matrix.  This materialized
+    form is for tests and oracles; `homology` streams the same matrices one
+    degree at a time (dd = 0: see `_boundaries`).
     """
-    sizes: list[int]
-    boundaries: list[SparseIntMatrix]
-    reduced: bool
-
-
-def boundary_matrices(K: SimplicialComplex, reduced: bool = True) -> ChainComplex:
-    """Boundary matrices in the canonical bases (dd = 0: see `_chain`)."""
     if K.is_void:
         raise ValueError("void complex has no chain complex")
-    return _chain(K, frozenset(), reduced)
+    return list(_boundaries(K, frozenset(), reduced))
 
 
-def _chain(L: SimplicialComplex, drop, augment: bool) -> ChainComplex:
-    """Chain complex on the faces of L outside `drop`, in canonical order.
+def _boundaries(L: SimplicialComplex, drop,
+                augment: bool) -> Iterator[SparseIntMatrix]:
+    """Boundary matrices of the chain complex on the faces of L outside
+    `drop`, in canonical order, one degree at a time.
 
     Facets that fall in `drop` have no row, so with drop = the faces of a
     subcomplex this is the quotient complex of the pair.  dd = 0 holds by
@@ -248,28 +251,33 @@ def _chain(L: SimplicialComplex, drop, augment: bool) -> ChainComplex:
     when `drop` is a subcomplex (`relative_homology` checks it), a path
     through a dropped face ends at a dropped face, which has no row.  The
     tests multiply the matrices out (`dd_nonzero` in `tests/oracles.py`).
+
+    No matrix is kept here once yielded.  The augmentation is the boundary
+    down to the empty face, mask 0.
     """
-    bases = [[f for f in faces if f not in drop] for faces in L.faces_by_dim]
-    sizes = [len(b) for b in bases]
-    mats = [SparseIntMatrix(1 if augment else 0, sizes[0])]
-    if augment:
-        mats[0].row[0] = dict.fromkeys(range(sizes[0]), 1)
-    for d in range(1, len(bases)):
-        lower = dict(zip(bases[d - 1], range(sizes[d - 1])))
-        m = SparseIntMatrix(sizes[d - 1], sizes[d])
-        rows = m.row
-        for j, f in enumerate(bases[d]):
-            sign = 1
-            x = f
-            while x:
-                b = x & -x
-                pos = lower.get(f ^ b)
-                if pos is not None:
-                    rows[pos][j] = sign
-                sign = -sign
-                x ^= b
-        mats.append(m)
-    return ChainComplex(sizes, mats, augment)
+    lower = [0] if augment else []
+    for faces in L.faces_by_dim:
+        basis = [f for f in faces if f not in drop]
+        yield _boundary(lower, basis)
+        lower = basis
+
+
+def _boundary(lower: list[int], basis: list[int]) -> SparseIntMatrix:
+    """The boundary from the faces `basis` to the faces `lower`."""
+    index = dict(zip(lower, range(len(lower))))
+    m = SparseIntMatrix(len(lower), len(basis))
+    rows = m.row
+    for j, f in enumerate(basis):
+        sign = 1
+        x = f
+        while x:
+            b = x & -x
+            pos = index.get(f ^ b)
+            if pos is not None:
+                rows[pos][j] = sign
+            sign = -sign
+            x ^= b
+    return m
 
 
 @dataclass
@@ -300,24 +308,24 @@ class HomologyResult:
                 for d, (b, t) in enumerate(self.groups)]
 
 
-def _homology_from_chain(cc: ChainComplex, reduced: bool) -> HomologyResult:
+def _homology_from_chain(chain: Iterator[SparseIntMatrix],
+                         reduced: bool) -> HomologyResult:
     # increasing degree: the unit pivot columns of d_d are faces of degree d,
     # the rows of d_{d+1} that those pivots already decide
-    snfs = []
+    sizes, ranks, torsion = [], [], []
     cleared: set[int] = set()
-    for m in cc.boundaries:
+    for m in chain:
+        sizes.append(m.cols)
         pivots: set[int] = set()
-        snfs.append(smith_normal_form(m, cleared, pivots))
+        divisors, rank = smith_normal_form(m, cleared, pivots)
+        del m  # d_d is dropped before d_{d+1} is built
+        ranks.append(rank)
+        torsion.append(tuple(x for x in divisors if x > 1))
         cleared = pivots
-    ranks = [r for _, r in snfs] + [0]
-    groups = []
-    for d in range(len(cc.sizes)):
-        betti = cc.sizes[d] - ranks[d] - ranks[d + 1]
-        if d + 1 < len(snfs):
-            torsion = tuple(x for x in snfs[d + 1][0] if x > 1)
-        else:
-            torsion = ()
-        groups.append((betti, torsion))
+    ranks.append(0)
+    torsion.append(())
+    groups = [(n - ranks[d] - ranks[d + 1], torsion[d + 1])
+              for d, n in enumerate(sizes)]
     return HomologyResult(groups, reduced)
 
 
@@ -326,7 +334,7 @@ def homology(K: SimplicialComplex, reduced: bool = True) -> HomologyResult:
     empty result, never an error."""
     if K.is_void:
         return HomologyResult([], reduced, void=True)
-    return _homology_from_chain(boundary_matrices(K, reduced), reduced)
+    return _homology_from_chain(_boundaries(K, frozenset(), reduced), reduced)
 
 
 def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
@@ -342,4 +350,4 @@ def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
         return homology(L, reduced)
     if not L.contains_complex(K):
         raise ValueError("K is not a subcomplex of L")
-    return _homology_from_chain(_chain(L, K.face_index, False), reduced)
+    return _homology_from_chain(_boundaries(L, K.face_index, False), reduced)

@@ -122,12 +122,11 @@ def snf_divisors_sympy(dense: list[list[int]]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def dd_nonzero(cc) -> tuple[int, int, int] | None:
+def dd_nonzero(mats) -> tuple[int, int, int] | None:
     """First nonzero entry (degree d, row, column) of a product
-    d_{d-1} d_d of the chain complex `cc`, or None when every product
-    vanishes.  Row i of d_{d-1} d_d is the sum over mid of
-    d_{d-1}[i, mid] times row mid of d_d."""
-    mats = cc.boundaries
+    d_{d-1} d_d of the boundary matrices `mats` (entry d is d_d), or None
+    when every product vanishes.  Row i of d_{d-1} d_d is the sum over mid
+    of d_{d-1}[i, mid] times row mid of d_d."""
     for d in range(1, len(mats)):
         upper = mats[d].row
         for i, lower_row in enumerate(mats[d - 1].row):

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, cone, euler_characteristic,
                                   face_mask, relabel, skeleton)
-from morsematch.homology import (SparseIntMatrix, _chain, boundary_matrices,
-                                 homology, relative_homology,
-                                 smith_normal_form)
+from morsematch.homology import (SparseIntMatrix, _boundaries,
+                                 boundary_matrices, homology,
+                                 relative_homology, smith_normal_form)
 from morsematch.morse import build_matching_complex, induced_inclusion
 from morsematch.specs import build_from_spec
 
@@ -32,11 +33,11 @@ def sparse_from_dense(dense):
 
 def test_boundary_sign_convention():
     d3 = build_simplex(3)
-    cc = boundary_matrices(d3, reduced=False)
+    mats = boundary_matrices(d3, reduced=False)
     # the face 123 sits at some column of the degree-2 matrix; its boundary
     # must read e23 - e13 + e12
     j = d3.face_index[face_mask((1, 2, 3))]
-    col = {r: cc.boundaries[2].get(r, j) for r in range(cc.boundaries[2].rows)}
+    col = {r: mats[2].get(r, j) for r in range(mats[2].rows)}
     col = {r: v for r, v in col.items() if v}
     e = {f: d3.face_index[face_mask(f)] for f in [(1, 2), (1, 3), (2, 3)]}
     assert col == {e[(2, 3)]: 1, e[(1, 3)]: -1, e[(1, 2)]: 1}
@@ -46,20 +47,20 @@ def test_dd_oracle_finds_non_subcomplex_quotient():
     # dropping an edge but not the triangle on it is no subcomplex: the
     # triangle's boundary keeps e12 - e02, whose boundary is v0 - v1, so
     # the product is nonzero on vertex 0
-    cc = _chain(build_simplex(2), {face_mask((0, 1))}, False)
-    assert dd_nonzero(cc) == (2, 0, 0)
+    mats = list(_boundaries(build_simplex(2), {face_mask((0, 1))}, False))
+    assert dd_nonzero(mats) == (2, 0, 0)
     # dropping the triangle too leaves a quotient with dd = 0
-    assert dd_nonzero(_chain(build_simplex(2),
-                             {face_mask((0, 1)), face_mask((0, 1, 2))},
-                             False)) is None
+    assert dd_nonzero(list(_boundaries(
+        build_simplex(2), {face_mask((0, 1)), face_mask((0, 1, 2))},
+        False))) is None
 
 
 def test_boundary_of_vertices_is_zero_unreduced():
-    cc = boundary_matrices(build_simplex(2), reduced=False)
-    assert cc.boundaries[0].rows == 0
-    cc = boundary_matrices(build_simplex(2), reduced=True)
-    assert cc.boundaries[0].rows == 1
-    assert all(cc.boundaries[0].get(0, j) == 1 for j in range(3))
+    mats = boundary_matrices(build_simplex(2), reduced=False)
+    assert mats[0].rows == 0
+    mats = boundary_matrices(build_simplex(2), reduced=True)
+    assert mats[0].rows == 1
+    assert all(mats[0].get(0, j) == 1 for j in range(3))
 
 
 def test_dd_zero_on_small_complexes():
@@ -78,7 +79,8 @@ def test_dd_zero_on_the_n3_matching_complexes(m_d3, m_bd3, mp_d3, mp_bd3,
     # and the quotient of the pair (M(simplex:3), M(boundary:3))
     emb = relabel(m_bd3.complex, induced_inclusion(m_bd3.hasse, m_d3.hasse),
                   28)
-    assert dd_nonzero(_chain(m_d3.complex, emb.face_index, False)) is None
+    assert dd_nonzero(list(_boundaries(m_d3.complex, emb.face_index,
+                                       False))) is None
 
 
 def test_snf_basic():
@@ -92,6 +94,19 @@ def test_snf_basic():
     # hand-reduced: content 2, determinant -8, so divisors 2 and 4
     m = sparse_from_dense([[2, 4], [6, 8]])
     assert smith_normal_form(m) == ((2, 4), 2)
+
+
+def test_snf_consumes_its_argument():
+    # the elimination works on A.row itself: pivot rows and skipped rows are
+    # emptied, and only the unit-free residual is left
+    m = SparseIntMatrix(3, 3)
+    for i in range(3):
+        m.set(i, i, 1)
+    assert smith_normal_form(m, {2}) == ((1, 1), 2)
+    assert m.row == [{}, {}, {}]
+    m = sparse_from_dense([[1, 1, 0], [0, 2, 4], [0, 6, 8]])
+    assert smith_normal_form(m) == ((1, 2, 4), 3)
+    assert m.nnz() == 4 and m.row[0] == {}
 
 
 def test_snf_divisor_chain_and_oracle_fixed():
@@ -128,7 +143,7 @@ def test_snf_matches_sympy_on_matching_complex_boundaries():
     for spec, variant in [("simplex:2", "M"), ("simplex:2", "GM"),
                           ("boundary:2", "GM"), ("cone:boundary:2", "MP")]:
         mc = build_matching_complex(build_from_spec(spec), variant)
-        for m in boundary_matrices(mc.complex, reduced=True).boundaries:
+        for m in boundary_matrices(mc.complex, reduced=True):
             dense = [[m.get(r, c) for c in range(m.cols)] for r in range(m.rows)]
             assert smith_normal_form(m)[0] == snf_divisors_sympy(dense), \
                 (spec, variant, m)
@@ -184,9 +199,10 @@ def test_euler_betti_consistency():
 
 def test_rank_sanity():
     for K in (build_boundary(3), skeleton(build_simplex(4), 2)):
-        cc = boundary_matrices(K, reduced=True)
-        ranks = [smith_normal_form(m)[1] for m in cc.boundaries] + [0]
-        for d, n_d in enumerate(cc.sizes):
+        mats = boundary_matrices(K, reduced=True)
+        sizes = [m.cols for m in mats]
+        ranks = [smith_normal_form(m)[1] for m in mats] + [0]
+        for d, n_d in enumerate(sizes):
             assert ranks[d] + ranks[d + 1] <= n_d
 
 
@@ -232,15 +248,16 @@ def test_homology_of_triangle_matching_complex(d2):
 
 # -- clearing ----------------------------------------------------------------
 
-def _groups(cc, snf):
+def _groups(mats, snf):
     """Groups of a chain complex from `snf` applied to each boundary matrix
     on its own, with no rows cleared: the reference for the clearing."""
-    snfs = [snf(m) for m in cc.boundaries]
+    sizes = [m.cols for m in mats]
+    snfs = [snf(m) for m in mats]
     ranks = [r for _, r in snfs] + [0]
     return [(n - ranks[d] - ranks[d + 1],
              tuple(x for x in snfs[d + 1][0] if x > 1) if d + 1 < len(snfs)
              else ())
-            for d, n in enumerate(cc.sizes)]
+            for d, n in enumerate(sizes)]
 
 
 def _sympy_snf(m):
@@ -281,8 +298,8 @@ def test_cleared_relative_homology_matches_uncleared(m_d3, m_bd3, reduced):
                   28)
     rel = relative_homology(m_d3.complex, emb, reduced)
     assert rel.nonzero() == {4: (96, ())}
-    cc = _chain(m_d3.complex, emb.face_index, False)
-    assert rel.groups == _groups(cc, smith_normal_form)
+    mats = list(_boundaries(m_d3.complex, emb.face_index, False))
+    assert rel.groups == _groups(mats, smith_normal_form)
 
 
 def test_clearing_leaves_rank_plus_betti_rows(m_d3, monkeypatch):
@@ -304,3 +321,47 @@ def test_clearing_leaves_rank_plus_betti_rows(m_d3, monkeypatch):
     assert seen[4] == (3932, 1271, 2661)
     for d, (rows, skipped, rank) in enumerate(seen[1:]):
         assert rows - skipped - rank == h.betti(d)
+
+
+def _live_matrices() -> int:
+    return sum(type(o) is SparseIntMatrix for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_each_degree_is_reduced_and_dropped_before_the_next_is_built(
+        m_d3, m_bd3, monkeypatch, relative):
+    # the events interleave (build d, reduce d, build d + 1, ...), and when
+    # degree d + 1 has been built, no matrix of an earlier degree is alive
+    module = sys.modules["morsematch.homology"]
+    build, reduce = module._boundaries, module.smith_normal_form
+    events = []
+    live = []
+
+    def spy_build(*args):
+        d = 0
+        for m in build(*args):
+            events.append(("build", d))
+            live.append(_live_matrices() - before)
+            yield m
+            del m
+            d += 1
+
+    def spy_reduce(A, skip_rows=frozenset(), unit_pivots=None):
+        events.append(("reduce", len(live) - 1))
+        return reduce(A, skip_rows, unit_pivots)
+
+    monkeypatch.setattr(module, "_boundaries", spy_build)
+    monkeypatch.setattr(module, "smith_normal_form", spy_reduce)
+    before = _live_matrices()
+    if relative:
+        emb = relabel(m_bd3.complex,
+                      induced_inclusion(m_bd3.hasse, m_d3.hasse), 28)
+        h = relative_homology(m_d3.complex, emb)
+        assert h.nonzero() == {4: (96, ())}
+    else:
+        h = homology(m_d3.complex)
+        assert h.nonzero() == {4: (99, ())}
+    degrees = len(m_d3.complex.faces_by_dim)
+    assert events == [(step, d) for d in range(degrees)
+                      for step in ("build", "reduce")]
+    assert live == [1] * degrees

@@ -36,7 +36,7 @@ def test_facet_file(tmp_path):
     p.write_text(json.dumps(doc))
     K = load_facet_file(p)
     assert f_vector(K) == [4, 4, 1]
-    assert K.has_face(face_mask((0, 2)))  # closure computed on load
+    assert face_mask((0, 2)) in K.face_index  # closure computed on load
     assert build_from_spec(f"file:{p}") == K
 
 
