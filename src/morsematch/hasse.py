@@ -31,8 +31,13 @@ independent of the layer enumerator in `layers`, which decides the same
 question with a reach closure instead (see `layers._enumerate_layer`).
 `critical_faces(H, mask)` returns the faces the matching leaves
 unmatched as one list per dimension: entry d lists the critical d-faces
-in canonical order, for d = 0 .. dim of the base.  Enumeration and
-counting live in `layers`.
+in canonical order, for d = 0 .. dim of the base.  It is the oracle, not
+the hot path: the verifiers that walk every maximum matching read the
+unmatched faces off one gid mask from per-byte cover tables
+(`verify._unmatched_gids`), which the tests check against it.  Like
+`is_matching` and `is_acyclic`, it keeps its per-edge loop and builds no
+tables, since it also runs on diagrams of whole matching complexes.
+Enumeration and counting live in `layers`.
 """
 
 from __future__ import annotations

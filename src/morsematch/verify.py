@@ -11,12 +11,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from math import comb, gcd
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .complexes import (BudgetExceededError, SimplicialComplex, build_boundary,
                         build_simplex, cone, euler_characteristic, f_vector,
                         face_vertices, is_full_subcomplex, relabel, skeleton)
-from .hasse import HasseDiagram, build_hasse, critical_faces, is_acyclic, is_matching
+from .hasse import HasseDiagram, build_hasse, is_acyclic, is_matching
 from .layers import (LayeredInfeasibleError, LayerSystem, enumerate_optimal,
                      iter_matchings_of_cardinality, max_cardinality_info,
                      profile_counts, suffix_tables)
@@ -116,13 +116,51 @@ def _reduced_homology(spec: str, variant: str, budget: int,
     return h
 
 
-def _optimal_masks(ls: LayerSystem, budget: int) -> tuple[int, list[int]]:
-    """All maximum acyclic matchings, guarded by the visit budget."""
+def _optimal_masks(ls: LayerSystem, budget: int) -> tuple[int, Iterator[int]]:
+    """The maximum cardinality and the walk over every maximum acyclic
+    matching.  The visit budget is checked here, before the walk starts;
+    callers that need the matchings twice list them."""
     best, count = max_cardinality_info(suffix_tables(ls, acyclic=True)[0][0])
     if count > budget:
         raise BudgetExceededError(
             f"{count} optimal matchings exceed budget {budget}")
-    return best, list(iter_matchings_of_cardinality(ls, best, acyclic=True))
+    return best, iter_matchings_of_cardinality(ls, best, acyclic=True)
+
+
+def _unmatched_gids(H: HasseDiagram) -> Callable[[int], int]:
+    """The map from a matching's edge mask to the gid mask of the faces it
+    leaves unmatched, for the matchings of one diagram.
+
+    Table c maps each byte value b to the OR of the cover masks
+    (1 << lower | 1 << upper) of the edges 8c + i with bit i of b set, so a
+    mask's covered faces take one lookup per byte.  Face-disjoint edges
+    cover two faces each, so a mask covering fewer than twice its edge
+    count (padding edges past the last cover none) is refused with
+    ValueError.  The tables hold 32 ints per edge of up to one bit per
+    face: small on the bases the walking verifiers read, far too large on
+    the diagram of a matching complex.  `hasse.critical_faces` is the
+    per-edge test oracle.
+    """
+    covers = [(1 << lo) | (1 << up) for lo, up in zip(H.lower, H.upper)]
+    covers += [0] * (-len(covers) % 8)
+    tables = []
+    for c in range(0, len(covers), 8):
+        table = [0]
+        for cover in covers[c:c + 8]:
+            table += [t | cover for t in table]
+        tables.append(table)
+    width = len(tables)
+    full = (1 << len(H.face_of_gid)) - 1
+
+    def unmatched(mask: int) -> int:
+        covered = 0
+        for table, byte in zip(tables, mask.to_bytes(width, "little")):
+            covered |= table[byte]
+        if covered.bit_count() != 2 * mask.bit_count():
+            raise ValueError("input is not a matching")
+        return full ^ covered
+
+    return unmatched
 
 
 # -- counting and bijections -------------------------------------------------
@@ -134,13 +172,13 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
     def check() -> dict:
         if n < 2:
             raise CheckFailure("the bijection fails at n=1; n >= 2 required")
-        B = build_boundary(n)
         ls_k = LayerSystem(build_simplex(n))
-        ls_b = LayerSystem(B)
+        ls_b = LayerSystem(build_boundary(n))
         HK, HB = ls_k.H, ls_b.H
         m = HB.edge_count
-        _, masks_k = _optimal_masks(ls_k, budget)
-        _, masks_b = _optimal_masks(ls_b, budget)
+        _, walk_k = _optimal_masks(ls_k, budget)
+        _, walk_b = _optimal_masks(ls_b, budget)
+        masks_k, masks_b = list(walk_k), list(walk_b)
         set_k, set_b = set(masks_k), set(masks_b)
         low = (1 << m) - 1
 
@@ -154,17 +192,23 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
                     lambda: _edge_pairs(HK, F))
             phi[F] = img
 
+        # a boundary matching must leave one vertex and one (n-1)-face
+        # unmatched; the critical (n-1)-face's lex index is its gid's bit
+        # position above the first (n-1)-face
+        unmatched = _unmatched_gids(HB)
+        vertices = (1 << HB.offsets[1]) - 1
+        first_top = HB.offsets[n - 1]
         psi: dict[int, int] = {}
         for G in masks_b:
-            crit = critical_faces(HB, G)
-            top_crit = crit[n - 1]
-            _ensure(len(top_crit) == 1 and len(crit[0]) == 1
-                    and sum(map(len, crit)) == 2,
+            free = unmatched(G)
+            top = free >> first_top
+            _ensure(free.bit_count() == 2 and (free & vertices).bit_count() == 1
+                    and top.bit_count() == 1,
                     "boundary matching lacks the expected two critical faces",
                     lambda: _edge_pairs(HB, G))
             # the simplex's edges after the boundary's are the pairs
             # (facet, sigma), one per facet in lex order
-            lifted = G | 1 << (m + B.face_index[top_crit[0]])
+            lifted = G | 1 << (m + top.bit_length() - 1)
             _ensure(lifted in set_k, "adjoined matching is not optimal on the simplex",
                     lambda: _edge_pairs(HB, G))
             psi[G] = lifted
@@ -234,26 +278,32 @@ def verify_spanning_tree(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRe
             raise CheckFailure("requires n >= 3")
         ls = LayerSystem(skeleton(build_simplex(n), n - 2))
         H = ls.H
-        _, masks = _optimal_masks(ls, budget)
-        # the critical (n-2)-face sets already found to be trees.  An
+        unmatched = _unmatched_gids(H)
+        vertices = (1 << H.offsets[1]) - 1
+        first_top = H.offsets[n - 2]
+        # the critical (n-2)-face sets already found to be trees, each as
+        # its unmatched gids shifted down to the first (n-2)-face.  An
         # (n-2)-face is the edge between the two facets containing it, one
         # to one, so distinct critical sets are distinct edge sets.  Each
         # set is tested at the first matching that leaves it, which is the
-        # witness if it fails.
-        trees: set[tuple[int, ...]] = set()
-        for mask in masks:
-            crit = critical_faces(H, mask)
-            u_faces = tuple(crit[n - 2])
-            _ensure(len(u_faces) == n and len(crit[0]) == 1,
+        # witness if it fails, and only then decoded into faces.
+        trees: set[int] = set()
+        count = 0
+        for mask in _optimal_masks(ls, budget)[1]:
+            free = unmatched(mask)
+            top = free >> first_top
+            _ensure(top.bit_count() == n and (free & vertices).bit_count() == 1,
                     "unexpected critical face counts on the skeleton",
                     lambda: _edge_pairs(H, mask))
-            if u_faces not in trees:
-                edges = [_facet_graph_edge(u, n) for u in u_faces]
+            if top not in trees:
+                edges = [_facet_graph_edge(H.face_of_gid[first_top + i], n)
+                         for i in face_vertices(top)]
                 _ensure(_is_spanning_tree(edges, n + 1),
                         "critical faces do not form a spanning tree",
                         lambda: {"matching": _edge_pairs(H, mask), "edges": edges})
-                trees.add(u_faces)
-        return {"count": len(masks), "distinct_trees": len(trees)}
+                trees.add(top)
+            count += 1
+        return {"count": count, "distinct_trees": len(trees)}
 
     return _run("spanning-tree", {"n": n}, check)
 
@@ -272,7 +322,8 @@ def verify_restriction_fibers(n: int, budget: int = DEFAULT_BUDGET,
         Hs = ls_s.H
         S = suffix_tables(ls, acyclic=True)
         best_k, count_k = max_cardinality_info(S[0][0])
-        best_s, masks_s = _optimal_masks(ls_s, budget)
+        best_s, walk_s = _optimal_masks(ls_s, budget)
+        masks_s = list(walk_s)
         _ensure(count_k == (n + 1) * len(masks_s),
                 f"{count_k} != {n + 1} x {len(masks_s)}")
 

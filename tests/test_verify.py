@@ -4,8 +4,10 @@ from collections import Counter
 import pytest
 
 from morsematch import verify
-from morsematch.complexes import build_boundary, cone, relabel, skeleton
-from morsematch.hasse import HasseDiagram
+from morsematch.complexes import (build_boundary, build_simplex, cone,
+                                  face_vertices, relabel, skeleton)
+from morsematch.hasse import HasseDiagram, build_hasse, critical_faces
+from morsematch.layers import LayerSystem
 from morsematch.morse import MatchingComplex
 from morsematch.verify import (default_suite, verify_cone_contiguity,
                                verify_conjecture_evidence,
@@ -15,6 +17,9 @@ from morsematch.verify import (default_suite, verify_cone_contiguity,
                                verify_pair_splitting, verify_reference_tables,
                                verify_restriction_fibers, verify_spanning_tree,
                                verify_top_facet_bijection, N4_F_VECTOR)
+
+from oracles import all_matchings
+from test_layers import CORPUS
 
 
 def test_top_facet_bijection():
@@ -102,6 +107,72 @@ def test_spanning_tree_witness_has_the_rejected_critical_set(monkeypatch):
         mask |= 1 << H.edge(face_mask(lower), face_mask(upper))
     crit = critical_faces(H, mask)
     assert sorted(_facet_graph_edge(u, 4) for u in crit[2]) == star
+
+
+def test_spanning_tree_streams_its_matchings(monkeypatch):
+    # the first critical set is tested as soon as the walk has yielded its
+    # matching, so the verifier never holds all 76,025 of them
+    yielded = 0
+    walk = verify.iter_matchings_of_cardinality
+
+    def counted(*args):
+        nonlocal yielded
+        for mask in walk(*args):
+            yielded += 1
+            yield mask
+
+    at_first_test = []
+    is_tree = verify._is_spanning_tree
+
+    def spy(edges, n_vertices):
+        if not at_first_test:
+            at_first_test.append(yielded)
+        return is_tree(edges, n_vertices)
+
+    monkeypatch.setattr(verify, "iter_matchings_of_cardinality",
+                        lambda ls, best, acyclic: counted(ls, best, acyclic))
+    monkeypatch.setattr(verify, "_is_spanning_tree", spy)
+    r = verify_spanning_tree(4)
+    assert r.passed
+    assert r.details == {"count": 76025, "distinct_trees": 125}
+    assert at_first_test == [1]
+
+
+def _decoded(H, free):
+    """An unmatched-gid mask as `critical_faces` lays it out."""
+    by_dim = [[] for _ in range(H.base.dim + 1)]
+    for g in face_vertices(free):
+        f = H.face_of_gid[g]
+        by_dim[f.bit_count() - 1].append(f)
+    return by_dim
+
+
+def test_unmatched_gids_agree_with_critical_faces():
+    # every maximum matching of the bases the walking verifiers read
+    for B, count in [(build_boundary(3), 256),
+                     (skeleton(build_simplex(3), 1), 64),
+                     (build_boundary(4), 380125),
+                     (skeleton(build_simplex(4), 2), 76025)]:
+        ls = LayerSystem(B)
+        unmatched = verify._unmatched_gids(ls.H)
+        checked = 0
+        for mask in verify._optimal_masks(ls, verify.DEFAULT_BUDGET)[1]:
+            assert _decoded(ls.H, unmatched(mask)) == critical_faces(ls.H, mask)
+            checked += 1
+        assert checked == count
+    # every matching, acyclic or not, of the small corpus
+    for K in CORPUS:
+        H = build_hasse(K)
+        unmatched = verify._unmatched_gids(H)
+        for mask in [0] + all_matchings(H, "all"):
+            assert _decoded(H, unmatched(mask)) == critical_faces(H, mask)
+        # edges 0 and 1 leave the first vertex, or on simplex:1 meet at
+        # its one edge: two edges on one face
+        assert {H.lower[0], H.upper[0]} & {H.lower[1], H.upper[1]}
+        with pytest.raises(ValueError):
+            unmatched(0b11)
+        with pytest.raises(ValueError):
+            critical_faces(H, 0b11)
 
 
 def test_facet_graph_is_complete():
@@ -270,9 +341,11 @@ def test_euler_obstruction_computes_without_data():
 
 
 def test_failed_check_carries_its_witness(monkeypatch):
+    # every matching's unmatched-gid mask comes out empty, so no vertex
+    # and no edge of K4 is critical
     import morsematch.verify as verify_mod
-    monkeypatch.setattr(verify_mod, "critical_faces",
-                        lambda H, mask: [[], []])
+    monkeypatch.setattr(verify_mod, "_unmatched_gids",
+                        lambda H: lambda mask: 0)
     r = verify_spanning_tree(3)
     assert r.status == "fail"
     assert r.details == {
@@ -290,8 +363,10 @@ def test_bijection_and_fibers_fail_when_a_matching_is_missing(monkeypatch):
     optimal_masks = verify_mod._optimal_masks
 
     def lossy(ls, budget):
-        best, masks = optimal_masks(ls, budget)
-        return best, masks[1:] if ls.D < 3 else masks
+        best, walk = optimal_masks(ls, budget)
+        if ls.D < 3:
+            next(walk)
+        return best, walk
 
     monkeypatch.setattr(verify_mod, "_optimal_masks", lossy)
     r = verify_top_facet_bijection(3)
