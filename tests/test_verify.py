@@ -115,9 +115,9 @@ def test_spanning_tree_streams_its_matchings(monkeypatch):
     yielded = 0
     walk = verify.iter_matchings_of_cardinality
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         nonlocal yielded
-        for mask in walk(*args):
+        for mask in walk(*args, **kwargs):
             yielded += 1
             yield mask
 
@@ -129,8 +129,7 @@ def test_spanning_tree_streams_its_matchings(monkeypatch):
             at_first_test.append(yielded)
         return is_tree(edges, n_vertices)
 
-    monkeypatch.setattr(verify, "iter_matchings_of_cardinality",
-                        lambda ls, best, acyclic: counted(ls, best, acyclic))
+    monkeypatch.setattr(verify, "iter_matchings_of_cardinality", counted)
     monkeypatch.setattr(verify, "_is_spanning_tree", spy)
     r = verify_spanning_tree(4)
     assert r.passed
