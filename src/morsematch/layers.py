@@ -20,15 +20,20 @@ complex, runs `check_width` first and only then builds the Hasse diagram,
 so a refused complex never gets one.  Vertices and top faces are never
 tracked, so every 1-dimensional complex is admitted.
 
-A layer matching is an int tuple (lower, upper, edge_mask): local bitmasks
-over the layer's lower and upper faces, and the global Hasse-edge bitmask;
-its pair count is `lower.bit_count()`.  The cycle collector stops tracking
-such tuples at its first pass.  `_enumerate_layer` lists them by a DFS
-that carries a bitmask of the still-compatible later edges, and, for
-acyclic matchings, a closure of the lower faces each matched face reaches,
-so a pair closing a cycle is refused with a few ORs and no path search.  `LayerSystem` owns everything derived from
-(K, acyclic): the layer matchings, and the suffix tables that
-`suffix_tables` memoizes on it.
+A layer matching is one int, `edge_mask | lower << E | upper << U`: the
+global Hasse-edge bitmask below E = edge_count (a layer's edges are a
+contiguous range of edge ids), then the local bitmasks over the layer's
+lower faces from bit E and over its upper faces from bit U = E + (number
+of lower faces).  Each pair sets one bit of each part, so its pair count
+is `x.bit_count() // 3`; `Layer.unpack` splits it into (lower, upper,
+edge_mask).  Ints are never tracked by the cycle collector, and one int
+takes about a third of the memory of a 3-tuple.  `_enumerate_layer` lists
+them by a DFS that carries a bitmask of the still-compatible later edges,
+and, for acyclic matchings, a closure of the lower faces each matched face
+reaches, so a pair closing a cycle is refused with a few ORs and no path
+search.  `LayerSystem` owns everything derived from (K, acyclic): the
+layer matchings, and the suffix tables that `suffix_tables` memoizes on
+it.
 
 There is one walk over the per-layer product,
 `iter_matchings_of_cardinality(ls, target, acyclic)`: with a target it
@@ -83,6 +88,14 @@ class Layer:
     edges_local: list[tuple[int, int, int]]
     # upper local -> lower locals of all its facets
     upper_facets: list[list[int]]
+    # bit positions of the lower and upper parts of a packed matching
+    lower_shift: int
+    upper_shift: int
+
+    def unpack(self, x: int) -> tuple[int, int, int]:
+        """(lower, upper, edge_mask) of a packed layer matching."""
+        return ((x >> self.lower_shift) & ((1 << len(self.lower_index)) - 1),
+                x >> self.upper_shift, x & ((1 << self.lower_shift) - 1))
 
 
 class LayerSystem:
@@ -108,6 +121,7 @@ class LayerSystem:
             self.tracked.append(len(shared))
         self.tracked_mask = [(1 << t) - 1 for t in self.tracked]
         index = [{g: i for i, g in enumerate(gids)} for gids in order]
+        E = H.edge_count
         self.layers: list[Layer] = []
         for p in range(self.D):
             lo_i, up_i = index[p], index[p + 1]
@@ -115,12 +129,13 @@ class LayerSystem:
                            for e in range(H.edge_count) if H.layer_of[e] == p]
             upper_facets = [[lo_i[s] for s in H.facets_of[g]]
                             for g in order[p + 1]]
-            self.layers.append(Layer(lo_i, edges_local, upper_facets))
-        self._matchings: dict[tuple[int, bool], list[tuple[int, int, int]]] = {}
+            self.layers.append(Layer(lo_i, edges_local, upper_facets,
+                                     E, E + len(lo_i)))
+        self._matchings: dict[tuple[int, bool], list[int]] = {}
         self._suffix: dict[bool, list[list[list[int]]]] = {}
 
-    def matchings(self, d: int, acyclic: bool) -> list[tuple[int, int, int]]:
-        """All matchings within one layer, empty matching first."""
+    def matchings(self, d: int, acyclic: bool) -> list[int]:
+        """All matchings within one layer, packed, empty matching first."""
         key = (d, acyclic)
         if key not in self._matchings:
             self._matchings[key] = _enumerate_layer(self.layers[d], acyclic)
@@ -128,20 +143,21 @@ class LayerSystem:
 
     def classes(self, d: int, acyclic: bool) -> dict[tuple[int, int, int], int]:
         """Matching counts aggregated by (lower mask, upper mask, size)."""
-        return dict(Counter((lower, upper, lower.bit_count())
-                            for lower, upper, _ in self.matchings(d, acyclic)))
+        unpack = self.layers[d].unpack
+        return dict(Counter((lower, upper, lower.bit_count()) for lower, upper, _
+                            in map(unpack, self.matchings(d, acyclic))))
 
 
-def _enumerate_layer(layer: Layer, acyclic: bool) -> list[tuple[int, int, int]]:
-    """(lower, upper, edge_mask) of every matching of the layer, by DFS over
-    its edges in canonical order; the empty matching (0, 0, 0) first.
+def _enumerate_layer(layer: Layer, acyclic: bool) -> list[int]:
+    """Every matching of the layer, packed (see the module docstring), by
+    DFS over its edges in canonical order; the empty matching 0 first.
 
     A node holds `cand`, the bitmask of later edge positions still
     compatible with its pairs; it takes them lowest first, and a child
     gets the rest less the taken edge's conflicts, so no conflicting edge
     is visited.  The edges of one lower face are a contiguous block of
-    positions, cleared by a shift; those of an upper face, one per facet,
-    are cleared one at a time.
+    positions, and those of an upper face one per facet; `keep` of a
+    position clears its own block and its upper face's later edges.
 
     With `acyclic`, `reach[s]` is the bitmask of lower faces reachable in
     the modified digraph from matched lower face s, up to its partner and
@@ -149,7 +165,7 @@ def _enumerate_layer(layer: Layer, acyclic: bool) -> list[tuple[int, int, int]]:
     up through its other facets.  A child gets a copy of `reach` with
     `reach[lo]` set and OR-ed into every entry that reached lo.
     """
-    out = [(0, 0, 0)]
+    out = [0]
     edges = layer.edges_local
     facets = layer.upper_facets
     n = len(edges)
@@ -161,35 +177,34 @@ def _enumerate_layer(layer: Layer, acyclic: bool) -> list[tuple[int, int, int]]:
     at_upper: list[list[int]] = [[] for _ in facets]
     for i, (_, _, up) in enumerate(edges):
         at_upper[up].append(i)
-    # per position: the edge, its block end, and the positions of its
-    # upper face's edges past that block
-    steps = [(e, lo, up, block_end[i],
-              [j for j in at_upper[up] if j >= block_end[i]])
-             for i, (e, lo, up) in enumerate(edges)]
+    # per position: the bits the pair sets in a packed matching, the later
+    # positions compatible with it, and its lower and upper face
+    steps = []
+    for i, (e, lo, up) in enumerate(edges):
+        keep = (1 << n) - (1 << block_end[i])
+        for j in at_upper[up]:
+            if j >= block_end[i]:
+                keep ^= 1 << j
+        bits = 1 << e | 1 << (layer.lower_shift + lo) | 1 << (layer.upper_shift + up)
+        steps.append((bits, keep, lo, up))
     facet_mask = [sum(1 << s for s in f) for f in facets]
 
-    def rec(cand: int, lmask: int, umask: int, emask: int,
-            reach: dict[int, int]) -> None:
+    def rec(cand: int, x: int, reach: dict[int, int]) -> None:
         while cand:
             b = cand & -cand
             cand ^= b
-            e, lo, up, end, later = steps[b.bit_length() - 1]
-            lb = 1 << lo
+            bits, keep, lo, up = steps[b.bit_length() - 1]
             if acyclic:
+                lb = 1 << lo
                 r = facet_mask[up] ^ lb
                 for s in facets[up]:
                     if s in reach:
                         r |= reach[s]
                 if r & lb:
                     continue
-            lm, um, em = lmask | lb, umask | (1 << up), emask | (1 << e)
-            out.append((lm, um, em))
-            c = cand >> end
-            if not c:
-                continue
-            c <<= end
-            for j in later:
-                c &= ~(1 << j)
+            y = x | bits
+            out.append(y)
+            c = cand & keep
             if not c:
                 continue
             if acyclic:
@@ -198,11 +213,11 @@ def _enumerate_layer(layer: Layer, acyclic: bool) -> list[tuple[int, int, int]]:
                     if m & lb:
                         child[s] = m | r
                 child[lo] = r
-                rec(c, lm, um, em, child)
+                rec(c, y, child)
             else:
-                rec(c, lm, um, em, reach)
+                rec(c, y, reach)
 
-    rec((1 << n) - 1, 0, 0, 0, {})
+    rec((1 << n) - 1, 0, {})
     # rec reaches itself through its closure; unbinding it breaks that
     # cycle, so the matchings are freed with their LayerSystem
     del rec
@@ -226,7 +241,8 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
     if acyclic in ls._suffix:
         return ls._suffix[acyclic]
     D = ls.D
-    W = ls.H.edge_count + 1
+    E = ls.H.edge_count
+    W = E + 1
     slot = (1 << W) - 1
     S: list = [None] * (D + 1)
     S[D] = [[1]]
@@ -235,9 +251,13 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
         w = ls.tracked[d]
         size = 1 << w
         low, up_low = ls.tracked_mask[d], ls.tracked_mask[d + 1]
+        lay = ls.layers[d]
+        up_shift = lay.upper_shift
+        # a packed matching sets three bits per pair: k bits lift by k // 3 slots
+        lift = [k // 3 * W for k in range(3 * len(lay.edges_local) + 1)]
         q = [0] * size
-        for lower, upper, _ in ls.matchings(d, acyclic):
-            q[lower & low] += nxt[upper & up_low] << (lower.bit_count() * W)
+        for x in ls.matchings(d, acyclic):
+            q[x >> E & low] += nxt[x >> up_shift & up_low] << lift[x.bit_count()]
         # zeta transform: q[V] becomes the sum over all L subset of V
         for i in range(w):
             bit = 1 << i
@@ -263,15 +283,16 @@ def max_cardinality_info(vec: list[int]) -> tuple[int, int]:
     return len(vec) - 1, vec[-1]
 
 
-def _lower_index(ls: LayerSystem, acyclic: bool,
-                 ) -> list[dict[int, list[tuple[int, int, int]]]]:
-    """Each layer's matchings keyed by their tracked lower mask, each key's
-    matchings in canonical DFS order."""
+def _lower_index(ls: LayerSystem, acyclic: bool) -> list[dict[int, list[int]]]:
+    """Each layer's packed matchings keyed by their tracked lower mask, each
+    key's matchings in canonical DFS order."""
+    E = ls.H.edge_count
     index = []
     for d in range(ls.D):
-        idx: dict[int, list[tuple[int, int, int]]] = {}
-        for m in ls.matchings(d, acyclic):
-            idx.setdefault(m[0] & ls.tracked_mask[d], []).append(m)
+        tracked = ls.tracked_mask[d]
+        idx: dict[int, list[int]] = {}
+        for x in ls.matchings(d, acyclic):
+            idx.setdefault(x >> E & tracked, []).append(x)
         index.append(idx)
     return index
 
@@ -291,39 +312,53 @@ def iter_matchings_of_cardinality(ls: LayerSystem, target: int | None,
     D = ls.D
     index = _lower_index(ls, acyclic)
     S = suffix_tables(ls, acyclic) if target is not None else None
+    edges = (1 << ls.H.edge_count) - 1
 
-    def rec(d: int, avoid: int, k_acc: int, acc_mask: int) -> Iterator[int]:
-        if d == D:
-            yield acc_mask
-            return
+    def rec(d: int, avoid: int, k_acc: int, acc: int) -> Iterator[int]:
+        # acc ORs whole packed matchings; only its edge part is yielded
         idx = index[d]
+        up_shift = ls.layers[d].upper_shift
         free = ls.tracked_mask[d] & ~avoid
+        top = d == D - 1
         if target is not None:
+            rest = target - k_acc  # pairs still to place
             nxt = S[d + 1]
             up_low = ls.tracked_mask[d + 1]
             # above layer 0 every lower face is tracked, so a group's
             # matchings have as many pairs as its key has bits, and the
             # layers above add at most len(nxt[0]) - 1
-            fewest = target - k_acc - len(nxt[0]) + 1 if d else 0
+            fewest = rest - len(nxt[0]) + 1 if d else 0
         sub = 0
         while True:
             group = idx.get(sub)
             if group and (target is None or sub.bit_count() >= fewest):
-                for lower, upper, emask in group:
-                    size = lower.bit_count()
-                    if target is not None:
-                        need = target - k_acc - size
-                        vec = nxt[upper & up_low]
-                        if not (0 <= need < len(vec) and vec[need]):
-                            continue
-                    yield from rec(d + 1, upper, k_acc + size,
-                                   acc_mask | emask)
+                if top:
+                    # nothing lies above the top layer, so its matchings
+                    # complete the walk with exactly the pairs still to place
+                    for x in group:
+                        if target is None or x.bit_count() // 3 == rest:
+                            yield (acc | x) & edges
+                else:
+                    for x in group:
+                        upper = x >> up_shift
+                        if target is not None:
+                            size = x.bit_count() // 3
+                            need = rest - size
+                            vec = nxt[upper & up_low]
+                            if not (0 <= need < len(vec) and vec[need]):
+                                continue
+                            yield from rec(d + 1, upper, k_acc + size, acc | x)
+                        else:
+                            yield from rec(d + 1, upper, 0, acc | x)
             sub = (sub - free) & free
             if not sub:
                 break
 
     try:
-        yield from rec(0, 0, 0, 0)
+        if D:
+            yield from rec(0, 0, 0, 0)
+        elif not target:
+            yield 0  # no layers: the empty matching is the only one
     finally:
         # break rec's self-reference, also when the walk is abandoned, so
         # the index is freed without the cycle collector

@@ -5,8 +5,10 @@ Grammar:
     simplex:<n> | boundary:<n> | skeleton:<base>:<k> | cone:<base> | file:<path>
 
 `skeleton` and `cone` nest, e.g. ``skeleton:simplex:4:2`` is the 2-skeleton
-of the 4-simplex.  The canonical form of a spec string is used in cache
-keys, so parsing and re-rendering must round-trip.
+of the 4-simplex, at most MAX_NESTING deep: each cone doubles the face
+count, so more than 20 cones exceed MAX_BASE_FACES, and a skeleton of a
+skeleton is one skeleton.  The canonical form of a spec string is used in
+cache keys, so parsing and re-rendering must round-trip.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from typing import Optional
 
 from .complexes import (SimplicialComplex, build_boundary, build_simplex, cone,
                         face_mask, skeleton)
+
+
+MAX_NESTING = 32  # skeleton/cone wrappers around one base spec
 
 
 class SpecError(ValueError):
@@ -68,10 +73,40 @@ def _parse_int(token: str, what: str) -> int:
 
 
 def parse_spec(spec: str):
-    """Parse to a nested tuple AST; raises SpecError on malformed input."""
-    spec = spec.strip()
-    head, _, rest = spec.partition(":")
-    head = head.lower()
+    """Parse to a nested tuple AST; raises SpecError on malformed input and
+    on more than MAX_NESTING skeleton/cone wrappers.  The wrappers are
+    peeled off in a loop, outermost first, so no input recurses."""
+    wrappers = []
+    while True:
+        spec = spec.strip()
+        head, _, rest = spec.partition(":")
+        head = head.lower()
+        if head == "skeleton":
+            base, _, k = rest.rpartition(":")
+            if not base:
+                raise SpecError("skeleton needs a base spec and a dimension")
+            kk = _parse_int(k, "skeleton dimension")
+            if kk < 0:
+                raise SpecError("skeleton dimension must be >= 0")
+            wrappers.append(("skeleton", kk))
+            spec = base
+        elif head == "cone":
+            if not rest:
+                raise SpecError("cone needs a base spec")
+            wrappers.append(("cone",))
+            spec = rest
+        else:
+            break
+        if len(wrappers) > MAX_NESTING:
+            raise SpecError(f"spec nests more than {MAX_NESTING} "
+                            f"skeleton/cone constructors")
+    ast = _parse_base(head, rest, spec)
+    for w in reversed(wrappers):
+        ast = ("skeleton", ast, w[1]) if w[0] == "skeleton" else ("cone", ast)
+    return ast
+
+
+def _parse_base(head: str, rest: str, spec: str):
     if head == "simplex":
         n = _parse_int(rest, "simplex dimension")
         if n < 0:
@@ -82,18 +117,6 @@ def parse_spec(spec: str):
         if n < 1:
             raise SpecError("boundary requires n >= 1")
         return ("boundary", n)
-    if head == "skeleton":
-        base, _, k = rest.rpartition(":")
-        if not base:
-            raise SpecError("skeleton needs a base spec and a dimension")
-        kk = _parse_int(k, "skeleton dimension")
-        if kk < 0:
-            raise SpecError("skeleton dimension must be >= 0")
-        return ("skeleton", parse_spec(base), kk)
-    if head == "cone":
-        if not rest:
-            raise SpecError("cone needs a base spec")
-        return ("cone", parse_spec(rest))
     if head == "file":
         if not rest:
             raise SpecError("file needs a path")

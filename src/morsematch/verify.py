@@ -178,19 +178,10 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
         m = HB.edge_count
         _, walk_k = _optimal_masks(ls_k, budget)
         _, walk_b = _optimal_masks(ls_b, budget)
-        masks_k, masks_b = list(walk_k), list(walk_b)
-        set_k, set_b = set(masks_k), set(masks_b)
+        # the boundary's matchings not yet reached from the simplex
+        left = set(walk_b)
+        count_b = len(left)
         low = (1 << m) - 1
-
-        phi: dict[int, int] = {}
-        for F in masks_k:
-            _ensure((F >> m).bit_count() == 1,
-                    "matching does not pair the top simplex exactly once",
-                    lambda: _edge_pairs(HK, F))
-            img = F & low
-            _ensure(img in set_b, "deleted matching is not optimal on the boundary",
-                    lambda: _edge_pairs(HK, F))
-            phi[F] = img
 
         # a boundary matching must leave one vertex and one (n-1)-face
         # unmatched; the critical (n-1)-face's lex index is its gid's bit
@@ -198,8 +189,16 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
         unmatched = _unmatched_gids(HB)
         vertices = (1 << HB.offsets[1]) - 1
         first_top = HB.offsets[n - 1]
-        psi: dict[int, int] = {}
-        for G in masks_b:
+        count_k = 0
+        for F in walk_k:
+            count_k += 1
+            _ensure((F >> m).bit_count() == 1,
+                    "matching does not pair the top simplex exactly once",
+                    lambda: _edge_pairs(HK, F))
+            G = F & low
+            _ensure(G in left, "deleted matching is not optimal on the boundary",
+                    lambda: _edge_pairs(HK, F))
+            left.discard(G)
             free = unmatched(G)
             top = free >> first_top
             _ensure(free.bit_count() == 2 and (free & vertices).bit_count() == 1
@@ -208,15 +207,12 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
                     lambda: _edge_pairs(HB, G))
             # the simplex's edges after the boundary's are the pairs
             # (facet, sigma), one per facet in lex order
-            lifted = G | 1 << (m + top.bit_length() - 1)
-            _ensure(lifted in set_k, "adjoined matching is not optimal on the simplex",
-                    lambda: _edge_pairs(HB, G))
-            psi[G] = lifted
-
-        _ensure(all(psi[phi[F]] == F for F in masks_k), "psi(phi(F)) != F")
-        _ensure(all(phi[psi[G]] == G for G in masks_b), "phi(psi(G)) != G")
-        _ensure(len(set_k) == len(set_b), "facet counts differ")
-        return {"count": len(set_k)}
+            _ensure(G | 1 << (m + top.bit_length() - 1) == F,
+                    "psi(phi(F)) != F", lambda: _edge_pairs(HK, F))
+        _ensure(not left, "adjoined matching is not optimal on the simplex",
+                lambda: _edge_pairs(HB, next(iter(left))))
+        _ensure(count_k == count_b, "facet counts differ")
+        return {"count": count_k}
 
     return _run("top-facet-bijection", {"n": n}, check)
 

@@ -10,10 +10,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import morsematch
 from morsematch.cli import main
 
 MAX_VERTICES = 4
@@ -143,3 +149,22 @@ def test_cli_inputs_reach_a_documented_outcome(tmp_path_factory, data):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert isinstance(json.loads(out.getvalue()), dict)
+
+
+@pytest.mark.parametrize("spec", [
+    "cone:" * 1200 + "simplex:0",
+    "skeleton:" * 1200 + "simplex:0" + ":0" * 1200,
+])
+def test_deeply_nested_specs_are_usage_errors(tmp_path, spec):
+    # refused by the nesting limit with exit 2, not a RecursionError; the
+    # child imports the package this test imported
+    src = os.path.dirname(os.path.dirname(morsematch.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "morsematch", "build", "--complex", spec,
+         "--cache-dir", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "nests more than" in proc.stderr

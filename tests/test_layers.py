@@ -1,5 +1,6 @@
 import gc
 import time
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -153,6 +154,13 @@ def test_empty_diagram():
     assert matching_counts(K, "acyclic") == []
     assert enumerate_optimal(K) == (0, 1)
     assert enumerate_optimal(SimplicialComplex.void(3)) == (0, 1)
+    # with no layers the one matching is the empty one, of 0 pairs
+    for base in (K, SimplicialComplex.void(3)):
+        ls = LayerSystem(base)
+        assert ls.D == 0
+        assert list(iter_matchings_of_cardinality(ls, None, True)) == [0]
+        assert list(iter_matchings_of_cardinality(ls, 0, True)) == [0]
+        assert list(iter_matchings_of_cardinality(ls, 1, True)) == []
 
 
 # -- the packed transfer against the list transfer ----------------------------
@@ -201,12 +209,13 @@ def test_n4_counts_are_frozen():
 # -- the layer enumerator against the path search -----------------------------
 
 def assert_layers_match_reference(ls: LayerSystem, layers=None) -> None:
-    """Every layer's matchings, in both modes, are the path-search
+    """Every layer's matchings, in both modes, unpack to the path-search
     enumerator's list: same tuples in the same order."""
     for d in range(ls.D) if layers is None else layers:
+        layer = ls.layers[d]
         for acyclic in (True, False):
-            assert ls.matchings(d, acyclic) \
-                == layer_matchings_reference(ls.layers[d], acyclic)
+            assert list(map(layer.unpack, ls.matchings(d, acyclic))) \
+                == layer_matchings_reference(layer, acyclic)
 
 
 def test_layer_matchings_match_the_path_search():
@@ -224,10 +233,11 @@ def test_layer_matchings_are_exactly_the_acyclic_ones():
     for K in CORPUS:
         ls = LayerSystem(K)
         for d in range(ls.D):
-            acyclic = {m[2] for m in ls.matchings(d, True)}
+            unpack = ls.layers[d].unpack
+            acyclic = {unpack(x)[2] for x in ls.matchings(d, True)}
             assert all(is_acyclic(ls.H, em) for em in acyclic)
-            cyclic = [m[2] for m in ls.matchings(d, False)
-                      if m[2] not in acyclic]
+            cyclic = [em for _, _, em in map(unpack, ls.matchings(d, False))
+                      if em not in acyclic]
             assert not any(is_acyclic(ls.H, em) for em in cyclic)
             refused += len(cyclic)
     assert refused > 0
@@ -328,9 +338,47 @@ def test_layer_matchings_are_freed_without_the_cycle_collector():
 
 
 def test_layer_matchings_are_untracked_by_the_cycle_collector():
-    # a layer matching is a tuple of ints, which a collection stops tracking
+    # a layer matching is one int, which the cycle collector never tracks
     ls = LayerSystem(build_simplex(4))
     lists = [ls.matchings(d, acyclic) for d in range(ls.D)
              for acyclic in (True, False)]
     gc.collect()
     assert not any(gc.is_tracked(m) for mats in lists for m in mats)
+
+
+def test_packed_layer_matchings():
+    # the edge part of a packed matching is its global edge mask: each
+    # layer's edges are one contiguous range of edge ids, below lower_shift
+    for K in CORPUS + list(N4.values()):
+        ls = LayerSystem(K)
+        E = ls.H.edge_count
+        first = 0
+        for layer in ls.layers:
+            ids = [e for e, _, _ in layer.edges_local]
+            assert ids == list(range(first, first + len(ids)))
+            first += len(ids)
+            assert layer.lower_shift == E
+            assert layer.upper_shift == E + len(layer.lower_index)
+        assert first == E
+        for d, layer in enumerate(ls.layers):
+            for x in ls.matchings(d, False):
+                lower, upper, em = layer.unpack(x)
+                assert em >> E == 0
+                assert lower.bit_count() == upper.bit_count() \
+                    == em.bit_count() == x.bit_count() // 3
+                assert x == em | lower << layer.lower_shift \
+                    | upper << layer.upper_shift
+
+
+def test_layer_one_of_the_4_simplex_fits_in_8_mb():
+    # 113,192 matchings of layer 1 in all mode: about 5.3 MB as ints, where
+    # (lower, upper, edge_mask) tuples took 17.2 MB
+    ls = LayerSystem(N4["simplex:4"])
+    tracemalloc.start()
+    try:
+        mats = ls.matchings(1, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mats) == 113192
+    assert peak < 8 * 2 ** 20

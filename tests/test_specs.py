@@ -3,8 +3,8 @@ import json
 import pytest
 
 from morsematch.complexes import build_simplex, f_vector, face_mask
-from morsematch.specs import (SpecError, build_from_spec, canonical_spec,
-                              load_facet_file, parse_spec)
+from morsematch.specs import (MAX_NESTING, SpecError, build_from_spec,
+                              canonical_spec, load_facet_file, parse_spec)
 
 
 def test_parse_and_canonical():
@@ -28,6 +28,23 @@ def test_build_from_spec():
 def test_malformed_specs(bad):
     with pytest.raises(SpecError):
         parse_spec(bad) and build_from_spec(bad)
+
+
+def test_nesting_limit():
+    # MAX_NESTING wrappers parse, render and build; one more is refused
+    # before anything recurses, however deep the input
+    deep = "cone:" * 3 + "skeleton:" * (MAX_NESTING - 3) + "simplex:0" \
+        + ":0" * (MAX_NESTING - 3)
+    assert canonical_spec(deep) == deep
+    assert build_from_spec(deep) == build_simplex(3)
+    ast = parse_spec(deep)
+    for _ in range(MAX_NESTING):
+        ast = ast[1]
+    assert ast == ("simplex", 0)
+    for bad in ("cone:" + deep, "cone:" * 1200 + "simplex:0",
+                "skeleton:" * 1200 + "simplex:0" + ":0" * 1200):
+        with pytest.raises(SpecError, match=f"more than {MAX_NESTING}"):
+            parse_spec(bad)
 
 
 def test_facet_file(tmp_path):

@@ -378,6 +378,26 @@ def test_bijection_and_fibers_fail_when_a_matching_is_missing(monkeypatch):
     assert r.details == {"message": "256 != 4 x 63"}
 
 
+def test_bijection_fails_when_a_simplex_matching_is_missing(monkeypatch):
+    # drop one maximum matching of the simplex: its restriction is left
+    # over in the boundary's set when the simplex walk ends
+    import morsematch.verify as verify_mod
+    optimal_masks = verify_mod._optimal_masks
+
+    def lossy(ls, budget):
+        best, walk = optimal_masks(ls, budget)
+        if ls.D == 3:
+            next(walk)
+        return best, walk
+
+    monkeypatch.setattr(verify_mod, "_optimal_masks", lossy)
+    r = verify_top_facet_bijection(3)
+    assert r.status == "fail"
+    assert r.details == {
+        "message": "adjoined matching is not optimal on the simplex"}
+    assert len(r.witness) == 6  # a maximum matching of the boundary
+
+
 def test_budget_skip():
     r = verify_top_facet_bijection(3, budget=10)
     assert r.status == "skipped-budget"
