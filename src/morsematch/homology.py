@@ -6,12 +6,19 @@ carries sign (-1)^i, so the sign alternates with bit position, +1 on the
 lowest bit.  Bases are the canonical lex-ordered face lists, so matrices are
 reproducible bit for bit.
 
-The Smith normal form first eliminates with unit pivots only: it goes
-through the columns in order and pivots each one on the active row that
-holds a +-1 there and has the fewest entries (ties to the lower row), and it
-repeats the pass until a pass finds no unit.  A dense textbook reduction
-finishes the unit-free residual.  All arithmetic is exact; Python integers
-make the growth harmless.
+The Smith normal form is one sparse elimination in the rows of the matrix
+(Dumas, Heckenbach, Saunders & Welker 2003).  It first takes unit pivots
+only: it goes through the columns in order and pivots each one on the
+active row that holds a +-1 there and has the fewest entries (ties to the
+lower row), and it repeats the pass until a pass finds no unit.  The
+unit-free residual is finished in place by Euclid steps on its smallest
+entry: row operations reduce the pivot's column modulo the pivot, column
+operations (which touch only the pivot row once its column is clear)
+reduce its row, and any smaller remainder becomes the next pivot.  A pivot
+left alone in its row and column is a diagonal entry, and its row is
+dropped, so every row ends empty.  The gcd/lcm exchange of `divisor_chain`
+turns the diagonal into the divisibility chain.  All arithmetic is exact;
+Python integers make the growth harmless.
 
 Homology holds one boundary matrix at a time: in increasing degree
 (augmentation, then d_1, d_2, ...) each is built, reduced in place and
@@ -29,13 +36,15 @@ This leaves its divisors and rank unchanged:
 
 The argument needs only dd = 0 and P among the rows of d_d, so it holds
 when d_d was itself reduced with rows skipped, and for the quotient complex
-of a pair.  Pivots of the dense residual do not feed the clearing.
+of a pair.  Pivots of the residual do not feed the clearing: they use
+column operations.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from math import gcd
 
 from .complexes import SimplicialComplex
 
@@ -66,87 +75,52 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-def _dense_smith(M: list[list[int]]) -> list[int]:
-    """Textbook Smith reduction of a dense integer matrix, in place.
+def divisor_chain(divisors: Sequence[int]) -> tuple[int, ...]:
+    """The positive divisors of a diagonal matrix as the divisibility chain
+    d1 | d2 | ... of the same group (Z/x + Z/y = Z/gcd + Z/lcm).
 
-    Returns the diagonal divisors as a divisibility chain of positive
-    integers.
+    Units divide everything and are split off up front; the quadratic
+    gcd/lcm exchange only runs on the handful of nontrivial entries.
     """
-    nr = len(M)
-    nc = len(M[0]) if nr else 0
-    divisors: list[int] = []
-    t = 0
-    while True:
-        pivot = None
-        for i in range(t, nr):
-            Mi = M[i]
-            for j in range(t, nc):
-                v = Mi[j]
-                if v and (pivot is None or abs(v) < abs(pivot[2])):
-                    pivot = (i, j, v)
-                    if abs(v) == 1:
-                        break
-            if pivot is not None and abs(pivot[2]) == 1:
-                break
-        if pivot is None:
-            break
-        i, j, _ = pivot
-        M[t], M[i] = M[i], M[t]
-        if j != t:
-            for row in M:
-                row[t], row[j] = row[j], row[t]
-        while True:
-            if M[t][t] < 0:
-                M[t] = [-x for x in M[t]]
-            p = M[t][t]
-            restart = False
-            for i in range(t + 1, nr):
-                v = M[i][t]
-                if v:
-                    q = v // p
-                    if q:
-                        Mt = M[t]
-                        Mi = M[i]
-                        for k in range(t, nc):
-                            Mi[k] -= q * Mt[k]
-                    if M[i][t]:
-                        M[t], M[i] = M[i], M[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, nc):
-                v = M[t][j]
-                if v:
-                    q = v // p
-                    if q:
-                        for row in M:
-                            row[j] -= q * row[t]
-                    if M[t][j]:
-                        for row in M:
-                            row[t], row[j] = row[j], row[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # pivot must divide the rest of the submatrix for a proper chain
-            dirty = False
-            for i in range(t + 1, nr):
-                Mi = M[i]
-                for j in range(t + 1, nc):
-                    if Mi[j] % p:
-                        Mt = M[t]
-                        for k in range(t, nc):
-                            Mt[k] += Mi[k]
-                        dirty = True
-                        break
-                if dirty:
-                    break
-            if not dirty:
-                break
-        divisors.append(M[t][t])
-        t += 1
-    return divisors
+    ones = divisors.count(1)
+    ds = sorted(d for d in divisors if d != 1)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                x, y = ds[i], ds[j]
+                if y % x:
+                    g = gcd(x, y)
+                    ds[i], ds[j] = g, x * y // g
+                    changed = True
+        if changed:
+            ds.sort()
+    return (1,) * ones + tuple(ds)
+
+
+def _reduce_column(rows: list[dict[int, int]], col_rows: list[set[int]],
+                   r: int, c: int) -> None:
+    """Reduce column c modulo its entry on row r by row operations: every
+    other row r2 loses rows[r2][c] // rows[r][c] times row r.  A unit pivot
+    clears the column; any other leaves remainders smaller than it."""
+    pivot_row = rows[r]
+    v = pivot_row[c]
+    for r2 in list(col_rows[c]):
+        if r2 == r:
+            continue
+        target = rows[r2]
+        q = target[c] // v
+        if not q:
+            continue
+        for c2, x in pivot_row.items():
+            nv = target.get(c2, 0) - q * x
+            if nv:
+                target[c2] = nv
+                col_rows[c2].add(r2)
+            else:
+                del target[c2]
+                col_rows[c2].discard(r2)
 
 
 def smith_normal_form(A: SparseIntMatrix,
@@ -155,11 +129,11 @@ def smith_normal_form(A: SparseIntMatrix,
                       ) -> tuple[tuple[int, ...], int]:
     """Elementary divisors d1 | d2 | ... | dr (all positive) and the rank.
 
-    Consumes A: it reduces `A.row` in place and leaves only the unit-free
-    residual there.  Rows in `skip_rows` are emptied and left out; the
-    caller vouches that they are integer combinations of the other rows
-    (see the module docstring).  The columns where the unit elimination
-    pivots are added to `unit_pivots` when it is given.
+    Consumes A: it reduces `A.row` in place and empties every row.  Rows in
+    `skip_rows` are emptied and left out; the caller vouches that they are
+    integer combinations of the other rows (see the module docstring).  The
+    columns where the unit elimination pivots are added to `unit_pivots`
+    when it is given.
     """
     rows = A.row
     for r in skip_rows:
@@ -183,22 +157,9 @@ def smith_normal_form(A: SparseIntMatrix,
             # eliminate column c with row r, then drop the pivot row; the
             # leftover entries of row r are clearable by column operations
             # that touch nothing else, so dropping them costs no fill
-            pivot_row = rows[r]
-            v = pivot_row[c]
-            for r2 in list(col):
-                if r2 == r:
-                    continue
-                target = rows[r2]
-                q = target[c] * v  # v is +-1, so q == target[c] / v
-                for c2, x in pivot_row.items():
-                    nv = target.get(c2, 0) - q * x
-                    if nv:
-                        target[c2] = nv
-                        col_rows[c2].add(r2)
-                    else:
-                        del target[c2]
-                        col_rows[c2].discard(r2)
-            for c2 in pivot_row:
+            if len(col) > 1:
+                _reduce_column(rows, col_rows, r, c)
+            for c2 in rows[r]:
                 col_rows[c2].discard(r)
             rows[r] = {}
             units += 1
@@ -206,21 +167,40 @@ def smith_normal_form(A: SparseIntMatrix,
                 unit_pivots.add(c)
             progress = True
 
-    # unit-free residual: finish densely
-    live_rows = [r for r in range(A.rows) if rows[r]]
-    live_cols = sorted({c for r in live_rows for c in rows[r]})
+    # unit-free residual: Euclid steps on the smallest entry until the
+    # pivot stands alone in its row and column
     residual: list[int] = []
-    if live_rows:
-        col_pos = {c: j for j, c in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for i, r in enumerate(live_rows):
-            for c, v in rows[r].items():
-                dense[i][col_pos[c]] = v
-        residual = _dense_smith(dense)
+    while any(rows):
+        _, r, c = min((abs(v), r, c) for r, d in enumerate(rows)
+                      for c, v in d.items())
+        while True:
+            _reduce_column(rows, col_rows, r, c)
+            rest = [(abs(rows[r2][c]), r2) for r2 in col_rows[c] if r2 != r]
+            if rest:
+                r = min(rest)[1]
+                continue
+            # column c holds only the pivot, so column operations touch
+            # only row r: reduce the row modulo the pivot
+            pivot_row = rows[r]
+            p = pivot_row[c]
+            for c2 in [c2 for c2 in pivot_row if c2 != c]:
+                x = pivot_row[c2] % p
+                if x:
+                    pivot_row[c2] = x
+                else:
+                    del pivot_row[c2]
+                    col_rows[c2].discard(r)
+            rest = [(abs(x), c2) for c2, x in pivot_row.items() if c2 != c]
+            if rest:
+                c = min(rest)[1]
+                continue
+            residual.append(abs(p))
+            rows[r] = {}
+            col_rows[c].discard(r)
+            break
 
-    # units divide everything and the residual is already a positive chain
-    divisors = [1] * units + residual
-    return tuple(divisors), len(divisors)
+    divisors = (1,) * units + divisor_chain(residual)
+    return divisors, len(divisors)
 
 
 # -- chain complexes ---------------------------------------------------------

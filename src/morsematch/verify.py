@@ -9,8 +9,9 @@ visited matchings or faces) and reports skipped-budget instead of grinding.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import comb
 from typing import Callable, Iterator, Optional
 
 from .complexes import (BudgetExceededError, SimplicialComplex, build_boundary,
@@ -20,7 +21,8 @@ from .hasse import HasseDiagram, build_hasse, is_acyclic, is_matching
 from .layers import (LayeredInfeasibleError, LayerSystem, enumerate_optimal,
                      iter_matchings_of_cardinality, max_cardinality_info,
                      profile_counts, suffix_tables)
-from .homology import HomologyResult, homology, relative_homology
+from .homology import (HomologyResult, divisor_chain, homology,
+                       relative_homology)
 from .morse import (MatchingComplex, MaterializationLimitError,
                     build_matching_complex, induced_inclusion,
                     matching_complex_f_vector)
@@ -118,8 +120,7 @@ def _reduced_homology(spec: str, variant: str, budget: int,
 
 def _optimal_masks(ls: LayerSystem, budget: int) -> tuple[int, Iterator[int]]:
     """The maximum cardinality and the walk over every maximum acyclic
-    matching.  The visit budget is checked here, before the walk starts;
-    callers that need the matchings twice list them."""
+    matching.  The visit budget is checked here, before the walk starts."""
     best, count = max_cardinality_info(suffix_tables(ls, acyclic=True)[0][0])
     if count > budget:
         raise BudgetExceededError(
@@ -315,37 +316,34 @@ def verify_restriction_fibers(n: int, budget: int = DEFAULT_BUDGET,
         K = build_simplex(n)
         ls = LayerSystem(K)
         ls_s = LayerSystem(skeleton(K, n - 2))
-        Hs = ls_s.H
         S = suffix_tables(ls, acyclic=True)
         best_k, count_k = max_cardinality_info(S[0][0])
         best_s, walk_s = _optimal_masks(ls_s, budget)
-        masks_s = list(walk_s)
-        _ensure(count_k == (n + 1) * len(masks_s),
-                f"{count_k} != {n + 1} x {len(masks_s)}")
 
         # count each fiber exactly with the suffix tables of the simplex:
         # layers >= n-2 carry the pairs the restriction drops, and a skeleton
-        # matching hands them its matched (n-2)-faces, whose gids the
-        # skeleton shares with the simplex
-        first_high = n - 2
-        lay = ls.layers[first_high]
+        # matching hands them its matched (n-2)-faces.  Every (n-2)-face of
+        # the simplex is tracked, so its index in those tables is its gid
+        # above the first (n-2)-face, which the skeleton shares
+        unmatched = _unmatched_gids(ls_s.H)
+        first_top = ls_s.H.offsets[n - 2]
+        top = (1 << comb(n + 1, n - 1)) - 1
+        table = S[n - 2]
         need = best_k - best_s
-        fibers: dict[int, int] = {}
-        for mask in masks_s:
-            consumed = 0
-            for e in face_vertices(mask):
-                if Hs.layer_of[e] == first_high - 1:
-                    consumed |= 1 << lay.lower_index[Hs.upper[e]]
-            vec = S[first_high][consumed]
-            fibers[mask] = vec[need] if need < len(vec) else 0
+        histogram: Counter[int] = Counter()
+        for mask in walk_s:
+            vec = table[top ^ (unmatched(mask) >> first_top)]
+            histogram[vec[need] if need < len(vec) else 0] += 1
 
-        sizes = set(fibers.values())
+        skeleton_count = sum(histogram.values())
+        _ensure(count_k == (n + 1) * skeleton_count,
+                f"{count_k} != {n + 1} x {skeleton_count}")
+        sizes = set(histogram)
         _ensure(sizes == {n + 1}, f"fiber sizes {sizes} are not uniformly {n + 1}",
-                lambda: {"histogram": {str(s): list(fibers.values()).count(s)
-                                       for s in sizes}})
-        _ensure(len(fibers) == len(masks_s), "restriction is not surjective")
-        _ensure(sum(fibers.values()) == count_k, "fibers do not partition")
-        return {"count": count_k, "skeleton_count": len(masks_s),
+                lambda: {"histogram": {str(s): k for s, k in histogram.items()}})
+        _ensure(sum(s * k for s, k in histogram.items()) == count_k,
+                "fibers do not partition")
+        return {"count": count_k, "skeleton_count": skeleton_count,
                 "fiber_size": n + 1}
 
     return _run("restriction-fibers", {"n": n}, check)
@@ -384,29 +382,6 @@ def verify_cone_contiguity(spec: str, w0: int = 0, budget: int = DEFAULT_BUDGET,
     return _run("cone-contiguity", {"spec": spec, "w0": w0}, check)
 
 
-def _merge_torsion(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The divisors of a direct sum as a proper divisibility chain.
-
-    Units divide everything and are split off up front; the quadratic
-    gcd/lcm exchange only runs on the handful of nontrivial entries.
-    """
-    ones = (a + b).count(1)
-    ds = sorted(d for d in a + b if d != 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                x, y = ds[i], ds[j]
-                if y % x:
-                    g = gcd(x, y)
-                    ds[i], ds[j] = g, x * y // g
-                    changed = True
-        if changed:
-            ds.sort()
-    return (1,) * ones + tuple(ds)
-
-
 def verify_pair_splitting(pairs: list[tuple[str, str]],
                           budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """For a cone pair, relative homology splits degreewise as the homology
@@ -429,7 +404,9 @@ def verify_pair_splitting(pairs: list[tuple[str, str]],
             top = max(ML.complex.dim + 1, 0)
             for d in range(top + 1):
                 want_b = hL.betti(d) + hK.betti(d - 1)
-                want_t = _merge_torsion(hL.torsion(d), hK.torsion(d - 1))
+                want_t = tuple(x for x in divisor_chain(hL.torsion(d)
+                                                        + hK.torsion(d - 1))
+                               if x > 1)
                 _ensure(rel.betti(d) == want_b and rel.torsion(d) == want_t,
                         f"splitting fails at degree {d} for ({l_spec}, {k_spec}): "
                         f"rel={rel.betti(d)},{rel.torsion(d)} vs "

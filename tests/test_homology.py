@@ -10,7 +10,7 @@ from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, cone, euler_characteristic,
                                   face_mask, relabel, skeleton)
 from morsematch.homology import (SparseIntMatrix, _boundaries,
-                                 boundary_matrices, homology,
+                                 boundary_matrices, divisor_chain, homology,
                                  relative_homology, smith_normal_form)
 from morsematch.morse import build_matching_complex, induced_inclusion
 from morsematch.specs import build_from_spec
@@ -98,7 +98,7 @@ def test_snf_basic():
 
 def test_snf_consumes_its_argument():
     # the elimination works on A.row itself: pivot rows and skipped rows are
-    # emptied, and only the unit-free residual is left
+    # emptied, and so are the rows of the unit-free residual
     m = SparseIntMatrix(3, 3)
     for i in range(3):
         m.set(i, i, 1)
@@ -106,7 +106,7 @@ def test_snf_consumes_its_argument():
     assert m.row == [{}, {}, {}]
     m = sparse_from_dense([[1, 1, 0], [0, 2, 4], [0, 6, 8]])
     assert smith_normal_form(m) == ((1, 2, 4), 3)
-    assert m.nnz() == 4 and m.row[0] == {}
+    assert m.row == [{}, {}, {}]
 
 
 def test_snf_divisor_chain_and_oracle_fixed():
@@ -125,14 +125,62 @@ def test_snf_divisor_chain_and_oracle_fixed():
         assert rank == len(divisors)
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
+    # Z/2 + Z/3 = Z/6, and units stay in front
+    assert divisor_chain((2, 3)) == (1, 6)
+    assert divisor_chain((4, 1, 6)) == (1, 2, 12)
+
+
+def _elementary_chain(diagonal):
+    """The divisor chain of a diagonal matrix with entries 2^a 3^b, built
+    from its prime powers: the i-th smallest divisor takes the i-th
+    smallest power of each prime."""
+    nonzero = [d for d in diagonal if d]
+    chain = [1] * len(nonzero)
+    for p in (2, 3):
+        powers = []
+        for d in nonzero:
+            q = 1
+            while d % (q * p) == 0:
+                q *= p
+            powers.append(q)
+        for i, q in enumerate(sorted(powers)):
+            chain[i] *= q
+    return tuple(chain)
+
+
+def test_snf_finishes_a_unit_poor_conjugate_of_a_diagonal():
+    # a 60 x 60 unimodular conjugate of a known diagonal: the unit pivots
+    # run out early, and the residual is finished by Euclid steps
+    assert _elementary_chain((1, 2, 3, 4, 6, 12)) == (1, 1, 2, 6, 12, 12)
+    rng = random.Random(20)
+    diagonal = [(0, 1, 2, 3, 4, 6, 12)[i % 7] for i in range(60)]
+    dense = [[diagonal[i] if i == j else 0 for j in range(60)]
+             for i in range(60)]
+    for _ in range(240):
+        i, j = rng.sample(range(60), 2)
+        k = rng.choice((1, -1, 2, -2))
+        if rng.random() < 0.5:
+            dense[i] = [a + k * b for a, b in zip(dense[i], dense[j])]
+        else:
+            for row in dense:
+                row[i] += k * row[j]
+    m = sparse_from_dense(dense)
+    chain = _elementary_chain(diagonal)
+    assert smith_normal_form(m) == (chain, len(chain))
+    assert m.nnz() == 0
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 10 ** 9))
-def test_snf_matches_sympy_on_random_matrices(nr, nc, seed):
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 10 ** 9),
+       st.booleans())
+def test_snf_matches_sympy_on_random_matrices(nr, nc, seed, unit_poor):
     rng = random.Random(seed)
     dense = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0
               for _ in range(nc)] for _ in range(nr)]
+    if unit_poor:
+        # every other row doubled: half the rows hold no unit at all
+        dense = [[2 * x for x in row] if r % 2 else row
+                 for r, row in enumerate(dense)]
     divisors, rank = smith_normal_form(sparse_from_dense(dense))
     assert divisors == snf_divisors_sympy(dense)
     for a, b in zip(divisors, divisors[1:]):

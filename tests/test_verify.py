@@ -1,5 +1,6 @@
 import time
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -7,6 +8,7 @@ from morsematch import verify
 from morsematch.complexes import (build_boundary, build_simplex, cone,
                                   face_vertices, relabel, skeleton)
 from morsematch.hasse import HasseDiagram, build_hasse, critical_faces
+from morsematch.homology import HomologyResult
 from morsematch.layers import LayerSystem
 from morsematch.morse import MatchingComplex
 from morsematch.verify import (default_suite, verify_cone_contiguity,
@@ -192,6 +194,21 @@ def test_restriction_fibers_n3():
     assert r.details == {"count": 256, "skeleton_count": 64, "fiber_size": 4}
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_every_codimension_2_face_of_the_simplex_is_tracked(n):
+    # restriction-fibers indexes the suffix tables at dimension n-2 by gid
+    # offsets in the skeleton's diagram: every (n-2)-face of the simplex is
+    # tracked, in gid order, and the skeleton numbers its faces the same
+    ls = LayerSystem(build_simplex(n))
+    H = ls.H
+    assert ls.tracked[n - 2] == comb(n + 1, n - 1)
+    first = H.offsets[n - 2]
+    assert ls.layers[n - 2].lower_index == {
+        g: g - first for g in range(first, H.offsets[n - 1])}
+    Hs = build_hasse(skeleton(build_simplex(n), n - 2))
+    assert Hs.face_of_gid == H.face_of_gid[:H.offsets[n - 1]]
+
+
 def test_restriction_fiber_of_star_matching():
     # the fiber over the star matching has one extension per root facet
     from morsematch.complexes import (build_simplex, face_mask, face_vertices,
@@ -246,6 +263,20 @@ def test_pair_splitting():
 def test_pair_splitting_degenerate_base():
     # the base complex of the edge is a point, whose matching complex is
     # void; the splitting identity still holds with the void conventions
+    r = verify_pair_splitting([("simplex:1", "simplex:0")])
+    assert r.passed, r.details
+
+
+def test_pair_splitting_merges_coprime_torsion(monkeypatch):
+    # Z/2 + Z/3 = Z/6: the expected torsion is the merged chain without
+    # its unit, as HomologyResult.torsion never holds a 1
+    groups = {"simplex:1": [(0, ()), (0, (2,))], "simplex:0": [(0, (3,))]}
+    monkeypatch.setattr(
+        verify, "_reduced_homology",
+        lambda spec, variant, budget, mc=None: HomologyResult(groups[spec], True))
+    monkeypatch.setattr(
+        verify, "relative_homology",
+        lambda L, K, reduced=True: HomologyResult([(0, ()), (0, (6,))], True))
     r = verify_pair_splitting([("simplex:1", "simplex:0")])
     assert r.passed, r.details
 
