@@ -60,18 +60,25 @@ def face_vertices(mask: Face) -> list[int]:
     return out
 
 
-def _check_base_size(what: str, count: int) -> None:
-    if count > MAX_BASE_FACES:
+def _check_base_size(what: str, count: int | str) -> None:
+    if isinstance(count, str) or count > MAX_BASE_FACES:
         raise BudgetExceededError(
             f"{what} has {count} faces, above the base-complex cap of "
             f"{MAX_BASE_FACES}")
+
+
+def _check_power_size(what: str, k: int, less: int) -> None:
+    """_check_base_size for 2^k - less faces, less in {1, 2}: past the cap's
+    bit length plus one, the count is over it and passed as a str, unbuilt."""
+    big = k > MAX_BASE_FACES.bit_length() + 1
+    _check_base_size(what, f"2^{k} - {less}" if big else (1 << k) - less)
 
 
 def _closure(facets: Iterable[Face]) -> set[Face]:
     out: set[Face] = set()
     for f in facets:
         k = f.bit_count()
-        _check_base_size(f"the closure of a {k}-vertex facet", (1 << k) - 1)
+        _check_power_size(f"the closure of a {k}-vertex facet", k, 1)
         sub = f
         while sub:
             out.add(sub)
@@ -200,7 +207,7 @@ def build_simplex(n: int) -> SimplicialComplex:
     """Full simplex on n+1 vertices: all 2^(n+1) - 1 non-empty faces."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_base_size(f"simplex:{n}", (1 << (n + 1)) - 1)
+    _check_power_size(f"simplex:{n}", n + 1, 1)
     return SimplicialComplex.from_faces(range(1, 1 << (n + 1)), n + 1)
 
 def build_boundary(n: int) -> SimplicialComplex:
@@ -211,7 +218,7 @@ def build_boundary(n: int) -> SimplicialComplex:
     """
     if n < 1:
         raise ValueError("boundary requires n >= 1")
-    _check_base_size(f"boundary:{n}", (1 << (n + 1)) - 2)
+    _check_power_size(f"boundary:{n}", n + 1, 2)
     return SimplicialComplex.from_faces(range(1, (1 << (n + 1)) - 1), n + 1)
 
 def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:

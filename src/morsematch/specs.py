@@ -17,8 +17,8 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .complexes import (SimplicialComplex, build_boundary, build_simplex, cone,
-                        face_mask, skeleton)
+from .complexes import (MAX_BASE_FACES, BudgetExceededError, SimplicialComplex,
+                        build_boundary, build_simplex, cone, face_mask, skeleton)
 
 
 MAX_NESTING = 32  # skeleton/cone wrappers around one base spec
@@ -32,8 +32,8 @@ def load_facet_file(path: str | Path) -> SimplicialComplex:
     """Read a ``{"vertices": v, "facets": [[...], ...]}`` document.
 
     Facets must be strictly increasing lists of ids in range; the downward
-    closure is computed on load, and refused with BudgetExceededError above
-    MAX_BASE_FACES faces.
+    closure is computed on load.  Above MAX_BASE_FACES faces, or vertices
+    (checked before any mask is built), it raises BudgetExceededError.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -46,6 +46,9 @@ def load_facet_file(path: str | Path) -> SimplicialComplex:
     v = doc["vertices"]
     if not isinstance(v, int) or v < 0:
         raise SpecError("'vertices' must be a nonnegative integer")
+    if v > MAX_BASE_FACES:
+        raise BudgetExceededError(
+            f"'vertices' is above the base-complex cap of {MAX_BASE_FACES}")
     facets = doc["facets"]
     if not isinstance(facets, list):
         raise SpecError("'facets' must be a list of vertex lists")

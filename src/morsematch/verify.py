@@ -4,6 +4,9 @@ Every verifier returns a VerificationReport carrying pass/fail status, the
 instance parameters, timing, and on failure a concrete counterexample
 witness.  Verifiers never run unboundedly: each takes a budget (counted in
 visited matchings or faces) and reports skipped-budget instead of grinding.
+
+restriction-fibers and top-facet-bijection share one restriction check: each
+walks a skeleton alone and reads every fiber off the simplex's suffix tables.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterator, Optional
 
-from .complexes import (BudgetExceededError, SimplicialComplex, build_boundary,
-                        build_simplex, cone, euler_characteristic, f_vector,
-                        face_vertices, is_full_subcomplex, relabel, skeleton)
+from .complexes import (BudgetExceededError, build_boundary, build_simplex,
+                        cone, euler_characteristic, f_vector, face_vertices,
+                        is_full_subcomplex, relabel, skeleton)
 from .hasse import HasseDiagram, build_hasse, is_acyclic, is_matching
 from .layers import (LayeredInfeasibleError, LayerSystem, enumerate_optimal,
                      iter_matchings_of_cardinality, max_cardinality_info,
@@ -166,53 +169,59 @@ def _unmatched_gids(H: HasseDiagram) -> Callable[[int], int]:
 
 # -- counting and bijections -------------------------------------------------
 
+def _restriction(n: int, k: int, budget: int,
+                 ) -> tuple[HasseDiagram, int, int, Iterator[tuple[int, int, int]]]:
+    """Restriction of the n-simplex's maximum matchings to its k-skeleton,
+    k < n: the skeleton's diagram, the simplex's maximum count, the number
+    `need` of pairs a restriction drops, and a walk yielding (G, free,
+    fiber) per maximum matching G of the skeleton.  free is G's unmatched
+    gids; fiber counts the ways layers >= k place `need` pairs off G's
+    matched k-faces, read off the simplex's suffix table, which tracks
+    every k-face in gid order.  The simplex's LayerSystem comes first, so
+    the width rule refuses it before anything is built."""
+    K = build_simplex(n)
+    S = suffix_tables(LayerSystem(K), acyclic=True)
+    best_k, count_k = max_cardinality_info(S[0][0])
+    ls_s = LayerSystem(skeleton(K, k))
+    best_s, walk = _optimal_masks(ls_s, budget)
+    unmatched = _unmatched_gids(ls_s.H)
+    first = ls_s.H.offsets[k]
+    top = len(S[k]) - 1
+    need = best_k - best_s
+
+    def fibers() -> Iterator[tuple[int, int, int]]:
+        for G in walk:
+            free = unmatched(G)
+            vec = S[k][top ^ (free >> first)]
+            yield G, free, vec[need] if need < len(vec) else 0
+
+    return ls_s.H, count_k, need, fibers()
+
+
 def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
                                ) -> VerificationReport:
     """Deleting the pair on the top simplex maps maximum matchings of the
-    simplex bijectively onto those of its boundary; adjoining it inverts."""
+    simplex bijectively onto those of its boundary, the (n-1)-skeleton;
+    adjoining it inverts.  Fibers over distinct boundary matchings are
+    disjoint, so fibers of size 1 and equal counts make it a bijection."""
     def check() -> dict:
         if n < 2:
             raise CheckFailure("the bijection fails at n=1; n >= 2 required")
-        ls_k = LayerSystem(build_simplex(n))
-        ls_b = LayerSystem(build_boundary(n))
-        HK, HB = ls_k.H, ls_b.H
-        m = HB.edge_count
-        _, walk_k = _optimal_masks(ls_k, budget)
-        _, walk_b = _optimal_masks(ls_b, budget)
-        # the boundary's matchings not yet reached from the simplex
-        left = set(walk_b)
-        count_b = len(left)
-        low = (1 << m) - 1
-
-        # a boundary matching must leave one vertex and one (n-1)-face
-        # unmatched; the critical (n-1)-face's lex index is its gid's bit
-        # position above the first (n-1)-face
-        unmatched = _unmatched_gids(HB)
-        vertices = (1 << HB.offsets[1]) - 1
-        first_top = HB.offsets[n - 1]
-        count_k = 0
-        for F in walk_k:
-            count_k += 1
-            _ensure((F >> m).bit_count() == 1,
-                    "matching does not pair the top simplex exactly once",
-                    lambda: _edge_pairs(HK, F))
-            G = F & low
-            _ensure(G in left, "deleted matching is not optimal on the boundary",
-                    lambda: _edge_pairs(HK, F))
-            left.discard(G)
-            free = unmatched(G)
-            top = free >> first_top
+        H, count_k, need, fibers = _restriction(n, n - 1, budget)
+        _ensure(need == 1, "matching does not pair the top simplex exactly once")
+        # a boundary matching leaves one vertex and one facet unmatched
+        vertices = (1 << H.offsets[1]) - 1
+        first_top = H.offsets[n - 1]
+        count_b = 0
+        for G, free, fiber in fibers:
+            count_b += 1
             _ensure(free.bit_count() == 2 and (free & vertices).bit_count() == 1
-                    and top.bit_count() == 1,
+                    and (free >> first_top).bit_count() == 1,
                     "boundary matching lacks the expected two critical faces",
-                    lambda: _edge_pairs(HB, G))
-            # the simplex's edges after the boundary's are the pairs
-            # (facet, sigma), one per facet in lex order
-            _ensure(G | 1 << (m + top.bit_length() - 1) == F,
-                    "psi(phi(F)) != F", lambda: _edge_pairs(HK, F))
-        _ensure(not left, "adjoined matching is not optimal on the simplex",
-                lambda: _edge_pairs(HB, next(iter(left))))
-        _ensure(count_k == count_b, "facet counts differ")
+                    lambda: _edge_pairs(H, G))
+            _ensure(fiber == 1, f"a boundary matching has {fiber} extensions",
+                    lambda: _edge_pairs(H, G))
+        _ensure(count_k == count_b, f"facet counts differ: {count_k} != {count_b}")
         return {"count": count_k}
 
     return _run("top-facet-bijection", {"n": n}, check)
@@ -313,28 +322,8 @@ def verify_restriction_fibers(n: int, budget: int = DEFAULT_BUDGET,
     def check() -> dict:
         if n < 3:
             raise CheckFailure("requires n >= 3")
-        K = build_simplex(n)
-        ls = LayerSystem(K)
-        ls_s = LayerSystem(skeleton(K, n - 2))
-        S = suffix_tables(ls, acyclic=True)
-        best_k, count_k = max_cardinality_info(S[0][0])
-        best_s, walk_s = _optimal_masks(ls_s, budget)
-
-        # count each fiber exactly with the suffix tables of the simplex:
-        # layers >= n-2 carry the pairs the restriction drops, and a skeleton
-        # matching hands them its matched (n-2)-faces.  Every (n-2)-face of
-        # the simplex is tracked, so its index in those tables is its gid
-        # above the first (n-2)-face, which the skeleton shares
-        unmatched = _unmatched_gids(ls_s.H)
-        first_top = ls_s.H.offsets[n - 2]
-        top = (1 << comb(n + 1, n - 1)) - 1
-        table = S[n - 2]
-        need = best_k - best_s
-        histogram: Counter[int] = Counter()
-        for mask in walk_s:
-            vec = table[top ^ (unmatched(mask) >> first_top)]
-            histogram[vec[need] if need < len(vec) else 0] += 1
-
+        _, count_k, _, fibers = _restriction(n, n - 2, budget)
+        histogram = Counter(fiber for _, _, fiber in fibers)
         skeleton_count = sum(histogram.values())
         _ensure(count_k == (n + 1) * skeleton_count,
                 f"{count_k} != {n + 1} x {skeleton_count}")
@@ -543,14 +532,14 @@ def verify_gm_structure(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
 
         for e in e_list:
             _ensure(bool(links[e]), "apex pair has an empty link")
-            Li = SimplicialComplex.from_faces(links[e], H.edge_count)
             f_i = H.face_of_gid[H.lower[e]]
             bits = [1 << v for v in face_vertices(f_i)] + [sigma ^ f_i]
-            edge_map = [H.edge(*(sum(bits[v] for v in face_vertices(f))
-                                 for f in model.hasse.edge_faces(me)))
+            edge_bit = [1 << H.edge(*(sum(bits[v] for v in face_vertices(f))
+                                      for f in model.hasse.edge_faces(me)))
                         for me in range(model.edge_count)]
-            _ensure(len(set(edge_map)) == len(edge_map)
-                    and relabel(Lm, edge_map, H.edge_count) == Li,
+            _ensure(len(set(edge_bit)) == len(edge_bit)
+                    and {sum(edge_bit[v] for v in face_vertices(f))
+                         for f in Lm.faces()} == links[e],
                     "link is not isomorphic to the cone model")
         return details
 

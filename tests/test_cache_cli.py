@@ -258,19 +258,36 @@ def test_build_out_bytes_are_frozen(capsys, tmp_path, spec, variant):
         == BUILD_OUT_SHA256[spec, variant]
 
 
-@pytest.mark.parametrize("spec", ["simplex:30", "boundary:30", "file"])
+# facet files over the cap: a 40-vertex facet, a universe far above the
+# cap (its one edge a 2^40-bit mask), a 9-face complex on a universe of
+# 10^8, and one facet whose closure count has 4,516 digits
+BIG_FACET_FILES = {
+    "file": {"vertices": 40, "facets": [list(range(40))]},
+    "universe-2^40": {"vertices": 2 ** 40, "facets": [[0, 2 ** 40 - 1]]},
+    "universe-10^8": {"vertices": 10 ** 8,
+                      "facets": [[0, 10 ** 8 - 1], [1, 2], [3, 4]]},
+    "facet-15000": {"vertices": 15000, "facets": [list(range(15000))]},
+}
+
+
+@pytest.mark.parametrize("spec", ["simplex:30", "boundary:30",
+                                  "simplex:99999999999", "simplex:1000000000",
+                                  "boundary:1000000000", *BIG_FACET_FILES])
 def test_base_complex_over_the_cap_is_refused(capsys, tmp_path, spec):
-    if spec == "file":
+    # the cap is decided from n, the universe or a facet's vertex count,
+    # so no 2^n-bit count is built or printed
+    if spec in BIG_FACET_FILES:
         p = tmp_path / "big.json"
-        p.write_text(json.dumps({"vertices": 40, "facets": [list(range(40))]}))
+        p.write_text(json.dumps(BIG_FACET_FILES[spec]))
         spec = f"file:{p}"
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "build", "--complex", spec,
                              "--cache-dir", str(tmp_path))
-    assert time.perf_counter() - t0 < 2.0
+    assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert err.startswith("morsematch: ") and err.count("\n") == 1
-    assert "base-complex cap of 1048576" in err
+    assert err.endswith("above the base-complex cap of 1048576\n")
+    assert len(err) < 200
     assert "Traceback" not in err
 
 

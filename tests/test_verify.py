@@ -194,19 +194,22 @@ def test_restriction_fibers_n3():
     assert r.details == {"count": 256, "skeleton_count": 64, "fiber_size": 4}
 
 
+@pytest.mark.parametrize("codim", [2, 1])
 @pytest.mark.parametrize("n", [3, 4])
-def test_every_codimension_2_face_of_the_simplex_is_tracked(n):
-    # restriction-fibers indexes the suffix tables at dimension n-2 by gid
-    # offsets in the skeleton's diagram: every (n-2)-face of the simplex is
-    # tracked, in gid order, and the skeleton numbers its faces the same
+def test_every_restricted_face_of_the_simplex_is_tracked(n, codim):
+    # restriction-fibers (k = n-2) and top-facet-bijection (k = n-1) index
+    # the suffix tables at dimension k by gid offsets in the k-skeleton's
+    # diagram: every k-face of the simplex is tracked, in gid order, and
+    # the skeleton numbers its faces the same
+    k = n - codim
     ls = LayerSystem(build_simplex(n))
     H = ls.H
-    assert ls.tracked[n - 2] == comb(n + 1, n - 1)
-    first = H.offsets[n - 2]
-    assert ls.layers[n - 2].lower_index == {
-        g: g - first for g in range(first, H.offsets[n - 1])}
-    Hs = build_hasse(skeleton(build_simplex(n), n - 2))
-    assert Hs.face_of_gid == H.face_of_gid[:H.offsets[n - 1]]
+    assert ls.tracked[k] == comb(n + 1, k + 1)
+    first = H.offsets[k]
+    assert ls.layers[k].lower_index == {
+        g: g - first for g in range(first, H.offsets[k + 1])}
+    Hs = build_hasse(skeleton(build_simplex(n), k))
+    assert Hs.face_of_gid == H.face_of_gid[:H.offsets[k + 1]]
 
 
 def test_restriction_fiber_of_star_matching():
@@ -401,31 +404,36 @@ def test_bijection_and_fibers_fail_when_a_matching_is_missing(monkeypatch):
     monkeypatch.setattr(verify_mod, "_optimal_masks", lossy)
     r = verify_top_facet_bijection(3)
     assert r.status == "fail"
-    assert r.details == {
-        "message": "deleted matching is not optimal on the boundary"}
-    assert len(r.witness) == 7  # a maximum matching of the 3-simplex
+    assert r.details == {"message": "facet counts differ: 256 != 255"}
+    assert r.witness is None
     r = verify_restriction_fibers(3)
     assert r.status == "fail"
     assert r.details == {"message": "256 != 4 x 63"}
 
 
-def test_bijection_fails_when_a_simplex_matching_is_missing(monkeypatch):
-    # drop one maximum matching of the simplex: its restriction is left
-    # over in the boundary's set when the simplex walk ends
+@pytest.mark.parametrize("doctored,fiber", [([1, 2], 2), ([1], 0)],
+                         ids=["fiber-2", "fiber-0"])
+def test_bijection_fails_when_a_fiber_is_not_one(monkeypatch, doctored, fiber):
+    # the simplex is not walked: each boundary matching's fiber is read
+    # off the simplex's suffix table at dimension 2, where an entry [1, 1]
+    # leaves one facet free to pair with the top simplex.  Doctor one such
+    # entry to 2 extensions or to none
     import morsematch.verify as verify_mod
-    optimal_masks = verify_mod._optimal_masks
+    tables = verify_mod.suffix_tables
 
-    def lossy(ls, budget):
-        best, walk = optimal_masks(ls, budget)
-        if ls.D == 3:
-            next(walk)
-        return best, walk
+    def doctor(ls, acyclic):
+        S = tables(ls, acyclic)
+        if ls.D < 3:
+            return S
+        S = S[:2] + [list(S[2])] + S[3:]
+        S[2][S[2].index([1, 1])] = doctored
+        return S
 
-    monkeypatch.setattr(verify_mod, "_optimal_masks", lossy)
+    monkeypatch.setattr(verify_mod, "suffix_tables", doctor)
     r = verify_top_facet_bijection(3)
     assert r.status == "fail"
     assert r.details == {
-        "message": "adjoined matching is not optimal on the simplex"}
+        "message": f"a boundary matching has {fiber} extensions"}
     assert len(r.witness) == 6  # a maximum matching of the boundary
 
 
