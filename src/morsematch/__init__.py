@@ -18,9 +18,8 @@ from .hasse import (HasseDiagram, build_hasse, critical_faces, is_acyclic,
 from .homology import (HomologyResult, SparseIntMatrix, boundary_matrices,
                        homology, relative_homology, smith_normal_form)
 from .layers import LayerSystem, enumerate_optimal, matching_counts
-from .morse import (MatchingComplex, MaterializationLimitError,
-                    build_matching_complex, induced_inclusion,
-                    matching_complex_f_vector)
+from .morse import (MatchingComplex, build_matching_complex,
+                    induced_inclusion, matching_complex_f_vector)
 from .specs import SpecError, build_from_spec, canonical_spec, load_facet_file
 from .verify import VerificationReport, default_suite
 
@@ -33,8 +32,8 @@ __all__ = [
     "HomologyResult", "SparseIntMatrix", "boundary_matrices",
     "homology", "relative_homology", "smith_normal_form",
     "LayerSystem", "enumerate_optimal", "matching_counts",
-    "MatchingComplex", "MaterializationLimitError", "build_matching_complex",
-    "induced_inclusion", "matching_complex_f_vector",
+    "MatchingComplex", "build_matching_complex", "induced_inclusion",
+    "matching_complex_f_vector",
     "SpecError", "build_from_spec", "canonical_spec", "load_facet_file",
     "VerificationReport", "default_suite",
     "__version__",

@@ -3,18 +3,20 @@
 Exactly one JSON document goes to stdout per invocation; diagnostics go to
 stderr.  Output is byte-stable for identical inputs: keys are sorted, values
 are integers or strings, and nothing time-dependent enters the payload.
-Every cached command loads or computes its result through `_cached`.
+Every cached command loads or computes its result through `_cached`, keyed
+by a digest of the package's sources; `verify` reads and writes no cache.
 
 Exit codes: 0 success or all checks pass, 1 verification failure, 2 usage
-error (also an unwritable --out path), 3 budget exceeded: a complex too wide
-for the layer transfer, a projected face count above --budget, or a base
-complex of more than `complexes.MAX_BASE_FACES` (2^20) faces.
+error (also an unwritable --out path), 3 budget exceeded: the one refusal
+type, `complexes.BudgetExceededError` (base cap, width rule, projected face
+count above --budget), or a check that reported skipped-budget.
 `--allow-long` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -25,11 +27,11 @@ from .cache import (cache_get, cache_key, cache_put, default_cache_dir,
                     faces_to_document)
 from .complexes import BudgetExceededError, f_vector, relabel
 from .homology import homology, relative_homology
-from .layers import LayeredInfeasibleError, enumerate_optimal
-from .morse import (MaterializationLimitError, build_matching_complex,
-                    induced_inclusion, matching_complex_f_vector)
+from .layers import enumerate_optimal
+from .morse import (build_matching_complex, induced_inclusion,
+                    matching_complex_f_vector)
 from .specs import SpecError, build_from_spec, canonical_spec, spec_file
-from .verify import CHECK_NAMES, default_suite, runs_euler_n4
+from .verify import CHECK_NAMES, default_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -63,11 +65,23 @@ def _file_digest(spec: str):
         return None
 
 
-def _cached(args, operation: str, spec: str, variant: str, compute=None,
+@functools.cache
+def _code_digest() -> str:
+    """SHA-256 of the package's *.py sources, names and bytes in sorted
+    name order; hashed once per process, on the first cache lookup."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{path.name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def _cached(args, operation: str, spec: str, variant: str, compute,
             extra=None):
     """The cached result of the operation, else `compute()` stored under the
-    same key; None on a miss without `compute`.  A failed cache write is a
-    warning, not an error."""
+    same key.  The key names the code by `_code_digest`, since the version
+    outlives code changes.  A failed cache write is a warning, not an error."""
     cdir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     extra = dict(extra or {})
     # a file spec names mutable content: key it by the bytes too
@@ -75,12 +89,10 @@ def _cached(args, operation: str, spec: str, variant: str, compute=None,
                if s and "file:" in s}
     if digests:
         extra["file-sha256"] = digests
-    key = cache_key(operation, spec, variant, __version__, extra)
+    key = cache_key(operation, spec, variant, _code_digest(), extra)
     blob = cache_get(cdir, key)
     if blob is not None:
         return json.loads(blob.decode())
-    if compute is None:
-        return None
     result = compute()
     try:
         cache_put(cdir, key, json.dumps(result, sort_keys=True).encode())
@@ -175,13 +187,7 @@ def cmd_count_optimal(args) -> int:
 
 def cmd_verify(args) -> int:
     only = None if args.check == "all" else args.check
-    # read-only: a cached 4-simplex vector spares euler-n4 its enumeration,
-    # and no other check may start one
-    n4 = None
-    if runs_euler_n4(args.max_n, only):
-        n4 = _cached(args, "fvector", "simplex:4", "M")
-    reports = default_suite(max_n=args.max_n, budget=args.budget,
-                            cached_n4_fvector=n4 and n4["f_vector"], only=only)
+    reports = default_suite(max_n=args.max_n, budget=args.budget, only=only)
     for r in reports:
         print(f"morsematch: {r.status:15s} {r.name} {r.instance} "
               f"({r.elapsed:.2f}s)", file=sys.stderr)
@@ -265,8 +271,7 @@ def main(argv=None) -> int:
     except SpecError as e:
         print(f"morsematch: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (MaterializationLimitError, BudgetExceededError,
-            LayeredInfeasibleError) as e:
+    except BudgetExceededError as e:
         print(f"morsematch: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as e:

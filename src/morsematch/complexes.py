@@ -15,7 +15,8 @@ The void complex (zero faces) is representable; it shows up naturally as the
 complex of matchings of a complex without cover pairs.
 
 The standard builders and the facet closure refuse a base complex of more
-than MAX_BASE_FACES faces with BudgetExceededError before allocating it.
+than MAX_BASE_FACES faces with BudgetExceededError, the package's one
+refusal type, before allocating it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ _REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class BudgetExceededError(RuntimeError):
-    """A base complex has more than MAX_BASE_FACES faces, or a verifier
-    would walk more matchings than its budget allows."""
+    """A limit refuses the work before it starts: the base cap
+    (MAX_BASE_FACES), the width rule (`layers.check_width`), a matching
+    complex's projected face count, or a verifier's visit budget."""
 
 
 def face_mask(vertices: Iterable[int]) -> Face:

@@ -14,7 +14,7 @@ shifted int add; no slot can overflow (see `suffix_tables`).
 Only a face that is an upper face of layer d-1 and a lower face of layer d
 (dimension >= 1, at least one coface) can be claimed from both sides, so
 only those faces are tracked by the subset tables.  A dimension with more
-than WIDTH_LIMIT tracked faces is refused with LayeredInfeasibleError by
+than WIDTH_LIMIT tracked faces is refused with BudgetExceededError by
 `check_width`, which reads the faces alone.  `LayerSystem` takes the
 complex, runs `check_width` first and only then builds the Hasse diagram,
 so a refused complex never gets one.  Vertices and top faces are never
@@ -51,18 +51,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .complexes import SimplicialComplex
+from .complexes import BudgetExceededError, SimplicialComplex
 from .hasse import build_hasse
 
 WIDTH_LIMIT = 18  # largest subset table: 2^WIDTH_LIMIT entries
 
 
-class LayeredInfeasibleError(RuntimeError):
-    """A dimension has more tracked faces than a subset table may index."""
-
-
 def check_width(K: SimplicialComplex) -> None:
-    """Raise LayeredInfeasibleError for the lowest dimension of K with more
+    """Raise BudgetExceededError for the lowest dimension of K with more
     than WIDTH_LIMIT tracked faces: faces of dimension d >= 1 that some
     (d+1)-face contains."""
     for d in range(1, K.dim):
@@ -74,7 +70,7 @@ def check_width(K: SimplicialComplex) -> None:
                 tracked.add(f ^ b)
                 m ^= b
         if len(tracked) > WIDTH_LIMIT:
-            raise LayeredInfeasibleError(
+            raise BudgetExceededError(
                 f"dimension {d} has {len(tracked)} tracked faces; its "
                 f"subset table would need 2^{len(tracked)} entries "
                 f"(limit 2^{WIDTH_LIMIT})")
@@ -102,7 +98,7 @@ class LayerSystem:
     """Layer matchings and suffix tables, each kept per value of `acyclic`,
     over the Hasse diagram `H` of a complex.
 
-    Raises LayeredInfeasibleError, before the diagram is built, when a
+    Raises BudgetExceededError, before the diagram is built, when a
     dimension has more than WIDTH_LIMIT tracked faces.  Local indices of
     each dimension list its tracked faces first, so a local mask projects
     onto the subset-table index with `& tracked_mask[d]`.
@@ -382,7 +378,7 @@ def matching_counts(K: SimplicialComplex, mode: str = "acyclic") -> list[int]:
     >= 1): of the acyclic matchings for mode "acyclic", of all matchings
     for mode "all".
 
-    Raises ValueError for any other mode, and LayeredInfeasibleError when a
+    Raises ValueError for any other mode, and BudgetExceededError when a
     dimension has more than WIDTH_LIMIT tracked faces.
     """
     if mode not in ("acyclic", "all"):

@@ -10,8 +10,9 @@ variants are built:
 
 All three are built from one layer system (see `layers`): its suffix
 tables give a projected face count first (exact for M and GM, an upper
-bound for MP), so a complex over the cap is refused before anything is
-walked; M and GM then walk every per-layer product, and MP closes the
+bound for MP), so a complex over the cap is refused, with the package's one
+refusal type `BudgetExceededError`, before anything is walked; M and GM
+then walk every per-layer product, and MP closes the
 maximum matchings downward.  Every base goes this one way: a void or
 0-dimensional base has a Hasse diagram without edges, and its matching
 complex is void.
@@ -25,16 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, f_vector
+from .complexes import BudgetExceededError, SimplicialComplex, f_vector
 from .hasse import HasseDiagram
 from .layers import (LayerSystem, iter_matchings_of_cardinality,
                      matching_counts, max_cardinality_info, suffix_tables)
 
 VARIANTS = ("M", "MP", "GM")
-
-
-class MaterializationLimitError(RuntimeError):
-    """Projected face count exceeds the cap; use streamed counting instead."""
 
 
 @dataclass
@@ -57,10 +54,9 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
     """Materialize the complex of matchings of K for the given variant.
 
     A base without Hasse edges (isolated vertices, the void complex) yields
-    a void matching complex.  Raises
-    MaterializationLimitError when the projected face count exceeds
-    `max_faces`, and LayeredInfeasibleError when the base is too wide for
-    the layer transfer.
+    a void matching complex.  Raises BudgetExceededError when the base is
+    too wide for the layer transfer or the projected face count exceeds
+    `max_faces`.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -73,7 +69,7 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
     else:
         projected = sum(S[0][0]) - 1  # exact: every non-empty matching
     if projected > max_faces:
-        raise MaterializationLimitError(
+        raise BudgetExceededError(
             f"projected face count {projected} exceeds cap {max_faces}; "
             "use the streamed counting interface instead")
 

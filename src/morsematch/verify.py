@@ -21,14 +21,13 @@ from .complexes import (BudgetExceededError, build_boundary, build_simplex,
                         cone, euler_characteristic, f_vector, face_vertices,
                         is_full_subcomplex, relabel, skeleton)
 from .hasse import HasseDiagram, build_hasse, is_acyclic, is_matching
-from .layers import (LayeredInfeasibleError, LayerSystem, enumerate_optimal,
+from .layers import (LayerSystem, enumerate_optimal,
                      iter_matchings_of_cardinality, max_cardinality_info,
                      profile_counts, suffix_tables)
 from .homology import (HomologyResult, divisor_chain, homology,
                        relative_homology)
-from .morse import (MatchingComplex, MaterializationLimitError,
-                    build_matching_complex, induced_inclusion,
-                    matching_complex_f_vector)
+from .morse import (MatchingComplex, build_matching_complex,
+                    induced_inclusion, matching_complex_f_vector)
 from .specs import build_from_spec, canonical_spec
 
 DEFAULT_BUDGET = 10_000_000
@@ -74,8 +73,7 @@ def _run(name: str, instance: dict, fn: Callable[[], dict]) -> VerificationRepor
         status, witness = "pass", None
     except CheckFailure as f:
         status, witness, details = "fail", f.witness, {"message": str(f)}
-    except (LayeredInfeasibleError, MaterializationLimitError,
-            BudgetExceededError) as b:
+    except BudgetExceededError as b:
         status, witness, details = "skipped-budget", None, {"reason": str(b)}
     return VerificationReport(name, instance, status, witness, details,
                               time.perf_counter() - t0)
@@ -121,13 +119,20 @@ def _reduced_homology(spec: str, variant: str, budget: int,
     return h
 
 
-def _optimal_masks(ls: LayerSystem, budget: int) -> tuple[int, Iterator[int]]:
-    """The maximum cardinality and the walk over every maximum acyclic
-    matching.  The visit budget is checked here, before the walk starts."""
+def _optimal_count(ls: LayerSystem, budget: int) -> tuple[int, int]:
+    """The maximum cardinality and the number of maximum acyclic matchings,
+    refused when a walk over them would go over the visit budget."""
     best, count = max_cardinality_info(suffix_tables(ls, acyclic=True)[0][0])
     if count > budget:
         raise BudgetExceededError(
             f"{count} optimal matchings exceed budget {budget}")
+    return best, count
+
+
+def _optimal_masks(ls: LayerSystem, budget: int) -> tuple[int, Iterator[int]]:
+    """The maximum cardinality and the walk over every maximum acyclic
+    matching.  The visit budget is checked here, before the walk starts."""
+    best = _optimal_count(ls, budget)[0]
     return best, iter_matchings_of_cardinality(ls, best, acyclic=True)
 
 
@@ -234,7 +239,7 @@ def verify_layer_counts(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRep
     def check() -> dict:
         K = build_simplex(n)
         ls = LayerSystem(K)
-        best, count = max_cardinality_info(suffix_tables(ls, acyclic=True)[0][0])
+        best, count = _optimal_count(ls, budget)
         expected = tuple(comb(n, k + 1) for k in range(n))
         profiles = profile_counts(ls, best, acyclic=True)
         _ensure(profiles == {expected: count},
@@ -640,7 +645,6 @@ def verify_conjecture_evidence(variant: str, n: int,
 # -- suite assembly ------------------------------------------------------------
 
 def default_suite(max_n: int = 3, budget: int = DEFAULT_BUDGET,
-                  cached_n4_fvector: Optional[list[int]] = None,
                   only: Optional[str] = None) -> list[VerificationReport]:
     """Run the named check (or all of them) for every instance with n up to
     max_n, in declaration order.
@@ -700,17 +704,11 @@ def default_suite(max_n: int = 3, budget: int = DEFAULT_BUDGET,
         if want("conjecture-gm"):
             for n in range(2, min(max_n, 3) + 1):
                 reports.append(verify_conjecture_evidence("GM", n, budget))
-        if runs_euler_n4(max_n, only):
-            reports.append(verify_euler_obstruction_n4(cached_n4_fvector))
+        if want("euler-n4") and (max_n >= 4 or explicit):
+            reports.append(verify_euler_obstruction_n4())
         return reports
     finally:
         _memo = None
-
-
-def runs_euler_n4(max_n: int, only: Optional[str]) -> bool:
-    """Whether `default_suite(max_n, only=only)` runs euler-n4, the one
-    check that reads the 4-simplex f-vector."""
-    return only == "euler-n4" or (only is None and max_n >= 4)
 
 
 CHECK_NAMES = ["reference-tables", "top-facet-bijection", "layer-counts",

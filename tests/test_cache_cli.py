@@ -367,6 +367,34 @@ def test_wide_complexes_refused(capsys, tmp_path, monkeypatch):
             assert "2^20" in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["count-optimal", "--complex", "simplex:99999999999"],
+     "has 2^100000000000 - 1 faces, above the base-complex cap of 1048576"),
+    (["count-optimal", "--complex", "simplex:5"],
+     "dimension 2 has 20 tracked faces"),
+    (["fvector", "--complex", "simplex:4", "--variant", "MP"],
+     "projected face count"),
+    (["verify", "spanning-tree", "--max-n", "4", "--budget", "1000"],
+     "76025 optimal matchings exceed budget 1000"),
+    (["verify", "layer-counts", "--max-n", "4", "--budget", "1000"],
+     "380125 optimal matchings exceed budget 1000"),
+], ids=["base-cap", "width", "projection", "visits", "visits-layer-counts"])
+def test_every_limit_exits_3(capsys, tmp_path, argv, reason):
+    # one refusal type: every limit exits 3 with its own message, on stderr
+    # from a command and as the skipped-budget reason from a verifier
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 3
+    if argv[0] == "verify":
+        checks = json.loads(out)["result"]["checks"]
+        [n4] = [c for c in checks if c["instance"] == {"n": 4}]
+        assert n4["status"] == "skipped-budget"
+        assert n4["details"] == {"reason": reason}
+        assert all(c["status"] == "pass" for c in checks if c is not n4)
+    else:
+        assert out == "" and err.startswith("morsematch: ")
+        assert reason in err and err.count("\n") == 1
+
+
 def test_euler_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "euler", "--complex", "simplex:3",
                            "--variant", "M", "--cache-dir", str(tmp_path))
@@ -448,56 +476,74 @@ def test_verify_failure_exit_code(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["result"]["summary"]["fail"] == 1
 
 
-def test_n4_fvector_feeds_euler_verifier(capsys, tmp_path):
+def test_verify_reads_no_cache(capsys, tmp_path, monkeypatch):
+    # a cached 4-simplex f-vector is never read: euler-n4 counts the vector
+    # itself, so its report is the same on a warm cache as on a cold one
+    from morsematch import cli
+
     code, out, _ = run_cli(capsys, "fvector", "--complex", "simplex:4",
-                           "--variant", "M", "--allow-long",
-                           "--cache-dir", str(tmp_path))
+                           "--variant", "M", "--cache-dir", str(tmp_path))
     assert code == 0
-    fv = json.loads(out)["result"]["f_vector"]
-    assert fv[-1] == 380125 and len(fv) == 15
-    assert json.loads(out)["result"]["euler_characteristic"] == 212457
+    result = json.loads(out)["result"]
+    assert result["f_vector"][-1] == 380125 and len(result["f_vector"]) == 15
+    assert result["euler_characteristic"] == 212457
 
-    # the cached vector satisfies the n=4 consistency check as it stands
-    code, out, _ = run_cli(capsys, "verify", "euler-n4", "--max-n", "4",
-                           "--cache-dir", str(tmp_path))
-    assert code == 0
-    checks = json.loads(out)["result"]["checks"]
-    assert checks[0]["status"] == "pass"
-    assert checks[0]["details"]["euler_characteristic"] == 212457
-    assert checks[0]["details"]["computed"] is False
-
-    # without the cache the check counts the vector itself, and stores nothing
-    cold = tmp_path / "cold"
-    code, out, _ = run_cli(capsys, "verify", "euler-n4", "--max-n", "4",
-                           "--cache-dir", str(cold))
-    assert code == 0
-    checks = json.loads(out)["result"]["checks"]
-    assert checks[0]["status"] == "pass" and checks[0]["instance"] == {}
-    assert checks[0]["details"]["computed"] is True
-    assert checks[0]["details"]["euler_characteristic"] == 212457
-    assert not cold.exists()
+    calls = []
+    monkeypatch.setattr(cli, "cache_get", lambda *a: calls.append("get"))
+    monkeypatch.setattr(cli, "cache_put", lambda *a: calls.append("put"))
+    reports = {}
+    for check in ("euler-n4", "cone-contiguity"):
+        code, out, _ = run_cli(capsys, "verify", check, "--max-n", "4",
+                               "--cache-dir", str(tmp_path))
+        assert code == 0
+        reports[check] = json.loads(out)["result"]["checks"]
+    assert calls == []
+    [euler] = reports["euler-n4"]
+    assert euler["status"] == "pass" and euler["instance"] == {}
+    assert euler["details"]["computed"] is True
+    assert euler["details"]["euler_characteristic"] == 212457
 
 
-def test_verify_reads_the_n4_cache_only_for_euler_n4(capsys, tmp_path,
-                                                    monkeypatch):
+def test_cache_entries_of_other_code_are_not_read(capsys, tmp_path):
+    # the version string outlives code changes, so an entry keyed by it, as
+    # older code wrote them, must not answer
     from morsematch import __version__, cli
-    from morsematch.verify import N4_F_VECTOR
 
-    cache_put(tmp_path, cache_key("fvector", "simplex:4", "M", __version__),
-              json.dumps({"f_vector": list(N4_F_VECTOR)}).encode())
-    lookups = []
+    planted = json.dumps({"count": 1, "max_cardinality": 0}).encode()
 
-    def counting_get(cdir, key):
-        lookups.append(key)
-        return cache_get(cdir, key)
+    def count_optimal():
+        code, out, _ = run_cli(capsys, "count-optimal", "--complex",
+                               "simplex:3", "--cache-dir", str(tmp_path))
+        assert code == 0
+        return json.loads(out)["result"]
 
-    monkeypatch.setattr(cli, "cache_get", counting_get)
-    code, _, _ = run_cli(capsys, "verify", "cone-contiguity", "--max-n", "4",
-                         "--cache-dir", str(tmp_path))
-    assert code == 0 and lookups == []
+    cache_put(tmp_path, cache_key("count-optimal", "simplex:3", "M",
+                                  __version__), planted)
+    assert count_optimal() == {"count": 256, "max_cardinality": 7}
+    # an entry keyed by the digest of the package's sources does answer
+    cache_put(tmp_path, cache_key("count-optimal", "simplex:3", "M",
+                                  cli._code_digest()), planted)
+    assert count_optimal() == json.loads(planted)
 
-    code, out, _ = run_cli(capsys, "verify", "euler-n4",
-                           "--cache-dir", str(tmp_path))
-    assert code == 0 and len(lookups) == 1
-    check = json.loads(out)["result"]["checks"][0]
-    assert check["status"] == "pass" and check["details"]["computed"] is False
+
+def test_code_digest_follows_every_source_byte_and_name(tmp_path, monkeypatch):
+    import shutil
+    from pathlib import Path
+
+    from morsematch import cli
+
+    for src in Path(cli.__file__).parent.glob("*.py"):
+        shutil.copy(src, tmp_path / src.name)
+    morse = tmp_path / "morse.py"
+    digests = [cli._code_digest()]
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
+    # unchanged; the same size with other bytes; the same bytes renamed
+    for change in (lambda: None,
+                   lambda: morse.write_bytes(morse.read_bytes().swapcase()),
+                   lambda: morse.rename(tmp_path / "morsf.py")):
+        change()
+        cli._code_digest.cache_clear()
+        digests.append(cli._code_digest())
+    cli._code_digest.cache_clear()
+    assert digests[0] == digests[1]
+    assert len(set(digests[1:])) == 3

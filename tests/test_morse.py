@@ -1,13 +1,14 @@
 import pytest
 
-from morsematch.complexes import (SimplicialComplex, build_boundary,
-                                  build_simplex, euler_characteristic,
+from morsematch.complexes import (BudgetExceededError, SimplicialComplex,
+                                  build_boundary, build_simplex,
+                                  euler_characteristic,
                                   f_vector, face_vertices, is_full_subcomplex,
                                   relabel, skeleton)
 from morsematch.hasse import build_hasse, is_acyclic, is_matching
 from morsematch.layers import enumerate_optimal, matching_counts
-from morsematch.morse import (MaterializationLimitError, build_matching_complex,
-                              induced_inclusion, matching_complex_f_vector)
+from morsematch.morse import (build_matching_complex, induced_inclusion,
+                              matching_complex_f_vector)
 
 from oracles import modified_digraph_acyclic
 from test_layers import CORPUS
@@ -147,12 +148,12 @@ def test_induced_inclusion_rejects_non_subcomplex():
 
 
 def test_materialization_guard():
-    with pytest.raises(MaterializationLimitError):
+    with pytest.raises(BudgetExceededError, match="projected face count"):
         build_matching_complex(build_simplex(3), "M", max_faces=100)
     # the 4-simplex is refused by the projection before any enumeration
-    with pytest.raises(MaterializationLimitError):
+    with pytest.raises(BudgetExceededError, match="projected face count"):
         build_matching_complex(build_simplex(4), "M")
-    with pytest.raises(MaterializationLimitError):
+    with pytest.raises(BudgetExceededError, match="projected face count"):
         build_matching_complex(build_simplex(4), "MP")
     # MP of the boundary of the 3-simplex closes its 256 maximum matchings
     # of 6 pairs each, so it is projected at 256 * 63 non-empty faces
@@ -160,7 +161,7 @@ def test_materialization_guard():
     projected = 256 * ((1 << 6) - 1)
     mp = build_matching_complex(bd3, "MP", max_faces=projected)
     assert f_vector(mp.complex) == [24, 216, 896, 1680, 1152, 256]
-    with pytest.raises(MaterializationLimitError,
+    with pytest.raises(BudgetExceededError,
                        match=f"projected face count {projected} "):
         build_matching_complex(bd3, "MP", max_faces=projected - 1)
 

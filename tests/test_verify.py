@@ -442,6 +442,15 @@ def test_budget_skip():
     assert r.status == "skipped-budget"
 
 
+def test_layer_counts_charges_its_walk_to_the_budget():
+    # the 3-simplex has 256 maximum matchings: a budget of 255 refuses the
+    # walk before it starts
+    assert verify_layer_counts(3, budget=256).passed
+    r = verify_layer_counts(3, budget=255)
+    assert r.status == "skipped-budget"
+    assert r.details == {"reason": "256 optimal matchings exceed budget 255"}
+
+
 def test_budget_skip_on_complexes_too_wide_for_the_layer_transfer():
     t0 = time.perf_counter()
     r = verify_top_facet_bijection(5, budget=10)
