@@ -476,6 +476,27 @@ def test_verify_failure_exit_code(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["result"]["summary"]["fail"] == 1
 
 
+def test_n4_fvector_feeds_euler_verifier(capsys, tmp_path):
+    from morsematch.verify import verify_euler_obstruction_n4
+
+    code, out, _ = run_cli(capsys, "fvector", "--complex", "simplex:4",
+                           "--variant", "M", "--allow-long",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0
+    fv = json.loads(out)["result"]["f_vector"]
+    assert fv[-1] == 380125 and len(fv) == 15
+    assert json.loads(out)["result"]["euler_characteristic"] == 212457
+
+    # the command's vector, handed to the verifier, passes as it stands
+    report = verify_euler_obstruction_n4(fv)
+    assert report.status == "pass"
+    assert report.details["euler_characteristic"] == 212457
+    assert report.details["computed"] is False
+
+    # and a vector that is off by one top face is caught
+    assert verify_euler_obstruction_n4(fv[:-1] + [fv[-1] + 1]).status == "fail"
+
+
 def test_verify_reads_no_cache(capsys, tmp_path, monkeypatch):
     # a cached 4-simplex f-vector is never read: euler-n4 counts the vector
     # itself, so its report is the same on a warm cache as on a cold one
