@@ -166,6 +166,48 @@ def test_cached_commands_warm_run_is_byte_identical(capsys, tmp_path):
     fv, eu = json.loads(fv_out)["result"], json.loads(eu_out)["result"]
     assert eu == dict(fv, reduced_euler_characteristic=99)
 
+    # count-optimal reads the same M entry, whichever command runs first
+    for order in (("count-optimal", "fvector"), ("fvector", "count-optimal")):
+        cache = tmp_path / "-".join(order)
+        args = ["--complex", "simplex:3", "--variant", "M",
+                "--cache-dir", str(cache)]
+        docs = {cmd: json.loads(run_cli(capsys, cmd, *args)[1])["result"]
+                for cmd in order}
+        assert len([p for p in cache.rglob("*") if p.is_file()]) == 1
+        fv = docs["fvector"]["f_vector"]
+        assert (len(fv), fv[-1]) == (7, 256)
+        assert docs["count-optimal"] == {"max_cardinality": 7, "count": 256}
+
+
+def test_parser_is_built_once_and_keeps_no_parse_state(capsys, tmp_path,
+                                                       monkeypatch):
+    import os
+    import subprocess
+    import sys
+
+    import morsematch
+    from morsematch import cli
+
+    assert cli._parser() is cli._parser()
+    src = os.path.dirname(os.path.dirname(morsematch.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    for calls in ((["fvector", "--complex", "boundary:2", "--variant", "GM"],
+                   ["fvector", "--complex", "boundary:2"]),
+                  (["homology", "--complex", "boundary:2", "--unreduced"],
+                   ["homology", "--complex", "boundary:2"])):
+        for i, argv in enumerate(calls):
+            code, out, _ = run_cli(capsys, *argv, "--cache-dir",
+                                   str(tmp_path / f"{argv[0]}-{i}"))
+            proc = subprocess.run(
+                [sys.executable, "-m", "morsematch", *argv, "--cache-dir",
+                 str(tmp_path / f"{argv[0]}-{i}-fresh")],
+                stdout=subprocess.PIPE, text=True, env=env)
+            assert code == proc.returncode == 0 and out == proc.stdout
+    # a command patched after the parser was built, as a tracer wraps it, runs
+    monkeypatch.setattr(cli, "cmd_count_optimal", lambda args: 7)
+    assert main(["count-optimal", "--complex", "simplex:1"]) == 7
+
 
 def test_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fvector", "--complex", "simplex:-3",
@@ -527,10 +569,12 @@ def test_verify_reads_no_cache(capsys, tmp_path, monkeypatch):
 
 def test_cache_entries_of_other_code_are_not_read(capsys, tmp_path):
     # the version string outlives code changes, so an entry keyed by it, as
-    # older code wrote them, must not answer
+    # older code wrote them, must not answer; count-optimal is read off the
+    # planted M f-vector
     from morsematch import __version__, cli
 
-    planted = json.dumps({"count": 1, "max_cardinality": 0}).encode()
+    planted = json.dumps({"euler_characteristic": -4, "f_vector": [5, 9],
+                          "variant": "M"}).encode()
 
     def count_optimal():
         code, out, _ = run_cli(capsys, "count-optimal", "--complex",
@@ -538,13 +582,13 @@ def test_cache_entries_of_other_code_are_not_read(capsys, tmp_path):
         assert code == 0
         return json.loads(out)["result"]
 
-    cache_put(tmp_path, cache_key("count-optimal", "simplex:3", "M",
-                                  __version__), planted)
+    cache_put(tmp_path, cache_key("fvector", "simplex:3", "M", __version__),
+              planted)
     assert count_optimal() == {"count": 256, "max_cardinality": 7}
     # an entry keyed by the digest of the package's sources does answer
-    cache_put(tmp_path, cache_key("count-optimal", "simplex:3", "M",
+    cache_put(tmp_path, cache_key("fvector", "simplex:3", "M",
                                   cli._code_digest()), planted)
-    assert count_optimal() == json.loads(planted)
+    assert count_optimal() == {"count": 9, "max_cardinality": 2}
 
 
 def test_code_digest_follows_every_source_byte_and_name(tmp_path, monkeypatch):
