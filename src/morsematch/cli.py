@@ -28,6 +28,7 @@ from .cache import (cache_get, cache_key, cache_put, default_cache_dir,
                     faces_to_document)
 from .complexes import BudgetExceededError, f_vector, relabel
 from .homology import homology, relative_homology
+from .layers import max_cardinality_info
 from .morse import (build_matching_complex, induced_inclusion,
                     matching_complex_f_vector)
 from .specs import SpecError, build_from_spec, canonical_spec, spec_file
@@ -175,9 +176,10 @@ def cmd_homology(args) -> int:
 
 def cmd_count_optimal(args) -> int:
     spec = canonical_spec(args.complex)
-    fv = _fvector_result(args, spec)["f_vector"]
-    # f_d counts the matchings of d + 1 edges; [] leaves the empty one
-    result = {"max_cardinality": len(fv), "count": fv[-1] if fv else 1}
+    # f_d counts the matchings of d + 1 edges; 1 counts the empty one
+    best, count = max_cardinality_info(
+        [1] + _fvector_result(args, spec)["f_vector"])
+    result = {"max_cardinality": best, "count": count}
     _emit("count-optimal", spec, result, args.out)
     return EXIT_OK
 
@@ -201,10 +203,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """Built once per process; each `parse_args` call fills a new
-    namespace, so nothing carries from one call to the next."""
     p = argparse.ArgumentParser(
         prog="morsematch",
         description="complexes of discrete Morse matchings: enumeration, "
@@ -228,29 +227,35 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("build", help="construct a complex or matching complex")
     common(sp, variant_default=None)
+    sp.set_defaults(fn=cmd_build)
 
     sp = sub.add_parser("fvector", help="f-vector of a matching complex")
     common(sp)
+    sp.set_defaults(fn=cmd_fvector)
 
     sp = sub.add_parser("homology", help="integral homology (reduced)")
     common(sp, variant_default="M", variant_choices=("none", "M", "MP", "GM"))
     sp.add_argument("--relative", default=None,
                     help="subcomplex spec for relative homology")
     sp.add_argument("--unreduced", action="store_true")
+    sp.set_defaults(fn=cmd_homology)
 
     sp = sub.add_parser("count-optimal",
                         help="count maximum acyclic matchings")
     # only acyclic matchings, the faces of M, are counted
     common(sp, variant_choices=("M",))
+    sp.set_defaults(fn=cmd_count_optimal)
 
     sp = sub.add_parser("euler", help="Euler characteristic of a matching complex")
     common(sp)
+    sp.set_defaults(fn=cmd_euler)
 
     sp = sub.add_parser("verify", help="run named checks or all of them")
     sp.add_argument("check", choices=CHECK_NAMES + ["all"],
                     help="check name or 'all'")
     sp.add_argument("--max-n", type=int, default=3)
     shared(sp, 10 ** 7)
+    sp.set_defaults(fn=cmd_verify)
     return p
 
 
@@ -261,9 +266,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
     try:
-        # looked up per call, so a cmd_* patched after the parser was
-        # built (a tracer's timing wrapper) is the one that runs
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        return args.fn(args)
     except SpecError as e:
         print(f"morsematch: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -179,36 +179,6 @@ def test_cached_commands_warm_run_is_byte_identical(capsys, tmp_path):
         assert docs["count-optimal"] == {"max_cardinality": 7, "count": 256}
 
 
-def test_parser_is_built_once_and_keeps_no_parse_state(capsys, tmp_path,
-                                                       monkeypatch):
-    import os
-    import subprocess
-    import sys
-
-    import morsematch
-    from morsematch import cli
-
-    assert cli._parser() is cli._parser()
-    src = os.path.dirname(os.path.dirname(morsematch.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    for calls in ((["fvector", "--complex", "boundary:2", "--variant", "GM"],
-                   ["fvector", "--complex", "boundary:2"]),
-                  (["homology", "--complex", "boundary:2", "--unreduced"],
-                   ["homology", "--complex", "boundary:2"])):
-        for i, argv in enumerate(calls):
-            code, out, _ = run_cli(capsys, *argv, "--cache-dir",
-                                   str(tmp_path / f"{argv[0]}-{i}"))
-            proc = subprocess.run(
-                [sys.executable, "-m", "morsematch", *argv, "--cache-dir",
-                 str(tmp_path / f"{argv[0]}-{i}-fresh")],
-                stdout=subprocess.PIPE, text=True, env=env)
-            assert code == proc.returncode == 0 and out == proc.stdout
-    # a command patched after the parser was built, as a tracer wraps it, runs
-    monkeypatch.setattr(cli, "cmd_count_optimal", lambda args: 7)
-    assert main(["count-optimal", "--complex", "simplex:1"]) == 7
-
-
 def test_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fvector", "--complex", "simplex:-3",
                            "--cache-dir", str(tmp_path))
