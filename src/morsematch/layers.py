@@ -35,6 +35,14 @@ search.  `LayerSystem` owns everything derived from (K, acyclic): the
 layer matchings, and the suffix tables that `suffix_tables` memoizes on
 it.
 
+On a full skeleton of a simplex (`_vertex_symmetry`), the vertex
+permutations act on every layer, and `suffix_tables` fills each layer
+d >= 1 over the orbits of its lower masks: it enumerates only the matchings
+whose lower faces are an orbit's least mask, one mask at a time, and copies
+the sum to the rest of the orbit.  The tables are those of the full
+enumeration (see `suffix_tables`), and counting keeps no layer list but
+layer 0's.  Walks and materialization still enumerate every layer matching.
+
 There is one walk over the per-layer product,
 `iter_matchings_of_cardinality(ls, target, acyclic)`: with a target it
 yields the matchings of that size, the system's suffix tables serving as
@@ -49,6 +57,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
 
 from .complexes import BudgetExceededError, SimplicialComplex
@@ -144,16 +153,22 @@ class LayerSystem:
                             in map(unpack, self.matchings(d, acyclic))))
 
 
-def _enumerate_layer(layer: Layer, acyclic: bool) -> list[int]:
+def _enumerate_layer(layer: Layer, acyclic: bool,
+                     lower: int | None = None) -> list[int]:
     """Every matching of the layer, packed (see the module docstring), by
     DFS over its edges in canonical order; the empty matching 0 first.
+    With `lower`, a mask over the layer's lower faces, only the matchings
+    whose lower faces are exactly `lower`.
 
     A node holds `cand`, the bitmask of later edge positions still
     compatible with its pairs; it takes them lowest first, and a child
     gets the rest less the taken edge's conflicts, so no conflicting edge
     is visited.  The edges of one lower face are a contiguous block of
-    positions, and those of an upper face one per facet; `keep` of a
-    position clears its own block and its upper face's later edges.
+    positions, in the order of the local lower indices that have edges,
+    and those of an upper face one per facet; `keep` of a position clears
+    its own block and its upper face's later edges.  With `lower`, a node
+    branches only on the block of the lowest face of `lower` still
+    unmatched, and only a node that has matched all of `lower` is listed.
 
     With `acyclic`, `reach[s]` is the bitmask of lower faces reachable in
     the modified digraph from matched lower face s, up to its partner and
@@ -161,7 +176,8 @@ def _enumerate_layer(layer: Layer, acyclic: bool) -> list[int]:
     up through its other facets.  A child gets a copy of `reach` with
     `reach[lo]` set and OR-ed into every entry that reached lo.
     """
-    out = [0]
+    every = lower is None
+    out = [] if lower else [0]
     edges = layer.edges_local
     facets = layer.upper_facets
     n = len(edges)
@@ -171,8 +187,10 @@ def _enumerate_layer(layer: Layer, acyclic: bool) -> list[int]:
         if edges[i][1] == edges[i + 1][1]:
             block_end[i] = block_end[i + 1]
     at_upper: list[list[int]] = [[] for _ in facets]
-    for i, (_, _, up) in enumerate(edges):
+    block = [0] * len(layer.lower_index)  # lower local -> its positions
+    for i, (_, lo, up) in enumerate(edges):
         at_upper[up].append(i)
+        block[lo] |= 1 << i
     # per position: the bits the pair sets in a packed matching, the later
     # positions compatible with it, and its lower and upper face
     steps = []
@@ -185,10 +203,16 @@ def _enumerate_layer(layer: Layer, acyclic: bool) -> list[int]:
         steps.append((bits, keep, lo, up))
     facet_mask = [sum(1 << s for s in f) for f in facets]
 
-    def rec(cand: int, x: int, reach: dict[int, int]) -> None:
-        while cand:
-            b = cand & -cand
-            cand ^= b
+    def rec(cand: int, x: int, reach: dict[int, int], todo: int) -> None:
+        # todo: the faces of `lower` not yet matched (0 without `lower`)
+        pick = cand
+        if not every:
+            face = todo & -todo
+            todo ^= face
+            pick &= block[face.bit_length() - 1]
+        while pick:
+            b = pick & -pick
+            pick ^= b
             bits, keep, lo, up = steps[b.bit_length() - 1]
             if acyclic:
                 lb = 1 << lo
@@ -199,7 +223,11 @@ def _enumerate_layer(layer: Layer, acyclic: bool) -> list[int]:
                 if r & lb:
                     continue
             y = x | bits
-            out.append(y)
+            if every:
+                out.append(y)
+            elif not todo:
+                out.append(y)
+                continue
             c = cand & keep
             if not c:
                 continue
@@ -209,15 +237,76 @@ def _enumerate_layer(layer: Layer, acyclic: bool) -> list[int]:
                     if m & lb:
                         child[s] = m | r
                 child[lo] = r
-                rec(c, y, child)
+                rec(c, y, child, todo)
             else:
-                rec(c, y, reach)
+                rec(c, y, reach, todo)
 
-    rec((1 << n) - 1, 0, {})
+    if lower != 0:
+        rec((1 << n) - 1, 0, {}, lower or 0)
     # rec reaches itself through its closure; unbinding it breaks that
     # cycle, so the matchings are freed with their LayerSystem
     del rec
     return out
+
+
+def _vertex_symmetry(ls: LayerSystem) -> list[list[list[int]] | None] | None:
+    """When the base is a full skeleton of a simplex on its V vertices
+    (dimension d holds all C(V, d+1) vertex subsets), gens[d] for d >= 1
+    lists, for a transposition and a V-cycle of the vertices, which
+    generate S_V, the local index of the image of each lower face of
+    layer d; None for any other base.  Only the face counts are read."""
+    K = ls.H.base
+    V = len(K.faces_by_dim[0]) if K.faces_by_dim else 0
+    if any(len(faces) != comb(V, d + 1)
+           for d, faces in enumerate(K.faces_by_dim)):
+        return None
+    bits = [1 << v for v in K.vertices()]
+    perms = [dict(zip(bits, bits[1::-1] + bits[2:])),
+             dict(zip(bits, bits[1:] + bits[:1]))]
+    gens: list[list[list[int]] | None] = [None]
+    for d in range(1, ls.D):
+        # every d-face has a coface, so all are tracked, in lex order
+        images = []
+        for perm in perms:
+            img = []
+            for f in K.faces_by_dim[d]:
+                g = 0
+                while f:
+                    b = f & -f
+                    g |= perm[b]
+                    f ^= b
+                img.append(K.face_index[g])
+            images.append(img)
+        gens.append(images)
+    return gens
+
+
+def _orbit_reps(images: list[list[int]], w: int) -> list[int]:
+    """rep[m]: the least mask in the orbit of the w-bit mask m under the
+    group that the bit permutations `images` generate (bit i goes to bit
+    images[g][i] under generator g)."""
+    size = 1 << w
+    maps = []
+    for img in images:
+        out = [0] * size
+        for m in range(1, size):
+            low = m & -m
+            out[m] = out[m ^ low] | 1 << img[low.bit_length() - 1]
+        maps.append(out)
+    rep = [-1] * size
+    for m in range(size):
+        if rep[m] < 0:
+            # m is the least mask not yet reached, so it is its orbit's least
+            rep[m] = m
+            stack = [m]
+            while stack:
+                x = stack.pop()
+                for out in maps:
+                    y = out[x]
+                    if rep[y] < 0:
+                        rep[y] = m
+                        stack.append(y)
+    return rep
 
 
 def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
@@ -233,9 +322,19 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
     slot of a table entry, and of every partial sum of the zeta transform,
     counts distinct sets of k Hasse edges, so it is at most
     C(edge_count, k) < 2^W.  The tables are unpacked into lists at the end.
+
+    On a full skeleton (see `_vertex_symmetry`), q[L] of a layer d >= 1 is
+    computed only for the least mask L of each orbit, from the layer
+    matchings whose lower faces are exactly L, and copied to the rest of
+    the orbit.  This is exact because the generators are automorphisms of
+    the base: S[D] = [[1]] is invariant, and a layer's matchings from L
+    onto an upper set correspond one to one, pair count and acyclicity
+    kept, to those from the image of L onto the image set, so by induction
+    every table is invariant and q[L] depends only on L's orbit.
     """
     if acyclic in ls._suffix:
         return ls._suffix[acyclic]
+    gens = _vertex_symmetry(ls)
     D = ls.D
     E = ls.H.edge_count
     W = E + 1
@@ -252,8 +351,19 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
         # a packed matching sets three bits per pair: k bits lift by k // 3 slots
         lift = [k // 3 * W for k in range(3 * len(lay.edges_local) + 1)]
         q = [0] * size
-        for x in ls.matchings(d, acyclic):
-            q[x >> E & low] += nxt[x >> up_shift & up_low] << lift[x.bit_count()]
+        if gens and d:
+            rep = _orbit_reps(gens[d], w)
+            for L in range(size):
+                if rep[L] < L:
+                    q[L] = q[rep[L]]
+                    continue
+                acc = 0
+                for x in _enumerate_layer(lay, acyclic, L):
+                    acc += nxt[x >> up_shift & up_low] << lift[x.bit_count()]
+                q[L] = acc
+        else:
+            for x in ls.matchings(d, acyclic):
+                q[x >> E & low] += nxt[x >> up_shift & up_low] << lift[x.bit_count()]
         # zeta transform: q[V] becomes the sum over all L subset of V
         for i in range(w):
             bit = 1 << i

@@ -2,6 +2,7 @@ import gc
 import time
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -9,14 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from morsematch.complexes import (BudgetExceededError, SimplicialComplex,
                                   build_boundary, build_simplex, cone,
-                                  face_mask, face_vertices, skeleton)
-from morsematch.hasse import is_acyclic
+                                  face_mask, face_vertices, relabel,
+                                  skeleton)
+from morsematch.hasse import build_hasse, is_acyclic, is_matching
 from morsematch.homology import homology
-from morsematch.layers import (WIDTH_LIMIT, LayerSystem,
+from morsematch import layers
+from morsematch.layers import (WIDTH_LIMIT, LayerSystem, _enumerate_layer,
+                               _orbit_reps, _vertex_symmetry,
                                enumerate_optimal, iter_matchings_of_cardinality,
                                matching_counts, max_cardinality_info,
                                profile_counts, suffix_tables)
 from morsematch.morse import build_matching_complex
+from morsematch.specs import build_from_spec
 
 from oracles import (all_matchings, counts_by_cardinality,
                      layer_matchings_reference, list_suffix_tables)
@@ -227,6 +232,22 @@ def test_layer_matchings_match_the_path_search():
                                   [0])
 
 
+def test_layer_matchings_by_lower_set():
+    # with a lower mask the enumerator lists exactly the layer matchings
+    # whose lower faces are that mask, in the order of the full list; a
+    # mask holding a face without edges in the layer has none
+    for K in CORPUS + [N4["simplex:4"], skeleton(build_simplex(4), 2)]:
+        ls = LayerSystem(K)
+        for d, layer in enumerate(ls.layers):
+            for acyclic in (True, False):
+                groups: dict[int, list[int]] = {}
+                for x in ls.matchings(d, acyclic):
+                    groups.setdefault(layer.unpack(x)[0], []).append(x)
+                for L in range(1 << len(layer.lower_index)):
+                    assert _enumerate_layer(layer, acyclic, L) \
+                        == groups.get(L, [])
+
+
 def test_layer_matchings_are_exactly_the_acyclic_ones():
     # the reach closure refuses a pair exactly when the independent cycle
     # test of the whole diagram fails
@@ -383,3 +404,102 @@ def test_layer_one_of_the_4_simplex_fits_in_8_mb():
         tracemalloc.stop()
     assert len(mats) == 113192
     assert peak < 8 * 2 ** 20
+
+
+# -- the symmetric fill of the suffix tables ------------------------------------
+
+def full_skeletons():
+    """Every full skeleton of a simplex up to n = 4 by spec: simplex:n,
+    boundary:n and skeleton:simplex:n:k for k < n - 1; and the 4-simplex
+    on the non-contiguous vertex ids 1, 3, 4, 7, 9."""
+    specs = [f"simplex:{n}" for n in range(5)] \
+        + [f"boundary:{n}" for n in range(1, 5)] \
+        + [f"skeleton:simplex:{n}:{k}" for n in range(5) for k in range(n - 1)]
+    out = {spec: build_from_spec(spec) for spec in specs}
+    out["simplex:4 on 1, 3, 4, 7, 9"] = relabel(build_simplex(4),
+                                                [1, 3, 4, 7, 9], 10)
+    return out
+
+
+def test_symmetric_tables_match_list_transfer():
+    # every full skeleton up to n = 4 takes the orbit fill and gets the
+    # list transfer's tables, which read every layer matching
+    for name, K in full_skeletons().items():
+        for acyclic in (True, False):
+            ls = LayerSystem(K)
+            assert _vertex_symmetry(ls) is not None, name
+            assert suffix_tables(ls, acyclic) \
+                == list_suffix_tables(LayerSystem(K), acyclic), name
+
+
+def test_other_bases_take_the_full_fill():
+    # a cone and the 3-simplex less one triangle are no full skeleton:
+    # every layer is enumerated in full, and the tables are the oracle's
+    less = SimplicialComplex.from_facets(
+        [f for f in range(1, 16) if f.bit_count() == 3 and f != 0b0111])
+    for K in (cone(build_boundary(2))[0], less):
+        ls = LayerSystem(K)
+        assert _vertex_symmetry(ls) is None
+        for acyclic in (True, False):
+            assert suffix_tables(ls, acyclic) \
+                == list_suffix_tables(ls, acyclic)
+            assert (ls.D - 1, acyclic) in ls._matchings
+
+
+def test_orbit_fill_needs_automorphisms(monkeypatch):
+    # the orbit fill is exact under the vertex permutations; a map that
+    # forgets which faces a lower mask holds (any permutation of the
+    # d-faces, generated by a face transposition and a cycle through all
+    # d-faces) merges inequivalent masks, and the tables go wrong
+    def forget(ls):
+        return [None] + [[[1, 0] + list(range(2, w)), list(range(1, w)) + [0]]
+                         for w in ls.tracked[1:ls.D]]
+
+    monkeypatch.setattr(layers, "_vertex_symmetry", forget)
+    for K in (build_simplex(4), build_boundary(4), build_simplex(3)):
+        for acyclic in (True, False):
+            ls = LayerSystem(K)
+            assert suffix_tables(ls, acyclic) != list_suffix_tables(ls, acyclic)
+
+
+def test_counting_keeps_no_layer_matchings_above_layer_0():
+    # only layer 0, whose lower faces are untracked, is enumerated in full
+    # and kept; layers 1.. are summed one orbit representative at a time.
+    # The lower masks of layers 1 and 2 of the 4-simplex fall into the 34
+    # orbits of graphs on 5 vertices (a set of triangles is the set of
+    # complementary edges), those of layer 3 into 6 orbits by size
+    for acyclic in (True, False):
+        ls = LayerSystem(build_simplex(4))
+        suffix_tables(ls, acyclic)
+        assert list(ls._matchings) == [(0, acyclic)]
+    gens = _vertex_symmetry(ls)
+    assert [len(set(_orbit_reps(gens[d], ls.tracked[d])))
+            for d in range(1, ls.D)] == [34, 34, 6]
+
+
+def test_orbit_reps():
+    # S_3 on the three edges of a triangle: masks fall into orbits by size
+    assert _orbit_reps([[1, 0, 2], [1, 2, 0]], 3) \
+        == [0, 1, 1, 3, 1, 3, 3, 7]
+    # the identity generates the trivial group: every mask is alone
+    assert _orbit_reps([[0, 1, 2]], 3) == list(range(8))
+
+
+def test_2_skeleton_of_the_5_simplex_is_counted():
+    # dimension 1 of skeleton:simplex:5:2 has 15 tracked edges; its 2^15
+    # lower masks fall into the 156 orbits of graphs on 6 vertices.  The
+    # first entries are checked against sets of Hasse edges filtered by
+    # the diagram's own matching and acyclicity tests
+    K = skeleton(build_simplex(5), 2)
+    fv = matching_counts(K, "acyclic")
+    H = build_hasse(K)
+    assert H.edge_count == 90
+    assert len(set(_orbit_reps(_vertex_symmetry(LayerSystem(K))[1], 15))) \
+        == 156
+    brute = [0, 0, 0]
+    for k in (1, 2, 3):
+        for edges in combinations(range(H.edge_count), k):
+            mask = sum(1 << e for e in edges)
+            if is_matching(H, mask) and is_acyclic(H, mask):
+                brute[k - 1] += 1
+    assert fv[:3] == brute == [90, 3660, 88920]
