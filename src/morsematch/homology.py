@@ -38,6 +38,33 @@ The argument needs only dd = 0 and P among the rows of d_d, so it holds
 when d_d was itself reduced with rows skipped, and for the quotient complex
 of a pair.  Pivots of the residual do not feed the clearing: they use
 column operations.
+
+Before any matrix is built, `_excise` removes complete element matchings
+(Jonsson, Simplicial Complexes of Graphs, 2008; Forman, Morse theory for
+cell complexes, 1998), and only the faces it leaves are reduced.  R starts
+as the faces of the chain complex: the faces of L outside the dropped
+subcomplex, plus the empty face 0 when the chain is augmented.  The
+vertices of L are visited in ascending order, in rounds, until a round
+excises nothing; vertex v is excised when every f in R with v in f has
+f ^ v in R, and then all those f and f ^ v leave R.  This is exact over Z,
+torsion included.  Let A be the faces left out so far: the dropped
+subcomplex and the stars excised before v.  A is a subcomplex, and the
+rule says that the part of the closed star st v in A is closed under
+adding v, so it is a cone on v, as st v is.  Hence C(A + st v, A) =
+C(st v, st v & A) is acyclic, and the long exact sequence of the triple
+makes C(L, A) -> C(L, A + st v) a quasi-isomorphism.  Where each case
+enters:
+
+* Reduced absolute homology starts from the augmented chain; the first
+  vertex always passes and takes the empty face with it.
+* Unreduced absolute homology: without the empty face, the face {v} has no
+  partner, so no vertex ever passes.  `homology` computes the reduced
+  groups and adds one Z in degree 0.
+* Relative homology starts without 0, so the rule refuses any vertex v
+  with {v} in R.
+
+R depends only on the face set, not on set iteration order, and the bases
+are `faces_by_dim` filtered to R, so they keep the canonical order.
 """
 
 from __future__ import annotations
@@ -210,34 +237,70 @@ def boundary_matrices(K: SimplicialComplex,
     """Every boundary matrix of K in the canonical bases, all at once.
 
     Entry d maps C_d to C_{d-1} for d >= 1; entry 0 is the augmentation (one
-    row of ones) when reduced, else a 0 x n_0 matrix.  This materialized
-    form is for tests and oracles; `homology` streams the same matrices one
-    degree at a time (dd = 0: see `_boundaries`).
+    row of ones) when reduced, else a 0 x n_0 matrix.  This is the full
+    chain complex, for tests and oracles; `homology` reduces only the
+    residual that `_excise` leaves, a smaller complex with the same homology.
     """
     if K.is_void:
         raise ValueError("void complex has no chain complex")
     return list(_boundaries(K, frozenset(), reduced))
 
 
-def _boundaries(L: SimplicialComplex, drop,
-                augment: bool) -> Iterator[SparseIntMatrix]:
-    """Boundary matrices of the chain complex on the faces of L outside
-    `drop`, in canonical order, one degree at a time.
+def _chain_faces(L: SimplicialComplex, drop, augment: bool) -> set[int]:
+    """The faces of L outside `drop`, plus the empty face 0 when `augment`."""
+    faces = {f for f in L.face_index if f not in drop}
+    if augment:
+        faces.add(0)
+    return faces
+
+
+def _excise(L: SimplicialComplex, drop, augment: bool) -> set[int]:
+    """The faces of `_chain_faces(L, drop, augment)` left once complete
+    element matchings are excised: in rounds, each vertex v in ascending
+    order whose star in the residual R is a cone on v (f ^ v in R for
+    every f in R holding v) takes its star and those faces out of R, until
+    a round excises nothing (see the module docstring).  A vertex that
+    passes has an empty star from then on, so later rounds skip it."""
+    residual = _chain_faces(L, drop, augment)
+    vertices = L.faces_by_dim[0]
+    while True:
+        kept = []
+        for v in vertices:
+            # most vertices fail, and one face shows it
+            if any(f & v and f ^ v not in residual for f in residual):
+                kept.append(v)
+                continue
+            star = [f for f in residual if f & v]
+            residual.difference_update(star)
+            residual.difference_update([f ^ v for f in star])
+        if len(kept) == len(vertices):
+            return set(residual)  # a fresh table sized to what is left
+        vertices = kept
+
+
+def _boundaries(L: SimplicialComplex, drop, augment: bool,
+                keep: set[int] | None = None) -> Iterator[SparseIntMatrix]:
+    """Boundary matrices of the chain complex on `_chain_faces(L, drop,
+    augment)`, or on `keep` when it is given (a residual of `_excise`), in
+    canonical order, one degree at a time.
 
     Facets that fall in `drop` have no row, so with drop = the faces of a
     subcomplex this is the quotient complex of the pair.  dd = 0 holds by
     construction: L is closed under taking faces, so both paths from a face
     down to each of its codimension-2 faces exist, with opposite signs; and
-    when `drop` is a subcomplex (`relative_homology` checks it), a path
-    through a dropped face ends at a dropped face, which has no row.  The
-    tests multiply the matrices out (`dd_nonzero` in `tests/oracles.py`).
+    when the faces left out form a subcomplex (`relative_homology` checks
+    it for `drop`, and every excision step keeps it so), a path through a
+    face left out ends at a face left out, which has no row.  The tests
+    multiply the matrices out (`dd_nonzero` in `tests/oracles.py`).
 
     No matrix is kept here once yielded.  The augmentation is the boundary
     down to the empty face, mask 0.
     """
-    lower = [0] if augment else []
+    if keep is None:
+        keep = _chain_faces(L, drop, augment)
+    lower = [0] if 0 in keep else []
     for faces in L.faces_by_dim:
-        basis = [f for f in faces if f not in drop]
+        basis = [f for f in faces if f in keep]
         yield _boundary(lower, basis)
         lower = basis
 
@@ -311,10 +374,17 @@ def _homology_from_chain(chain: Iterator[SparseIntMatrix],
 
 def homology(K: SimplicialComplex, reduced: bool = True) -> HomologyResult:
     """Integral homology; reduced by default.  Void input is a flagged
-    empty result, never an error."""
+    empty result, never an error.
+
+    No vertex passes the excision rule without the empty face, so the
+    unreduced groups are the reduced ones plus one Z in degree 0."""
     if K.is_void:
         return HomologyResult([], reduced, void=True)
-    return _homology_from_chain(_boundaries(K, frozenset(), reduced), reduced)
+    h = _excised_homology(K, frozenset(), True, reduced)
+    if not reduced:
+        betti, torsion = h.groups[0]
+        h.groups[0] = (betti + 1, torsion)
+    return h
 
 
 def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
@@ -330,4 +400,11 @@ def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
         return homology(L, reduced)
     if not L.contains_complex(K):
         raise ValueError("K is not a subcomplex of L")
-    return _homology_from_chain(_boundaries(L, K.face_index, False), reduced)
+    return _excised_homology(L, K.face_index, False, reduced)
+
+
+def _excised_homology(L: SimplicialComplex, drop, augment: bool,
+                      reduced: bool) -> HomologyResult:
+    residual = _excise(L, drop, augment)
+    return _homology_from_chain(_boundaries(L, drop, augment, residual),
+                                reduced)

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, cone, euler_characteristic,
                                   face_mask, relabel, skeleton)
-from morsematch.homology import (SparseIntMatrix, _boundaries,
-                                 boundary_matrices, divisor_chain, homology,
-                                 relative_homology, smith_normal_form)
+from morsematch.homology import (SparseIntMatrix, _boundaries, _excise,
+                                 _homology_from_chain, boundary_matrices,
+                                 divisor_chain, homology, relative_homology,
+                                 smith_normal_form)
 from morsematch.morse import build_matching_complex, induced_inclusion
 from morsematch.specs import build_from_spec
 
@@ -352,7 +353,8 @@ def test_cleared_relative_homology_matches_uncleared(m_d3, m_bd3, reduced):
 
 def test_clearing_leaves_rank_plus_betti_rows(m_d3, monkeypatch):
     # every pivot of M(Delta^3) is a unit, so rank d_d rows of d_{d+1} are
-    # cleared and the kept rows number rank d_{d+1} + beta_d
+    # cleared and the kept rows number rank d_{d+1} + beta_d, on the full
+    # chain complex and on the residual that `homology` reduces
     # the package's function `homology` shadows the submodule's name
     module = sys.modules["morsematch.homology"]
     seen = []
@@ -363,10 +365,17 @@ def test_clearing_leaves_rank_plus_betti_rows(m_d3, monkeypatch):
         return result
 
     monkeypatch.setattr(module, "smith_normal_form", spy)
-    h = homology(m_d3.complex)
+    full = _homology_from_chain(_boundaries(m_d3.complex, frozenset(), True),
+                                True)
     assert [skipped for _, skipped, _ in seen] == \
         [0, 1, 27, 273, 1271, 2661, 1872]
     assert seen[4] == (3932, 1271, 2661)
+    for d, (rows, skipped, rank) in enumerate(seen[1:]):
+        assert rows - skipped - rank == full.betti(d)
+
+    seen.clear()
+    h = homology(m_d3.complex)
+    assert h.groups == full.groups
     for d, (rows, skipped, rank) in enumerate(seen[1:]):
         assert rows - skipped - rank == h.betti(d)
 
@@ -413,3 +422,58 @@ def test_each_degree_is_reduced_and_dropped_before_the_next_is_built(
     assert events == [(step, d) for d in range(degrees)
                       for step in ("build", "reduce")]
     assert live == [1] * degrees
+
+
+# -- excision ----------------------------------------------------------------
+
+@st.composite
+def complex_pairs(draw):
+    """A random complex L on up to 7 vertices with shuffled vertex ids, and a
+    random subcomplex K of it (possibly void)."""
+    n = draw(st.integers(1, 7))
+    ids = draw(st.permutations(range(9)))[:n]
+    facets = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1,
+                                    max_size=4, unique=True),
+                           min_size=1, max_size=8))
+    L = SimplicialComplex.from_facets(face_mask(sorted(f)) for f in facets)
+    faces = list(L.faces())
+    chosen = draw(st.lists(st.sampled_from(faces), max_size=4, unique=True))
+    K = SimplicialComplex.from_facets(chosen) if chosen \
+        else SimplicialComplex.void()
+    return L, K
+
+
+@settings(max_examples=150, deadline=None)
+@given(complex_pairs())
+def test_excised_homology_matches_the_full_chain(pair):
+    L, K = pair
+    for reduced in (True, False):
+        assert homology(L, reduced).groups == _groups(
+            boundary_matrices(L, reduced), smith_normal_form)
+        if not K.is_void:
+            assert relative_homology(L, K, reduced).groups == _groups(
+                list(_boundaries(L, K.face_index, False)), smith_normal_form)
+
+
+def test_excision_keeps_the_class_of_two_points():
+    # S^0: the first vertex takes the empty face with it, and the second
+    # cannot follow (its face {1} would need the empty face), so one vertex
+    # is left, carrying H~_0 = Z; excising it as well would erase the class
+    two_points = SimplicialComplex.from_faces(map(face_mask, [(0,), (1,)]))
+    assert _excise(two_points, frozenset(), True) == {face_mask((1,))}
+    assert homology(two_points).nonzero() == {0: (1, ())}
+    # unreduced, no vertex passes the rule, and the point class is added
+    assert _excise(two_points, frozenset(), False) == \
+        {face_mask((0,)), face_mask((1,))}
+    assert homology(two_points, reduced=False).nonzero() == {0: (2, ())}
+
+
+def test_excision_residual_sizes(m_d3):
+    assert m_d3.complex.total_faces() == 12820
+    assert len(_excise(m_d3.complex, frozenset(), True)) == 1719
+    # M(K_7): the residual is exactly the 6^6 spheres of its homology, all
+    # of dimension 5, so every boundary matrix of the residual is zero
+    k7 = build_matching_complex(build_from_spec("skeleton:simplex:6:1"), "M")
+    residual = _excise(k7.complex, frozenset(), True)
+    assert len(residual) == 46656
+    assert {f.bit_count() - 1 for f in residual} == {5}
