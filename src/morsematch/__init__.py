@@ -13,8 +13,7 @@ from .complexes import (BudgetExceededError, SimplicialComplex, build_boundary,
                         build_simplex, cone, euler_characteristic, f_vector,
                         face_mask, face_vertices, is_full_subcomplex,
                         relabel, skeleton)
-from .hasse import (HasseDiagram, build_hasse, critical_faces, is_acyclic,
-                    is_matching)
+from .hasse import HasseDiagram, build_hasse, critical_faces, is_matching
 from .homology import (HomologyResult, SparseIntMatrix, boundary_matrices,
                        homology, relative_homology, smith_normal_form)
 from .layers import LayerSystem, enumerate_optimal, matching_counts
@@ -27,8 +26,7 @@ __all__ = [
     "BudgetExceededError", "SimplicialComplex", "build_boundary",
     "build_simplex", "cone", "euler_characteristic", "f_vector",
     "face_mask", "face_vertices", "is_full_subcomplex", "relabel", "skeleton",
-    "HasseDiagram", "build_hasse", "critical_faces", "is_acyclic",
-    "is_matching",
+    "HasseDiagram", "build_hasse", "critical_faces", "is_matching",
     "HomologyResult", "SparseIntMatrix", "boundary_matrices",
     "homology", "relative_homology", "smith_normal_form",
     "LayerSystem", "enumerate_optimal", "matching_counts",

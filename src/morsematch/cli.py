@@ -31,7 +31,7 @@ from .homology import homology, relative_homology
 from .layers import max_cardinality_info
 from .morse import (build_matching_complex, induced_inclusion,
                     matching_complex_f_vector)
-from .specs import SpecError, build_from_spec, canonical_spec, spec_file
+from .specs import build_from_spec, canonical_spec, spec_file
 from .verify import CHECK_NAMES, default_suite
 
 EXIT_OK = 0
@@ -267,9 +267,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code else EXIT_OK
     try:
         return args.fn(args)
-    except SpecError as e:
-        print(f"morsematch: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except BudgetExceededError as e:
         print(f"morsematch: {e}", file=sys.stderr)
         return EXIT_BUDGET

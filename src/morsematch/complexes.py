@@ -255,23 +255,13 @@ def f_vector(K: SimplicialComplex) -> list[int]:
 def euler_characteristic(K: SimplicialComplex) -> int:
     return sum((-1) ** d * len(lst) for d, lst in enumerate(K.faces_by_dim))
 
-def is_full_subcomplex(K: SimplicialComplex, sub) -> bool:
-    """Is `sub` a full subcomplex of K?
-
-    `sub` may be a SimplicialComplex (its faces must be faces of K) or a
-    bare vertex set, which denotes the induced subcomplex and is full by
-    construction.  Fullness means: every face of K whose vertices all lie
-    in the subcomplex is itself a face of the subcomplex.
-    """
-    if isinstance(sub, SimplicialComplex):
-        if not K.contains_complex(sub):
-            raise ValueError("sub is not a subcomplex of K")
-        induced = K.induced(sub.vertices())
-        return induced.faces_by_dim == sub.faces_by_dim
-    vs = set(sub)
-    if not vs.issubset(range(K.vertex_count)):
-        raise ValueError("vertex ids outside the universe of K")
-    return True
+def is_full_subcomplex(K: SimplicialComplex, sub: SimplicialComplex) -> bool:
+    """Is the subcomplex `sub` of K full: is every face of K whose vertices
+    all lie in `sub` a face of `sub`?  ValueError when some face of `sub`
+    is not a face of K."""
+    if not K.contains_complex(sub):
+        raise ValueError("sub is not a subcomplex of K")
+    return K.induced(sub.vertices()).faces_by_dim == sub.faces_by_dim
 
 def relabel(K: SimplicialComplex, mapping: Sequence[int] | dict[int, int],
             vertex_count: int) -> SimplicialComplex:

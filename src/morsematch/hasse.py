@@ -1,4 +1,4 @@
-"""Hasse diagrams, matchings, acyclicity, and critical faces.
+"""Hasse diagrams, matchings, and critical faces.
 
 Faces (vertex bitmasks) get global ids in canonical order (dimension, then
 lex position), and Hasse edges are indexed by (layer p, lex lower, lex
@@ -20,31 +20,27 @@ Edge e runs from gid `lower[e]` up to gid `upper[e]` in layer
 edges leaving face g upward; the edges into g join it to the faces
 `facets_of[g]` names, so they are found with `edge` and not stored.
 
-Matchings are edge-index bitmasks (Python ints).  A directed cycle in a
+Matchings are edge-index bitmasks (Python ints).  `is_matching` tests
+face-disjointness.  Acyclicity is not decided here: a directed cycle in a
 modified Hasse diagram can only alternate between two adjacent dimensions,
-so acyclicity is decided layer by layer: adding a pair (lo, up) creates a
-cycle exactly when the layer digraph already has a directed path from `up`
-back down to `lo` through matched pairs.  `is_acyclic` inserts the pairs
-one at a time and searches for that path with `_layer_path_exists`.
-verify's cone-contiguity check calls it at run time, as a cycle test
-independent of the layer enumerator in `layers`, which decides the same
-question with a reach closure instead (see `layers._enumerate_layer`).
+so it is a per-layer condition, and the layer enumerator decides it
+(`layers._enumerate_layer`).
 `critical_faces(H, mask)` returns the faces the matching leaves
 unmatched as one list per dimension: entry d lists the critical d-faces
 in canonical order, for d = 0 .. dim of the base.  It is the oracle, not
 the hot path: the verifiers that walk every maximum matching read the
 unmatched faces off one gid mask from per-byte cover tables
 (`verify._unmatched_gids`), which the tests check against it.  Like
-`is_matching` and `is_acyclic`, it keeps its per-edge loop and builds no
-tables, since it also runs on diagrams of whole matching complexes.
+`is_matching`, it keeps its per-edge loop and builds no tables, since it
+also runs on diagrams of whole matching complexes.
 Enumeration and counting live in `layers`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from .complexes import Face, SimplicialComplex, face_vertices
+from .complexes import Face, SimplicialComplex
 
 
 class HasseDiagram:
@@ -144,54 +140,6 @@ def _covered_faces(H: HasseDiagram, mask: int) -> Optional[int]:
 def is_matching(H: HasseDiagram, mask: int) -> bool:
     """Pairwise face-disjointness of a set of Hasse edges."""
     return _covered_faces(H, mask) is not None
-
-
-def _layer_path_exists(facets: Sequence[Sequence[int]],
-                       matched_up: dict[int, int],
-                       start_up: int, target_lo: int) -> bool:
-    """Would matching (target_lo, start_up) close a directed cycle?
-
-    Searches for a path from start_up back down to target_lo through already
-    matched pairs.  `facets[u]` lists the facets of upper face u, and
-    `matched_up` maps matched lower faces to their partners, all in one
-    index space.  The first hop may not use the cover edge being reversed,
-    so facet target_lo is skipped when leaving start_up.
-    """
-    stack = []
-    seen = set()
-    for s in facets[start_up]:
-        if s != target_lo:
-            nxt = matched_up.get(s)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    while stack:
-        t = stack.pop()
-        for s in facets[t]:
-            if s == target_lo:
-                return True
-            nxt = matched_up.get(s)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
-def is_acyclic(H: HasseDiagram, mask: int) -> bool:
-    """Gradient vector field test; rejects non-matchings outright.
-
-    Inserts the pairs one at a time: a cycle exists exactly when some
-    insertion finds a path back to its own lower face.
-    """
-    if not is_matching(H, mask):
-        raise ValueError("input is not a matching")
-    matched: dict[int, int] = {}
-    for e in face_vertices(mask):
-        lo, up = H.lower[e], H.upper[e]
-        if _layer_path_exists(H.facets_of, matched, up, lo):
-            return False
-        matched[lo] = up
-    return True
 
 
 def critical_faces(H: HasseDiagram, mask: int) -> list[list[Face]]:

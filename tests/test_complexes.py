@@ -111,14 +111,6 @@ def test_face_index_round_trip():
                 assert f.bit_count() - 1 == d
 
 
-def test_full_subcomplex_vertex_sets():
-    bd2 = build_boundary(2)
-    assert is_full_subcomplex(bd2, {0, 1, 2})
-    square = SimplicialComplex.from_facets(
-        map(face_mask, [(0, 1), (1, 2), (2, 3), (0, 3)]))
-    assert is_full_subcomplex(square, {0, 2})  # opposite corners, no edge
-
-
 def test_full_subcomplex_with_subcomplex():
     d2 = build_simplex(2)
     full = d2.induced({0, 1, 2})

@@ -3,14 +3,15 @@ import random
 import pytest
 
 from morsematch.complexes import (SimplicialComplex, build_boundary,
-                                  build_simplex, face_mask, face_vertices,
-                                  skeleton)
-from morsematch.hasse import build_hasse, critical_faces, is_acyclic, is_matching
+                                  build_simplex, cone, face_mask,
+                                  face_vertices, skeleton)
+from morsematch.hasse import build_hasse, critical_faces, is_matching
 from morsematch.homology import homology
 from morsematch.layers import (LayerSystem, enumerate_optimal,
                                iter_matchings_of_cardinality,
                                max_cardinality_info, matching_counts,
                                suffix_tables)
+from morsematch.verify import _acyclic_matching
 
 from oracles import all_matchings, brute_force_counts, modified_digraph_acyclic
 from test_layers import CORPUS
@@ -80,56 +81,69 @@ def test_is_matching():
     assert is_matching(H, 0)
 
 
+def layer_edge_masks(ls, d: int, acyclic: bool) -> set[int]:
+    """Edge masks of the matchings of layer d, from the layer enumerator."""
+    unpack = ls.layers[d].unpack
+    return {unpack(x)[2] for x in ls.matchings(d, acyclic)}
+
+
 def test_is_acyclic_triangle_cycle():
-    # matching a->ab, b->bc, c->ca walks around the triangle and closes up
-    H = build_hasse(build_boundary(2))
+    # matching a->ab, b->bc, c->ca walks around the triangle and closes up:
+    # it is a matching of layer 0 but not one of its acyclic matchings
+    ls = LayerSystem(build_boundary(2))
+    H = ls.H
     cyc = H.mask_from_edges([edge_of(H, (0,), (0, 1)),
                              edge_of(H, (1,), (1, 2)),
                              edge_of(H, (2,), (0, 2))])
-    assert not is_acyclic(H, cyc)
+    acyclic = layer_edge_masks(ls, 0, True)
+    assert cyc in layer_edge_masks(ls, 0, False)
+    assert cyc not in acyclic
     assert not modified_digraph_acyclic(H, cyc)
     # dropping any one pair breaks the cycle
     for e in face_vertices(cyc):
-        assert is_acyclic(H, cyc & ~(1 << e))
+        assert cyc & ~(1 << e) in acyclic
 
 
 def test_is_acyclic_star_matching_on_k4():
-    H = build_hasse(skeleton(build_simplex(3), 1))
+    ls = LayerSystem(skeleton(build_simplex(3), 1))
+    H = ls.H
     star = H.mask_from_edges([edge_of(H, (1,), (0, 1)),
                               edge_of(H, (2,), (0, 2)),
                               edge_of(H, (3,), (0, 3))])
-    assert is_acyclic(H, star)
+    assert star in layer_edge_masks(ls, 0, True)
+    assert modified_digraph_acyclic(H, star)
 
 
 def test_single_edges_always_acyclic():
     for K in (build_simplex(2), build_boundary(3)):
-        H = build_hasse(K)
-        for e in range(H.edge_count):
-            assert is_acyclic(H, 1 << e)
-
-
-def test_is_acyclic_rejects_non_matching():
-    H = build_hasse(build_simplex(1))
-    with pytest.raises(ValueError):
-        is_acyclic(H, 0b11)
+        ls = LayerSystem(K)
+        acyclic = _acyclic_matching(ls)
+        for e in range(ls.H.edge_count):
+            assert acyclic(1 << e)
 
 
 def test_layered_agrees_with_whole_digraph_oracle():
-    rng = random.Random(2024)
-    corpus = [build_simplex(2), build_boundary(2), build_simplex(3),
-              skeleton(build_simplex(3), 1)]
-    for K in corpus:
-        H = build_hasse(K)
-        for _ in range(300):
-            mask = 0
-            used = 0
-            for e in rng.sample(range(H.edge_count), H.edge_count):
-                lo, up = H.lower[e], H.upper[e]
-                fm = (1 << lo) | (1 << up)
-                if rng.random() < 0.4 and not used & fm:
-                    mask |= 1 << e
-                    used |= fm
-            assert is_acyclic(H, mask) == modified_digraph_acyclic(H, mask)
+    # verify's per-layer test of an acyclic matching against a matching
+    # test and the cycle test of the whole modified digraph: on every edge
+    # subset of the three smaller diagrams, and on every matching of
+    # cone(boundary(2)), whose 2^21 subsets take seconds (the helper
+    # refuses a non-matching with `is_matching` before any layer)
+    for K in (build_simplex(2), build_boundary(2),
+              skeleton(build_simplex(3), 1), cone(build_boundary(2))[0]):
+        ls = LayerSystem(K)
+        H = ls.H
+        acyclic = _acyclic_matching(ls)
+        if H.edge_count <= 12:
+            masks = range(1 << H.edge_count)
+        else:
+            masks = all_matchings(H, "all")
+        refused = 0
+        for mask in masks:
+            matching = is_matching(H, mask)
+            want = matching and modified_digraph_acyclic(H, mask)
+            assert acyclic(mask) == want, (K, mask)
+            refused += matching and not want
+        assert refused > 0
 
 
 def test_enumerate_matchings_counts():
@@ -171,7 +185,7 @@ def test_matching_heredity():
         for i, e in enumerate(face_vertices(mask)):
             if (keep >> i) & 1:
                 chosen |= 1 << e
-        assert is_acyclic(H, chosen)
+        assert modified_digraph_acyclic(H, chosen)
 
 
 def test_critical_faces():

@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,30 @@ def test_snf_consumes_its_argument():
     m = sparse_from_dense([[1, 1, 0], [0, 2, 4], [0, 6, 8]])
     assert smith_normal_form(m) == ((1, 2, 4), 3)
     assert m.row == [{}, {}, {}]
+
+
+def test_snf_of_a_matrix_without_entries():
+    # 0 x n, all-zero m x n, and entries only in skipped rows: rank 0, no
+    # divisors and no pivot columns, and every row is left empty
+    inputs = [(lambda: SparseIntMatrix(0, 5), ()),
+              (lambda: SparseIntMatrix(4, 3), ()),
+              (lambda: sparse_from_dense([[0, 3], [0, 0], [5, 0]]), {0, 2})]
+    for make, skip in inputs:
+        for pivots in (None, set()):
+            m = make()
+            assert smith_normal_form(m, skip, pivots) == ((), 0)
+            assert m.row == [{}] * m.rows
+            assert pivots in (None, set())
+    # the return comes before one set per column is allocated, about
+    # 200 bytes each
+    m = SparseIntMatrix(0, 100_000)
+    tracemalloc.start()
+    try:
+        assert smith_normal_form(m) == ((), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_snf_divisor_chain_and_oracle_fixed():

@@ -5,7 +5,7 @@ from morsematch.complexes import (BudgetExceededError, SimplicialComplex,
                                   euler_characteristic,
                                   f_vector, face_vertices, is_full_subcomplex,
                                   relabel, skeleton)
-from morsematch.hasse import build_hasse, is_acyclic, is_matching
+from morsematch.hasse import build_hasse, is_matching
 from morsematch.layers import enumerate_optimal, matching_counts
 from morsematch.morse import (build_matching_complex, induced_inclusion,
                               matching_complex_f_vector)
@@ -79,7 +79,6 @@ def test_faces_satisfy_defining_predicates(bd2, d3):
     mc = build_matching_complex(bd2, "M")
     for face in mc.complex.faces():
         mask = mc.hasse.mask_from_edges(face_vertices(face))
-        assert is_acyclic(mc.hasse, mask)
         assert modified_digraph_acyclic(mc.hasse, mask)
     gm = build_matching_complex(bd2, "GM")
     for face in gm.complex.faces():
@@ -87,7 +86,8 @@ def test_faces_satisfy_defining_predicates(bd2, d3):
     # sampled heredity on the larger complex
     m3 = build_matching_complex(d3, "M")
     for face in list(m3.complex.faces())[::97]:
-        assert is_acyclic(m3.hasse, m3.hasse.mask_from_edges(face_vertices(face)))
+        assert modified_digraph_acyclic(
+            m3.hasse, m3.hasse.mask_from_edges(face_vertices(face)))
 
 
 def test_void_cases():

@@ -247,14 +247,41 @@ def test_restriction_fiber_of_star_matching():
 
 
 def test_cone_contiguity():
-    for spec in ("simplex:1", "boundary:2", "simplex:2"):
-        r = verify_cone_contiguity(spec)
-        assert r.passed, r.details
+    reports = [verify_cone_contiguity(spec)
+               for spec in ("simplex:1", "boundary:2", "simplex:2")]
+    assert all(r.passed for r in reports), [r.details for r in reports]
     # face counts: two for the edge, the full matching complex otherwise
-    assert verify_cone_contiguity("simplex:1").details["faces_checked"] == 2
+    assert [r.details["faces_checked"] for r in reports] == [2, 15, 39]
     # the distinguished pair needs w0 to be a vertex of the base
     with pytest.raises(ValueError, match="w0=7 is not a vertex"):
         verify_cone_contiguity("simplex:1", w0=7)
+
+
+def test_cone_contiguity_fails_when_a_union_is_refused(monkeypatch):
+    # the check reports whatever its acyclicity test refuses: here the
+    # union of the first face, a single pair, with the apex pair
+    real = verify._acyclic_matching
+    refused = []
+
+    def refuse_one(ls):
+        acyclic = real(ls)
+
+        def test(mask):
+            if mask.bit_count() == 2 and not refused:
+                refused.append((ls.H, mask))
+                return False
+            return acyclic(mask)
+
+        return test
+
+    monkeypatch.setattr(verify, "_acyclic_matching", refuse_one)
+    r = verify_cone_contiguity("boundary:2")
+    assert r.status == "fail"
+    assert r.details == {"message": "face plus apex pair is not an acyclic "
+                                    "matching on the cone"}
+    [(H, mask)] = refused
+    face, pairs = r.witness
+    assert len(face) == 1 and pairs == verify._edge_pairs(H, mask)
 
 
 def test_pair_splitting():
