@@ -14,6 +14,14 @@ the order is descending order of the bit-reversed mask.
 The void complex (zero faces) is representable; it shows up naturally as the
 complex of matchings of a complex without cover pairs.
 
+`SimplicialComplex.from_faces` is the entry for face sets from outside the
+package: it checks that every face is a positive bitmask inside the vertex
+universe and that the set is downward closed.  The package's own builders
+(the standard families, `skeleton`, `cone`, `relabel`, `induced`, the
+facet closure and `morse.build_matching_complex`) produce sets that are
+closed by construction, so they call the unchecked `_from_closed`; the
+tests hold every one of them to the checked entry.
+
 The standard builders and the facet closure refuse a base complex of more
 than MAX_BASE_FACES faces with BudgetExceededError, the package's one
 refusal type, before allocating it.
@@ -76,6 +84,21 @@ def _check_power_size(what: str, k: int, less: int) -> None:
     _check_base_size(what, f"2^{k} - {less}" if big else (1 << k) - less)
 
 
+def _universe(faces: set[Face], vertex_count: Optional[int]) -> int:
+    """Vertex count of face masks from outside the package, by default the
+    highest vertex used plus one; ValueError unless every mask is a
+    positive int inside it."""
+    for f in faces:
+        if type(f) is not int or f <= 0:
+            raise ValueError(f"face {f!r} is not a non-empty vertex bitmask")
+    used = max(faces, default=0).bit_length()
+    if vertex_count is None:
+        return used
+    if used > vertex_count:
+        raise ValueError(f"vertex id {used - 1} outside universe 0..{vertex_count - 1}")
+    return vertex_count
+
+
 def _closure(facets: Iterable[Face]) -> set[Face]:
     out: set[Face] = set()
     for f in facets:
@@ -95,7 +118,8 @@ class SimplicialComplex:
     dimension of a mask f is f.bit_count() - 1).
 
     Instances must be built through the classmethods or the module-level
-    constructors, which validate vertex ranges and downward closure.
+    constructors: `from_faces` validates a face set from outside, and every
+    other constructor yields a complex by construction.
     """
 
     __slots__ = ("vertex_count", "faces_by_dim", "face_index")
@@ -109,25 +133,16 @@ class SimplicialComplex:
     @classmethod
     def from_faces(cls, faces: Iterable[Face], vertex_count: Optional[int] = None,
                    ) -> "SimplicialComplex":
-        """Build from an explicit set of face masks; raises if not downward
-        closed."""
+        """Build from an explicit set of face masks, the entry for input from
+        outside the package.  Raises ValueError for a face that is not a
+        positive int, a vertex outside 0..vertex_count-1 (the universe
+        defaults to the highest vertex used) or a set that is not downward
+        closed.  The package's own builders skip these checks through
+        `_from_closed`, since their face sets are complexes by
+        construction."""
         face_set = set(faces)
-        grouped: dict[int, list[Face]] = {}
-        for f in face_set:
-            if type(f) is not int or f <= 0:
-                raise ValueError(f"face {f!r} is not a non-empty vertex bitmask")
-            grouped.setdefault(f.bit_count(), []).append(f)
-        used = max(face_set, default=0).bit_length()
-        if vertex_count is None:
-            vertex_count = used
-        elif used > vertex_count:
-            raise ValueError(f"vertex id {used - 1} outside universe 0..{vertex_count - 1}")
-        nbytes = max((used + 7) // 8, 1)
-        faces_by_dim = [grouped.get(k, []) for k in range(1, max(grouped, default=0) + 1)]
-        for lst in faces_by_dim:
-            lst.sort(key=lambda f: f.to_bytes(nbytes, "little").translate(_REVERSE),
-                     reverse=True)
-        for lst in faces_by_dim[1:]:
+        cx = cls._from_closed(face_set, _universe(face_set, vertex_count))
+        for lst in cx.faces_by_dim[1:]:
             for f in lst:
                 m = f
                 while m:
@@ -136,16 +151,35 @@ class SimplicialComplex:
                         raise ValueError(f"face {face_vertices(f)} misses its "
                                          f"facet {face_vertices(f ^ b)}; not a complex")
                     m ^= b
+        return cx
+
+    @classmethod
+    def _from_closed(cls, faces: Iterable[Face], vertex_count: int,
+                     ) -> "SimplicialComplex":
+        """Build from distinct positive face masks inside the universe that
+        are downward closed, none of which is checked: group them by
+        dimension, sort each group canonically and index it."""
+        grouped: dict[int, list[Face]] = {}
+        for f in faces:
+            grouped.setdefault(f.bit_count(), []).append(f)
+        nbytes = max((vertex_count + 7) // 8, 1)
+        faces_by_dim = [grouped.get(k, []) for k in range(1, max(grouped, default=0) + 1)]
         index: dict[Face, int] = {}
         for lst in faces_by_dim:
+            lst.sort(key=lambda f: f.to_bytes(nbytes, "little").translate(_REVERSE),
+                     reverse=True)
             index.update(zip(lst, range(len(lst))))
         return cls(vertex_count, faces_by_dim, index)
 
     @classmethod
     def from_facets(cls, facets: Iterable[Face], vertex_count: Optional[int] = None,
                     ) -> "SimplicialComplex":
-        """Build the downward closure of the given generating face masks."""
-        return cls.from_faces(_closure(facets), vertex_count)
+        """Build the downward closure of the given generating face masks,
+        checked as `from_faces` checks its faces; the closure is downward
+        closed by construction."""
+        facet_set = set(facets)
+        vertex_count = _universe(facet_set, vertex_count)
+        return cls._from_closed(_closure(facet_set), vertex_count)
 
     @classmethod
     def void(cls, vertex_count: int = 0) -> "SimplicialComplex":
@@ -186,7 +220,7 @@ class SimplicialComplex:
         faces = [f for f in self.faces() if f | vs == vs]
         if not faces:
             return SimplicialComplex.void(self.vertex_count)
-        return SimplicialComplex.from_faces(faces, self.vertex_count)
+        return SimplicialComplex._from_closed(faces, self.vertex_count)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -210,7 +244,7 @@ def build_simplex(n: int) -> SimplicialComplex:
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_power_size(f"simplex:{n}", n + 1, 1)
-    return SimplicialComplex.from_faces(range(1, 1 << (n + 1)), n + 1)
+    return SimplicialComplex._from_closed(range(1, 1 << (n + 1)), n + 1)
 
 def build_boundary(n: int) -> SimplicialComplex:
     """All proper non-empty faces of the n-simplex; dimension n - 1.
@@ -221,7 +255,7 @@ def build_boundary(n: int) -> SimplicialComplex:
     if n < 1:
         raise ValueError("boundary requires n >= 1")
     _check_power_size(f"boundary:{n}", n + 1, 2)
-    return SimplicialComplex.from_faces(range(1, (1 << (n + 1)) - 1), n + 1)
+    return SimplicialComplex._from_closed(range(1, (1 << (n + 1)) - 1), n + 1)
 
 def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:
     """Faces of K of dimension at most k; K itself when k >= dim K."""
@@ -230,7 +264,7 @@ def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:
     if k >= K.dim:
         return K
     faces = [f for d in range(k + 1) for f in K.faces_by_dim[d]]
-    return SimplicialComplex.from_faces(faces, K.vertex_count)
+    return SimplicialComplex._from_closed(faces, K.vertex_count)
 
 def cone(K: SimplicialComplex) -> tuple[SimplicialComplex, int]:
     """Join with a fresh apex (id = old vertex_count); returns (CK, apex)."""
@@ -243,7 +277,7 @@ def cone(K: SimplicialComplex) -> tuple[SimplicialComplex, int]:
     for f in K.faces():
         faces.append(f)
         faces.append(f | bit)
-    return SimplicialComplex.from_faces(faces, apex + 1), apex
+    return SimplicialComplex._from_closed(faces, apex + 1), apex
 
 
 # -- basic invariants ------------------------------------------------------
@@ -265,8 +299,19 @@ def is_full_subcomplex(K: SimplicialComplex, sub: SimplicialComplex) -> bool:
 
 def relabel(K: SimplicialComplex, mapping: Sequence[int] | dict[int, int],
             vertex_count: int) -> SimplicialComplex:
-    """Apply an injective vertex map to every face."""
-    bits = {v: 1 << mapping[v] for v in K.vertices()}
+    """Apply an injective vertex map to every face.  ValueError when the
+    map sends a vertex of K outside 0..vertex_count-1 or two vertices of K
+    to one: the image of a complex under an injective map into the
+    universe is a complex, so the faces are built unchecked."""
+    bits = {}
+    for v in K.vertices():
+        w = mapping[v]
+        if type(w) is not int or not 0 <= w < vertex_count:
+            raise ValueError(f"vertex {v} maps to {w!r}, outside universe "
+                             f"0..{vertex_count - 1}")
+        bits[v] = 1 << w
+    if len(set(bits.values())) < len(bits):
+        raise ValueError("vertex map is not injective on the vertices of K")
     faces = []
     for f in K.faces():
         img = 0
@@ -275,4 +320,4 @@ def relabel(K: SimplicialComplex, mapping: Sequence[int] | dict[int, int],
             img |= bits[b.bit_length() - 1]
             f ^= b
         faces.append(img)
-    return SimplicialComplex.from_faces(faces, vertex_count)
+    return SimplicialComplex._from_closed(faces, vertex_count)

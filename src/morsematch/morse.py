@@ -84,7 +84,8 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
     else:
         masks = [m for m in iter_matchings_of_cardinality(ls, None, acyclic) if m]
 
-    cx = SimplicialComplex.from_faces(masks, ls.H.edge_count)
+    # M and GM are hereditary and MP is a downward closure: closed as built
+    cx = SimplicialComplex._from_closed(masks, ls.H.edge_count)
     return MatchingComplex(ls.H, cx)
 
 

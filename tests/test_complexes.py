@@ -4,7 +4,8 @@ from morsematch import complexes
 from morsematch.complexes import (BudgetExceededError, SimplicialComplex,
                                   build_boundary, build_simplex, cone,
                                   euler_characteristic, f_vector, face_mask,
-                                  face_vertices, is_full_subcomplex, skeleton)
+                                  face_vertices, is_full_subcomplex, relabel,
+                                  skeleton)
 
 
 def test_build_simplex_counts():
@@ -118,3 +119,21 @@ def test_full_subcomplex_with_subcomplex():
     hollow = SimplicialComplex.from_faces(
         map(face_mask, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]), 3)
     assert not is_full_subcomplex(d2, hollow)  # misses the triangle
+
+
+def test_from_facets_checks_its_facets():
+    for bad in (0, -3, (0,)):  # -3 once sent the closure into an endless loop
+        with pytest.raises(ValueError):
+            SimplicialComplex.from_facets([bad])
+    with pytest.raises(ValueError, match="outside universe 0..2"):
+        SimplicialComplex.from_facets([face_mask((0, 3))], 3)
+
+
+def test_relabel_refuses_a_map_off_the_universe_or_not_injective():
+    K = build_boundary(2)
+    assert relabel(K, [2, 0, 1], 3) == K
+    for image in ([0, 1, 3], [0, -1, 2], [0, 1, 2.0]):
+        with pytest.raises(ValueError, match="outside universe 0..2"):
+            relabel(K, image, 3)
+    with pytest.raises(ValueError, match="not injective"):
+        relabel(K, [0, 1, 1], 3)

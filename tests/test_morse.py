@@ -1,14 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morsematch.complexes import (BudgetExceededError, SimplicialComplex,
-                                  build_boundary, build_simplex,
-                                  euler_characteristic,
-                                  f_vector, face_vertices, is_full_subcomplex,
+                                  build_boundary, build_simplex, cone,
+                                  euler_characteristic, f_vector, face_mask,
+                                  face_vertices, is_full_subcomplex,
                                   relabel, skeleton)
 from morsematch.hasse import build_hasse, is_matching
 from morsematch.layers import enumerate_optimal, matching_counts
-from morsematch.morse import (build_matching_complex, induced_inclusion,
-                              matching_complex_f_vector)
+from morsematch.morse import (VARIANTS, build_matching_complex,
+                              induced_inclusion, matching_complex_f_vector)
 
 from oracles import modified_digraph_acyclic
 from test_layers import CORPUS
@@ -181,3 +182,51 @@ def test_skeleton_edges_are_a_prefix():
         HL, HK = build_hasse(L), build_hasse(K)
         assert induced_inclusion(HL, HK) == list(range(HL.edge_count))
         assert HK.face_of_gid[:len(HL.face_of_gid)] == HL.face_of_gid
+
+
+def assert_closed(cx):
+    """The package builds its complexes without the closure check of
+    `from_faces`: the checked entry must accept every one of them and
+    rebuild it unchanged, index included."""
+    rebuilt = SimplicialComplex.from_faces(list(cx.faces()), cx.vertex_count)
+    assert rebuilt == cx and rebuilt.face_index == cx.face_index
+
+
+def assert_builders_closed(K, vertex_set):
+    assert_closed(K)
+    for k in range(K.dim):
+        assert_closed(skeleton(K, k))
+    assert_closed(cone(K)[0])
+    assert_closed(K.induced(vertex_set))
+    for variant in VARIANTS:
+        assert_closed(build_matching_complex(K, variant).complex)
+    L = skeleton(K, K.dim - 1) if K.dim > 0 else K
+    ML, MK = (build_matching_complex(X, "M") for X in (L, K))
+    assert_closed(relabel(ML.complex, induced_inclusion(ML.hasse, MK.hasse),
+                          MK.edge_count))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_standard_bases_and_their_complexes_are_closed(n):
+    for K in (build_simplex(n), build_boundary(n)):
+        assert_builders_closed(K, range(n))
+    assert_closed(build_simplex(n + 5))
+    assert_closed(build_boundary(n + 5))
+
+
+@st.composite
+def drawn_bases(draw):
+    """Up to five facets of one to three vertices on at most six vertices,
+    from `from_facets`, and a vertex subset for `induced`."""
+    n = draw(st.integers(1, 6))
+    facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                     unique=True).map(lambda f: face_mask(sorted(f)))
+    K = SimplicialComplex.from_facets(draw(st.lists(facet, min_size=1,
+                                                    max_size=5)), n)
+    return K, draw(st.sets(st.integers(0, n - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_bases())
+def test_drawn_bases_and_their_complexes_are_closed(drawn):
+    assert_builders_closed(*drawn)
