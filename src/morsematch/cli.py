@@ -12,6 +12,10 @@ error (also an unwritable --out path), 3 budget exceeded: the one refusal
 type, `complexes.BudgetExceededError` (base cap, width rule, projected face
 count above --budget), or a check that reported skipped-budget.
 `--allow-long` is accepted for compatibility and has no effect.
+
+The argument parser is built once per process (`_parser` is cached), so
+repeated `main` calls in one interpreter parse with the same object; `main`
+dispatches to `cmd_<command>` by name at call time.
 """
 
 from __future__ import annotations
@@ -203,7 +207,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parsing leaves
+    no state on it, so every `main` call reuses it."""
     p = argparse.ArgumentParser(
         prog="morsematch",
         description="complexes of discrete Morse matchings: enumeration, "
@@ -227,46 +234,42 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("build", help="construct a complex or matching complex")
     common(sp, variant_default=None)
-    sp.set_defaults(fn=cmd_build)
 
     sp = sub.add_parser("fvector", help="f-vector of a matching complex")
     common(sp)
-    sp.set_defaults(fn=cmd_fvector)
 
     sp = sub.add_parser("homology", help="integral homology (reduced)")
     common(sp, variant_default="M", variant_choices=("none", "M", "MP", "GM"))
     sp.add_argument("--relative", default=None,
                     help="subcomplex spec for relative homology")
     sp.add_argument("--unreduced", action="store_true")
-    sp.set_defaults(fn=cmd_homology)
 
     sp = sub.add_parser("count-optimal",
                         help="count maximum acyclic matchings")
     # only acyclic matchings, the faces of M, are counted
     common(sp, variant_choices=("M",))
-    sp.set_defaults(fn=cmd_count_optimal)
 
     sp = sub.add_parser("euler", help="Euler characteristic of a matching complex")
     common(sp)
-    sp.set_defaults(fn=cmd_euler)
 
     sp = sub.add_parser("verify", help="run named checks or all of them")
     sp.add_argument("check", choices=CHECK_NAMES + ["all"],
                     help="check name or 'all'")
     sp.add_argument("--max-n", type=int, default=3)
     shared(sp, 10 ** 7)
-    sp.set_defaults(fn=cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
+    # looked up per call, not pinned in the cached parser, so a command
+    # replaced on the module (a test's monkeypatch, a tracer) is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except BudgetExceededError as e:
         print(f"morsematch: {e}", file=sys.stderr)
         return EXIT_BUDGET

@@ -270,13 +270,18 @@ def _excise(L: SimplicialComplex, drop, augment: bool) -> set[int]:
     while True:
         kept = []
         for v in vertices:
-            # most vertices fail, and one face shows it
-            if any(f & v and f ^ v not in residual for f in residual):
-                kept.append(v)
-                continue
-            star = [f for f in residual if f & v]
-            residual.difference_update(star)
-            residual.difference_update([f ^ v for f in star])
+            # one scan collects the star and checks it; most vertices fail,
+            # and the first face missing its f ^ v stops the scan
+            star = []
+            for f in residual:
+                if f & v:
+                    if f ^ v not in residual:
+                        kept.append(v)
+                        break
+                    star.append(f)
+            else:
+                residual.difference_update(star)
+                residual.difference_update([f ^ v for f in star])
         if len(kept) == len(vertices):
             return set(residual)  # a fresh table sized to what is left
         vertices = kept

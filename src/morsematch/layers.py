@@ -39,9 +39,13 @@ On a full skeleton of a simplex (`_vertex_symmetry`), the vertex
 permutations act on every layer, and `suffix_tables` fills each layer
 d >= 1 over the orbits of its lower masks: it enumerates only the matchings
 whose lower faces are an orbit's least mask, one mask at a time, and copies
-the sum to the rest of the orbit.  The tables are those of the full
-enumeration (see `suffix_tables`), and counting keeps no layer list but
-layer 0's.  Walks and materialization still enumerate every layer matching.
+the sum to the rest of the orbit; the rest of the orbit also shares the
+representative's unpacked table row, one list per orbit.  The tables are
+those of the full enumeration (see `suffix_tables`), and counting keeps no
+layer list but layer 0's.  Walks and materialization still enumerate every
+layer matching.  The DFS set-up of a layer (`Layer.dfs`: edge positions,
+per-position conflict masks) is computed once per `Layer` and reused by
+every enumeration of it, whatever `acyclic` and the lower mask.
 
 There is one walk over the per-layer product,
 `iter_matchings_of_cardinality(ls, target, acyclic)`: with a target it
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterator
 
@@ -101,6 +106,40 @@ class Layer:
         """(lower, upper, edge_mask) of a packed layer matching."""
         return ((x >> self.lower_shift) & ((1 << len(self.lower_index)) - 1),
                 x >> self.upper_shift, x & ((1 << self.lower_shift) - 1))
+
+    @cached_property
+    def dfs(self) -> tuple[list[int], list[tuple[int, int, int, int]],
+                           list[int]]:
+        """The set-up of `_enumerate_layer`, computed once per layer:
+        `block`, each lower face's edge positions as a bitmask; `steps`,
+        per edge position (bits, keep, lo, up): the bits the pair sets in
+        a packed matching, the later positions compatible with it, and its
+        lower and upper face; and `facet_mask`, each upper face's facets
+        as a bitmask.  Only ints, lists and tuples, so caching it on the
+        layer makes no reference cycle."""
+        edges = self.edges_local
+        n = len(edges)
+        # block_end[i]: one past the last position of edge i's lower face
+        block_end = list(range(1, n + 1))
+        for i in range(n - 2, -1, -1):
+            if edges[i][1] == edges[i + 1][1]:
+                block_end[i] = block_end[i + 1]
+        at_upper: list[list[int]] = [[] for _ in self.upper_facets]
+        block = [0] * len(self.lower_index)
+        for i, (_, lo, up) in enumerate(edges):
+            at_upper[up].append(i)
+            block[lo] |= 1 << i
+        steps = []
+        for i, (e, lo, up) in enumerate(edges):
+            keep = (1 << n) - (1 << block_end[i])
+            for j in at_upper[up]:
+                if j >= block_end[i]:
+                    keep ^= 1 << j
+            bits = 1 << e | 1 << (self.lower_shift + lo) \
+                | 1 << (self.upper_shift + up)
+            steps.append((bits, keep, lo, up))
+        facet_mask = [sum(1 << s for s in f) for f in self.upper_facets]
+        return block, steps, facet_mask
 
 
 class LayerSystem:
@@ -169,6 +208,10 @@ def _enumerate_layer(layer: Layer, acyclic: bool,
     its own block and its upper face's later edges.  With `lower`, a node
     branches only on the block of the lowest face of `lower` still
     unmatched, and only a node that has matched all of `lower` is listed.
+    The positions, blocks and `keep` masks depend on the layer alone, not
+    on `acyclic` or `lower`: they are `Layer.dfs`, computed on the first
+    call and shared by every later one, such as the one call per orbit
+    representative of the symmetric fill in `suffix_tables`.
 
     With `acyclic`, `reach[s]` is the bitmask of lower faces reachable in
     the modified digraph from matched lower face s, up to its partner and
@@ -178,30 +221,8 @@ def _enumerate_layer(layer: Layer, acyclic: bool,
     """
     every = lower is None
     out = [] if lower else [0]
-    edges = layer.edges_local
     facets = layer.upper_facets
-    n = len(edges)
-    # block_end[i]: one past the last position of edge i's lower face
-    block_end = list(range(1, n + 1))
-    for i in range(n - 2, -1, -1):
-        if edges[i][1] == edges[i + 1][1]:
-            block_end[i] = block_end[i + 1]
-    at_upper: list[list[int]] = [[] for _ in facets]
-    block = [0] * len(layer.lower_index)  # lower local -> its positions
-    for i, (_, lo, up) in enumerate(edges):
-        at_upper[up].append(i)
-        block[lo] |= 1 << i
-    # per position: the bits the pair sets in a packed matching, the later
-    # positions compatible with it, and its lower and upper face
-    steps = []
-    for i, (e, lo, up) in enumerate(edges):
-        keep = (1 << n) - (1 << block_end[i])
-        for j in at_upper[up]:
-            if j >= block_end[i]:
-                keep ^= 1 << j
-        bits = 1 << e | 1 << (layer.lower_shift + lo) | 1 << (layer.upper_shift + up)
-        steps.append((bits, keep, lo, up))
-    facet_mask = [sum(1 << s for s in f) for f in facets]
+    block, steps, facet_mask = layer.dfs
 
     def rec(cand: int, x: int, reach: dict[int, int], todo: int) -> None:
         # todo: the faces of `lower` not yet matched (0 without `lower`)
@@ -242,7 +263,7 @@ def _enumerate_layer(layer: Layer, acyclic: bool,
                 rec(c, y, reach, todo)
 
     if lower != 0:
-        rec((1 << n) - 1, 0, {}, lower or 0)
+        rec((1 << len(steps)) - 1, 0, {}, lower or 0)
     # rec reaches itself through its closure; unbinding it breaks that
     # cycle, so the matchings are freed with their LayerSystem
     del rec
@@ -314,7 +335,8 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
     avoiding the lower faces in U (a bitmask over dimension d's tracked
     faces).  S[0] and S[D] have a single entry.  A vector has no trailing
     zeros, and is empty where no matching avoids U.  Computed once per
-    `acyclic` and memoized on `ls`; callers must not mutate the result.
+    `acyclic` and memoized on `ls`; callers must not mutate the result,
+    whose rows may be shared (see below).
 
     The transfer packs each vector into one int, slot k in bits
     [k*W, (k+1)*W) with W = edge_count + 1: a vector sum is one int add and
@@ -330,7 +352,9 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
     the base: S[D] = [[1]] is invariant, and a layer's matchings from L
     onto an upper set correspond one to one, pair count and acyclicity
     kept, to those from the image of L onto the image set, so by induction
-    every table is invariant and q[L] depends only on L's orbit.
+    every table is invariant and q[L] depends only on L's orbit.  So is
+    S[d][U]: only the least mask of each orbit gets its row unpacked, and
+    every other U holds that same list, `S[d][U] is S[d][rep[U]]`.
     """
     if acyclic in ls._suffix:
         return ls._suffix[acyclic]
@@ -351,6 +375,7 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
         # a packed matching sets three bits per pair: k bits lift by k // 3 slots
         lift = [k // 3 * W for k in range(3 * len(lay.edges_local) + 1)]
         q = [0] * size
+        rep = None
         if gens and d:
             rep = _orbit_reps(gens[d], w)
             for L in range(size):
@@ -370,15 +395,18 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
             for m in range(size):
                 if m & bit:
                     q[m] += q[m ^ bit]
-        full = size - 1
-        nxt = [q[full ^ u] for u in range(size)]
-        S[d] = []
-        for v in nxt:
+        # nxt[u] = q of the complement of u, which is q[size - 1 - u]
+        nxt = q[::-1]
+        S[d] = rows = []
+        for u, v in enumerate(nxt):
+            if rep is not None and rep[u] < u:
+                rows.append(rows[rep[u]])  # the representative's own list
+                continue
             vec = []
             while v:
                 vec.append(v & slot)
                 v >>= W
-            S[d].append(vec)
+            rows.append(vec)
     ls._suffix[acyclic] = S
     return S
 

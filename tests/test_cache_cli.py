@@ -112,6 +112,41 @@ def test_homology_relative_and_plain(capsys, tmp_path):
     assert nonzero == [{"betti": 1, "degree": 2, "torsion": []}]
 
 
+# -- one parser per process ----------------------------------------------
+
+def test_parser_is_built_once():
+    from morsematch import cli
+
+    assert cli._parser() is cli._parser()
+
+
+def test_reused_parser_keeps_no_flag_from_an_earlier_call(capsys, tmp_path):
+    # --unreduced is a store_true flag: a later call without it is reduced
+    argv = ["homology", "--complex", "boundary:2", "--variant", "none",
+            "--cache-dir", str(tmp_path)]
+    degrees = {}
+    for extra in (["--unreduced"], []):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        result = json.loads(out)["result"]
+        degrees[result["reduced"]] = [g["betti"] for g in result["degrees"]]
+    assert degrees == {False: [1, 1], True: [0, 1]}
+
+
+def test_commands_are_looked_up_at_call_time(capsys, tmp_path, monkeypatch):
+    # the cached parser pins no command: one replaced on the module after a
+    # first call is the one that runs
+    from morsematch import cli
+
+    argv = ["fvector", "--complex", "simplex:1", "--cache-dir", str(tmp_path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_fvector",
+                        lambda args: seen.append(args.complex) or 7)
+    assert run_cli(capsys, *argv) == (7, "", "")
+    assert seen == ["simplex:1"]
+
+
 def test_count_optimal_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "count-optimal", "--complex",
                            "skeleton:simplex:4:2", "--cache-dir", str(tmp_path))
@@ -197,6 +232,7 @@ def test_usage_errors(capsys, tmp_path):
                                  "--cache-dir", str(tmp_path))
         assert code == 2 and out == ""
         assert f"invalid choice: '{variant}'" in err
+    # the process's one parser, after all those usage errors, still parses
     code, out, _ = run_cli(capsys, "count-optimal", "--complex", "simplex:3",
                            "--variant", "M", "--cache-dir", str(tmp_path))
     assert code == 0

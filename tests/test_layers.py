@@ -345,6 +345,11 @@ def test_layer_matchings_are_freed_without_the_cycle_collector():
         K = build_simplex(3)
         matching_counts(K)
         assert gc.collect() == 0
+        # the 4-simplex takes the orbit fill, whose enumerations share the
+        # DFS set-up cached on each Layer
+        for mode in ("acyclic", "all"):
+            matching_counts(build_simplex(4), mode)
+            assert gc.collect() == 0
         ls = LayerSystem(K)
         assert sum(1 for _ in iter_matchings_of_cardinality(
             ls, None, True)) == 12821
@@ -431,6 +436,21 @@ def test_symmetric_tables_match_list_transfer():
             assert _vertex_symmetry(ls) is not None, name
             assert suffix_tables(ls, acyclic) \
                 == list_suffix_tables(LayerSystem(K), acyclic), name
+
+
+def test_symmetric_rows_are_shared_within_an_orbit():
+    # on a full skeleton each orbit's row is unpacked once: every mask
+    # holds its orbit representative's list, and the tables are unchanged
+    for K in (N4["simplex:4"], N4["boundary:4"]):
+        for acyclic in (True, False):
+            ls = LayerSystem(K)
+            S = suffix_tables(ls, acyclic)
+            gens = _vertex_symmetry(ls)
+            for d in range(1, ls.D):
+                rep = _orbit_reps(gens[d], ls.tracked[d])
+                assert all(S[d][u] is S[d][rep[u]] for u in range(len(rep)))
+                assert len({id(row) for row in S[d]}) == len(set(rep))
+            assert S == list_suffix_tables(ls, acyclic)
 
 
 def test_other_bases_take_the_full_fill():
