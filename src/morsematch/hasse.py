@@ -29,10 +29,11 @@ so it is a per-layer condition, and the layer enumerator decides it
 unmatched as one list per dimension: entry d lists the critical d-faces
 in canonical order, for d = 0 .. dim of the base.  It is the oracle, not
 the hot path: the verifiers that walk every maximum matching read the
-unmatched faces off one gid mask from per-byte cover tables
-(`verify._unmatched_gids`), which the tests check against it.  Like
-`is_matching`, it keeps its per-edge loop and builds no tables, since it
-also runs on diagrams of whole matching complexes.
+unmatched faces off the covered faces that each walked matching carries
+above its edges (`layers.iter_matchings_of_cardinality`), which the tests
+check against it.  Like `is_matching`, it keeps its per-edge loop and
+builds no tables, since it also runs on diagrams of whole matching
+complexes.
 Enumeration and counting live in `layers`.
 """
 

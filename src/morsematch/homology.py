@@ -251,8 +251,9 @@ def boundary_matrices(K: SimplicialComplex,
 
 
 def _chain_faces(L: SimplicialComplex, drop, augment: bool) -> set[int]:
-    """The faces of L outside `drop`, plus the empty face 0 when `augment`."""
-    faces = {f for f in L.face_index if f not in drop}
+    """The faces of L outside `drop` (a set or a `face_index` dict), plus
+    the empty face 0 when `augment`."""
+    faces = L.face_index.keys() - drop
     if augment:
         faces.add(0)
     return faces

@@ -20,14 +20,19 @@ complex, runs `check_width` first and only then builds the Hasse diagram,
 so a refused complex never gets one.  Vertices and top faces are never
 tracked, so every 1-dimensional complex is admitted.
 
-A layer matching is one int, `edge_mask | lower << E | upper << U`: the
-global Hasse-edge bitmask below E = edge_count (a layer's edges are a
-contiguous range of edge ids), then the local bitmasks over the layer's
-lower faces from bit E and over its upper faces from bit U = E + (number
-of lower faces).  Each pair sets one bit of each part, so its pair count
-is `x.bit_count() // 3`; `Layer.unpack` splits it into (lower, upper,
-edge_mask).  Ints are never tracked by the cycle collector, and one int
-takes about a third of the memory of a 3-tuple.  `_enumerate_layer` lists
+A layer matching is one int, `edge_mask | lower << E + o[p] | upper <<
+E + o[p+1]` for layer p, with o = `H.offsets`: the global Hasse-edge
+bitmask below E = edge_count (a layer's edges are a contiguous range of
+edge ids), then the local bitmasks over the layer's lower and upper faces
+at the global positions of their dimensions.  Layer p's upper faces and
+layer p+1's lower faces share dimension p+1, its local order and its
+position, and a matching covers each face at most once, so OR-ing a
+matching's layer parts gives, above bit E, exactly the faces it covers,
+dimension by dimension, each in local order (tracked faces first).  Each
+pair sets one bit of each part, so its pair count is `x.bit_count() //
+3`; `Layer.unpack` splits it into (lower, upper, edge_mask).  Ints are
+never tracked by the cycle collector, and one int takes about a third of
+the memory of a 3-tuple.  `_enumerate_layer` lists
 them by a DFS that carries a bitmask of the still-compatible later edges,
 and, for acyclic matchings, a closure of the lower faces each matched face
 reaches, so a pair closing a cycle is refused with a few ORs and no path
@@ -50,7 +55,8 @@ every enumeration of it, whatever `acyclic` and the lower mask.
 There is one walk over the per-layer product,
 `iter_matchings_of_cardinality(ls, target, acyclic)`: with a target it
 yields the matchings of that size, the system's suffix tables serving as
-exact lookahead, and with None every matching.  It reads one index, built
+exact lookahead, and with None every matching, each as the OR of its
+layer parts: edge mask and covered faces.  It reads one index, built
 by `_lower_index`: each layer's matchings keyed by tracked lower mask.  At
 each node it takes the submasks of the tracked faces the layer below left
 free, in increasing order, so the order is fixed (see its docstring).
@@ -174,7 +180,7 @@ class LayerSystem:
             upper_facets = [[lo_i[s] for s in H.facets_of[g]]
                             for g in order[p + 1]]
             self.layers.append(Layer(lo_i, edges_local, upper_facets,
-                                     E, E + len(lo_i)))
+                                     E + H.offsets[p], E + H.offsets[p + 1]))
         self._matchings: dict[tuple[int, bool], list[int]] = {}
         self._suffix: dict[bool, list[list[list[int]]]] = {}
 
@@ -360,8 +366,7 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
         return ls._suffix[acyclic]
     gens = _vertex_symmetry(ls)
     D = ls.D
-    E = ls.H.edge_count
-    W = E + 1
+    W = ls.H.edge_count + 1
     slot = (1 << W) - 1
     S: list = [None] * (D + 1)
     S[D] = [[1]]
@@ -371,7 +376,7 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
         size = 1 << w
         low, up_low = ls.tracked_mask[d], ls.tracked_mask[d + 1]
         lay = ls.layers[d]
-        up_shift = lay.upper_shift
+        lo_shift, up_shift = lay.lower_shift, lay.upper_shift
         # a packed matching sets three bits per pair: k bits lift by k // 3 slots
         lift = [k // 3 * W for k in range(3 * len(lay.edges_local) + 1)]
         q = [0] * size
@@ -388,7 +393,8 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
                 q[L] = acc
         else:
             for x in ls.matchings(d, acyclic):
-                q[x >> E & low] += nxt[x >> up_shift & up_low] << lift[x.bit_count()]
+                q[x >> lo_shift & low] += \
+                    nxt[x >> up_shift & up_low] << lift[x.bit_count()]
         # zeta transform: q[V] becomes the sum over all L subset of V
         for i in range(w):
             bit = 1 << i
@@ -420,21 +426,25 @@ def max_cardinality_info(vec: list[int]) -> tuple[int, int]:
 def _lower_index(ls: LayerSystem, acyclic: bool) -> list[dict[int, list[int]]]:
     """Each layer's packed matchings keyed by their tracked lower mask, each
     key's matchings in canonical DFS order."""
-    E = ls.H.edge_count
     index = []
     for d in range(ls.D):
         tracked = ls.tracked_mask[d]
+        shift = ls.layers[d].lower_shift
         idx: dict[int, list[int]] = {}
         for x in ls.matchings(d, acyclic):
-            idx.setdefault(x >> E & tracked, []).append(x)
+            idx.setdefault(x >> shift & tracked, []).append(x)
         index.append(idx)
     return index
 
 
 def iter_matchings_of_cardinality(ls: LayerSystem, target: int | None,
                                   acyclic: bool) -> Iterator[int]:
-    """Yield the edge mask of every matching with exactly `target` pairs,
-    or of every matching when `target` is None.
+    """Yield every matching with exactly `target` pairs, or every matching
+    when `target` is None, as the OR of its packed layer matchings: its
+    edge mask below bit E = edge_count, and above it the faces it covers,
+    at `E + H.offsets[d]` for dimension d in local order (see the module
+    docstring).  `y & ((1 << E) - 1)` is the edge mask, and the faces it
+    leaves critical are `full ^ (y >> E)`, full holding one bit per face.
 
     Layers are filled bottom up.  At layer d the tracked faces that the
     layer below left unmatched are free; their submasks are taken in
@@ -446,10 +456,9 @@ def iter_matchings_of_cardinality(ls: LayerSystem, target: int | None,
     D = ls.D
     index = _lower_index(ls, acyclic)
     S = suffix_tables(ls, acyclic) if target is not None else None
-    edges = (1 << ls.H.edge_count) - 1
 
     def rec(d: int, avoid: int, k_acc: int, acc: int) -> Iterator[int]:
-        # acc ORs whole packed matchings; only its edge part is yielded
+        # acc ORs the packed matchings of the layers below
         idx = index[d]
         up_shift = ls.layers[d].upper_shift
         free = ls.tracked_mask[d] & ~avoid
@@ -471,7 +480,7 @@ def iter_matchings_of_cardinality(ls: LayerSystem, target: int | None,
                     # complete the walk with exactly the pairs still to place
                     for x in group:
                         if target is None or x.bit_count() // 3 == rest:
-                            yield (acc | x) & edges
+                            yield acc | x
                 else:
                     for x in group:
                         upper = x >> up_shift

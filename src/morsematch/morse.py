@@ -73,16 +73,18 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
             f"projected face count {projected} exceeds cap {max_faces}; "
             "use the streamed counting interface instead")
 
+    edges = (1 << ls.H.edge_count) - 1  # the walk also yields covered faces
     if variant == "MP":
         closed: set[int] = set()
-        for mask in iter_matchings_of_cardinality(ls, best, acyclic=True):
-            sub = mask
+        for y in iter_matchings_of_cardinality(ls, best, acyclic=True):
+            sub = mask = y & edges
             while sub:
                 closed.add(sub)
                 sub = (sub - 1) & mask
         masks = closed
     else:
-        masks = [m for m in iter_matchings_of_cardinality(ls, None, acyclic) if m]
+        walk = iter_matchings_of_cardinality(ls, None, acyclic)
+        masks = [y & edges for y in walk if y]
 
     # M and GM are hereditary and MP is a downward closure: closed as built
     cx = SimplicialComplex._from_closed(masks, ls.H.edge_count)

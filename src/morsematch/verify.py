@@ -91,9 +91,10 @@ def _ensure(cond: bool, message: str, witness=None) -> None:
 
 
 def _edge_pairs(H: HasseDiagram, mask: int) -> list[list[list[int]]]:
-    """JSON-friendly rendering of a matching as face pairs."""
+    """JSON-friendly rendering of a matching as face pairs.  Bits past the
+    edges, such as the covered faces a walk yields, are ignored."""
     out = []
-    for e in face_vertices(mask):
+    for e in face_vertices(mask & ((1 << H.edge_count) - 1)):
         lo, up = H.edge_faces(e)
         out.append([face_vertices(lo), face_vertices(up)])
     return out
@@ -140,42 +141,6 @@ def _optimal_masks(ls: LayerSystem, budget: int) -> tuple[int, Iterator[int]]:
     return best, iter_matchings_of_cardinality(ls, best, acyclic=True)
 
 
-def _unmatched_gids(H: HasseDiagram) -> Callable[[int], int]:
-    """The map from a matching's edge mask to the gid mask of the faces it
-    leaves unmatched, for the matchings of one diagram.
-
-    Table c maps each byte value b to the OR of the cover masks
-    (1 << lower | 1 << upper) of the edges 8c + i with bit i of b set, so a
-    mask's covered faces take one lookup per byte.  Face-disjoint edges
-    cover two faces each, so a mask covering fewer than twice its edge
-    count (padding edges past the last cover none) is refused with
-    ValueError.  The tables hold 32 ints per edge of up to one bit per
-    face: small on the bases the walking verifiers read, far too large on
-    the diagram of a matching complex.  `hasse.critical_faces` is the
-    per-edge test oracle.
-    """
-    covers = [(1 << lo) | (1 << up) for lo, up in zip(H.lower, H.upper)]
-    covers += [0] * (-len(covers) % 8)
-    tables = []
-    for c in range(0, len(covers), 8):
-        table = [0]
-        for cover in covers[c:c + 8]:
-            table += [t | cover for t in table]
-        tables.append(table)
-    width = len(tables)
-    full = (1 << len(H.face_of_gid)) - 1
-
-    def unmatched(mask: int) -> int:
-        covered = 0
-        for table, byte in zip(tables, mask.to_bytes(width, "little")):
-            covered |= table[byte]
-        if covered.bit_count() != 2 * mask.bit_count():
-            raise ValueError("input is not a matching")
-        return full ^ covered
-
-    return unmatched
-
-
 def _acyclic_matching(ls: LayerSystem) -> Callable[[int], bool]:
     """The test of whether an edge mask is an acyclic matching of the
     diagram `ls.H`, by the per-layer rule of `layers`: the mask is a
@@ -202,29 +167,33 @@ def _restriction(n: int, k: int, budget: int,
                  ) -> tuple[HasseDiagram, int, int, Iterator[tuple[int, int, int]]]:
     """Restriction of the n-simplex's maximum matchings to its k-skeleton,
     k < n: the skeleton's diagram, the simplex's maximum count, the number
-    `need` of pairs a restriction drops, and a walk yielding (G, free,
-    fiber) per maximum matching G of the skeleton.  free is G's unmatched
-    gids; fiber counts the ways layers >= k place `need` pairs off G's
-    matched k-faces, read off the simplex's suffix table, which tracks
-    every k-face in gid order.  The simplex's LayerSystem comes first, so
-    the width rule refuses it before anything is built."""
+    `need` of pairs a restriction drops, and a walk yielding (y, free,
+    fiber) per maximum matching of the skeleton.  y is the matching as the
+    walk yields it, its edge mask with its covered faces above; free is
+    its unmatched gids, the complement of those faces, which on a full
+    skeleton are in gid order; fiber counts the ways layers >= k place
+    `need` pairs off its matched k-faces, read off the simplex's suffix
+    table, which tracks every k-face in gid order.  The simplex's
+    LayerSystem comes first, so the width rule refuses it before anything
+    is built."""
     K = build_simplex(n)
     S = suffix_tables(LayerSystem(K), acyclic=True)
     best_k, count_k = max_cardinality_info(S[0][0])
     ls_s = LayerSystem(skeleton(K, k))
     best_s, walk = _optimal_masks(ls_s, budget)
-    unmatched = _unmatched_gids(ls_s.H)
-    first = ls_s.H.offsets[k]
+    H = ls_s.H
+    E, full = H.edge_count, (1 << len(H.face_of_gid)) - 1
+    first = H.offsets[k]
     top = len(S[k]) - 1
     need = best_k - best_s
 
     def fibers() -> Iterator[tuple[int, int, int]]:
-        for G in walk:
-            free = unmatched(G)
+        for y in walk:
+            free = full ^ (y >> E)
             vec = S[k][top ^ (free >> first)]
-            yield G, free, vec[need] if need < len(vec) else 0
+            yield y, free, vec[need] if need < len(vec) else 0
 
-    return ls_s.H, count_k, need, fibers()
+    return H, count_k, need, fibers()
 
 
 def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
@@ -242,14 +211,16 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
         vertices = (1 << H.offsets[1]) - 1
         first_top = H.offsets[n - 1]
         count_b = 0
-        for G, free, fiber in fibers:
+        for y, free, fiber in fibers:
             count_b += 1
-            _ensure(free.bit_count() == 2 and (free & vertices).bit_count() == 1
-                    and (free >> first_top).bit_count() == 1,
+            if not (free.bit_count() == 2 and (free & vertices).bit_count() == 1
+                    and (free >> first_top).bit_count() == 1):
+                raise CheckFailure(
                     "boundary matching lacks the expected two critical faces",
-                    lambda: _edge_pairs(H, G))
-            _ensure(fiber == 1, f"a boundary matching has {fiber} extensions",
-                    lambda: _edge_pairs(H, G))
+                    _edge_pairs(H, y))
+            if fiber != 1:
+                raise CheckFailure(f"a boundary matching has {fiber} extensions",
+                                   _edge_pairs(H, y))
         _ensure(count_k == count_b, f"facet counts differ: {count_k} != {count_b}")
         return {"count": count_k}
 
@@ -313,7 +284,7 @@ def verify_spanning_tree(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRe
             raise CheckFailure("requires n >= 3")
         ls = LayerSystem(skeleton(build_simplex(n), n - 2))
         H = ls.H
-        unmatched = _unmatched_gids(H)
+        E, full = H.edge_count, (1 << len(H.face_of_gid)) - 1
         vertices = (1 << H.offsets[1]) - 1
         first_top = H.offsets[n - 2]
         # the critical (n-2)-face sets already found to be trees, each as
@@ -321,21 +292,25 @@ def verify_spanning_tree(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRe
         # (n-2)-face is the edge between the two facets containing it, one
         # to one, so distinct critical sets are distinct edge sets.  Each
         # set is tested at the first matching that leaves it, which is the
-        # witness if it fails, and only then decoded into faces.
+        # witness if it fails, and only then decoded into faces.  A walked
+        # matching carries the faces it covers above its edges, in gid
+        # order on a full skeleton, so its unmatched gids are one XOR.
         trees: set[int] = set()
         count = 0
-        for mask in _optimal_masks(ls, budget)[1]:
-            free = unmatched(mask)
+        for y in _optimal_masks(ls, budget)[1]:
+            free = full ^ (y >> E)
             top = free >> first_top
-            _ensure(top.bit_count() == n and (free & vertices).bit_count() == 1,
+            if top.bit_count() != n or (free & vertices).bit_count() != 1:
+                raise CheckFailure(
                     "unexpected critical face counts on the skeleton",
-                    lambda: _edge_pairs(H, mask))
+                    _edge_pairs(H, y))
             if top not in trees:
                 edges = [_facet_graph_edge(H.face_of_gid[first_top + i], n)
                          for i in face_vertices(top)]
-                _ensure(_is_spanning_tree(edges, n + 1),
+                if not _is_spanning_tree(edges, n + 1):
+                    raise CheckFailure(
                         "critical faces do not form a spanning tree",
-                        lambda: {"matching": _edge_pairs(H, mask), "edges": edges})
+                        {"matching": _edge_pairs(H, y), "edges": edges})
                 trees.add(top)
             count += 1
         return {"count": count, "distinct_trees": len(trees)}

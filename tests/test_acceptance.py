@@ -33,8 +33,9 @@ from oracles import dd_nonzero, modified_digraph_acyclic, snf_divisors_sympy
 def acyclic_matchings(ls) -> list[int]:
     """Non-empty acyclic matchings from the layer walk, in canonical edge
     order."""
-    masks = [m for m in iter_matchings_of_cardinality(ls, None,
-                                                      acyclic=True) if m]
+    edges = (1 << ls.H.edge_count) - 1
+    walk = iter_matchings_of_cardinality(ls, None, acyclic=True)
+    masks = [y & edges for y in walk if y]
     return sorted(masks, key=face_vertices)
 
 

@@ -8,13 +8,12 @@ from morsematch.complexes import (SimplicialComplex, build_boundary,
 from morsematch.hasse import build_hasse, critical_faces, is_matching
 from morsematch.homology import homology
 from morsematch.layers import (LayerSystem, enumerate_optimal,
-                               iter_matchings_of_cardinality,
                                max_cardinality_info, matching_counts,
                                suffix_tables)
 from morsematch.verify import _acyclic_matching
 
 from oracles import all_matchings, brute_force_counts, modified_digraph_acyclic
-from test_layers import CORPUS
+from test_layers import CORPUS, walk_masks
 
 TABLE1_M_D3 = [28, 300, 1544, 3932, 4632, 2128, 256]
 TABLE1_M_BD3 = [24, 216, 896, 1692, 1248, 256]
@@ -24,12 +23,12 @@ def optimal_walk(ls) -> list[int]:
     """Every maximum acyclic matching, walked on one layer system."""
     S = suffix_tables(ls, acyclic=True)
     best, _ = max_cardinality_info(S[0][0])
-    return list(iter_matchings_of_cardinality(ls, best, acyclic=True))
+    return walk_masks(ls, best, acyclic=True)
 
 
 def walked(ls, acyclic: bool) -> list[int]:
     """Non-empty matchings from the layer walk, in canonical edge order."""
-    masks = [m for m in iter_matchings_of_cardinality(ls, None, acyclic) if m]
+    masks = [m for m in walk_masks(ls, None, acyclic) if m]
     return sorted(masks, key=face_vertices)
 
 

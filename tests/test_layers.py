@@ -32,14 +32,21 @@ CORPUS = [build_simplex(1), build_simplex(2), build_simplex(3),
           skeleton(build_simplex(3), 1), cone(build_boundary(2))[0]]
 
 
+def walk_masks(ls, target, acyclic) -> list[int]:
+    """The edge masks of the matchings `iter_matchings_of_cardinality`
+    yields, in walk order: each yielded value less its covered faces."""
+    edges = (1 << ls.H.edge_count) - 1
+    return [y & edges
+            for y in iter_matchings_of_cardinality(ls, target, acyclic)]
+
+
 def test_counts_agree_with_flat_enumeration():
     for K in CORPUS:
         ls = LayerSystem(K)
         for mode in ("acyclic", "all"):
             flat = all_matchings(ls.H, mode)
             assert matching_counts(K, mode) == counts_by_cardinality(flat)
-            walked = list(iter_matchings_of_cardinality(ls, None,
-                                                        mode == "acyclic"))
+            walked = walk_masks(ls, None, mode == "acyclic")
             assert walked[0] == 0
             assert sorted(walked[1:]) == sorted(flat)
 
@@ -85,17 +92,17 @@ def test_guided_iteration_matches_flat_maxima():
         flat = [m for m in flat if bin(m).count("1") == top]
         S = suffix_tables(ls, True)
         best, count = max_cardinality_info(S[0][0])
-        guided = list(iter_matchings_of_cardinality(ls, best, True))
+        guided = walk_masks(ls, best, True)
         assert sorted(guided) == sorted(flat)
         assert len(guided) == count
         assert enumerate_optimal(K) == (top, len(flat))
         # deterministic order
-        assert guided == list(iter_matchings_of_cardinality(ls, best, True))
+        assert guided == walk_masks(ls, best, True)
 
 
 def test_iteration_of_non_maximal_cardinality():
     ls = LayerSystem(build_boundary(2))
-    singles = list(iter_matchings_of_cardinality(ls, 1, True))
+    singles = walk_masks(ls, 1, True)
     assert sorted(singles) == [1 << e for e in range(ls.H.edge_count)]
 
     for K in CORPUS:
@@ -105,11 +112,11 @@ def test_iteration_of_non_maximal_cardinality():
             flat = [0] + all_matchings(ls.H, mode)
             union = []
             for k in range(max(m.bit_count() for m in flat) + 1):
-                walked = list(iter_matchings_of_cardinality(ls, k, acyclic))
+                walked = walk_masks(ls, k, acyclic)
                 assert sorted(walked) \
                     == sorted(m for m in flat if m.bit_count() == k)
                 union += walked
-            everything = list(iter_matchings_of_cardinality(ls, None, acyclic))
+            everything = walk_masks(ls, None, acyclic)
             assert sorted(union) == sorted(everything)
 
 
@@ -123,7 +130,7 @@ def test_targeted_walks_read_the_tables_of_their_own_mode():
                 for acyclic in (True, False)}
         for k in range(max(m.bit_count() for m in flat[False]) + 1):
             for acyclic in (True, False):
-                walked = list(iter_matchings_of_cardinality(ls, k, acyclic))
+                walked = walk_masks(ls, k, acyclic)
                 assert sorted(walked) \
                     == sorted(m for m in flat[acyclic] if m.bit_count() == k)
         assert suffix_tables(ls, True) is suffix_tables(ls, True)
@@ -165,9 +172,9 @@ def test_empty_diagram():
     for base in (K, SimplicialComplex.void(3)):
         ls = LayerSystem(base)
         assert ls.D == 0
-        assert list(iter_matchings_of_cardinality(ls, None, True)) == [0]
-        assert list(iter_matchings_of_cardinality(ls, 0, True)) == [0]
-        assert list(iter_matchings_of_cardinality(ls, 1, True)) == []
+        assert walk_masks(ls, None, True) == [0]
+        assert walk_masks(ls, 0, True) == [0]
+        assert walk_masks(ls, 1, True) == []
 
 
 # -- the packed transfer against the list transfer ----------------------------
@@ -305,7 +312,7 @@ def test_layer_engine_on_drawn_complexes(K):
             == list_suffix_tables(ls, mode == "acyclic")
         flat = all_matchings(ls.H, mode)
         assert matching_counts(K, mode) == counts_by_cardinality(flat)
-        walked = iter_matchings_of_cardinality(ls, None, mode == "acyclic")
+        walked = walk_masks(ls, None, mode == "acyclic")
         assert sorted(m for m in walked if m) == sorted(flat)
 
 
@@ -376,17 +383,18 @@ def test_layer_matchings_are_untracked_by_the_cycle_collector():
 
 def test_packed_layer_matchings():
     # the edge part of a packed matching is its global edge mask: each
-    # layer's edges are one contiguous range of edge ids, below lower_shift
+    # layer's edges are one contiguous range of edge ids, below bit E.
+    # Its lower and upper parts sit at their dimensions' global positions
     for K in CORPUS + list(N4.values()):
         ls = LayerSystem(K)
         E = ls.H.edge_count
         first = 0
-        for layer in ls.layers:
+        for d, layer in enumerate(ls.layers):
             ids = [e for e, _, _ in layer.edges_local]
             assert ids == list(range(first, first + len(ids)))
             first += len(ids)
-            assert layer.lower_shift == E
-            assert layer.upper_shift == E + len(layer.lower_index)
+            assert layer.lower_shift == E + ls.H.offsets[d]
+            assert layer.upper_shift == E + ls.H.offsets[d + 1]
         assert first == E
         for d, layer in enumerate(ls.layers):
             for x in ls.matchings(d, False):

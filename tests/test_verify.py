@@ -5,11 +5,12 @@ from math import comb
 import pytest
 
 from morsematch import verify
-from morsematch.complexes import (build_boundary, build_simplex, cone,
+from morsematch.complexes import (SimplicialComplex, build_boundary,
+                                  build_simplex, cone, face_mask,
                                   face_vertices, relabel, skeleton)
 from morsematch.hasse import HasseDiagram, build_hasse, critical_faces
 from morsematch.homology import HomologyResult
-from morsematch.layers import LayerSystem
+from morsematch.layers import LayerSystem, iter_matchings_of_cardinality
 from morsematch.morse import MatchingComplex
 from morsematch.verify import (default_suite, verify_cone_contiguity,
                                verify_conjecture_evidence,
@@ -139,41 +140,65 @@ def test_spanning_tree_streams_its_matchings(monkeypatch):
     assert at_first_test == [1]
 
 
-def _decoded(H, free):
-    """An unmatched-gid mask as `critical_faces` lays it out."""
-    by_dim = [[] for _ in range(H.base.dim + 1)]
-    for g in face_vertices(free):
-        f = H.face_of_gid[g]
-        by_dim[f.bit_count() - 1].append(f)
+def _critical_decoded(H, y):
+    """The faces a walked matching y leaves critical, decoded from
+    `full ^ (y >> E)` by the documented local order (in each dimension
+    d >= 1, the faces with a coface first, then the rest, each in gid
+    order) and laid out as `critical_faces` lays them out."""
+    free = ((1 << len(H.face_of_gid)) - 1) ^ (y >> H.edge_count)
+    by_dim = []
+    for d in range(H.base.dim + 1):
+        gids = range(H.offsets[d], H.offsets[d + 1])
+        order = [g for g in gids if d and H.edges_up[g]] \
+            + [g for g in gids if not (d and H.edges_up[g])]
+        crit = sorted(g for i, g in enumerate(order)
+                      if free >> (H.offsets[d] + i) & 1)
+        by_dim.append([H.face_of_gid[g] for g in crit])
     return by_dim
 
 
-def test_unmatched_gids_agree_with_critical_faces():
+def test_walked_matchings_carry_their_critical_faces():
     # every maximum matching of the bases the walking verifiers read
     for B, count in [(build_boundary(3), 256),
                      (skeleton(build_simplex(3), 1), 64),
                      (build_boundary(4), 380125),
                      (skeleton(build_simplex(4), 2), 76025)]:
         ls = LayerSystem(B)
-        unmatched = verify._unmatched_gids(ls.H)
+        edges = (1 << ls.H.edge_count) - 1
         checked = 0
-        for mask in verify._optimal_masks(ls, verify.DEFAULT_BUDGET)[1]:
-            assert _decoded(ls.H, unmatched(mask)) == critical_faces(ls.H, mask)
+        for y in verify._optimal_masks(ls, verify.DEFAULT_BUDGET)[1]:
+            assert _critical_decoded(ls.H, y) == critical_faces(ls.H, y & edges)
             checked += 1
         assert checked == count
-    # every matching, acyclic or not, of the small corpus
-    for K in CORPUS:
-        H = build_hasse(K)
-        unmatched = verify._unmatched_gids(H)
-        for mask in [0] + all_matchings(H, "all"):
-            assert _decoded(H, unmatched(mask)) == critical_faces(H, mask)
+    # every matching, acyclic or not, of the small corpus and of a base
+    # whose dimension-1 faces are not in gid order locally
+    odd = SimplicialComplex.from_facets([face_mask((0, 1, 2)),
+                                         face_mask((0, 3))])
+    for K in CORPUS + [odd]:
+        ls = LayerSystem(K)
+        H = ls.H
+        edges = (1 << H.edge_count) - 1
+        for acyclic in (True, False):
+            walked = list(iter_matchings_of_cardinality(ls, None, acyclic))
+            for y in walked:
+                assert _critical_decoded(H, y) == critical_faces(H, y & edges)
+            flat = all_matchings(H, "acyclic" if acyclic else "all")
+            assert sorted(y & edges for y in walked) == sorted([0] + flat)
         # edges 0 and 1 leave the first vertex, or on simplex:1 meet at
         # its one edge: two edges on one face
         assert {H.lower[0], H.upper[0]} & {H.lower[1], H.upper[1]}
         with pytest.raises(ValueError):
-            unmatched(0b11)
-        with pytest.raises(ValueError):
             critical_faces(H, 0b11)
+    # on that base edge {0,3} has no coface: it comes after {1,2} locally,
+    # though before it in gid order, so the one pair ({1,2}, {0,1,2})
+    # covers local face 2 of dimension 1 where its gid is offsets[1] + 3
+    ls = LayerSystem(odd)
+    H, E = ls.H, ls.H.edge_count
+    e = H.edge(face_mask((1, 2)), face_mask((0, 1, 2)))
+    assert H.face_of_gid[H.offsets[1] + 3] == face_mask((1, 2))
+    [y] = [y for y in iter_matchings_of_cardinality(ls, 1, True)
+           if y & ((1 << E) - 1) == 1 << e]
+    assert y >> E == (1 << (H.offsets[1] + 2)) | (1 << H.offsets[2])
 
 
 def test_facet_graph_is_complete():
@@ -235,7 +260,9 @@ def test_restriction_fiber_of_star_matching():
     fiber = []
     S = suffix_tables(ls, acyclic=True)
     best, _ = max_cardinality_info(S[0][0])
-    for mask in iter_matchings_of_cardinality(ls, best, acyclic=True):
+    edges = (1 << HK.edge_count) - 1
+    for y in iter_matchings_of_cardinality(ls, best, acyclic=True):
+        mask = y & edges
         rho = 0
         for e in face_vertices(mask):
             se = k_to_sk.get(e)
@@ -400,18 +427,45 @@ def test_euler_obstruction_computes_without_data():
     assert r.details["reduced_euler_characteristic"] == 212456
 
 
+def _edges_only(monkeypatch):
+    """Make every walked maximum matching carry no covered face, so each
+    face of the base reads critical."""
+    optimal_masks = verify._optimal_masks
+
+    def edges_only(ls, budget):
+        best, walk = optimal_masks(ls, budget)
+        edges = (1 << ls.H.edge_count) - 1
+        return best, (y & edges for y in walk)
+
+    monkeypatch.setattr(verify, "_optimal_masks", edges_only)
+
+
 def test_failed_check_carries_its_witness(monkeypatch):
-    # every matching's unmatched-gid mask comes out empty, so no vertex
-    # and no edge of K4 is critical
-    import morsematch.verify as verify_mod
-    monkeypatch.setattr(verify_mod, "_unmatched_gids",
-                        lambda H: lambda mask: 0)
+    # every face reads critical, so K4 has four critical vertices and six
+    # critical edges
+    _edges_only(monkeypatch)
     r = verify_spanning_tree(3)
     assert r.status == "fail"
     assert r.details == {
         "message": "unexpected critical face counts on the skeleton"}
     # the witness is the failing matching as [lower, upper] face pairs
     assert len(r.witness) == 3  # a maximum matching on the skeleton K4
+    for lower, upper in r.witness:
+        assert len(upper) == len(lower) + 1 and set(lower) < set(upper)
+
+
+def test_bijection_check_carries_its_witness(monkeypatch):
+    # every face of the boundary reads critical, not one vertex and one
+    # facet; the witness is the first boundary matching walked
+    _edges_only(monkeypatch)
+    r = verify_top_facet_bijection(3)
+    assert r.status == "fail"
+    assert r.details == {
+        "message": "boundary matching lacks the expected two critical faces"}
+    ls = LayerSystem(build_boundary(3))
+    first = next(verify._optimal_masks(ls, verify.DEFAULT_BUDGET)[1])
+    assert r.witness == verify._edge_pairs(ls.H, first)
+    assert len(r.witness) == 6  # a maximum matching of the boundary
     for lower, upper in r.witness:
         assert len(upper) == len(lower) + 1 and set(lower) < set(upper)
 
