@@ -140,21 +140,26 @@ def test_spanning_tree_streams_its_matchings(monkeypatch):
     assert at_first_test == [1]
 
 
-def _critical_decoded(H, y):
-    """The faces a walked matching y leaves critical, decoded from
-    `full ^ (y >> E)` by the documented local order (in each dimension
-    d >= 1, the faces with a coface first, then the rest, each in gid
-    order) and laid out as `critical_faces` lays them out."""
-    free = ((1 << len(H.face_of_gid)) - 1) ^ (y >> H.edge_count)
-    by_dim = []
-    for d in range(H.base.dim + 1):
+def _critical_decoder(H):
+    """The map from a walked matching y to the faces it leaves critical,
+    decoded from `full ^ (y >> E)` by the documented local order (in each
+    dimension d >= 1, the faces with a coface first, then the rest, each
+    in gid order) and laid out as `critical_faces` lays them out."""
+    at = []  # the gid at each position above bit E
+    for d in range(len(H.offsets) - 1):
         gids = range(H.offsets[d], H.offsets[d + 1])
-        order = [g for g in gids if d and H.edges_up[g]] \
+        at += [g for g in gids if d and H.edges_up[g]] \
             + [g for g in gids if not (d and H.edges_up[g])]
-        crit = sorted(g for i, g in enumerate(order)
-                      if free >> (H.offsets[d] + i) & 1)
-        by_dim.append([H.face_of_gid[g] for g in crit])
-    return by_dim
+    full = (1 << len(at)) - 1
+
+    def decode(y):
+        by_dim = [[] for _ in range(H.base.dim + 1)]
+        for g in sorted(at[b] for b in face_vertices(full ^ (y >> H.edge_count))):
+            f = H.face_of_gid[g]
+            by_dim[f.bit_count() - 1].append(f)
+        return by_dim
+
+    return decode
 
 
 def test_walked_matchings_carry_their_critical_faces():
@@ -165,9 +170,10 @@ def test_walked_matchings_carry_their_critical_faces():
                      (skeleton(build_simplex(4), 2), 76025)]:
         ls = LayerSystem(B)
         edges = (1 << ls.H.edge_count) - 1
+        decode = _critical_decoder(ls.H)
         checked = 0
         for y in verify._optimal_masks(ls, verify.DEFAULT_BUDGET)[1]:
-            assert _critical_decoded(ls.H, y) == critical_faces(ls.H, y & edges)
+            assert decode(y) == critical_faces(ls.H, y & edges)
             checked += 1
         assert checked == count
     # every matching, acyclic or not, of the small corpus and of a base
@@ -178,10 +184,11 @@ def test_walked_matchings_carry_their_critical_faces():
         ls = LayerSystem(K)
         H = ls.H
         edges = (1 << H.edge_count) - 1
+        decode = _critical_decoder(H)
         for acyclic in (True, False):
             walked = list(iter_matchings_of_cardinality(ls, None, acyclic))
             for y in walked:
-                assert _critical_decoded(H, y) == critical_faces(H, y & edges)
+                assert decode(y) == critical_faces(H, y & edges)
             flat = all_matchings(H, "acyclic" if acyclic else "all")
             assert sorted(y & edges for y in walked) == sorted([0] + flat)
         # edges 0 and 1 leave the first vertex, or on simplex:1 meet at
