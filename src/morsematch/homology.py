@@ -247,7 +247,7 @@ def boundary_matrices(K: SimplicialComplex,
     """
     if K.is_void:
         raise ValueError("void complex has no chain complex")
-    return list(_boundaries(K, frozenset(), reduced))
+    return list(_boundaries(K, _chain_faces(K, frozenset(), reduced)))
 
 
 def _chain_faces(L: SimplicialComplex, drop, augment: bool) -> set[int]:
@@ -259,14 +259,13 @@ def _chain_faces(L: SimplicialComplex, drop, augment: bool) -> set[int]:
     return faces
 
 
-def _excise(L: SimplicialComplex, drop, augment: bool) -> set[int]:
-    """The faces of `_chain_faces(L, drop, augment)` left once complete
-    element matchings are excised: in rounds, each vertex v in ascending
-    order whose star in the residual R is a cone on v (f ^ v in R for
-    every f in R holding v) takes its star and those faces out of R, until
-    a round excises nothing (see the module docstring).  A vertex that
-    passes has an empty star from then on, so later rounds skip it."""
-    residual = _chain_faces(L, drop, augment)
+def _excise(L: SimplicialComplex, residual: set[int]) -> set[int]:
+    """The chain faces `residual` (a `_chain_faces` set of L, excised in
+    place) left once complete element matchings are excised: in rounds,
+    each vertex v in ascending order whose star in the residual R is a cone
+    on v (f ^ v in R for every f in R holding v) takes its star and those
+    faces out of R, until a round excises nothing (see the module
+    docstring).  A vertex that passes has an empty star from then on."""
     vertices = L.faces_by_dim[0]
     while True:
         kept = []
@@ -288,29 +287,27 @@ def _excise(L: SimplicialComplex, drop, augment: bool) -> set[int]:
         vertices = kept
 
 
-def _boundaries(L: SimplicialComplex, drop, augment: bool,
-                keep: set[int] | None = None) -> Iterator[SparseIntMatrix]:
-    """Boundary matrices of the chain complex on `_chain_faces(L, drop,
-    augment)`, or on `keep` when it is given (a residual of `_excise`), in
-    canonical order, one degree at a time.
+def _boundaries(L: SimplicialComplex,
+                faces: set[int]) -> Iterator[SparseIntMatrix]:
+    """Boundary matrices of the chain complex on the faces `faces` of L (a
+    `_chain_faces` set or a residual of `_excise`), in canonical order, one
+    degree at a time.
 
-    Facets that fall in `drop` have no row, so with drop = the faces of a
-    subcomplex this is the quotient complex of the pair.  dd = 0 holds by
+    Facets outside `faces` have no row, so with the faces of a subcomplex
+    left out this is the quotient complex of the pair.  dd = 0 holds by
     construction: L is closed under taking faces, so both paths from a face
     down to each of its codimension-2 faces exist, with opposite signs; and
     when the faces left out form a subcomplex (`relative_homology` checks
-    it for `drop`, and every excision step keeps it so), a path through a
-    face left out ends at a face left out, which has no row.  The tests
-    multiply the matrices out (`dd_nonzero` in `tests/oracles.py`).
+    it for the dropped one, and every excision step keeps it so), a path
+    through a face left out ends at a face left out, which has no row.
+    The tests multiply the matrices out (`dd_nonzero` in `tests/oracles.py`).
 
     No matrix is kept here once yielded.  The augmentation is the boundary
     down to the empty face, mask 0.
     """
-    if keep is None:
-        keep = _chain_faces(L, drop, augment)
-    lower = [0] if 0 in keep else []
-    for faces in L.faces_by_dim:
-        basis = [f for f in faces if f in keep]
+    lower = [0] if 0 in faces else []
+    for by_dim in L.faces_by_dim:
+        basis = [f for f in by_dim if f in faces]
         yield _boundary(lower, basis)
         lower = basis
 
@@ -390,7 +387,7 @@ def homology(K: SimplicialComplex, reduced: bool = True) -> HomologyResult:
     unreduced groups are the reduced ones plus one Z in degree 0."""
     if K.is_void:
         return HomologyResult([], reduced, void=True)
-    h = _excised_homology(K, frozenset(), True, reduced)
+    h = _excised_homology(K, _chain_faces(K, frozenset(), True), reduced)
     if not reduced:
         betti, torsion = h.groups[0]
         h.groups[0] = (betti + 1, torsion)
@@ -410,11 +407,9 @@ def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
         return homology(L, reduced)
     if not L.contains_complex(K):
         raise ValueError("K is not a subcomplex of L")
-    return _excised_homology(L, K.face_index, False, reduced)
+    return _excised_homology(L, _chain_faces(L, K.face_index, False), reduced)
 
 
-def _excised_homology(L: SimplicialComplex, drop, augment: bool,
+def _excised_homology(L: SimplicialComplex, faces: set[int],
                       reduced: bool) -> HomologyResult:
-    residual = _excise(L, drop, augment)
-    return _homology_from_chain(_boundaries(L, drop, augment, residual),
-                                reduced)
+    return _homology_from_chain(_boundaries(L, _excise(L, faces)), reduced)

@@ -15,10 +15,12 @@ Only a face that is an upper face of layer d-1 and a lower face of layer d
 (dimension >= 1, at least one coface) can be claimed from both sides, so
 only those faces are tracked by the subset tables.  A dimension with more
 than WIDTH_LIMIT tracked faces is refused with BudgetExceededError by
-`check_width`, which reads the faces alone.  `LayerSystem` takes the
-complex, runs `check_width` first and only then builds the Hasse diagram,
-so a refused complex never gets one.  Vertices and top faces are never
-tracked, so every 1-dimensional complex is admitted.
+`check_width`, which reads the faces alone and otherwise returns each
+dimension's tracked faces.  `LayerSystem` takes the complex, runs
+`check_width` first and only then builds the Hasse diagram, so a refused
+complex never gets one; the returned sets order its local indices.
+Vertices and top faces are never tracked, so every 1-dimensional complex
+is admitted.
 
 A layer matching is one int, `edge_mask | lower << E + o[p] | upper <<
 E + o[p+1]` for layer p, with o = `H.offsets`: the global Hasse-edge
@@ -77,10 +79,12 @@ from .hasse import build_hasse
 WIDTH_LIMIT = 18  # largest subset table: 2^WIDTH_LIMIT entries
 
 
-def check_width(K: SimplicialComplex) -> None:
-    """Raise BudgetExceededError for the lowest dimension of K with more
-    than WIDTH_LIMIT tracked faces: faces of dimension d >= 1 that some
-    (d+1)-face contains."""
+def check_width(K: SimplicialComplex) -> list[set[int]]:
+    """The tracked faces of each dimension d of K, 0 <= d <= max(dim, 0):
+    the faces of dimension d >= 1 that some (d+1)-face contains, so none
+    of dimension 0 or of the top dimension.  Raises BudgetExceededError
+    for the lowest dimension with more than WIDTH_LIMIT of them."""
+    out = [set()]
     for d in range(1, K.dim):
         tracked = set()
         for f in K.faces_by_dim[d + 1]:
@@ -94,6 +98,10 @@ def check_width(K: SimplicialComplex) -> None:
                 f"dimension {d} has {len(tracked)} tracked faces; its "
                 f"subset table would need 2^{len(tracked)} entries "
                 f"(limit 2^{WIDTH_LIMIT})")
+        out.append(tracked)
+    if K.dim >= 1:
+        out.append(set())
+    return out
 
 
 @dataclass
@@ -159,16 +167,14 @@ class LayerSystem:
     """
 
     def __init__(self, K: SimplicialComplex):
-        check_width(K)
+        tracked = check_width(K)
         self.H = H = build_hasse(K)
         self.D = max(K.dim, 0)  # number of layers, 0 for a void base
-        order: list[list[int]] = []
-        self.tracked: list[int] = []
-        for d in range(self.D + 1):
-            gids = range(H.offsets[d], H.offsets[d + 1])
-            shared = [g for g in gids if d and H.edges_up[g]]
-            order.append(shared + [g for g in gids if not (d and H.edges_up[g])])
-            self.tracked.append(len(shared))
+        # each dimension's gids, tracked first, each part in gid order
+        order = [sorted(range(H.offsets[d], H.offsets[d + 1]),
+                        key=lambda g: H.face_of_gid[g] not in tracked[d])
+                 for d in range(self.D + 1)]
+        self.tracked = [len(t) for t in tracked]
         self.tracked_mask = [(1 << t) - 1 for t in self.tracked]
         index = [{g: i for i, g in enumerate(gids)} for gids in order]
         E = H.edge_count

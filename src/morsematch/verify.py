@@ -645,6 +645,44 @@ def verify_conjecture_evidence(variant: str, n: int,
 
 # -- suite assembly ------------------------------------------------------------
 
+def _plan(max_n: int, named: bool) -> list[tuple[str, Callable, list[tuple]]]:
+    """Every check of the suite, in declaration order, with the argument
+    tuples of its instances for n up to max_n.  Fixed instances past n = 2
+    run when max_n >= 3, euler-n4's when max_n >= 4, and all of them at
+    any max_n when the check is `named`."""
+    fixed = max_n >= 3 or named
+    once = [()] if fixed else []
+    pairs = [("simplex:1", "simplex:0"), ("simplex:2", "simplex:1")]
+    inclusions = [("boundary:2", "simplex:2"), ("simplex:2", "simplex:2")]
+    if fixed:
+        pairs.append(("simplex:3", "simplex:2"))
+        inclusions += [("boundary:3", "simplex:3"), ("simplex:2", "simplex:3")]
+
+    def upto(lo: int, hi: int = max_n) -> list[tuple]:
+        return [(n,) for n in range(lo, min(max_n, hi) + 1)]
+
+    return [
+        ("reference-tables", verify_reference_tables, once),
+        ("top-facet-bijection", verify_top_facet_bijection, upto(2)),
+        ("layer-counts", verify_layer_counts, upto(2)),
+        ("spanning-tree", verify_spanning_tree, upto(3)),
+        ("restriction-fibers", verify_restriction_fibers, upto(3)),
+        ("cone-contiguity", verify_cone_contiguity,
+         [(spec, 0) for spec in ("simplex:1", "boundary:2", "simplex:2")]),
+        ("pair-splitting", verify_pair_splitting, [(pairs,)]),
+        ("les-example", verify_les_example, once),
+        ("inclusion-full", verify_inclusion_full, inclusions),
+        ("gm-structure", verify_gm_structure, upto(2, 3)),
+        ("conjecture-pure", verify_conjecture_evidence,
+         [("MP", *a) for a in upto(2, 3)]),
+        ("conjecture-gm", verify_conjecture_evidence,
+         [("GM", *a) for a in upto(2, 3)]),
+        # the recount takes no budget
+        ("euler-n4", lambda budget: verify_euler_obstruction_n4(),
+         [()] if max_n >= 4 or named else []),
+    ]
+
+
 def default_suite(max_n: int = 3, budget: int = DEFAULT_BUDGET,
                   only: Optional[str] = None) -> list[VerificationReport]:
     """Run the named check (or all of them) for every instance with n up to
@@ -658,61 +696,13 @@ def default_suite(max_n: int = 3, budget: int = DEFAULT_BUDGET,
     global _memo
     if only is not None and only not in CHECK_NAMES:
         raise ValueError(f"unknown check name {only!r}")
-    explicit = only is not None
-    reports: list[VerificationReport] = []
-
-    def want(name: str) -> bool:
-        return only is None or only == name
-
     _memo = {}
     try:
-        if want("reference-tables") and (max_n >= 3 or explicit):
-            reports.append(verify_reference_tables(budget))
-        if want("top-facet-bijection"):
-            for n in range(2, max_n + 1):
-                reports.append(verify_top_facet_bijection(n, budget))
-        if want("layer-counts"):
-            for n in range(2, max_n + 1):
-                reports.append(verify_layer_counts(n, budget))
-        if want("spanning-tree"):
-            for n in range(3, max_n + 1):
-                reports.append(verify_spanning_tree(n, budget))
-        if want("restriction-fibers"):
-            for n in range(3, max_n + 1):
-                reports.append(verify_restriction_fibers(n, budget))
-        if want("cone-contiguity"):
-            for spec in ("simplex:1", "boundary:2", "simplex:2"):
-                reports.append(verify_cone_contiguity(spec, 0, budget))
-        if want("pair-splitting"):
-            pairs = [("simplex:1", "simplex:0"), ("simplex:2", "simplex:1")]
-            if max_n >= 3 or explicit:
-                pairs.append(("simplex:3", "simplex:2"))
-            reports.append(verify_pair_splitting(pairs, budget))
-        if want("les-example") and (max_n >= 3 or explicit):
-            reports.append(verify_les_example(budget))
-        if want("inclusion-full"):
-            instances = [("boundary:2", "simplex:2"), ("simplex:2", "simplex:2")]
-            if max_n >= 3 or explicit:
-                instances += [("boundary:3", "simplex:3"), ("simplex:2", "simplex:3")]
-            for k_spec, l_spec in instances:
-                reports.append(verify_inclusion_full(k_spec, l_spec, budget))
-        if want("gm-structure"):
-            for n in range(2, min(max_n, 3) + 1):
-                reports.append(verify_gm_structure(n, budget))
-        if want("conjecture-pure"):
-            for n in range(2, min(max_n, 3) + 1):
-                reports.append(verify_conjecture_evidence("MP", n, budget))
-        if want("conjecture-gm"):
-            for n in range(2, min(max_n, 3) + 1):
-                reports.append(verify_conjecture_evidence("GM", n, budget))
-        if want("euler-n4") and (max_n >= 4 or explicit):
-            reports.append(verify_euler_obstruction_n4())
-        return reports
+        return [fn(*args, budget=budget)
+                for name, fn, instances in _plan(max_n, only is not None)
+                if only in (None, name) for args in instances]
     finally:
         _memo = None
 
 
-CHECK_NAMES = ["reference-tables", "top-facet-bijection", "layer-counts",
-               "spanning-tree", "restriction-fibers", "cone-contiguity",
-               "pair-splitting", "les-example", "inclusion-full",
-               "gm-structure", "conjecture-pure", "conjecture-gm", "euler-n4"]
+CHECK_NAMES = [name for name, _, _ in _plan(0, True)]

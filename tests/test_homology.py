@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, cone, euler_characteristic,
                                   face_mask, relabel, skeleton)
-from morsematch.homology import (SparseIntMatrix, _boundaries, _excise,
-                                 _homology_from_chain, boundary_matrices,
+from morsematch.homology import (SparseIntMatrix, _boundaries, _chain_faces,
+                                 _excise, _homology_from_chain,
+                                 boundary_matrices,
                                  divisor_chain, homology, relative_homology,
                                  smith_normal_form)
 from morsematch.morse import build_matching_complex, induced_inclusion
@@ -49,12 +50,12 @@ def test_dd_oracle_finds_non_subcomplex_quotient():
     # dropping an edge but not the triangle on it is no subcomplex: the
     # triangle's boundary keeps e12 - e02, whose boundary is v0 - v1, so
     # the product is nonzero on vertex 0
-    mats = list(_boundaries(build_simplex(2), {face_mask((0, 1))}, False))
+    K = build_simplex(2)
+    mats = list(_boundaries(K, _chain_faces(K, {face_mask((0, 1))}, False)))
     assert dd_nonzero(mats) == (2, 0, 0)
     # dropping the triangle too leaves a quotient with dd = 0
-    assert dd_nonzero(list(_boundaries(
-        build_simplex(2), {face_mask((0, 1)), face_mask((0, 1, 2))},
-        False))) is None
+    assert dd_nonzero(list(_boundaries(K, _chain_faces(
+        K, {face_mask((0, 1)), face_mask((0, 1, 2))}, False)))) is None
 
 
 def test_boundary_of_vertices_is_zero_unreduced():
@@ -81,8 +82,8 @@ def test_dd_zero_on_the_n3_matching_complexes(m_d3, m_bd3, mp_d3, mp_bd3,
     # and the quotient of the pair (M(simplex:3), M(boundary:3))
     emb = relabel(m_bd3.complex, induced_inclusion(m_bd3.hasse, m_d3.hasse),
                   28)
-    assert dd_nonzero(list(_boundaries(m_d3.complex, emb.face_index,
-                                       False))) is None
+    assert dd_nonzero(list(_boundaries(m_d3.complex, _chain_faces(
+        m_d3.complex, emb.face_index, False)))) is None
 
 
 def test_snf_basic():
@@ -372,7 +373,8 @@ def test_cleared_relative_homology_matches_uncleared(m_d3, m_bd3, reduced):
                   28)
     rel = relative_homology(m_d3.complex, emb, reduced)
     assert rel.nonzero() == {4: (96, ())}
-    mats = list(_boundaries(m_d3.complex, emb.face_index, False))
+    mats = list(_boundaries(m_d3.complex,
+                            _chain_faces(m_d3.complex, emb.face_index, False)))
     assert rel.groups == _groups(mats, smith_normal_form)
 
 
@@ -390,8 +392,8 @@ def test_clearing_leaves_rank_plus_betti_rows(m_d3, monkeypatch):
         return result
 
     monkeypatch.setattr(module, "smith_normal_form", spy)
-    full = _homology_from_chain(_boundaries(m_d3.complex, frozenset(), True),
-                                True)
+    full = _homology_from_chain(_boundaries(
+        m_d3.complex, _chain_faces(m_d3.complex, frozenset(), True)), True)
     assert [skipped for _, skipped, _ in seen] == \
         [0, 1, 27, 273, 1271, 2661, 1872]
     assert seen[4] == (3932, 1271, 2661)
@@ -477,7 +479,8 @@ def test_excised_homology_matches_the_full_chain(pair):
             boundary_matrices(L, reduced), smith_normal_form)
         if not K.is_void:
             assert relative_homology(L, K, reduced).groups == _groups(
-                list(_boundaries(L, K.face_index, False)), smith_normal_form)
+                list(_boundaries(L, _chain_faces(L, K.face_index, False))),
+                smith_normal_form)
 
 
 def test_excision_keeps_the_class_of_two_points():
@@ -485,20 +488,22 @@ def test_excision_keeps_the_class_of_two_points():
     # cannot follow (its face {1} would need the empty face), so one vertex
     # is left, carrying H~_0 = Z; excising it as well would erase the class
     two_points = SimplicialComplex.from_faces(map(face_mask, [(0,), (1,)]))
-    assert _excise(two_points, frozenset(), True) == {face_mask((1,))}
+    assert _excise(two_points, _chain_faces(two_points, frozenset(), True)) \
+        == {face_mask((1,))}
     assert homology(two_points).nonzero() == {0: (1, ())}
     # unreduced, no vertex passes the rule, and the point class is added
-    assert _excise(two_points, frozenset(), False) == \
-        {face_mask((0,)), face_mask((1,))}
+    assert _excise(two_points, _chain_faces(two_points, frozenset(), False)) \
+        == {face_mask((0,)), face_mask((1,))}
     assert homology(two_points, reduced=False).nonzero() == {0: (2, ())}
 
 
 def test_excision_residual_sizes(m_d3):
     assert m_d3.complex.total_faces() == 12820
-    assert len(_excise(m_d3.complex, frozenset(), True)) == 1719
+    assert len(_excise(m_d3.complex,
+                       _chain_faces(m_d3.complex, frozenset(), True))) == 1719
     # M(K_7): the residual is exactly the 6^6 spheres of its homology, all
     # of dimension 5, so every boundary matrix of the residual is zero
     k7 = build_matching_complex(build_from_spec("skeleton:simplex:6:1"), "M")
-    residual = _excise(k7.complex, frozenset(), True)
+    residual = _excise(k7.complex, _chain_faces(k7.complex, frozenset(), True))
     assert len(residual) == 46656
     assert {f.bit_count() - 1 for f in residual} == {5}

@@ -1,3 +1,4 @@
+import inspect
 import time
 from collections import Counter
 from math import comb
@@ -557,6 +558,109 @@ def test_default_suite_all_pass():
 def test_default_suite_unknown_name():
     with pytest.raises(ValueError):
         default_suite(only="no-such-check")
+
+
+# The calls of `default_suite`, frozen.  A call is written as the verifier
+# without its `verify_` prefix, with its arguments but not its budget.
+# Per check, in declaration order, the calls of a run of that check alone
+# at max_n 5 and at max_n 0; then the calls of full runs.
+_PAIRS_3 = ("[('simplex:1', 'simplex:0'), ('simplex:2', 'simplex:1'), "
+            "('simplex:3', 'simplex:2')]")
+_CONES = [f"cone_contiguity('{s}', 0)"
+          for s in ("simplex:1", "boundary:2", "simplex:2")]
+_INCLUSIONS = ["inclusion_full('boundary:2', 'simplex:2')",
+               "inclusion_full('simplex:2', 'simplex:2')",
+               "inclusion_full('boundary:3', 'simplex:3')",
+               "inclusion_full('simplex:2', 'simplex:3')"]
+_BY_NAME_5 = {
+    "reference-tables": ["reference_tables()"],
+    "top-facet-bijection": [f"top_facet_bijection({n})" for n in (2, 3, 4, 5)],
+    "layer-counts": [f"layer_counts({n})" for n in (2, 3, 4, 5)],
+    "spanning-tree": [f"spanning_tree({n})" for n in (3, 4, 5)],
+    "restriction-fibers": [f"restriction_fibers({n})" for n in (3, 4, 5)],
+    "cone-contiguity": _CONES,
+    "pair-splitting": [f"pair_splitting({_PAIRS_3})"],
+    "les-example": ["les_example()"],
+    "inclusion-full": _INCLUSIONS,
+    "gm-structure": ["gm_structure(2)", "gm_structure(3)"],
+    "conjecture-pure": ["conjecture_evidence('MP', 2)",
+                        "conjecture_evidence('MP', 3)"],
+    "conjecture-gm": ["conjecture_evidence('GM', 2)",
+                      "conjecture_evidence('GM', 3)"],
+    "euler-n4": ["euler_obstruction_n4(None)"],
+}
+_BY_NAME_0 = {name: [] for name in _BY_NAME_5} | {
+    "reference-tables": ["reference_tables()"],
+    "cone-contiguity": _CONES,
+    "pair-splitting": [f"pair_splitting({_PAIRS_3})"],
+    "les-example": ["les_example()"],
+    "inclusion-full": _INCLUSIONS,
+    "euler-n4": ["euler_obstruction_n4(None)"],
+}
+# a full run at max_n <= 1: no instance indexed by n, no fixed one past n = 2
+_SMALL = _CONES + [
+    "pair_splitting([('simplex:1', 'simplex:0'), ('simplex:2', 'simplex:1')])",
+    *_INCLUSIONS[:2]]
+_SUITE_2 = ["top_facet_bijection(2)", "layer_counts(2)", *_SMALL,
+            "gm_structure(2)", "conjecture_evidence('MP', 2)",
+            "conjecture_evidence('GM', 2)"]
+_SUITE_3 = ["reference_tables()", "top_facet_bijection(2)",
+            "top_facet_bijection(3)", "layer_counts(2)", "layer_counts(3)",
+            "spanning_tree(3)", "restriction_fibers(3)", *_CONES,
+            f"pair_splitting({_PAIRS_3})", "les_example()", *_INCLUSIONS,
+            "gm_structure(2)", "gm_structure(3)",
+            "conjecture_evidence('MP', 2)", "conjecture_evidence('MP', 3)",
+            "conjecture_evidence('GM', 2)", "conjecture_evidence('GM', 3)"]
+_SUITE_4 = ["reference_tables()",
+            *(f"top_facet_bijection({n})" for n in (2, 3, 4)),
+            *(f"layer_counts({n})" for n in (2, 3, 4)),
+            "spanning_tree(3)", "spanning_tree(4)",
+            "restriction_fibers(3)", "restriction_fibers(4)",
+            *_SUITE_3[7:], "euler_obstruction_n4(None)"]
+
+
+def _record_calls(monkeypatch) -> list:
+    """Replace every verifier by one that records its call and passes."""
+    calls = []
+    for attr in dir(verify):
+        if not attr.startswith("verify_"):
+            continue
+        original = getattr(verify, attr)
+        sig = inspect.signature(original)
+
+        def fake(*args, _name=attr[len("verify_"):], _sig=sig, **kwargs):
+            bound = _sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            budget = bound.arguments.pop("budget", None)
+            shown = ", ".join(map(repr, bound.arguments.values()))
+            calls.append((f"{_name}({shown})", budget))
+            return verify.VerificationReport(_name, {}, "pass")
+
+        monkeypatch.setattr(verify, attr, fake)
+    return calls
+
+
+@pytest.mark.parametrize("max_n, only, want", [
+    (-1, None, _SMALL), (0, None, _SMALL), (2, None, _SUITE_2),
+    (3, None, _SUITE_3), (4, None, _SUITE_4),
+    (5, None, [c for calls in _BY_NAME_5.values() for c in calls]),
+    *((0, name, calls) for name, calls in _BY_NAME_0.items()),
+    *((5, name, calls) for name, calls in _BY_NAME_5.items())])
+def test_default_suite_calls_the_frozen_plan(max_n, only, want, monkeypatch):
+    calls = _record_calls(monkeypatch)
+    reports = default_suite(max_n, budget=7, only=only)
+    assert [c for c, _ in calls] == want
+    assert len(reports) == len(want) and all(r.passed for r in reports)
+    # every verifier with a budget gets the suite's; euler-n4 has none
+    assert all(b == (None if c.startswith("euler") else 7) for c, b in calls)
+
+
+def test_verify_choices_are_the_check_names():
+    from morsematch import cli
+    assert verify.CHECK_NAMES == list(_BY_NAME_5)
+    [sub] = [a for a in cli._parser()._actions if a.dest == "command"]
+    [check] = [a for a in sub.choices["verify"]._actions if a.dest == "check"]
+    assert list(check.choices) == verify.CHECK_NAMES + ["all"]
 
 
 def _faces(K) -> tuple:
