@@ -17,10 +17,14 @@ complex of matchings of a complex without cover pairs.
 `SimplicialComplex.from_faces` is the entry for face sets from outside the
 package: it checks that every face is a positive bitmask inside the vertex
 universe and that the set is downward closed.  The package's own builders
-(the standard families, `skeleton`, `cone`, `relabel`, `induced`, the
-facet closure and `morse.build_matching_complex`) produce sets that are
-closed by construction, so they call the unchecked `_from_closed`; the
-tests hold every one of them to the checked entry.
+produce sets that are closed by construction, so they skip those checks.
+The standard families, `skeleton`, `cone`, `induced`, the facet closure,
+`relabel` under a map that is not increasing and the MP variant of
+`morse.build_matching_complex` call `_from_closed`, which sorts.
+`relabel` under an increasing map and the M and GM variants produce each
+dimension's faces already in canonical order and call `_from_sorted`,
+which only indexes them.  The tests hold every builder to the checked
+entry.
 
 The standard builders and the facet closure refuse a base complex of more
 than MAX_BASE_FACES faces with BudgetExceededError, the package's one
@@ -164,11 +168,22 @@ class SimplicialComplex:
             grouped.setdefault(f.bit_count(), []).append(f)
         nbytes = max((vertex_count + 7) // 8, 1)
         faces_by_dim = [grouped.get(k, []) for k in range(1, max(grouped, default=0) + 1)]
-        index: dict[Face, int] = {}
         for lst in faces_by_dim:
             lst.sort(key=lambda f: f.to_bytes(nbytes, "little").translate(_REVERSE),
                      reverse=True)
-            index.update(zip(lst, range(len(lst))))
+        return cls._from_sorted(faces_by_dim, vertex_count)
+
+    @classmethod
+    def _from_sorted(cls, faces_by_dim: list[list[Face]], vertex_count: int,
+                     ) -> "SimplicialComplex":
+        """Build from the face lists of a complex, entry d listing the
+        d-faces in canonical order, none of which is checked: index them.
+        The dimensions share one list of positions, so a position is one
+        int object however many dimensions hold it."""
+        positions = list(range(max(map(len, faces_by_dim), default=0)))
+        index: dict[Face, int] = {}
+        for lst in faces_by_dim:
+            index.update(zip(lst, positions))
         return cls(vertex_count, faces_by_dim, index)
 
     @classmethod
@@ -302,7 +317,12 @@ def relabel(K: SimplicialComplex, mapping: Sequence[int] | dict[int, int],
     """Apply an injective vertex map to every face.  ValueError when the
     map sends a vertex of K outside 0..vertex_count-1 or two vertices of K
     to one: the image of a complex under an injective map into the
-    universe is a complex, so the faces are built unchecked."""
+    universe is a complex, so the faces are built unchecked.
+
+    A map increasing on the vertices of K, such as every induced inclusion
+    the package builds, keeps the order of ascending vertex lists, so each
+    dimension's image is already in canonical order and is only indexed;
+    any other map's image is sorted."""
     bits = {}
     for v in K.vertices():
         w = mapping[v]
@@ -310,14 +330,21 @@ def relabel(K: SimplicialComplex, mapping: Sequence[int] | dict[int, int],
             raise ValueError(f"vertex {v} maps to {w!r}, outside universe "
                              f"0..{vertex_count - 1}")
         bits[v] = 1 << w
-    if len(set(bits.values())) < len(bits):
+    images = list(bits.values())  # in vertex order
+    if len(set(images)) < len(images):
         raise ValueError("vertex map is not injective on the vertices of K")
-    faces = []
-    for f in K.faces():
-        img = 0
-        while f:
-            b = f & -f
-            img |= bits[b.bit_length() - 1]
-            f ^= b
-        faces.append(img)
-    return SimplicialComplex._from_closed(faces, vertex_count)
+    faces_by_dim = []
+    for lst in K.faces_by_dim:
+        out = []
+        for f in lst:
+            img = 0
+            while f:
+                b = f & -f
+                img |= bits[b.bit_length() - 1]
+                f ^= b
+            out.append(img)
+        faces_by_dim.append(out)
+    if all(a < b for a, b in zip(images, images[1:])):
+        return SimplicialComplex._from_sorted(faces_by_dim, vertex_count)
+    return SimplicialComplex._from_closed(
+        [f for lst in faces_by_dim for f in lst], vertex_count)

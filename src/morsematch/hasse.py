@@ -30,11 +30,13 @@ unmatched as one list per dimension: entry d lists the critical d-faces
 in canonical order, for d = 0 .. dim of the base.  It is the oracle, not
 the hot path: the verifiers that walk every maximum matching read the
 unmatched faces off the covered faces that each walked matching carries
-above its edges (`layers.iter_matchings_of_cardinality`), which the tests
-check against it.  Like `is_matching`, it keeps its per-edge loop and
-builds no tables, since it also runs on diagrams of whole matching
-complexes.
-Enumeration and counting live in `layers`.
+above its edges (`layers.iter_matchings_of_cardinality`, the walk over
+the matchings of one size), which the tests check against it, on every
+matching of a small corpus too, walked one size at a time.  Like
+`is_matching`, it keeps its per-edge loop and builds no tables, since it
+also runs on diagrams of whole matching complexes.
+Enumeration, counting and the canonical order of the matching complexes'
+faces (`layers.matching_faces`) live in `layers`.
 """
 
 from __future__ import annotations

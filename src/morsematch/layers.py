@@ -49,20 +49,26 @@ whose lower faces are an orbit's least mask, one mask at a time, and copies
 the sum to the rest of the orbit; the rest of the orbit also shares the
 representative's unpacked table row, one list per orbit.  The tables are
 those of the full enumeration (see `suffix_tables`), and counting keeps no
-layer list but layer 0's.  Walks and materialization still enumerate every
-layer matching.  The DFS set-up of a layer (`Layer.dfs`: edge positions,
-per-position conflict masks) is computed once per `Layer` and reused by
-every enumeration of it, whatever `acyclic` and the lower mask.
+layer list but layer 0's.  The DFS set-up of a layer (`Layer.dfs`: edge
+positions, per-position conflict masks) is computed once per `Layer` and
+reused by every enumeration of it, whatever `acyclic` and the lower mask.
 
-There is one walk over the per-layer product,
-`iter_matchings_of_cardinality(ls, target, acyclic)`: with a target it
-yields the matchings of that size, the system's suffix tables serving as
-exact lookahead, and with None every matching, each as the OR of its
-layer parts: edge mask and covered faces.  It reads one index, built
-by `_lower_index`: each layer's matchings keyed by tracked lower mask.  At
-each node it takes the submasks of the tracked faces the layer below left
-free, in increasing order, so the order is fixed (see its docstring).
-`profile_counts(ls, target, acyclic)` tallies that walk.
+A layer's matchings come out in the canonical order of their edge masks,
+the empty matching last (see `_enumerate_layer`), and every edge of layer
+d follows every edge of layer d-1.  So the per-layer product, built
+layer by layer, is in canonical order too: `matching_faces(ls, acyclic)`
+lists every matching by size in that order, the faces of M and GM with
+no sort.  It is the one full enumeration of matchings.
+
+There is one walk over the product,
+`iter_matchings_of_cardinality(ls, target, acyclic)`: it yields the
+matchings of `target` pairs, the system's suffix tables serving as exact
+lookahead, each as the OR of its layer parts: edge mask and covered
+faces.  At each node it takes the submasks of the tracked faces the
+layer below left free, in increasing order, so the order is fixed (see
+its docstring), and it lists a submask's group of layer matchings,
+`_enumerate_layer(layer, acyclic, submask)`, only when it first reaches
+it.  `profile_counts(ls, target, acyclic)` tallies that walk.
 """
 
 from __future__ import annotations
@@ -191,7 +197,8 @@ class LayerSystem:
         self._suffix: dict[bool, list[list[list[int]]]] = {}
 
     def matchings(self, d: int, acyclic: bool) -> list[int]:
-        """All matchings within one layer, packed, empty matching first."""
+        """All matchings within one layer, packed, in canonical order: the
+        empty matching last (see `_enumerate_layer`)."""
         key = (d, acyclic)
         if key not in self._matchings:
             self._matchings[key] = _enumerate_layer(self.layers[d], acyclic)
@@ -206,10 +213,18 @@ class LayerSystem:
 
 def _enumerate_layer(layer: Layer, acyclic: bool,
                      lower: int | None = None) -> list[int]:
-    """Every matching of the layer, packed (see the module docstring), by
-    DFS over its edges in canonical order; the empty matching 0 first.
-    With `lower`, a mask over the layer's lower faces, only the matchings
-    whose lower faces are exactly `lower`.
+    """Every matching of the layer, packed (see the module docstring), in
+    the canonical order of its edge mask, so the empty matching 0 comes
+    last.  With `lower`, a mask over the layer's lower faces, only the
+    matchings whose lower faces are exactly `lower`, in the same order.
+
+    Canonical order puts mask a before mask b when the lowest bit of a ^ b
+    is in a (see `complexes`).  The DFS takes edge positions, which are in
+    edge id order, lowest first, and lists a matching after its subtree:
+    its extensions hold it and higher bits, so they precede it, and the
+    subtree of a lower position precedes that of a higher one.  With
+    `lower` every listed matching has |lower| pairs and none extends
+    another, so only the leaves are listed, in the same order.
 
     A node holds `cand`, the bitmask of later edge positions still
     compatible with its pairs; it takes them lowest first, and a child
@@ -232,7 +247,7 @@ def _enumerate_layer(layer: Layer, acyclic: bool,
     `reach[lo]` set and OR-ed into every entry that reached lo.
     """
     every = lower is None
-    out = [] if lower else [0]
+    out: list[int] = []
     facets = layer.upper_facets
     block, steps, facet_mask = layer.dfs
 
@@ -256,26 +271,27 @@ def _enumerate_layer(layer: Layer, acyclic: bool,
                 if r & lb:
                     continue
             y = x | bits
-            if every:
-                out.append(y)
-            elif not todo:
+            if not (every or todo):
                 out.append(y)
                 continue
             c = cand & keep
-            if not c:
-                continue
-            if acyclic:
-                child = reach.copy()
-                for s, m in reach.items():
-                    if m & lb:
-                        child[s] = m | r
-                child[lo] = r
-                rec(c, y, child, todo)
-            else:
-                rec(c, y, reach, todo)
+            if c:
+                if acyclic:
+                    child = reach.copy()
+                    for s, m in reach.items():
+                        if m & lb:
+                            child[s] = m | r
+                    child[lo] = r
+                    rec(c, y, child, todo)
+                else:
+                    rec(c, y, reach, todo)
+            if every:
+                out.append(y)  # after its extensions, which precede it
 
     if lower != 0:
         rec((1 << len(steps)) - 1, 0, {}, lower or 0)
+    if not lower:
+        out.append(0)
     # rec reaches itself through its closure; unbinding it breaks that
     # cycle, so the matchings are freed with their LayerSystem
     del rec
@@ -429,76 +445,131 @@ def max_cardinality_info(vec: list[int]) -> tuple[int, int]:
     return len(vec) - 1, vec[-1]
 
 
-def _lower_index(ls: LayerSystem, acyclic: bool) -> list[dict[int, list[int]]]:
-    """Each layer's packed matchings keyed by their tracked lower mask, each
-    key's matchings in canonical DFS order."""
-    index = []
-    for d in range(ls.D):
-        tracked = ls.tracked_mask[d]
-        shift = ls.layers[d].lower_shift
-        idx: dict[int, list[int]] = {}
-        for x in ls.matchings(d, acyclic):
-            idx.setdefault(x >> shift & tracked, []).append(x)
-        index.append(idx)
-    return index
+def _fitting(fits: dict[int, list[int]], blocked: int, shift: int,
+             ) -> list[int]:
+    """The matchings of fits[0] whose lower faces (at bit `shift` of a
+    packed matching) avoid the mask `blocked`, in the order of fits[0].
+    Each is filtered from the list of `blocked` less its highest face,
+    and every list on the way is kept in `fits`."""
+    xs = fits[0]
+    sub, rest = 0, blocked
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        sub |= low
+        nxt = fits.get(sub)
+        if nxt is None:
+            bit = low << shift
+            nxt = fits[sub] = [x for x in xs if not x & bit]
+        xs = nxt
+    return xs
 
 
-def iter_matchings_of_cardinality(ls: LayerSystem, target: int | None,
+def matching_faces(ls: LayerSystem, acyclic: bool) -> list[list[int]]:
+    """The edge masks of every non-empty matching, entry k - 1 listing
+    those of k pairs in canonical order: the `faces_by_dim` of the complex
+    of matchings, with no sort.
+
+    Each layer's list is in canonical order (`LayerSystem.matchings`), and
+    every edge of layer d follows every edge of layer d-1.  So the
+    product, built layer by layer with each prefix extended by the layer-d
+    matchings that avoid its covered faces, in their list order, is in
+    canonical order too, and so is each of its groups by pair count.  The
+    matchings that fit a prefix depend only on its tracked faces of
+    dimension d, and are memoized on them (`_fitting`); on the last layer
+    they are kept as edge masks grouped by pair count.
+    """
+    edges = (1 << ls.H.edge_count) - 1
+    faces: list[list[int]] = [[]]  # by pair count; 0 pairs is not a face
+    prefixes = [0]  # packed matchings of the layers below, canonical order
+    for d, lay in enumerate(ls.layers):
+        shift, tracked = lay.lower_shift, ls.tracked_mask[d]
+        fits = {0: ls.matchings(d, acyclic)}
+        if d < ls.D - 1:
+            out: list[int] = []
+            for p in prefixes:
+                xs = _fitting(fits, p >> shift & tracked, shift)
+                out.extend([p | x for x in xs] if p else xs)
+            prefixes = out
+            continue
+        sized: dict[int, list[list[int]]] = {}
+        for p in prefixes:
+            blocked = p >> shift & tracked
+            groups = sized.get(blocked)
+            if groups is None:
+                groups = sized[blocked] = []
+                for x in _fitting(fits, blocked, shift):
+                    k = x.bit_count() // 3
+                    while len(groups) <= k:
+                        groups.append([])
+                    groups[k].append(x & edges)
+            e, k = p & edges, p.bit_count() // 3
+            while len(faces) < k + len(groups):
+                faces.append([])
+            for j, xs in enumerate(groups, k):
+                faces[j].extend([e | x for x in xs] if e else xs)
+    return faces[1:]
+
+
+def iter_matchings_of_cardinality(ls: LayerSystem, target: int,
                                   acyclic: bool) -> Iterator[int]:
-    """Yield every matching with exactly `target` pairs, or every matching
-    when `target` is None, as the OR of its packed layer matchings: its
-    edge mask below bit E = edge_count, and above it the faces it covers,
-    at `E + H.offsets[d]` for dimension d in local order (see the module
-    docstring).  `y & ((1 << E) - 1)` is the edge mask, and the faces it
-    leaves critical are `full ^ (y >> E)`, full holding one bit per face.
+    """Yield every matching with exactly `target` pairs as the OR of its
+    packed layer matchings: its edge mask below bit E = edge_count, and
+    above it the faces it covers, at `E + H.offsets[d]` for dimension d in
+    local order (see the module docstring).  `y & ((1 << E) - 1)` is the
+    edge mask, and the faces it leaves critical are `full ^ (y >> E)`,
+    full holding one bit per face.
 
-    Layers are filled bottom up.  At layer d the tracked faces that the
-    layer below left unmatched are free; their submasks are taken in
-    increasing order, and each submask's layer matchings (those whose lower
-    faces are exactly that submask) in canonical DFS order.  So the empty
-    matching comes first.  With a target, the suffix tables prune every
-    branch that cannot complete.
+    Layers are filled bottom up, the suffix tables pruning every branch
+    that cannot complete.  At layer d the tracked faces that the layer
+    below left unmatched are free; their submasks are taken in increasing
+    order, and each submask's layer matchings (those whose lower faces are
+    exactly that submask) in canonical order.  Layer 0 has no tracked
+    faces, so its one group is its whole list.  A group of layer d >= 1 is
+    listed by `_enumerate_layer(layer, acyclic, submask)` when the walk
+    first reaches it with a submask whose size the pairs still to place
+    allow, and kept for the rest of the walk.
     """
     D = ls.D
-    index = _lower_index(ls, acyclic)
-    S = suffix_tables(ls, acyclic) if target is not None else None
+    S = suffix_tables(ls, acyclic)
+    # groups[d][submask]: the layer-d matchings with exactly those lower faces
+    groups: list[dict[int, list[int]]] = [{} for _ in range(D)]
+    if D:
+        groups[0][0] = ls.matchings(0, acyclic)
 
     def rec(d: int, avoid: int, k_acc: int, acc: int) -> Iterator[int]:
         # acc ORs the packed matchings of the layers below
-        idx = index[d]
-        up_shift = ls.layers[d].upper_shift
+        memo, layer = groups[d], ls.layers[d]
+        up_shift = layer.upper_shift
         free = ls.tracked_mask[d] & ~avoid
         top = d == D - 1
-        if target is not None:
-            rest = target - k_acc  # pairs still to place
-            nxt = S[d + 1]
-            up_low = ls.tracked_mask[d + 1]
-            # above layer 0 every lower face is tracked, so a group's
-            # matchings have as many pairs as its key has bits, and the
-            # layers above add at most len(nxt[0]) - 1
-            fewest = rest - len(nxt[0]) + 1 if d else 0
+        rest = target - k_acc  # pairs still to place
+        nxt = S[d + 1]
+        up_low = ls.tracked_mask[d + 1]
+        # above layer 0 every lower face is tracked, so a group's
+        # matchings have as many pairs as its submask has bits, and the
+        # layers above add at most len(nxt[0]) - 1
+        fewest = rest - len(nxt[0]) + 1 if d else 0
         sub = 0
         while True:
-            group = idx.get(sub)
-            if group and (target is None or sub.bit_count() >= fewest):
+            if fewest <= sub.bit_count() <= rest:
+                group = memo.get(sub)
+                if group is None:
+                    group = memo[sub] = _enumerate_layer(layer, acyclic, sub)
                 if top:
                     # nothing lies above the top layer, so its matchings
                     # complete the walk with exactly the pairs still to place
                     for x in group:
-                        if target is None or x.bit_count() // 3 == rest:
+                        if x.bit_count() // 3 == rest:
                             yield acc | x
                 else:
                     for x in group:
                         upper = x >> up_shift
-                        if target is not None:
-                            size = x.bit_count() // 3
-                            need = rest - size
-                            vec = nxt[upper & up_low]
-                            if not (0 <= need < len(vec) and vec[need]):
-                                continue
+                        size = x.bit_count() // 3
+                        need = rest - size
+                        vec = nxt[upper & up_low]
+                        if 0 <= need < len(vec) and vec[need]:
                             yield from rec(d + 1, upper, k_acc + size, acc | x)
-                        else:
-                            yield from rec(d + 1, upper, 0, acc | x)
             sub = (sub - free) & free
             if not sub:
                 break
@@ -506,11 +577,11 @@ def iter_matchings_of_cardinality(ls: LayerSystem, target: int | None,
     try:
         if D:
             yield from rec(0, 0, 0, 0)
-        elif not target:
+        elif target == 0:
             yield 0  # no layers: the empty matching is the only one
     finally:
         # break rec's self-reference, also when the walk is abandoned, so
-        # the index is freed without the cycle collector
+        # the groups are freed without the cycle collector
         del rec
 
 

@@ -11,9 +11,11 @@ variants are built:
 All three are built from one layer system (see `layers`): its suffix
 tables give a projected face count first (exact for M and GM, an upper
 bound for MP), so a complex over the cap is refused, with the package's one
-refusal type `BudgetExceededError`, before anything is walked; M and GM
-then walk every per-layer product, and MP closes the
-maximum matchings downward.  Every base goes this one way: a void or
+refusal type `BudgetExceededError`, before anything is walked.  M and GM
+then take their faces from the per-layer product (`layers.matching_faces`),
+which lists them by size in canonical order, so they are indexed with no
+sort; MP walks the maximum matchings and closes them downward, and its
+faces are sorted.  Every base goes this one way: a void or
 0-dimensional base has a Hasse diagram without edges, and its matching
 complex is void.
 
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 from .complexes import BudgetExceededError, SimplicialComplex, f_vector
 from .hasse import HasseDiagram
 from .layers import (LayerSystem, iter_matchings_of_cardinality,
-                     matching_counts, max_cardinality_info, suffix_tables)
+                     matching_counts, matching_faces, max_cardinality_info,
+                     suffix_tables)
 
 VARIANTS = ("M", "MP", "GM")
 
@@ -73,22 +76,22 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
             f"projected face count {projected} exceeds cap {max_faces}; "
             "use the streamed counting interface instead")
 
-    edges = (1 << ls.H.edge_count) - 1  # the walk also yields covered faces
-    if variant == "MP":
-        closed: set[int] = set()
-        for y in iter_matchings_of_cardinality(ls, best, acyclic=True):
-            sub = mask = y & edges
-            while sub:
-                closed.add(sub)
-                sub = (sub - 1) & mask
-        masks = closed
-    else:
-        walk = iter_matchings_of_cardinality(ls, None, acyclic)
-        masks = [y & edges for y in walk if y]
-
-    # M and GM are hereditary and MP is a downward closure: closed as built
-    cx = SimplicialComplex._from_closed(masks, ls.H.edge_count)
-    return MatchingComplex(ls.H, cx)
+    H, E = ls.H, ls.H.edge_count
+    if variant != "MP":
+        # M and GM are hereditary: every matching is a face, and the
+        # product lists them by size in canonical order
+        faces = matching_faces(ls, acyclic)
+        del ls, S  # free the layer lists and tables before the index
+        return MatchingComplex(H, SimplicialComplex._from_sorted(faces, E))
+    edges = (1 << E) - 1  # the walk also yields covered faces
+    closed: set[int] = set()
+    for y in iter_matchings_of_cardinality(ls, best, acyclic=True):
+        sub = mask = y & edges
+        while sub:
+            closed.add(sub)
+            sub = (sub - 1) & mask
+    # a downward closure: closed as built
+    return MatchingComplex(H, SimplicialComplex._from_closed(closed, E))
 
 
 def matching_complex_f_vector(K: SimplicialComplex, variant: str,

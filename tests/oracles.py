@@ -6,8 +6,9 @@ Smith normal forms come from sympy, and dd = 0 is checked by multiplying
 the boundary matrices out.  These are the slow-but-obvious
 routes the fast implementations are checked against.  The one exception is
 the list-based layer transfer at the end, which reads the package's layer
-tables and checks only the packed coefficient arithmetic, and the
-path-search layer enumerator, which reads the package's `Layer` records.
+tables and checks only the packed coefficient arithmetic, the
+path-search layer enumerator, which reads the package's `Layer` records,
+and the eager walk, which reads the package's layer lists.
 """
 
 from __future__ import annotations
@@ -202,8 +203,9 @@ def _closes_cycle(facets, matched: dict[int, int], up: int, lo: int) -> bool:
 def layer_matchings_reference(layer, acyclic: bool) -> list[tuple[int, int, int]]:
     """(lower, upper, edge_mask) of every matching of a `Layer`, by DFS over
     its edges in canonical order, testing each later edge for a shared face
-    and, with `acyclic`, for a closed cycle; the empty matching first."""
-    out = [(0, 0, 0)]
+    and, with `acyclic`, for a closed cycle.  Each matching is listed after
+    the matchings that extend it, so the empty matching comes last."""
+    out = []
     edges = layer.edges_local
     matched: dict[int, int] = {}  # lower local -> upper local
 
@@ -215,10 +217,68 @@ def layer_matchings_reference(layer, acyclic: bool) -> list[tuple[int, int, int]
             if acyclic and _closes_cycle(layer.upper_facets, matched, up, lo):
                 continue
             nm = (lmask | (1 << lo), umask | (1 << up), emask | (1 << e))
-            out.append(nm)
             matched[lo] = up
             rec(i + 1, *nm)
             del matched[lo]
+            out.append(nm)
 
     rec(0, 0, 0, 0)
+    out.append((0, 0, 0))
+    return out
+
+
+# -- orders and walks over the package's layer lists ---------------------------
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def by_size_in_canonical_order(masks) -> list[list[int]]:
+    """Non-empty masks grouped by bit count, entry k - 1 holding those of
+    k bits in lex order of their ascending bit lists."""
+    groups: dict[int, list[int]] = {}
+    for m in masks:
+        groups.setdefault(m.bit_count(), []).append(m)
+    return [sorted(groups.get(k, []), key=_bits)
+            for k in range(1, max(groups, default=0) + 1)]
+
+
+def eager_walk(ls, target: int, acyclic: bool, S) -> list[int]:
+    """The packed matchings of `target` pairs in the order of the layer
+    walk, read from an index built first over every layer's whole list:
+    layers bottom up, at each layer the groups whose tracked lower mask
+    avoids the faces the layer below covered, by increasing mask, each
+    group in list order.  Above layer 0 a group's matchings have one pair
+    per face of its mask, so a mask of more faces than pairs left is
+    skipped; a branch is entered only when the suffix tables `S` leave it
+    a completion of the right size."""
+    index = []
+    for d, lay in enumerate(ls.layers):
+        groups: dict[int, list[int]] = {}
+        for x in ls.matchings(d, acyclic):
+            key = x >> lay.lower_shift & ls.tracked_mask[d]
+            groups.setdefault(key, []).append(x)
+        index.append(groups)
+    out: list[int] = []
+
+    def rec(d: int, avoid: int, k: int, acc: int) -> None:
+        if d == ls.D:
+            out.append(acc)
+            return
+        lay = ls.layers[d]
+        for sub in sorted(index[d]):
+            if sub & avoid or d and sub.bit_count() > target - k:
+                continue
+            for x in index[d][sub]:
+                size = x.bit_count() // 3
+                upper = x >> lay.upper_shift
+                vec = S[d + 1][upper & ls.tracked_mask[d + 1]]
+                need = target - k - size
+                if 0 <= need < len(vec) and vec[need]:
+                    rec(d + 1, upper, k + size, acc | x)
+
+    if ls.D:
+        rec(0, 0, 0, 0)
+    elif target == 0:
+        out.append(0)
     return out

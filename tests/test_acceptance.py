@@ -16,9 +16,8 @@ from morsematch.hasse import critical_faces
 from morsematch.homology import (boundary_matrices, homology,
                                  smith_normal_form, SparseIntMatrix)
 from morsematch.layers import (LayerSystem, enumerate_optimal,
-                               iter_matchings_of_cardinality,
-                               max_cardinality_info, profile_counts,
-                               suffix_tables)
+                               matching_faces, max_cardinality_info,
+                               profile_counts, suffix_tables)
 from morsematch.morse import build_matching_complex
 from morsematch.verify import (N4_F_VECTOR, verify_cone_contiguity,
                                verify_euler_obstruction_n4,
@@ -31,11 +30,9 @@ from oracles import dd_nonzero, modified_digraph_acyclic, snf_divisors_sympy
 
 
 def acyclic_matchings(ls) -> list[int]:
-    """Non-empty acyclic matchings from the layer walk, in canonical edge
-    order."""
-    edges = (1 << ls.H.edge_count) - 1
-    walk = iter_matchings_of_cardinality(ls, None, acyclic=True)
-    masks = [y & edges for y in walk if y]
+    """Non-empty acyclic matchings from the layer product, in canonical
+    edge order."""
+    masks = [m for faces in matching_faces(ls, True) for m in faces]
     return sorted(masks, key=face_vertices)
 
 

@@ -129,6 +129,22 @@ def test_from_facets_checks_its_facets():
         SimplicialComplex.from_facets([face_mask((0, 3))], 3)
 
 
+def test_relabel_sorts_only_what_its_map_reorders():
+    # an increasing map keeps each dimension's order and is only indexed;
+    # any other map is sorted.  Both must equal the checked, sorted build
+    K = SimplicialComplex.from_facets(map(face_mask, [(0, 1, 2), (1, 3)]))
+    maps = {"increasing": [0, 2, 5, 6], "reversing": [6, 5, 2, 0],
+            "a transposition": [2, 0, 5, 6]}
+    for name, image in maps.items():
+        got = relabel(K, image, 7)
+        want = SimplicialComplex.from_faces(
+            [face_mask(sorted(image[v] for v in face_vertices(f)))
+             for f in K.faces()], 7)
+        assert got == want and got.face_index == want.face_index, name
+    assert relabel(K, maps["increasing"], 7).faces_by_dim[1] \
+        == list(map(face_mask, [(0, 2), (0, 5), (2, 5), (2, 6)]))
+
+
 def test_relabel_refuses_a_map_off_the_universe_or_not_injective():
     K = build_boundary(2)
     assert relabel(K, [2, 0, 1], 3) == K

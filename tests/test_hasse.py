@@ -13,7 +13,7 @@ from morsematch.layers import (LayerSystem, enumerate_optimal,
 from morsematch.verify import _acyclic_matching
 
 from oracles import all_matchings, brute_force_counts, modified_digraph_acyclic
-from test_layers import CORPUS, walk_masks
+from test_layers import CORPUS, every_matching, walk_masks
 
 TABLE1_M_D3 = [28, 300, 1544, 3932, 4632, 2128, 256]
 TABLE1_M_BD3 = [24, 216, 896, 1692, 1248, 256]
@@ -27,9 +27,9 @@ def optimal_walk(ls) -> list[int]:
 
 
 def walked(ls, acyclic: bool) -> list[int]:
-    """Non-empty matchings from the layer walk, in canonical edge order."""
-    masks = [m for m in walk_masks(ls, None, acyclic) if m]
-    return sorted(masks, key=face_vertices)
+    """Non-empty matchings from the layer product, in canonical edge
+    order."""
+    return sorted(every_matching(ls, acyclic), key=face_vertices)
 
 
 def edge_of(H, lo, up):

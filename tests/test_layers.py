@@ -18,12 +18,14 @@ from morsematch import layers
 from morsematch.layers import (WIDTH_LIMIT, LayerSystem, _enumerate_layer,
                                _orbit_reps, _vertex_symmetry,
                                enumerate_optimal, iter_matchings_of_cardinality,
-                               matching_counts, max_cardinality_info,
-                               profile_counts, suffix_tables)
+                               matching_counts, matching_faces,
+                               max_cardinality_info, profile_counts,
+                               suffix_tables)
 from morsematch.morse import build_matching_complex
 from morsematch.specs import build_from_spec
 
-from oracles import (all_matchings, counts_by_cardinality,
+from oracles import (all_matchings, by_size_in_canonical_order,
+                     counts_by_cardinality, eager_walk,
                      layer_matchings_reference, list_suffix_tables,
                      modified_digraph_acyclic)
 
@@ -40,15 +42,22 @@ def walk_masks(ls, target, acyclic) -> list[int]:
             for y in iter_matchings_of_cardinality(ls, target, acyclic)]
 
 
+def every_matching(ls, acyclic) -> list[int]:
+    """The edge masks of every non-empty matching, in the order of the
+    layer product `matching_faces`: by size, then canonical."""
+    return [m for faces in matching_faces(ls, acyclic) for m in faces]
+
+
 def test_counts_agree_with_flat_enumeration():
+    # the product lists every matching, grouped by size, each group in
+    # canonical order: the lex order of ascending edge lists
     for K in CORPUS:
         ls = LayerSystem(K)
         for mode in ("acyclic", "all"):
             flat = all_matchings(ls.H, mode)
             assert matching_counts(K, mode) == counts_by_cardinality(flat)
-            walked = walk_masks(ls, None, mode == "acyclic")
-            assert walked[0] == 0
-            assert sorted(walked[1:]) == sorted(flat)
+            assert matching_faces(ls, mode == "acyclic") \
+                == by_size_in_canonical_order(flat)
 
 
 def test_optimal_counts():
@@ -100,6 +109,32 @@ def test_guided_iteration_matches_flat_maxima():
         assert guided == walk_masks(ls, best, True)
 
 
+def test_walk_lists_groups_as_the_eager_index_would():
+    # the walk lists each layer group when it first reaches it; the oracle
+    # indexes every layer's whole list first.  Same sequence, covered
+    # faces included: every target on the corpus, in both modes, and on
+    # the n = 4 bases each target of at most 20,000 acyclic matchings,
+    # and the 76,025 maximum ones of skeleton:simplex:4:2
+    for K in CORPUS:
+        ls = LayerSystem(K)
+        for acyclic in (True, False):
+            S = list_suffix_tables(ls, acyclic)
+            for target in range(-1, len(S[0][0]) + 1):
+                assert list(iter_matchings_of_cardinality(ls, target, acyclic)) \
+                    == eager_walk(ls, target, acyclic, S)
+    for name, K in N4.items():
+        ls = LayerSystem(K)
+        S = list_suffix_tables(ls, True)
+        counts = S[0][0]
+        targets = [t for t, c in enumerate(counts) if c <= 20_000]
+        if name == "skeleton:simplex:4:2":
+            targets.append(len(counts) - 1)
+        for target in targets:
+            walked = list(iter_matchings_of_cardinality(ls, target, True))
+            assert len(walked) == counts[target]
+            assert walked == eager_walk(ls, target, True, S)
+
+
 def test_iteration_of_non_maximal_cardinality():
     ls = LayerSystem(build_boundary(2))
     singles = walk_masks(ls, 1, True)
@@ -116,8 +151,7 @@ def test_iteration_of_non_maximal_cardinality():
                 assert sorted(walked) \
                     == sorted(m for m in flat if m.bit_count() == k)
                 union += walked
-            everything = walk_masks(ls, None, acyclic)
-            assert sorted(union) == sorted(everything)
+            assert sorted(union) == sorted([0] + every_matching(ls, acyclic))
 
 
 def test_targeted_walks_read_the_tables_of_their_own_mode():
@@ -172,7 +206,7 @@ def test_empty_diagram():
     for base in (K, SimplicialComplex.void(3)):
         ls = LayerSystem(base)
         assert ls.D == 0
-        assert walk_masks(ls, None, True) == [0]
+        assert matching_faces(ls, True) == []
         assert walk_masks(ls, 0, True) == [0]
         assert walk_masks(ls, 1, True) == []
 
@@ -312,8 +346,8 @@ def test_layer_engine_on_drawn_complexes(K):
             == list_suffix_tables(ls, mode == "acyclic")
         flat = all_matchings(ls.H, mode)
         assert matching_counts(K, mode) == counts_by_cardinality(flat)
-        walked = walk_masks(ls, None, mode == "acyclic")
-        assert sorted(m for m in walked if m) == sorted(flat)
+        assert matching_faces(ls, mode == "acyclic") \
+            == by_size_in_canonical_order(flat)
 
 
 # -- inputs the layer engine newly admits -----------------------------------------
@@ -358,13 +392,16 @@ def test_layer_matchings_are_freed_without_the_cycle_collector():
             matching_counts(build_simplex(4), mode)
             assert gc.collect() == 0
         ls = LayerSystem(K)
-        assert sum(1 for _ in iter_matchings_of_cardinality(
-            ls, None, True)) == 12821
+        assert sum(1 for k in range(8) for _ in
+                   iter_matchings_of_cardinality(ls, k, True)) == 12821
         assert gc.collect() == 0
-        walk = iter_matchings_of_cardinality(ls, None, True)
+        # an abandoned walk, whose memo already holds listed groups
+        walk = iter_matchings_of_cardinality(ls, 3, True)
         next(walk)
         next(walk)
         del walk
+        assert gc.collect() == 0
+        assert len(every_matching(ls, False)) == 14720
         assert gc.collect() == 0
         homology(build_matching_complex(build_simplex(3), "M").complex)
         assert gc.collect() == 0

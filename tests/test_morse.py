@@ -184,6 +184,20 @@ def test_skeleton_edges_are_a_prefix():
         assert HK.face_of_gid[:len(HL.face_of_gid)] == HL.face_of_gid
 
 
+def test_m_and_gm_are_built_in_canonical_order():
+    # M and GM take their face lists from the layer product unsorted: they
+    # must equal the sorted build of the same faces, index included
+    bases = [(K, v) for K in CORPUS for v in ("M", "GM")]
+    bases.append((skeleton(build_simplex(6), 1), "M"))  # M(K7), 262,143 faces
+    for K, variant in bases:
+        cx = build_matching_complex(K, variant).complex
+        faces = [f for f in cx.faces()]
+        assert faces  # every base of the corpus has a Hasse edge
+        sorted_build = SimplicialComplex._from_closed(faces, cx.vertex_count)
+        assert cx.faces_by_dim == sorted_build.faces_by_dim
+        assert cx.face_index == sorted_build.face_index
+
+
 def assert_closed(cx):
     """The package builds its complexes without the closure check of
     `from_faces`: the checked entry must accept every one of them and

@@ -11,7 +11,8 @@ from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   face_vertices, relabel, skeleton)
 from morsematch.hasse import HasseDiagram, build_hasse, critical_faces
 from morsematch.homology import HomologyResult
-from morsematch.layers import LayerSystem, iter_matchings_of_cardinality
+from morsematch.layers import (LayerSystem, iter_matchings_of_cardinality,
+                              suffix_tables)
 from morsematch.morse import MatchingComplex
 from morsematch.verify import (default_suite, verify_cone_contiguity,
                                verify_conjecture_evidence,
@@ -177,8 +178,9 @@ def test_walked_matchings_carry_their_critical_faces():
             assert decode(y) == critical_faces(ls.H, y & edges)
             checked += 1
         assert checked == count
-    # every matching, acyclic or not, of the small corpus and of a base
-    # whose dimension-1 faces are not in gid order locally
+    # every matching, acyclic or not, walked one size at a time, of the
+    # small corpus and of a base whose dimension-1 faces are not in gid
+    # order locally
     odd = SimplicialComplex.from_facets([face_mask((0, 1, 2)),
                                          face_mask((0, 3))])
     for K in CORPUS + [odd]:
@@ -187,7 +189,9 @@ def test_walked_matchings_carry_their_critical_faces():
         edges = (1 << H.edge_count) - 1
         decode = _critical_decoder(H)
         for acyclic in (True, False):
-            walked = list(iter_matchings_of_cardinality(ls, None, acyclic))
+            top = len(suffix_tables(ls, acyclic)[0][0])
+            walked = [y for k in range(top)
+                      for y in iter_matchings_of_cardinality(ls, k, acyclic)]
             for y in walked:
                 assert decode(y) == critical_faces(H, y & edges)
             flat = all_matchings(H, "acyclic" if acyclic else "all")
