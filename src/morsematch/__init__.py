@@ -13,9 +13,9 @@ from .complexes import (BudgetExceededError, SimplicialComplex, build_boundary,
                         build_simplex, cone, euler_characteristic, f_vector,
                         face_mask, face_vertices, is_full_subcomplex,
                         relabel, skeleton)
-from .hasse import HasseDiagram, build_hasse, critical_faces, is_matching
-from .homology import (HomologyResult, SparseIntMatrix, boundary_matrices,
-                       homology, relative_homology, smith_normal_form)
+from .hasse import HasseDiagram, build_hasse, is_matching
+from .homology import (HomologyResult, SparseIntMatrix, homology,
+                       relative_homology, smith_normal_form)
 from .layers import LayerSystem, enumerate_optimal, matching_counts
 from .morse import (MatchingComplex, build_matching_complex,
                     induced_inclusion, matching_complex_f_vector)
@@ -26,8 +26,8 @@ __all__ = [
     "BudgetExceededError", "SimplicialComplex", "build_boundary",
     "build_simplex", "cone", "euler_characteristic", "f_vector",
     "face_mask", "face_vertices", "is_full_subcomplex", "relabel", "skeleton",
-    "HasseDiagram", "build_hasse", "critical_faces", "is_matching",
-    "HomologyResult", "SparseIntMatrix", "boundary_matrices",
+    "HasseDiagram", "build_hasse", "is_matching",
+    "HomologyResult", "SparseIntMatrix",
     "homology", "relative_homology", "smith_normal_form",
     "LayerSystem", "enumerate_optimal", "matching_counts",
     "MatchingComplex", "build_matching_complex", "induced_inclusion",

@@ -1,4 +1,4 @@
-"""Hasse diagrams, matchings, and critical faces.
+"""Hasse diagrams and the matching test.
 
 Faces (vertex bitmasks) get global ids in canonical order (dimension, then
 lex position), and Hasse edges are indexed by (layer p, lex lower, lex
@@ -21,27 +21,20 @@ edges leaving face g upward; the edges into g join it to the faces
 `facets_of[g]` names, so they are found with `edge` and not stored.
 
 Matchings are edge-index bitmasks (Python ints).  `is_matching` tests
-face-disjointness.  Acyclicity is not decided here: a directed cycle in a
-modified Hasse diagram can only alternate between two adjacent dimensions,
-so it is a per-layer condition, and the layer enumerator decides it
-(`layers._enumerate_layer`).
-`critical_faces(H, mask)` returns the faces the matching leaves
-unmatched as one list per dimension: entry d lists the critical d-faces
-in canonical order, for d = 0 .. dim of the base.  It is the oracle, not
-the hot path: the verifiers that walk every maximum matching read the
-unmatched faces off the covered faces that each walked matching carries
-above its edges (`layers.iter_matchings_of_cardinality`, the walk over
-the matchings of one size), which the tests check against it, on every
-matching of a small corpus too, walked one size at a time.  Like
-`is_matching`, it keeps its per-edge loop and builds no tables, since it
-also runs on diagrams of whole matching complexes.
+face-disjointness with a per-edge loop and builds no tables, since it also
+runs on diagrams of whole matching complexes.  Acyclicity is not decided
+here: a directed cycle in a modified Hasse diagram can only alternate
+between two adjacent dimensions, so it is a per-layer condition, and the
+layer enumerator decides it (`layers._enumerate_layer`).  The verifiers
+that walk every maximum matching read the faces it leaves critical off
+the covered faces that each walked matching carries above its edges
+(`layers.iter_matchings_of_cardinality`); the tests check them against
+the per-edge oracle `critical_faces` in `tests/oracles.py`.
 Enumeration, counting and the canonical order of the matching complexes'
 faces (`layers.matching_faces`) live in `layers`.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .complexes import Face, SimplicialComplex
 
@@ -124,9 +117,8 @@ def build_hasse(K: SimplicialComplex) -> HasseDiagram:
     return HasseDiagram(K)
 
 
-def _covered_faces(H: HasseDiagram, mask: int) -> Optional[int]:
-    """Gid bitmask of the faces a set of Hasse edges touches; None when two
-    of the edges share a face."""
+def is_matching(H: HasseDiagram, mask: int) -> bool:
+    """Pairwise face-disjointness of a set of Hasse edges."""
     used = 0
     m = mask
     while m:
@@ -135,27 +127,6 @@ def _covered_faces(H: HasseDiagram, mask: int) -> Optional[int]:
         m ^= b
         fm = (1 << H.lower[e]) | (1 << H.upper[e])
         if used & fm:
-            return None
+            return False
         used |= fm
-    return used
-
-
-def is_matching(H: HasseDiagram, mask: int) -> bool:
-    """Pairwise face-disjointness of a set of Hasse edges."""
-    return _covered_faces(H, mask) is not None
-
-
-def critical_faces(H: HasseDiagram, mask: int) -> list[list[Face]]:
-    """Faces untouched by the matching: entry d lists the critical d-faces
-    in canonical order, read off the set bits of the unmatched-gid mask."""
-    used = _covered_faces(H, mask)
-    if used is None:
-        raise ValueError("input is not a matching")
-    by_dim: list[list[Face]] = [[] for _ in range(H.base.dim + 1)]
-    free = ((1 << len(H.face_of_gid)) - 1) ^ used
-    while free:
-        b = free & -free
-        f = H.face_of_gid[b.bit_length() - 1]
-        by_dim[f.bit_count() - 1].append(f)
-        free ^= b
-    return by_dim
+    return True

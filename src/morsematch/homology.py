@@ -22,7 +22,9 @@ Python integers make the growth harmless.
 
 Homology holds one boundary matrix at a time: in increasing degree
 (augmentation, then d_1, d_2, ...) each is built, reduced in place and
-dropped before the next is built.  Only the rank, the torsion and the
+dropped before the next is built.  The whole chain complex at once, before
+excision, is built only by the tests (`boundary_matrices` in
+`tests/oracles.py`).  Only the rank, the torsion and the
 clearing set carry over: the columns Q where the unit elimination of d_d
 pivoted, on rows P, are faces of degree d, and d_{d+1} skips those rows.
 This leaves its divisors and rank unchanged:
@@ -235,20 +237,6 @@ def smith_normal_form(A: SparseIntMatrix,
 
 
 # -- chain complexes ---------------------------------------------------------
-
-def boundary_matrices(K: SimplicialComplex,
-                      reduced: bool = True) -> list[SparseIntMatrix]:
-    """Every boundary matrix of K in the canonical bases, all at once.
-
-    Entry d maps C_d to C_{d-1} for d >= 1; entry 0 is the augmentation (one
-    row of ones) when reduced, else a 0 x n_0 matrix.  This is the full
-    chain complex, for tests and oracles; `homology` reduces only the
-    residual that `_excise` leaves, a smaller complex with the same homology.
-    """
-    if K.is_void:
-        raise ValueError("void complex has no chain complex")
-    return list(_boundaries(K, _chain_faces(K, frozenset(), reduced)))
-
 
 def _chain_faces(L: SimplicialComplex, drop, augment: bool) -> set[int]:
     """The faces of L outside `drop` (a set or a `face_index` dict), plus

@@ -42,14 +42,16 @@ search.  `LayerSystem` owns everything derived from (K, acyclic): the
 layer matchings, and the suffix tables that `suffix_tables` memoizes on
 it.
 
-On a full skeleton of a simplex (`_vertex_symmetry`), the vertex
-permutations act on every layer, and `suffix_tables` fills each layer
-d >= 1 over the orbits of its lower masks: it enumerates only the matchings
-whose lower faces are an orbit's least mask, one mask at a time, and copies
-the sum to the rest of the orbit; the rest of the orbit also shares the
-representative's unpacked table row, one list per orbit.  The tables are
-those of the full enumeration (see `suffix_tables`), and counting keeps no
-layer list but layer 0's.  The DFS set-up of a layer (`Layer.dfs`: edge
+On a full skeleton of a simplex on V vertices (`_full_skeleton`), the
+vertex permutations act on every layer, and `suffix_tables` fills each
+layer d >= 1 over the orbits of its lower masks: it enumerates only the
+matchings whose lower faces are an orbit's least mask, one mask at a time,
+and copies the sum to the rest of the orbit; the rest of the orbit also
+shares the representative's unpacked table row, one list per orbit.  The
+orbit table `_orbit_reps(V, d)` depends on (V, d) alone, so it is built
+once per process and shared by every base and call.  The tables are those
+of the full enumeration (see `suffix_tables`), and counting keeps no layer
+list but layer 0's.  The DFS set-up of a layer (`Layer.dfs`: edge
 positions, per-position conflict masks) is computed once per `Layer` and
 reused by every enumeration of it, whatever `acyclic` and the lower mask.
 
@@ -75,7 +77,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import combinations
 from math import comb
 from typing import Iterator
 
@@ -298,43 +301,33 @@ def _enumerate_layer(layer: Layer, acyclic: bool,
     return out
 
 
-def _vertex_symmetry(ls: LayerSystem) -> list[list[list[int]] | None] | None:
-    """When the base is a full skeleton of a simplex on its V vertices
-    (dimension d holds all C(V, d+1) vertex subsets), gens[d] for d >= 1
-    lists, for a transposition and a V-cycle of the vertices, which
-    generate S_V, the local index of the image of each lower face of
-    layer d; None for any other base.  Only the face counts are read."""
-    K = ls.H.base
+def _full_skeleton(K: SimplicialComplex) -> int | None:
+    """V when K is a full skeleton of a simplex on its V vertices
+    (dimension d holds all C(V, d+1) vertex subsets), None for any other
+    base.  Only the face counts are read."""
     V = len(K.faces_by_dim[0]) if K.faces_by_dim else 0
     if any(len(faces) != comb(V, d + 1)
            for d, faces in enumerate(K.faces_by_dim)):
         return None
-    bits = [1 << v for v in K.vertices()]
-    perms = [dict(zip(bits, bits[1::-1] + bits[2:])),
-             dict(zip(bits, bits[1:] + bits[:1]))]
-    gens: list[list[list[int]] | None] = [None]
-    for d in range(1, ls.D):
-        # every d-face has a coface, so all are tracked, in lex order
-        images = []
-        for perm in perms:
-            img = []
-            for f in K.faces_by_dim[d]:
-                g = 0
-                while f:
-                    b = f & -f
-                    g |= perm[b]
-                    f ^= b
-                img.append(K.face_index[g])
-            images.append(img)
-        gens.append(images)
-    return gens
+    return V
 
 
-def _orbit_reps(images: list[list[int]], w: int) -> list[int]:
-    """rep[m]: the least mask in the orbit of the w-bit mask m under the
-    group that the bit permutations `images` generate (bit i goes to bit
-    images[g][i] under generator g)."""
-    size = 1 << w
+@cache
+def _orbit_reps(V: int, d: int) -> list[int]:
+    """rep[m]: the least mask in the S_V-orbit of m, a mask over the
+    (d+1)-subsets of range(V) in lex order (bit i for the i-th subset).
+    S_V is generated by the transposition (0 1) and the cycle v -> v+1
+    mod V; the orbit's least mask does not depend on the generators.
+
+    Depends on (V, d) alone, so it is built once per process and shared by
+    every caller: callers must not mutate it."""
+    faces = [sum(1 << v for v in c) for c in combinations(range(V), d + 1)]
+    index = {f: i for i, f in enumerate(faces)}
+    full = (1 << V) - 1
+    # (0 1) swaps bits 0 and 1 of a face that holds one of them
+    images = [[index[f ^ 3 if (f & 3) in (1, 2) else f] for f in faces],
+              [index[(f << 1 | f >> (V - 1)) & full] for f in faces]]
+    size = 1 << len(faces)
     maps = []
     for img in images:
         out = [0] * size
@@ -373,20 +366,26 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
     counts distinct sets of k Hasse edges, so it is at most
     C(edge_count, k) < 2^W.  The tables are unpacked into lists at the end.
 
-    On a full skeleton (see `_vertex_symmetry`), q[L] of a layer d >= 1 is
-    computed only for the least mask L of each orbit, from the layer
-    matchings whose lower faces are exactly L, and copied to the rest of
-    the orbit.  This is exact because the generators are automorphisms of
-    the base: S[D] = [[1]] is invariant, and a layer's matchings from L
-    onto an upper set correspond one to one, pair count and acyclicity
-    kept, to those from the image of L onto the image set, so by induction
-    every table is invariant and q[L] depends only on L's orbit.  So is
-    S[d][U]: only the least mask of each orbit gets its row unpacked, and
-    every other U holds that same list, `S[d][U] is S[d][rep[U]]`.
+    On a full skeleton on V vertices (see `_full_skeleton`), q[L] of a
+    layer d >= 1 is computed only for the least mask L of each S_V-orbit,
+    from the layer matchings whose lower faces are exactly L, and copied
+    to the rest of the orbit; the orbits are read from `_orbit_reps(V, d)`,
+    one shared table per (V, d) and process.  That table acts on the lex
+    order of the (d+1)-subsets of range(V), which is the local order of
+    layer d: every d-face with 1 <= d < D is tracked, so local order is
+    canonical order, which the increasing relabelling of the vertices onto
+    range(V) keeps, whatever the vertex ids.  This is exact because the
+    vertex permutations are automorphisms of the base: S[D] = [[1]] is
+    invariant, and a layer's matchings from L onto an upper set correspond
+    one to one, pair count and acyclicity kept, to those from the image of
+    L onto the image set, so by induction every table is invariant and
+    q[L] depends only on L's orbit.  So is S[d][U]: only the least mask of
+    each orbit gets its row unpacked, and every other U holds that same
+    list, `S[d][U] is S[d][rep[U]]`.
     """
     if acyclic in ls._suffix:
         return ls._suffix[acyclic]
-    gens = _vertex_symmetry(ls)
+    V = _full_skeleton(ls.H.base)
     D = ls.D
     W = ls.H.edge_count + 1
     slot = (1 << W) - 1
@@ -403,8 +402,8 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
         lift = [k // 3 * W for k in range(3 * len(lay.edges_local) + 1)]
         q = [0] * size
         rep = None
-        if gens and d:
-            rep = _orbit_reps(gens[d], w)
+        if V is not None and d:
+            rep = _orbit_reps(V, d)
             for L in range(size):
                 if rep[L] < L:
                     q[L] = q[rep[L]]
@@ -417,7 +416,7 @@ def suffix_tables(ls: LayerSystem, acyclic: bool) -> list[list[list[int]]]:
             for x in ls.matchings(d, acyclic):
                 q[x >> lo_shift & low] += \
                     nxt[x >> up_shift & up_low] << lift[x.bit_count()]
-        # zeta transform: q[V] becomes the sum over all L subset of V
+        # zeta transform: q[U] becomes the sum over all L subset of U
         for i in range(w):
             bit = 1 << i
             for m in range(size):

@@ -31,9 +31,10 @@ class SpecError(ValueError):
 def load_facet_file(path: str | Path) -> SimplicialComplex:
     """Read a ``{"vertices": v, "facets": [[...], ...]}`` document.
 
-    Facets must be strictly increasing lists of ids in range; the downward
-    closure is computed on load.  Above MAX_BASE_FACES faces, or vertices
-    (checked before any mask is built), it raises BudgetExceededError.
+    Facets must be strictly increasing lists of integer ids in range (JSON
+    `true` is no integer); the downward closure is computed on load.  Above
+    MAX_BASE_FACES faces, or vertices (checked before any mask is built),
+    it raises BudgetExceededError.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -44,7 +45,7 @@ def load_facet_file(path: str | Path) -> SimplicialComplex:
     if not isinstance(doc, dict) or "vertices" not in doc or "facets" not in doc:
         raise SpecError("facet document needs 'vertices' and 'facets' keys")
     v = doc["vertices"]
-    if not isinstance(v, int) or v < 0:
+    if type(v) is not int or v < 0:
         raise SpecError("'vertices' must be a nonnegative integer")
     if v > MAX_BASE_FACES:
         raise BudgetExceededError(
@@ -55,7 +56,7 @@ def load_facet_file(path: str | Path) -> SimplicialComplex:
     cleaned = []
     for f in facets:
         if (not isinstance(f, list) or not f
-                or any(not isinstance(x, int) for x in f)):
+                or any(type(x) is not int for x in f)):
             raise SpecError(f"facet {f!r} must be a non-empty list of integers")
         if f != sorted(set(f)):
             raise SpecError(f"facet {f!r} is not strictly increasing")

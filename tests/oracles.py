@@ -2,18 +2,24 @@
 
 Nothing here shares code with the package: acyclicity is decided on the
 whole modified digraph, matchings are enumerated by filtering raw subsets,
-Smith normal forms come from sympy, and dd = 0 is checked by multiplying
-the boundary matrices out.  These are the slow-but-obvious
-routes the fast implementations are checked against.  The one exception is
-the list-based layer transfer at the end, which reads the package's layer
-tables and checks only the packed coefficient arithmetic, the
-path-search layer enumerator, which reads the package's `Layer` records,
-and the eager walk, which reads the package's layer lists.
+critical faces are read off a per-edge scan, vertex-permutation orbits
+come from every permutation, Smith normal forms come from sympy, and
+dd = 0 is checked by multiplying the boundary matrices out.  These are the
+slow-but-obvious routes the fast implementations are checked against.
+The exceptions: `boundary_matrices`, the whole chain complex at once,
+which the package's `homology` never builds, is made of the package's own
+boundary matrices, so that dd = 0 and the SNF are checked on them; the
+list-based layer transfer at the end reads the package's layer tables and
+checks only the packed coefficient arithmetic; the path-search layer
+enumerator reads the package's `Layer` records; and the eager walk reads
+the package's layer lists.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
+
+from morsematch.homology import _boundaries, _chain_faces
 
 
 def modified_digraph_acyclic(H, mask: int) -> bool:
@@ -139,6 +145,49 @@ def dd_nonzero(mats) -> tuple[int, int, int] | None:
                 if acc[j]:
                     return d, i, j
     return None
+
+
+def boundary_matrices(K, reduced: bool = True) -> list:
+    """Every boundary matrix of K in the canonical bases, all at once,
+    before any excision.  Entry d maps C_d to C_{d-1} for d >= 1; entry 0
+    is the augmentation (one row of ones) when reduced, else a 0 x n_0
+    matrix."""
+    return list(_boundaries(K, _chain_faces(K, frozenset(), reduced)))
+
+
+def critical_faces(H, mask: int) -> list[list[int]]:
+    """Faces untouched by the matching `mask` of the diagram H: entry d
+    lists the critical d-faces in canonical order, read off the set bits
+    of the unmatched-gid mask.  ValueError when two edges share a face."""
+    used = 0
+    m = mask
+    while m:
+        b = m & -m
+        e = b.bit_length() - 1
+        m ^= b
+        fm = (1 << H.lower[e]) | (1 << H.upper[e])
+        if used & fm:
+            raise ValueError("input is not a matching")
+        used |= fm
+    by_dim: list[list[int]] = [[] for _ in range(H.base.dim + 1)]
+    free = ((1 << len(H.face_of_gid)) - 1) ^ used
+    while free:
+        b = free & -free
+        f = H.face_of_gid[b.bit_length() - 1]
+        by_dim[f.bit_count() - 1].append(f)
+        free ^= b
+    return by_dim
+
+
+def orbit_reps_by_permutations(V: int, d: int) -> list[int]:
+    """rep[m]: the least image of m under all V! permutations of range(V),
+    m a mask over the (d+1)-subsets of range(V) in lex order."""
+    faces = list(combinations(range(V), d + 1))
+    index = {f: i for i, f in enumerate(faces)}
+    images = [[index[tuple(sorted(p[v] for v in f))] for f in faces]
+              for p in permutations(range(V))]
+    return [min(sum(1 << img[i] for i in bits) for img in images)
+            for bits in map(_bits, range(1 << len(faces)))]
 
 
 # -- the list-based layer transfer -------------------------------------------

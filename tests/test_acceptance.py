@@ -12,9 +12,7 @@ import pytest
 from morsematch.complexes import (build_boundary, build_simplex,
                                   euler_characteristic, f_vector, face_mask,
                                   face_vertices, skeleton)
-from morsematch.hasse import critical_faces
-from morsematch.homology import (boundary_matrices, homology,
-                                 smith_normal_form, SparseIntMatrix)
+from morsematch.homology import homology, smith_normal_form, SparseIntMatrix
 from morsematch.layers import (LayerSystem, enumerate_optimal,
                                matching_faces, max_cardinality_info,
                                profile_counts, suffix_tables)
@@ -26,7 +24,8 @@ from morsematch.verify import (N4_F_VECTOR, verify_cone_contiguity,
                                verify_restriction_fibers, verify_spanning_tree,
                                verify_top_facet_bijection)
 
-from oracles import dd_nonzero, modified_digraph_acyclic, snf_divisors_sympy
+from oracles import (boundary_matrices, critical_faces, dd_nonzero,
+                     modified_digraph_acyclic, snf_divisors_sympy)
 
 
 def acyclic_matchings(ls) -> list[int]:

@@ -348,6 +348,19 @@ def test_file_spec(capsys, tmp_path):
     assert json.loads(out)["result"]["f_vector"] == [6, 9]
 
 
+def test_file_spec_with_booleans_is_a_usage_error(capsys, tmp_path):
+    # JSON true is no vertex id and no vertex count, though Python's bool
+    # is an int: neither document builds [[0, 1], [1, 2]] on 1 or 3 vertices
+    p = tmp_path / "k.json"
+    for doc in ({"vertices": 3, "facets": [[0, True], [True, 2]]},
+                {"vertices": True, "facets": [[0]]}):
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "fvector", "--complex", f"file:{p}",
+                                 "--variant", "M", "--cache-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+
+
 def test_file_spec_cache_follows_file_content(capsys, tmp_path):
     p = tmp_path / "k.json"
     argv = ("fvector", "--complex", f"file:{p}", "--variant", "M",

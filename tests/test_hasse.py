@@ -5,14 +5,15 @@ import pytest
 from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, cone, face_mask,
                                   face_vertices, skeleton)
-from morsematch.hasse import build_hasse, critical_faces, is_matching
+from morsematch.hasse import build_hasse, is_matching
 from morsematch.homology import homology
 from morsematch.layers import (LayerSystem, enumerate_optimal,
                                max_cardinality_info, matching_counts,
                                suffix_tables)
 from morsematch.verify import _acyclic_matching
 
-from oracles import all_matchings, brute_force_counts, modified_digraph_acyclic
+from oracles import (all_matchings, brute_force_counts, critical_faces,
+                     modified_digraph_acyclic)
 from test_layers import CORPUS, every_matching, walk_masks
 
 TABLE1_M_D3 = [28, 300, 1544, 3932, 4632, 2128, 256]

@@ -12,13 +12,12 @@ from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   face_mask, relabel, skeleton)
 from morsematch.homology import (SparseIntMatrix, _boundaries, _chain_faces,
                                  _excise, _homology_from_chain,
-                                 boundary_matrices,
                                  divisor_chain, homology, relative_homology,
                                  smith_normal_form)
 from morsematch.morse import build_matching_complex, induced_inclusion
 from morsematch.specs import build_from_spec
 
-from oracles import dd_nonzero, snf_divisors_sympy
+from oracles import boundary_matrices, dd_nonzero, snf_divisors_sympy
 
 # antipodal 6-vertex triangulation of the projective plane; the standard
 # example with 2-torsion in degree 1

@@ -16,7 +16,7 @@ from morsematch.hasse import build_hasse, is_matching
 from morsematch.homology import homology
 from morsematch import layers
 from morsematch.layers import (WIDTH_LIMIT, LayerSystem, _enumerate_layer,
-                               _orbit_reps, _vertex_symmetry,
+                               _full_skeleton, _orbit_reps,
                                enumerate_optimal, iter_matchings_of_cardinality,
                                matching_counts, matching_faces,
                                max_cardinality_info, profile_counts,
@@ -27,7 +27,7 @@ from morsematch.specs import build_from_spec
 from oracles import (all_matchings, by_size_in_canonical_order,
                      counts_by_cardinality, eager_walk,
                      layer_matchings_reference, list_suffix_tables,
-                     modified_digraph_acyclic)
+                     modified_digraph_acyclic, orbit_reps_by_permutations)
 
 CORPUS = [build_simplex(1), build_simplex(2), build_simplex(3),
           build_boundary(2), build_boundary(3),
@@ -478,7 +478,7 @@ def test_symmetric_tables_match_list_transfer():
     for name, K in full_skeletons().items():
         for acyclic in (True, False):
             ls = LayerSystem(K)
-            assert _vertex_symmetry(ls) is not None, name
+            assert _full_skeleton(K) is not None, name
             assert suffix_tables(ls, acyclic) \
                 == list_suffix_tables(LayerSystem(K), acyclic), name
 
@@ -490,9 +490,8 @@ def test_symmetric_rows_are_shared_within_an_orbit():
         for acyclic in (True, False):
             ls = LayerSystem(K)
             S = suffix_tables(ls, acyclic)
-            gens = _vertex_symmetry(ls)
             for d in range(1, ls.D):
-                rep = _orbit_reps(gens[d], ls.tracked[d])
+                rep = _orbit_reps(_full_skeleton(K), d)
                 assert all(S[d][u] is S[d][rep[u]] for u in range(len(rep)))
                 assert len({id(row) for row in S[d]}) == len(set(rep))
             assert S == list_suffix_tables(ls, acyclic)
@@ -505,7 +504,7 @@ def test_other_bases_take_the_full_fill():
         [f for f in range(1, 16) if f.bit_count() == 3 and f != 0b0111])
     for K in (cone(build_boundary(2))[0], less):
         ls = LayerSystem(K)
-        assert _vertex_symmetry(ls) is None
+        assert _full_skeleton(K) is None
         for acyclic in (True, False):
             assert suffix_tables(ls, acyclic) \
                 == list_suffix_tables(ls, acyclic)
@@ -513,15 +512,14 @@ def test_other_bases_take_the_full_fill():
 
 
 def test_orbit_fill_needs_automorphisms(monkeypatch):
-    # the orbit fill is exact under the vertex permutations; a map that
-    # forgets which faces a lower mask holds (any permutation of the
-    # d-faces, generated by a face transposition and a cycle through all
-    # d-faces) merges inequivalent masks, and the tables go wrong
-    def forget(ls):
-        return [None] + [[[1, 0] + list(range(2, w)), list(range(1, w)) + [0]]
-                         for w in ls.tracked[1:ls.D]]
+    # the orbit fill is exact under the vertex permutations; a table that
+    # forgets which faces a lower mask holds (orbits under every
+    # permutation of the d-faces, so masks of one size are one orbit)
+    # merges inequivalent masks, and the tables go wrong
+    def by_size(V, d):
+        return [(1 << m.bit_count()) - 1 for m in range(1 << comb(V, d + 1))]
 
-    monkeypatch.setattr(layers, "_vertex_symmetry", forget)
+    monkeypatch.setattr(layers, "_orbit_reps", by_size)
     for K in (build_simplex(4), build_boundary(4), build_simplex(3)):
         for acyclic in (True, False):
             ls = LayerSystem(K)
@@ -538,17 +536,34 @@ def test_counting_keeps_no_layer_matchings_above_layer_0():
         ls = LayerSystem(build_simplex(4))
         suffix_tables(ls, acyclic)
         assert list(ls._matchings) == [(0, acyclic)]
-    gens = _vertex_symmetry(ls)
-    assert [len(set(_orbit_reps(gens[d], ls.tracked[d])))
-            for d in range(1, ls.D)] == [34, 34, 6]
+    assert [len(set(_orbit_reps(5, d))) for d in range(1, ls.D)] \
+        == [34, 34, 6]
 
 
 def test_orbit_reps():
     # S_3 on the three edges of a triangle: masks fall into orbits by size
-    assert _orbit_reps([[1, 0, 2], [1, 2, 0]], 3) \
-        == [0, 1, 1, 3, 1, 3, 3, 7]
-    # the identity generates the trivial group: every mask is alone
-    assert _orbit_reps([[0, 1, 2]], 3) == list(range(8))
+    assert _orbit_reps(3, 1) == [0, 1, 1, 3, 1, 3, 3, 7]
+
+
+def test_orbit_reps_match_every_permutation():
+    # the table from two generators of S_V against the least image under
+    # all V! vertex permutations, for every layer of a full skeleton that
+    # takes the orbit fill (1 <= d <= V - 2) up to V = 5
+    for V in range(3, 6):
+        for d in range(1, V - 1):
+            assert _orbit_reps(V, d) == orbit_reps_by_permutations(V, d), \
+                (V, d)
+
+
+def test_orbit_tables_are_built_once_per_process():
+    # the table depends on (V, d) alone: two systems of the 4-simplex and
+    # one of its boundary, all on V = 5, build the layers d = 1, 2, 3 once
+    _orbit_reps.cache_clear()
+    for K in (build_simplex(4), build_simplex(4), build_boundary(4)):
+        for acyclic in (True, False):
+            suffix_tables(LayerSystem(K), acyclic)
+    assert _orbit_reps.cache_info().misses == 3
+    assert _orbit_reps(5, 1) is _orbit_reps(5, 1)
 
 
 def test_2_skeleton_of_the_5_simplex_is_counted():
@@ -560,8 +575,8 @@ def test_2_skeleton_of_the_5_simplex_is_counted():
     fv = matching_counts(K, "acyclic")
     H = build_hasse(K)
     assert H.edge_count == 90
-    assert len(set(_orbit_reps(_vertex_symmetry(LayerSystem(K))[1], 15))) \
-        == 156
+    assert _full_skeleton(K) == 6
+    assert len(set(_orbit_reps(6, 1))) == 156
     brute = [0, 0, 0]
     for k in (1, 2, 3):
         for edges in combinations(range(H.edge_count), k):

@@ -63,6 +63,8 @@ def test_facet_file(tmp_path):
     {"vertices": 3, "facets": [[0, 0]]},          # duplicate id
     {"vertices": 3, "facets": [[]]},              # empty facet
     {"vertices": -1, "facets": []},               # bad universe
+    {"vertices": 3, "facets": [[0, True], [True, 2]]},  # booleans as ids
+    {"vertices": True, "facets": [[0]]},          # boolean universe
     {"facets": []},                               # missing key
 ])
 def test_facet_file_rejects(tmp_path, doc):

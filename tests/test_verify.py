@@ -9,7 +9,7 @@ from morsematch import verify
 from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, cone, face_mask,
                                   face_vertices, relabel, skeleton)
-from morsematch.hasse import HasseDiagram, build_hasse, critical_faces
+from morsematch.hasse import HasseDiagram, build_hasse
 from morsematch.homology import HomologyResult
 from morsematch.layers import (LayerSystem, iter_matchings_of_cardinality,
                               suffix_tables)
@@ -23,7 +23,7 @@ from morsematch.verify import (default_suite, verify_cone_contiguity,
                                verify_restriction_fibers, verify_spanning_tree,
                                verify_top_facet_bijection, N4_F_VECTOR)
 
-from oracles import all_matchings
+from oracles import all_matchings, critical_faces
 from test_layers import CORPUS
 
 
@@ -74,7 +74,7 @@ def test_spanning_tree_specific_matching():
     # the star matching at vertex 0 of the K4 graph leaves critical edges
     # whose facet-graph edges all meet at the facet opposite vertex 0
     from morsematch.complexes import build_simplex, face_mask, skeleton
-    from morsematch.hasse import build_hasse, critical_faces
+    from morsematch.hasse import build_hasse
     from morsematch.verify import _facet_graph_edge
     sk = skeleton(build_simplex(3), 1)
     H = build_hasse(sk)
@@ -95,7 +95,7 @@ def test_spanning_tree_witness_has_the_rejected_critical_set(monkeypatch):
     # the tree test runs once per distinct critical set; rejecting one set
     # must still fail the check on a matching that leaves exactly that set
     from morsematch.complexes import build_simplex, face_mask, skeleton
-    from morsematch.hasse import build_hasse, critical_faces
+    from morsematch.hasse import build_hasse
     from morsematch.verify import _facet_graph_edge
     star = [(0, 1), (0, 2), (0, 3), (0, 4)]
     is_tree = verify._is_spanning_tree
