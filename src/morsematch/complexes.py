@@ -23,8 +23,13 @@ The standard families, `skeleton`, `cone`, `induced`, the facet closure,
 `morse.build_matching_complex` call `_from_closed`, which sorts.
 `relabel` under an increasing map and the M and GM variants produce each
 dimension's faces already in canonical order and call `_from_sorted`,
-which only indexes them.  The tests hold every builder to the checked
+which only stores them.  The tests hold every builder to the checked
 entry.
+
+The index from a face mask to its position in its dimension's list,
+`face_index`, is built on first access: a Hasse diagram and a containment
+test read it, and `homology` never builds it, so a matching complex that
+is only reduced never holds one.
 
 The standard builders and the facet closure refuse a base complex of more
 than MAX_BASE_FACES faces with BudgetExceededError, the package's one
@@ -118,21 +123,33 @@ def _closure(facets: Iterable[Face]) -> set[Face]:
 
 class SimplicialComplex:
     """Immutable complex: per-dimension face-mask lists in canonical order
-    plus an index from mask to its position in its dimension's list (the
-    dimension of a mask f is f.bit_count() - 1).
+    (the dimension of a mask f is f.bit_count() - 1), and on first access
+    an index from mask to its position in its dimension's list.
 
     Instances must be built through the classmethods or the module-level
     constructors: `from_faces` validates a face set from outside, and every
     other constructor yields a complex by construction.
     """
 
-    __slots__ = ("vertex_count", "faces_by_dim", "face_index")
+    __slots__ = ("vertex_count", "faces_by_dim", "_face_index")
 
-    def __init__(self, vertex_count: int, faces_by_dim: list[list[Face]],
-                 face_index: dict[Face, int]):
+    def __init__(self, vertex_count: int, faces_by_dim: list[list[Face]]):
         self.vertex_count = vertex_count
         self.faces_by_dim = faces_by_dim
-        self.face_index = face_index
+        self._face_index: Optional[dict[Face, int]] = None
+
+    @property
+    def face_index(self) -> dict[Face, int]:
+        """Position of each face mask in its dimension's list, built on
+        first access.  The dimensions share one list of positions, so a
+        position is one int object however many dimensions hold it."""
+        if self._face_index is None:
+            positions = list(range(max(map(len, self.faces_by_dim), default=0)))
+            index: dict[Face, int] = {}
+            for lst in self.faces_by_dim:
+                index.update(zip(lst, positions))
+            self._face_index = index
+        return self._face_index
 
     @classmethod
     def from_faces(cls, faces: Iterable[Face], vertex_count: Optional[int] = None,
@@ -162,7 +179,7 @@ class SimplicialComplex:
                      ) -> "SimplicialComplex":
         """Build from distinct positive face masks inside the universe that
         are downward closed, none of which is checked: group them by
-        dimension, sort each group canonically and index it."""
+        dimension and sort each group canonically."""
         grouped: dict[int, list[Face]] = {}
         for f in faces:
             grouped.setdefault(f.bit_count(), []).append(f)
@@ -177,14 +194,8 @@ class SimplicialComplex:
     def _from_sorted(cls, faces_by_dim: list[list[Face]], vertex_count: int,
                      ) -> "SimplicialComplex":
         """Build from the face lists of a complex, entry d listing the
-        d-faces in canonical order, none of which is checked: index them.
-        The dimensions share one list of positions, so a position is one
-        int object however many dimensions hold it."""
-        positions = list(range(max(map(len, faces_by_dim), default=0)))
-        index: dict[Face, int] = {}
-        for lst in faces_by_dim:
-            index.update(zip(lst, positions))
-        return cls(vertex_count, faces_by_dim, index)
+        d-faces in canonical order, none of which is checked: store them."""
+        return cls(vertex_count, faces_by_dim)
 
     @classmethod
     def from_facets(cls, facets: Iterable[Face], vertex_count: Optional[int] = None,
@@ -198,7 +209,7 @@ class SimplicialComplex:
 
     @classmethod
     def void(cls, vertex_count: int = 0) -> "SimplicialComplex":
-        return cls(vertex_count, [], {})
+        return cls(vertex_count, [])
 
     # -- queries ---------------------------------------------------------
 
@@ -321,7 +332,7 @@ def relabel(K: SimplicialComplex, mapping: Sequence[int] | dict[int, int],
 
     A map increasing on the vertices of K, such as every induced inclusion
     the package builds, keeps the order of ascending vertex lists, so each
-    dimension's image is already in canonical order and is only indexed;
+    dimension's image is already in canonical order and is not sorted;
     any other map's image is sorted."""
     bits = {}
     for v in K.vertices():

@@ -44,8 +44,12 @@ column operations.
 Before any matrix is built, `_excise` removes complete element matchings
 (Jonsson, Simplicial Complexes of Graphs, 2008; Forman, Morse theory for
 cell complexes, 1998), and only the faces it leaves are reduced.  R starts
-as the faces of the chain complex: the faces of L outside the dropped
-subcomplex, plus the empty face 0 when the chain is augmented.  The
+as the faces of the chain complex: the faces of L, read off `faces_by_dim`,
+outside the dropped subcomplex, plus the empty face 0 when the chain is
+augmented.  For a pair (L, K), K's faces are checked to lie in that one
+set, and removed there, before anything is excised; no face index is built.
+`_excise` returns a fresh set, sized to what is left, and the chain set is
+dropped as it returns, before the first boundary matrix is built.  The
 vertices of L are visited in ascending order, in rounds, until a round
 excises nothing; vertex v is excised when every f in R with v in f has
 f ^ v in R, and then all those f and f ^ v leave R.  This is exact over Z,
@@ -72,7 +76,6 @@ are `faces_by_dim` filtered to R, so they keep the canonical order.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from math import gcd
 
 from .complexes import SimplicialComplex
@@ -239,9 +242,15 @@ def smith_normal_form(A: SparseIntMatrix,
 # -- chain complexes ---------------------------------------------------------
 
 def _chain_faces(L: SimplicialComplex, drop, augment: bool) -> set[int]:
-    """The faces of L outside `drop` (a set or a `face_index` dict), plus
-    the empty face 0 when `augment`."""
-    faces = L.face_index.keys() - drop
+    """The faces of L outside `drop` (a set, a dict or a list of faces),
+    plus the empty face 0 when `augment`.  ValueError when some face of
+    `drop` is not a face of L."""
+    faces: set[int] = set()
+    for lst in L.faces_by_dim:
+        faces.update(lst)
+    if not faces.issuperset(drop):
+        raise ValueError("K is not a subcomplex of L")
+    faces.difference_update(drop)
     if augment:
         faces.add(0)
     return faces
@@ -318,12 +327,16 @@ def _boundary(lower: list[int], basis: list[int]) -> SparseIntMatrix:
     return m
 
 
-@dataclass
 class HomologyResult:
     """Betti numbers and torsion divisors per degree."""
-    groups: list[tuple[int, tuple[int, ...]]]
-    reduced: bool
-    void: bool = False
+
+    __slots__ = ("groups", "reduced", "void")
+
+    def __init__(self, groups: list[tuple[int, tuple[int, ...]]],
+                 reduced: bool, void: bool = False):
+        self.groups = groups
+        self.reduced = reduced
+        self.void = void
 
     def betti(self, d: int) -> int:
         if 0 <= d < len(self.groups):
@@ -375,7 +388,7 @@ def homology(K: SimplicialComplex, reduced: bool = True) -> HomologyResult:
     unreduced groups are the reduced ones plus one Z in degree 0."""
     if K.is_void:
         return HomologyResult([], reduced, void=True)
-    h = _excised_homology(K, _chain_faces(K, frozenset(), True), reduced)
+    h = _excised_homology(K, (), True, reduced)
     if not reduced:
         betti, torsion = h.groups[0]
         h.groups[0] = (betti + 1, torsion)
@@ -386,18 +399,21 @@ def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
                       reduced: bool = True) -> HomologyResult:
     """Homology of the quotient chain complex of the pair (L, K).
 
-    K must be a subcomplex of L (literal face containment).  For non-void K
-    the reduced and unreduced relative groups agree, so the quotient is
+    K must be a subcomplex of L (literal face containment): ValueError
+    otherwise, raised before anything is excised.  For non-void K the
+    reduced and unreduced relative groups agree, so the quotient is
     computed without augmentation; a void K degenerates to the absolute
     homology of L.
     """
     if K.is_void:
         return homology(L, reduced)
-    if not L.contains_complex(K):
-        raise ValueError("K is not a subcomplex of L")
-    return _excised_homology(L, _chain_faces(L, K.face_index, False), reduced)
+    return _excised_homology(L, list(K.faces()), False, reduced)
 
 
-def _excised_homology(L: SimplicialComplex, faces: set[int],
-                      reduced: bool) -> HomologyResult:
-    return _homology_from_chain(_boundaries(L, _excise(L, faces)), reduced)
+def _excised_homology(L: SimplicialComplex, drop: Sequence[int],
+                      augment: bool, reduced: bool) -> HomologyResult:
+    """Homology of the chain complex of L outside `drop`.  The chain set
+    lives only as the argument of `_excise`, so it is freed as `_excise`
+    returns its fresh residual, before the first boundary matrix."""
+    return _homology_from_chain(
+        _boundaries(L, _excise(L, _chain_faces(L, drop, augment))), reduced)

@@ -76,7 +76,6 @@ it.  `profile_counts(ls, target, acyclic)` tallies that walk.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from math import comb
@@ -113,17 +112,23 @@ def check_width(K: SimplicialComplex) -> list[set[int]]:
     return out
 
 
-@dataclass
 class Layer:
-    # lower gid -> lower local
-    lower_index: dict[int, int]
-    # (edge id, lower local, upper local), canonical edge order
-    edges_local: list[tuple[int, int, int]]
-    # upper local -> lower locals of all its facets
-    upper_facets: list[list[int]]
-    # bit positions of the lower and upper parts of a packed matching
-    lower_shift: int
-    upper_shift: int
+    """The cover pairs between dimensions p and p + 1, in local indices.
+    No __slots__: `dfs` is cached in the instance dict."""
+
+    def __init__(self, lower_index: dict[int, int],
+                 edges_local: list[tuple[int, int, int]],
+                 upper_facets: list[list[int]],
+                 lower_shift: int, upper_shift: int):
+        # lower gid -> lower local
+        self.lower_index = lower_index
+        # (edge id, lower local, upper local), canonical edge order
+        self.edges_local = edges_local
+        # upper local -> lower locals of all its facets
+        self.upper_facets = upper_facets
+        # bit positions of the lower and upper parts of a packed matching
+        self.lower_shift = lower_shift
+        self.upper_shift = upper_shift
 
     def unpack(self, x: int) -> tuple[int, int, int]:
         """(lower, upper, edge_mask) of a packed layer matching."""

@@ -26,8 +26,6 @@ the two Hasse diagrams the caller already holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import BudgetExceededError, SimplicialComplex, f_vector
 from .hasse import HasseDiagram
 from .layers import (LayerSystem, iter_matchings_of_cardinality,
@@ -37,10 +35,15 @@ from .layers import (LayerSystem, iter_matchings_of_cardinality,
 VARIANTS = ("M", "MP", "GM")
 
 
-@dataclass
 class MatchingComplex:
-    hasse: HasseDiagram
-    complex: SimplicialComplex
+    """A matching complex and the Hasse diagram of its base, whose edges
+    are its vertices."""
+
+    __slots__ = ("hasse", "complex")
+
+    def __init__(self, hasse: HasseDiagram, complex: SimplicialComplex):
+        self.hasse = hasse
+        self.complex = complex
 
     @property
     def is_void(self) -> bool:

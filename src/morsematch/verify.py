@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterator, Optional
 
@@ -45,14 +44,21 @@ N4_EULER = 212457
 N4_TOP = 380125
 
 
-@dataclass
 class VerificationReport:
-    name: str
-    instance: dict
-    status: str                      # pass | fail | skipped-budget
-    witness: object = None
-    details: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    """One check's outcome on one instance."""
+
+    __slots__ = ("name", "instance", "status", "witness", "details",
+                 "elapsed")
+
+    def __init__(self, name: str, instance: dict, status: str,
+                 witness: object = None, details: Optional[dict] = None,
+                 elapsed: float = 0.0):
+        self.name = name
+        self.instance = instance
+        self.status = status  # pass | fail | skipped-budget
+        self.witness = witness
+        self.details = {} if details is None else details
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:

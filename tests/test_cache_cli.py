@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import morsematch
 from morsematch.cache import (cache_get, cache_key, cache_put,
                               default_cache_dir, document_to_faces,
                               faces_to_document)
@@ -16,6 +20,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # start-up cost: against a bare interpreter, importing the CLI adds
+    # neither dataclasses nor the inspect chain it pulls in (ast, dis,
+    # tokenize); the child imports the package this test imported
+    src = os.path.dirname(os.path.dirname(morsematch.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import sys\n"
+            "bare = set(sys.modules)\n"
+            "import morsematch.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - bare)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True)
+    added = set(proc.stdout.split())
+    assert "morsematch.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
 # -- cache ---------------------------------------------------------------

@@ -296,6 +296,28 @@ def test_relative_homology_rejects_non_subcomplex():
         relative_homology(build_simplex(2), build_simplex(3))
 
 
+def test_homology_builds_no_face_index():
+    # the chain set is read off faces_by_dim, and K's containment in L is
+    # checked on that set, so neither complex of the pair (M(simplex:3),
+    # M(boundary:3)) builds its index, not even when the pair is refused
+    mc = build_matching_complex(build_simplex(3), "M")
+    msub = build_matching_complex(build_boundary(3), "M")
+    L = mc.complex
+    K = relabel(msub.complex, induced_inclusion(msub.hasse, mc.hasse),
+                mc.edge_count)
+    assert homology(L).nonzero() == {4: (99, ())}
+    assert relative_homology(L, K).nonzero() == {4: (96, ())}
+    with pytest.raises(ValueError, match="K is not a subcomplex of L"):
+        relative_homology(K, L)
+    assert L._face_index is None and K._face_index is None
+    # a first access then builds the index that was built eagerly before
+    for cx in (L, K):
+        want = {}
+        for lst in cx.faces_by_dim:
+            want.update((f, i) for i, f in enumerate(lst))
+        assert cx.face_index == want
+
+
 def test_relative_homology_of_matching_pair(m_d3, m_bd3):
     mapping = induced_inclusion(m_bd3.hasse, m_d3.hasse)
     emb = relabel(m_bd3.complex, mapping, 28)
@@ -448,6 +470,33 @@ def test_each_degree_is_reduced_and_dropped_before_the_next_is_built(
     assert events == [(step, d) for d in range(degrees)
                       for step in ("build", "reduce")]
     assert live == [1] * degrees
+
+
+def test_chain_set_is_freed_before_the_first_boundary_matrix():
+    # on MP(simplex:3), built before tracing starts, the peak of homology
+    # stays below the chain set plus the peak of reducing the residual:
+    # the chain set is dropped as _excise returns, before any boundary
+    # matrix is built, so the two never coexist
+    L = build_matching_complex(build_simplex(3), "MP").complex
+    R = _excise(L, _chain_faces(L, frozenset(), True))
+
+    def traced(fn):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    chain, (chain_size, _) = traced(
+        lambda: _chain_faces(L, frozenset(), True))
+    del chain
+    want, (_, reduce_peak) = traced(
+        lambda: _homology_from_chain(_boundaries(L, R), True))
+    got, (_, peak) = traced(lambda: homology(L))
+    assert got.groups == want.groups
+    assert peak < chain_size + reduce_peak
 
 
 # -- excision ----------------------------------------------------------------
