@@ -13,7 +13,7 @@ tables give a projected face count first (exact for M and GM, an upper
 bound for MP), so a complex over the cap is refused, with the package's one
 refusal type `BudgetExceededError`, before anything is walked.  M and GM
 then take their faces from the per-layer product (`layers.matching_faces`),
-which lists them by size in canonical order, so they are indexed with no
+which lists them by size in canonical order, so they are stored with no
 sort; MP walks the maximum matchings and closes them downward, and its
 faces are sorted.  Every base goes this one way: a void or
 0-dimensional base has a Hasse diagram without edges, and its matching
