@@ -57,20 +57,29 @@ reused by every enumeration of it, whatever `acyclic` and the lower mask.
 
 A layer's matchings come out in the canonical order of their edge masks,
 the empty matching last (see `_enumerate_layer`), and every edge of layer
-d follows every edge of layer d-1.  So the per-layer product, built
-layer by layer, is in canonical order too: `matching_faces(ls, acyclic)`
-lists every matching by size in that order, the faces of M and GM with
-no sort.  It is the one full enumeration of matchings.
+d follows every edge of layer d-1.  So the per-layer product is in
+canonical order too: `matching_faces(ls, acyclic)` lists every matching
+by size in that order, the faces of M and GM with no sort.  It is the
+one full enumeration of matchings.  The matchings of layers d.. that can
+follow the layers below depend only on the tracked faces of dimension d
+those leave blocked, so the product is built top down, each such suffix
+once per blocked set and grouped by pair count (`_suffix`), and shared
+by every matching of the layer below that blocks that set.
 
 There is one walk over the product,
 `iter_matchings_of_cardinality(ls, target, acyclic)`: it yields the
 matchings of `target` pairs, the system's suffix tables serving as exact
-lookahead, each as the OR of its layer parts: edge mask and covered
-faces.  At each node it takes the submasks of the tracked faces the
-layer below left free, in increasing order, so the order is fixed (see
-its docstring), and it lists a submask's group of layer matchings,
-`_enumerate_layer(layer, acyclic, submask)`, only when it first reaches
-it.  `profile_counts(ls, target, acyclic)` tallies that walk.
+lookahead, as (acc, group) pairs.  acc is the OR of a matching's parts
+in the layers below the top, edge mask and covered faces, and group the
+list of top-layer matchings that complete it; a group depends only on
+the tracked faces acc leaves free and the pairs left, so it is built
+once per walk for each and shared by every prefix that has them.  At
+each node the walk takes the submasks of the tracked faces the layer
+below left free, in increasing order, so the order of `acc | x` over the
+pairs and their members is fixed (see its docstring), and it lists a
+submask's layer matchings, `_enumerate_layer(layer, acyclic, submask)`,
+only when it first reaches it.  `profile_counts(ls, target, acyclic)`
+tallies that walk, one group at a time.
 """
 
 from __future__ import annotations
@@ -469,70 +478,94 @@ def _fitting(fits: dict[int, list[int]], blocked: int, shift: int,
     return xs
 
 
+def _suffix(ls: LayerSystem, fits: list[dict[int, list[int]]],
+            memo: list[dict[int, list[list[int]]]], d: int, blocked: int,
+            ) -> list[list[int]]:
+    """The edge masks of the matchings of layers d.. whose layer-d lower
+    faces avoid `blocked`, a mask over dimension d's tracked faces: entry
+    k lists those of k pairs in canonical order.  Built once per (d,
+    blocked) and kept in memo[d]; fits[d] holds layer d's filtered lists
+    (see `_fitting`).  A module function, not a closure, so the memo
+    makes no reference cycle.
+
+    Every edge of layer d precedes every edge of the layers above, so a
+    matching of layer d followed by the suffix above it, both in
+    canonical order, is in canonical order; the suffix above depends only
+    on the tracked faces of dimension d + 1 that the layer-d matching
+    covers.  The last layer groups its fitting matchings by pair count."""
+    groups = memo[d].get(blocked)
+    if groups is not None:
+        return groups
+    lay = ls.layers[d]
+    edges = (1 << ls.H.edge_count) - 1
+    groups = memo[d][blocked] = []
+    xs = _fitting(fits[d], blocked, lay.lower_shift)
+    if d == ls.D - 1:
+        for x in xs:
+            k = x.bit_count() // 3
+            while len(groups) <= k:
+                groups.append([])
+            groups[k].append(x & edges)
+        return groups
+    up_shift, up_low = lay.upper_shift, ls.tracked_mask[d + 1]
+    for x in xs:
+        above = _suffix(ls, fits, memo, d + 1, x >> up_shift & up_low)
+        e, k = x & edges, x.bit_count() // 3
+        while len(groups) < k + len(above):
+            groups.append([])
+        for j, ss in enumerate(above, k):
+            groups[j].extend([e | s for s in ss] if e else ss)
+    return groups
+
+
 def matching_faces(ls: LayerSystem, acyclic: bool) -> list[list[int]]:
     """The edge masks of every non-empty matching, entry k - 1 listing
     those of k pairs in canonical order: the `faces_by_dim` of the complex
     of matchings, with no sort.
 
     Each layer's list is in canonical order (`LayerSystem.matchings`), and
-    every edge of layer d follows every edge of layer d-1.  So the
-    product, built layer by layer with each prefix extended by the layer-d
-    matchings that avoid its covered faces, in their list order, is in
-    canonical order too, and so is each of its groups by pair count.  The
-    matchings that fit a prefix depend only on its tracked faces of
-    dimension d, and are memoized on them (`_fitting`); on the last layer
-    they are kept as edge masks grouped by pair count.
+    every edge of layer d follows every edge of layer d-1.  The product is
+    built top down (`_suffix`): the matchings of layers d.. that fit below
+    a given set of blocked tracked faces of dimension d are built once per
+    set, grouped by pair count in canonical order, and shared by every
+    matching of layer d-1 that blocks that set.  Layer 0 has no tracked
+    faces, so its one suffix, less the empty matching, is the product.
     """
-    edges = (1 << ls.H.edge_count) - 1
-    faces: list[list[int]] = [[]]  # by pair count; 0 pairs is not a face
-    prefixes = [0]  # packed matchings of the layers below, canonical order
-    for d, lay in enumerate(ls.layers):
-        shift, tracked = lay.lower_shift, ls.tracked_mask[d]
-        fits = {0: ls.matchings(d, acyclic)}
-        if d < ls.D - 1:
-            out: list[int] = []
-            for p in prefixes:
-                xs = _fitting(fits, p >> shift & tracked, shift)
-                out.extend([p | x for x in xs] if p else xs)
-            prefixes = out
-            continue
-        sized: dict[int, list[list[int]]] = {}
-        for p in prefixes:
-            blocked = p >> shift & tracked
-            groups = sized.get(blocked)
-            if groups is None:
-                groups = sized[blocked] = []
-                for x in _fitting(fits, blocked, shift):
-                    k = x.bit_count() // 3
-                    while len(groups) <= k:
-                        groups.append([])
-                    groups[k].append(x & edges)
-            e, k = p & edges, p.bit_count() // 3
-            while len(faces) < k + len(groups):
-                faces.append([])
-            for j, xs in enumerate(groups, k):
-                faces[j].extend([e | x for x in xs] if e else xs)
-    return faces[1:]
+    if not ls.D:
+        return []
+    fits = [{0: ls.matchings(d, acyclic)} for d in range(ls.D)]
+    memo: list[dict[int, list[list[int]]]] = [{} for _ in range(ls.D)]
+    return _suffix(ls, fits, memo, 0, 0)[1:]
 
 
-def iter_matchings_of_cardinality(ls: LayerSystem, target: int,
-                                  acyclic: bool) -> Iterator[int]:
-    """Yield every matching with exactly `target` pairs as the OR of its
-    packed layer matchings: its edge mask below bit E = edge_count, and
-    above it the faces it covers, at `E + H.offsets[d]` for dimension d in
-    local order (see the module docstring).  `y & ((1 << E) - 1)` is the
-    edge mask, and the faces it leaves critical are `full ^ (y >> E)`,
-    full holding one bit per face.
+def iter_matchings_of_cardinality(ls: LayerSystem, target: int, acyclic: bool,
+                                  ) -> Iterator[tuple[int, list[int]]]:
+    """Yield every matching with exactly `target` pairs, as (acc, group)
+    pairs: acc is the OR of the packed matchings of the layers below the
+    top, and group the non-empty list of top-layer matchings that complete
+    it, each of the pairs still to place, so the matchings are `acc | x`
+    for x in group.  Such a value holds the matching's edge mask below bit
+    E = edge_count, and above it the faces it covers, at `E +
+    H.offsets[d]` for dimension d in local order (see the module
+    docstring).  `y & ((1 << E) - 1)` is the edge mask, and the faces it
+    leaves critical are `full ^ (y >> E)`, full holding one bit per face.
+    A group depends only on the tracked faces that acc leaves free at the
+    top layer's lower dimension and on the pairs left, and is built once
+    per walk for each: prefixes that share them get the same list, which
+    callers must not mutate.  With no layers, the one pair is (0, [0]) for
+    target 0, the empty matching.
 
     Layers are filled bottom up, the suffix tables pruning every branch
     that cannot complete.  At layer d the tracked faces that the layer
     below left unmatched are free; their submasks are taken in increasing
     order, and each submask's layer matchings (those whose lower faces are
-    exactly that submask) in canonical order.  Layer 0 has no tracked
-    faces, so its one group is its whole list.  A group of layer d >= 1 is
-    listed by `_enumerate_layer(layer, acyclic, submask)` when the walk
-    first reaches it with a submask whose size the pairs still to place
-    allow, and kept for the rest of the walk.
+    exactly that submask) in canonical order; a top-layer group is the
+    concatenation of those lists, less the matchings of another pair
+    count.  So flattening the pairs gives a fixed order.  Layer 0 has no
+    tracked faces, so its one submask group is its whole list.  A submask
+    group of layer d >= 1 is listed by `_enumerate_layer(layer, acyclic,
+    submask)` when the walk first reaches it with a submask whose size the
+    pairs still to place allow, and kept for the rest of the walk.
     """
     D = ls.D
     S = suffix_tables(ls, acyclic)
@@ -540,49 +573,62 @@ def iter_matchings_of_cardinality(ls: LayerSystem, target: int,
     groups: list[dict[int, list[int]]] = [{} for _ in range(D)]
     if D:
         groups[0][0] = ls.matchings(0, acyclic)
+    # (free tracked faces, pairs left) -> the top-layer group that completes
+    tops: dict[tuple[int, int], list[int]] = {}
 
-    def rec(d: int, avoid: int, k_acc: int, acc: int) -> Iterator[int]:
-        # acc ORs the packed matchings of the layers below
-        memo, layer = groups[d], ls.layers[d]
-        up_shift = layer.upper_shift
-        free = ls.tracked_mask[d] & ~avoid
-        top = d == D - 1
-        rest = target - k_acc  # pairs still to place
-        nxt = S[d + 1]
-        up_low = ls.tracked_mask[d + 1]
-        # above layer 0 every lower face is tracked, so a group's
-        # matchings have as many pairs as its submask has bits, and the
-        # layers above add at most len(nxt[0]) - 1
-        fewest = rest - len(nxt[0]) + 1 if d else 0
+    def listed(d: int, free: int, fewest: int, rest: int,
+               ) -> Iterator[list[int]]:
+        # the submask groups of the free faces, of fewest..rest faces
+        memo = groups[d]
         sub = 0
         while True:
             if fewest <= sub.bit_count() <= rest:
                 group = memo.get(sub)
                 if group is None:
-                    group = memo[sub] = _enumerate_layer(layer, acyclic, sub)
-                if top:
-                    # nothing lies above the top layer, so its matchings
-                    # complete the walk with exactly the pairs still to place
-                    for x in group:
-                        if x.bit_count() // 3 == rest:
-                            yield acc | x
-                else:
-                    for x in group:
-                        upper = x >> up_shift
-                        size = x.bit_count() // 3
-                        need = rest - size
-                        vec = nxt[upper & up_low]
-                        if 0 <= need < len(vec) and vec[need]:
-                            yield from rec(d + 1, upper, k_acc + size, acc | x)
+                    group = memo[sub] = _enumerate_layer(ls.layers[d],
+                                                         acyclic, sub)
+                yield group
             sub = (sub - free) & free
             if not sub:
                 break
+
+    def rec(d: int, avoid: int, k_acc: int, acc: int,
+            ) -> Iterator[tuple[int, list[int]]]:
+        # acc ORs the packed matchings of the layers below
+        free = ls.tracked_mask[d] & ~avoid
+        rest = target - k_acc  # pairs still to place
+        nxt = S[d + 1]
+        # above layer 0 every lower face is tracked, so a group's
+        # matchings have as many pairs as its submask has bits, and the
+        # layers above add at most len(nxt[0]) - 1
+        fewest = rest - len(nxt[0]) + 1 if d else 0
+        if d == D - 1:
+            # nothing lies above the top layer, so its matchings complete
+            # the walk with exactly the pairs still to place
+            top = tops.get((free, rest))
+            if top is None:
+                top = tops[free, rest] = [
+                    x for group in listed(d, free, fewest, rest)
+                    for x in group if x.bit_count() // 3 == rest]
+            if top:
+                yield acc, top
+            return
+        up_shift = ls.layers[d].upper_shift
+        up_low = ls.tracked_mask[d + 1]
+        for group in listed(d, free, fewest, rest):
+            for x in group:
+                upper = x >> up_shift
+                size = x.bit_count() // 3
+                need = rest - size
+                vec = nxt[upper & up_low]
+                if 0 <= need < len(vec) and vec[need]:
+                    yield from rec(d + 1, upper, k_acc + size, acc | x)
 
     try:
         if D:
             yield from rec(0, 0, 0, 0)
         elif target == 0:
-            yield 0  # no layers: the empty matching is the only one
+            yield 0, [0]  # no layers: the empty matching is the only one
     finally:
         # break rec's self-reference, also when the walk is abandoned, so
         # the groups are freed without the cycle collector
@@ -592,12 +638,15 @@ def iter_matchings_of_cardinality(ls: LayerSystem, target: int,
 def profile_counts(ls: LayerSystem, target: int, acyclic: bool,
                    ) -> dict[tuple[int, ...], int]:
     """Counts of cardinality-`target` matchings by per-layer pair profile,
-    tallied over the walk."""
+    tallied over the walk.  The members of a group all lie in the top
+    layer and have one pair count, so they share their prefix's profile,
+    read off the first."""
     layer_edges = [sum(1 << e for e, _, _ in lay.edges_local)
                    for lay in ls.layers]
     out: Counter = Counter()
-    for mask in iter_matchings_of_cardinality(ls, target, acyclic):
-        out[tuple([(mask & le).bit_count() for le in layer_edges])] += 1
+    for acc, group in iter_matchings_of_cardinality(ls, target, acyclic):
+        y = acc | group[0]
+        out[tuple([(y & le).bit_count() for le in layer_edges])] += len(group)
     return dict(out)
 
 

@@ -14,10 +14,11 @@ bound for MP), so a complex over the cap is refused, with the package's one
 refusal type `BudgetExceededError`, before anything is walked.  M and GM
 then take their faces from the per-layer product (`layers.matching_faces`),
 which lists them by size in canonical order, so they are stored with no
-sort; MP walks the maximum matchings and closes them downward, and its
-faces are sorted.  Every base goes this one way: a void or
-0-dimensional base has a Hasse diagram without edges, and its matching
-complex is void.
+sort.  MP walks the maximum matchings as the walk yields them, a prefix
+of the layers below the top with its group of top-layer completions: it
+ORs each member into its prefix, closes the result downward, and sorts
+its faces.  Every base goes this one way: a void or 0-dimensional base
+has a Hasse diagram without edges, and its matching complex is void.
 
 An inclusion K into L of bases induces the vertex map
 `induced_inclusion(HK, HL)` between their matching complexes, read off
@@ -88,11 +89,12 @@ def build_matching_complex(K: SimplicialComplex, variant: str,
         return MatchingComplex(H, SimplicialComplex._from_sorted(faces, E))
     edges = (1 << E) - 1  # the walk also yields covered faces
     closed: set[int] = set()
-    for y in iter_matchings_of_cardinality(ls, best, acyclic=True):
-        sub = mask = y & edges
-        while sub:
-            closed.add(sub)
-            sub = (sub - 1) & mask
+    for acc, group in iter_matchings_of_cardinality(ls, best, acyclic=True):
+        for x in group:
+            sub = mask = (acc | x) & edges
+            while sub:
+                closed.add(sub)
+                sub = (sub - 1) & mask
     # a downward closure: closed as built
     return MatchingComplex(H, SimplicialComplex._from_closed(closed, E))
 

@@ -7,6 +7,10 @@ visited matchings or faces) and reports skipped-budget instead of grinding.
 
 restriction-fibers and top-facet-bijection share one restriction check: each
 walks a skeleton alone and reads every fiber off the simplex's suffix tables.
+The walk yields each prefix of the layers below the top with its shared
+group of top-layer completions, so these checks and spanning-tree test a
+group's members once per distinct group and prefix counts
+(`_fresh_groups`), and read its fibers once per group.
 
 cone-contiguity decides "acyclic matching of the cone" with the layer engine
 (`_acyclic_matching`): the package has one cycle test, the reach closure of
@@ -140,11 +144,42 @@ def _optimal_count(ls: LayerSystem, budget: int) -> tuple[int, int]:
     return best, count
 
 
-def _optimal_masks(ls: LayerSystem, budget: int) -> tuple[int, Iterator[int]]:
+def _optimal_masks(ls: LayerSystem, budget: int,
+                   ) -> tuple[int, Iterator[tuple[int, list[int]]]]:
     """The maximum cardinality and the walk over every maximum acyclic
-    matching.  The visit budget is checked here, before the walk starts."""
+    matching, as (prefix, group) pairs (see
+    `layers.iter_matchings_of_cardinality`).  The visit budget is checked
+    here, before the walk starts."""
     best = _optimal_count(ls, budget)[0]
     return best, iter_matchings_of_cardinality(ls, best, acyclic=True)
+
+
+def _fresh_groups(H: HasseDiagram) -> Callable[[int, list[int]], bool]:
+    """A test of whether the members of a walked pair (acc, group) can
+    fail a check differently from those of a pair already seen.
+
+    The checks read a walked matching y = acc | x through the faces it
+    leaves critical, `full ^ (y >> E)`: how many there are, how many are
+    vertices, and which are of the top dimension.  The prefix acc covers
+    no face of the top dimension, so a member's outcome depends on acc
+    only through the number of faces and of vertices acc covers.  So a
+    group is fresh once per such pair of counts, at the first prefix that
+    brings it: testing its members there, in order, finds the first
+    failing matching of the walk.  Each group is held once seen, so no
+    other list can take its id."""
+    E = H.edge_count
+    vertices = (1 << H.offsets[1]) - 1
+    seen: dict[tuple[int, int, int], list[int]] = {}
+
+    def fresh(acc: int, group: list[int]) -> bool:
+        cover = acc >> E
+        key = (id(group), cover.bit_count(), (cover & vertices).bit_count())
+        if key in seen:
+            return False
+        seen[key] = group
+        return True
+
+    return fresh
 
 
 def _acyclic_matching(ls: LayerSystem) -> Callable[[int], bool]:
@@ -170,34 +205,44 @@ def _acyclic_matching(ls: LayerSystem) -> Callable[[int], bool]:
 # -- counting and bijections -------------------------------------------------
 
 def _restriction(n: int, k: int, budget: int,
-                 ) -> tuple[HasseDiagram, int, int, Iterator[tuple[int, int, int]]]:
+                 ) -> tuple[HasseDiagram, int, int,
+                            Iterator[tuple[int, list[int], list[int]]]]:
     """Restriction of the n-simplex's maximum matchings to its k-skeleton,
     k < n: the skeleton's diagram, the simplex's maximum count, the number
-    `need` of pairs a restriction drops, and a walk yielding (y, free,
-    fiber) per maximum matching of the skeleton.  y is the matching as the
-    walk yields it, its edge mask with its covered faces above; free is
-    its unmatched gids, the complement of those faces, which on a full
-    skeleton are in gid order; fiber counts the ways layers >= k place
-    `need` pairs off its matched k-faces, read off the simplex's suffix
-    table, which tracks every k-face in gid order.  The simplex's
-    LayerSystem comes first, so the width rule refuses it before anything
-    is built."""
+    `need` of pairs a restriction drops, and a walk yielding (acc, group,
+    fibers) per pair of the skeleton's walk (see `_optimal_masks`):
+    fibers[i] counts the ways layers >= k of the simplex place `need`
+    pairs off the k-faces that the skeleton matching `acc | group[i]`
+    matches.  Those are its top-dimension faces, which only its top-layer
+    part x = group[i] covers, at `x >> E + H.offsets[k]` in gid order; the
+    mask indexes the simplex's suffix table at dimension k directly, which
+    tracks every k-face in gid order.  So a group's fibers are read once,
+    when the walk first yields it, and shared like the group.  The
+    simplex's LayerSystem comes first, so the width rule refuses it before
+    anything is built."""
     K = build_simplex(n)
     S = suffix_tables(LayerSystem(K), acyclic=True)
     best_k, count_k = max_cardinality_info(S[0][0])
     ls_s = LayerSystem(skeleton(K, k))
     best_s, walk = _optimal_masks(ls_s, budget)
     H = ls_s.H
-    E, full = H.edge_count, (1 << len(H.face_of_gid)) - 1
-    first = H.offsets[k]
-    top = len(S[k]) - 1
+    shift = H.edge_count + H.offsets[k]
+    table = S[k]
     need = best_k - best_s
 
-    def fibers() -> Iterator[tuple[int, int, int]]:
-        for y in walk:
-            free = full ^ (y >> E)
-            vec = S[k][top ^ (free >> first)]
-            yield y, free, vec[need] if need < len(vec) else 0
+    def fiber(x: int) -> int:
+        vec = table[x >> shift]
+        return vec[need] if need < len(vec) else 0
+
+    def fibers() -> Iterator[tuple[int, list[int], list[int]]]:
+        # id(group) -> (group, its fibers); the group is held so that no
+        # other list can take its id
+        memo: dict[int, tuple[list[int], list[int]]] = {}
+        for acc, group in walk:
+            hit = memo.get(id(group))
+            if hit is None:
+                hit = memo[id(group)] = (group, [fiber(x) for x in group])
+            yield acc, group, hit[1]
 
     return H, count_k, need, fibers()
 
@@ -211,22 +256,31 @@ def verify_top_facet_bijection(n: int, budget: int = DEFAULT_BUDGET,
     def check() -> dict:
         if n < 2:
             raise CheckFailure("the bijection fails at n=1; n >= 2 required")
-        H, count_k, need, fibers = _restriction(n, n - 1, budget)
+        H, count_k, need, walk = _restriction(n, n - 1, budget)
         _ensure(need == 1, "matching does not pair the top simplex exactly once")
         # a boundary matching leaves one vertex and one facet unmatched
+        E, full = H.edge_count, (1 << len(H.face_of_gid)) - 1
         vertices = (1 << H.offsets[1]) - 1
         first_top = H.offsets[n - 1]
+        fresh = _fresh_groups(H)
         count_b = 0
-        for y, free, fiber in fibers:
-            count_b += 1
-            if not (free.bit_count() == 2 and (free & vertices).bit_count() == 1
-                    and (free >> first_top).bit_count() == 1):
-                raise CheckFailure(
-                    "boundary matching lacks the expected two critical faces",
-                    _edge_pairs(H, y))
-            if fiber != 1:
-                raise CheckFailure(f"a boundary matching has {fiber} extensions",
-                                   _edge_pairs(H, y))
+        for acc, group, fibers in walk:
+            count_b += len(group)
+            if not fresh(acc, group):
+                continue
+            for x, fiber in zip(group, fibers):
+                y = acc | x
+                free = full ^ (y >> E)
+                if not (free.bit_count() == 2
+                        and (free & vertices).bit_count() == 1
+                        and (free >> first_top).bit_count() == 1):
+                    raise CheckFailure(
+                        "boundary matching lacks the expected two critical "
+                        "faces", _edge_pairs(H, y))
+                if fiber != 1:
+                    raise CheckFailure(
+                        f"a boundary matching has {fiber} extensions",
+                        _edge_pairs(H, y))
         _ensure(count_k == count_b, f"facet counts differ: {count_k} != {count_b}")
         return {"count": count_k}
 
@@ -301,24 +355,31 @@ def verify_spanning_tree(n: int, budget: int = DEFAULT_BUDGET) -> VerificationRe
         # witness if it fails, and only then decoded into faces.  A walked
         # matching carries the faces it covers above its edges, in gid
         # order on a full skeleton, so its unmatched gids are one XOR.
+        # The members of a group are tested when it is fresh (see
+        # `_fresh_groups`): at n = 4, 125 groups of the 625 pairs walked
         trees: set[int] = set()
+        fresh = _fresh_groups(H)
         count = 0
-        for y in _optimal_masks(ls, budget)[1]:
-            free = full ^ (y >> E)
-            top = free >> first_top
-            if top.bit_count() != n or (free & vertices).bit_count() != 1:
-                raise CheckFailure(
-                    "unexpected critical face counts on the skeleton",
-                    _edge_pairs(H, y))
-            if top not in trees:
-                edges = [_facet_graph_edge(H.face_of_gid[first_top + i], n)
-                         for i in face_vertices(top)]
-                if not _is_spanning_tree(edges, n + 1):
+        for acc, group in _optimal_masks(ls, budget)[1]:
+            count += len(group)
+            if not fresh(acc, group):
+                continue
+            for x in group:
+                y = acc | x
+                free = full ^ (y >> E)
+                top = free >> first_top
+                if top.bit_count() != n or (free & vertices).bit_count() != 1:
                     raise CheckFailure(
-                        "critical faces do not form a spanning tree",
-                        {"matching": _edge_pairs(H, y), "edges": edges})
-                trees.add(top)
-            count += 1
+                        "unexpected critical face counts on the skeleton",
+                        _edge_pairs(H, y))
+                if top not in trees:
+                    edges = [_facet_graph_edge(H.face_of_gid[first_top + i], n)
+                             for i in face_vertices(top)]
+                    if not _is_spanning_tree(edges, n + 1):
+                        raise CheckFailure(
+                            "critical faces do not form a spanning tree",
+                            {"matching": _edge_pairs(H, y), "edges": edges})
+                    trees.add(top)
         return {"count": count, "distinct_trees": len(trees)}
 
     return _run("spanning-tree", {"n": n}, check)
@@ -332,8 +393,10 @@ def verify_restriction_fibers(n: int, budget: int = DEFAULT_BUDGET,
     def check() -> dict:
         if n < 3:
             raise CheckFailure("requires n >= 3")
-        _, count_k, _, fibers = _restriction(n, n - 2, budget)
-        histogram = Counter(fiber for _, _, fiber in fibers)
+        _, count_k, _, walk = _restriction(n, n - 2, budget)
+        histogram: Counter = Counter()
+        for _, _, fibers in walk:
+            histogram.update(fibers)
         skeleton_count = sum(histogram.values())
         _ensure(count_k == (n + 1) * skeleton_count,
                 f"{count_k} != {n + 1} x {skeleton_count}")

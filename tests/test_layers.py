@@ -34,12 +34,19 @@ CORPUS = [build_simplex(1), build_simplex(2), build_simplex(3),
           skeleton(build_simplex(3), 1), cone(build_boundary(2))[0]]
 
 
+def flat_walk(ls, target, acyclic) -> list[int]:
+    """The matchings of the walk in walk order, each `acc | x` for every
+    member x of a yielded (acc, group) pair: edge mask and covered faces."""
+    return [acc | x
+            for acc, group in iter_matchings_of_cardinality(ls, target, acyclic)
+            for x in group]
+
+
 def walk_masks(ls, target, acyclic) -> list[int]:
-    """The edge masks of the matchings `iter_matchings_of_cardinality`
-    yields, in walk order: each yielded value less its covered faces."""
+    """The edge masks of the matchings of the walk, in walk order: each
+    flattened matching less its covered faces."""
     edges = (1 << ls.H.edge_count) - 1
-    return [y & edges
-            for y in iter_matchings_of_cardinality(ls, target, acyclic)]
+    return [y & edges for y in flat_walk(ls, target, acyclic)]
 
 
 def every_matching(ls, acyclic) -> list[int]:
@@ -110,18 +117,22 @@ def test_guided_iteration_matches_flat_maxima():
 
 
 def test_walk_lists_groups_as_the_eager_index_would():
-    # the walk lists each layer group when it first reaches it; the oracle
-    # indexes every layer's whole list first.  Same sequence, covered
-    # faces included: every target on the corpus, in both modes, and on
-    # the n = 4 bases each target of at most 20,000 acyclic matchings,
-    # and the 76,025 maximum ones of skeleton:simplex:4:2
+    # the walk lists each layer group when it first reaches it and yields
+    # (prefix, top-layer group) pairs; the oracle indexes every layer's
+    # whole list first and lists one matching at a time.  Flattened, the
+    # same sequence, covered faces included: every target on the corpus,
+    # in both modes, and on the n = 4 bases each target of at most 20,000
+    # acyclic matchings, and the 76,025 maximum ones of
+    # skeleton:simplex:4:2.  No yielded group is empty
     for K in CORPUS:
         ls = LayerSystem(K)
         for acyclic in (True, False):
             S = list_suffix_tables(ls, acyclic)
             for target in range(-1, len(S[0][0]) + 1):
-                assert list(iter_matchings_of_cardinality(ls, target, acyclic)) \
+                assert flat_walk(ls, target, acyclic) \
                     == eager_walk(ls, target, acyclic, S)
+                assert all(group for _, group in
+                           iter_matchings_of_cardinality(ls, target, acyclic))
     for name, K in N4.items():
         ls = LayerSystem(K)
         S = list_suffix_tables(ls, True)
@@ -130,9 +141,74 @@ def test_walk_lists_groups_as_the_eager_index_would():
         if name == "skeleton:simplex:4:2":
             targets.append(len(counts) - 1)
         for target in targets:
-            walked = list(iter_matchings_of_cardinality(ls, target, True))
+            walked = flat_walk(ls, target, True)
             assert len(walked) == counts[target]
             assert walked == eager_walk(ls, target, True, S)
+
+
+def test_walk_of_the_2_skeleton_shares_its_top_groups():
+    # the 76,025 maximum matchings of skeleton:simplex:4:2 come as 625
+    # layer-0 prefixes, the rooted spanning trees of K5, each with the one
+    # list of layer-1 matchings that completes its tree: 125 distinct
+    # lists, one per tree, of 15,205 matchings in all
+    ls = LayerSystem(N4["skeleton:simplex:4:2"])
+    pairs = list(iter_matchings_of_cardinality(ls, 10, True))
+    assert len(pairs) == 625
+    distinct = {id(group): group for _, group in pairs}
+    assert len(distinct) == 125
+    assert sum(len(group) for _, group in pairs) == 76025
+    assert sum(map(len, distinct.values())) == 15205
+    # a prefix holds layer 0 alone, its group layer 1 alone
+    layer0 = (1 << len(ls.layers[0].edges_local)) - 1
+    edges = (1 << ls.H.edge_count) - 1
+    assert all(acc & edges == acc & layer0 and acc & layer0
+               and not any(x & layer0 for x in group) for acc, group in pairs)
+
+
+def test_profile_counts_tally_the_flattened_walk():
+    # a group's members share their prefix's profile: the grouped tally
+    # equals the per-matching tally of the flattened walk, on every target
+    # of the corpus in both modes and at the maximum of the n = 4 bases
+    def tally(ls, target, acyclic):
+        spans = [sum(1 << e for e, _, _ in lay.edges_local)
+                 for lay in ls.layers]
+        return dict(Counter(tuple((y & s).bit_count() for s in spans)
+                            for y in flat_walk(ls, target, acyclic)))
+
+    for K in CORPUS:
+        ls = LayerSystem(K)
+        for acyclic in (True, False):
+            for target in range(len(suffix_tables(ls, acyclic)[0][0]) + 1):
+                assert profile_counts(ls, target, acyclic) \
+                    == tally(ls, target, acyclic)
+    for K in N4.values():
+        ls = LayerSystem(K)
+        best, count = max_cardinality_info(suffix_tables(ls, True)[0][0])
+        got = profile_counts(ls, best, True)
+        assert got == tally(ls, best, True)
+        assert sum(got.values()) == count
+
+
+def test_each_suffix_of_the_product_is_built_once(monkeypatch):
+    # matching_faces fits each layer below each blocked set of tracked
+    # faces once: the suffixes above a layer are shared by every matching
+    # of the layer below that blocks the same faces
+    calls = Counter()
+    fitting = layers._fitting
+
+    def counted(fits, blocked, shift):
+        calls[id(fits), blocked] += 1
+        return fitting(fits, blocked, shift)
+
+    monkeypatch.setattr(layers, "_fitting", counted)
+    for K in CORPUS:
+        for acyclic in (True, False):
+            calls.clear()
+            ls = LayerSystem(K)
+            flat = all_matchings(ls.H, "acyclic" if acyclic else "all")
+            assert matching_faces(ls, acyclic) \
+                == by_size_in_canonical_order(flat)
+            assert set(calls.values()) == {1}
 
 
 def test_iteration_of_non_maximal_cardinality():
@@ -392,15 +468,18 @@ def test_layer_matchings_are_freed_without_the_cycle_collector():
             matching_counts(build_simplex(4), mode)
             assert gc.collect() == 0
         ls = LayerSystem(K)
-        assert sum(1 for k in range(8) for _ in
+        assert sum(len(group) for k in range(8) for _, group in
                    iter_matchings_of_cardinality(ls, k, True)) == 12821
         assert gc.collect() == 0
-        # an abandoned walk, whose memo already holds listed groups
+        # an abandoned walk, whose memos already hold listed groups and a
+        # top-layer group
         walk = iter_matchings_of_cardinality(ls, 3, True)
         next(walk)
         next(walk)
         del walk
         assert gc.collect() == 0
+        # the product of three layers, whose suffix memo is filled by a
+        # recursive builder
         assert len(every_matching(ls, False)) == 14720
         assert gc.collect() == 0
         homology(build_matching_complex(build_simplex(3), "M").complex)

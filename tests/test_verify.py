@@ -1,6 +1,7 @@
 import inspect
 import time
 from collections import Counter
+from itertools import chain
 from math import comb
 
 import pytest
@@ -11,8 +12,7 @@ from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   face_vertices, relabel, skeleton)
 from morsematch.hasse import HasseDiagram, build_hasse
 from morsematch.homology import HomologyResult
-from morsematch.layers import (LayerSystem, iter_matchings_of_cardinality,
-                              suffix_tables)
+from morsematch.layers import LayerSystem, suffix_tables
 from morsematch.morse import MatchingComplex
 from morsematch.verify import (default_suite, verify_cone_contiguity,
                                verify_conjecture_evidence,
@@ -24,7 +24,7 @@ from morsematch.verify import (default_suite, verify_cone_contiguity,
                                verify_top_facet_bijection, N4_F_VECTOR)
 
 from oracles import all_matchings, critical_faces
-from test_layers import CORPUS
+from test_layers import CORPUS, flat_walk
 
 
 def test_top_facet_bijection():
@@ -116,15 +116,16 @@ def test_spanning_tree_witness_has_the_rejected_critical_set(monkeypatch):
 
 def test_spanning_tree_streams_its_matchings(monkeypatch):
     # the first critical set is tested as soon as the walk has yielded its
-    # matching, so the verifier never holds all 76,025 of them
+    # first (prefix, group) pair, so the verifier never holds the list of
+    # the 76,025 matchings: only the walk's 125 shared top-layer groups
     yielded = 0
     walk = verify.iter_matchings_of_cardinality
 
     def counted(*args, **kwargs):
         nonlocal yielded
-        for mask in walk(*args, **kwargs):
+        for acc, group in walk(*args, **kwargs):
             yielded += 1
-            yield mask
+            yield acc, group
 
     at_first_test = []
     is_tree = verify._is_spanning_tree
@@ -140,6 +141,7 @@ def test_spanning_tree_streams_its_matchings(monkeypatch):
     assert r.passed
     assert r.details == {"count": 76025, "distinct_trees": 125}
     assert at_first_test == [1]
+    assert yielded == 625
 
 
 def _critical_decoder(H):
@@ -174,9 +176,11 @@ def test_walked_matchings_carry_their_critical_faces():
         edges = (1 << ls.H.edge_count) - 1
         decode = _critical_decoder(ls.H)
         checked = 0
-        for y in verify._optimal_masks(ls, verify.DEFAULT_BUDGET)[1]:
-            assert decode(y) == critical_faces(ls.H, y & edges)
-            checked += 1
+        for acc, group in verify._optimal_masks(ls, verify.DEFAULT_BUDGET)[1]:
+            for x in group:
+                y = acc | x
+                assert decode(y) == critical_faces(ls.H, y & edges)
+                checked += 1
         assert checked == count
     # every matching, acyclic or not, walked one size at a time, of the
     # small corpus and of a base whose dimension-1 faces are not in gid
@@ -191,7 +195,7 @@ def test_walked_matchings_carry_their_critical_faces():
         for acyclic in (True, False):
             top = len(suffix_tables(ls, acyclic)[0][0])
             walked = [y for k in range(top)
-                      for y in iter_matchings_of_cardinality(ls, k, acyclic)]
+                      for y in flat_walk(ls, k, acyclic)]
             for y in walked:
                 assert decode(y) == critical_faces(H, y & edges)
             flat = all_matchings(H, "acyclic" if acyclic else "all")
@@ -208,7 +212,7 @@ def test_walked_matchings_carry_their_critical_faces():
     H, E = ls.H, ls.H.edge_count
     e = H.edge(face_mask((1, 2)), face_mask((0, 1, 2)))
     assert H.face_of_gid[H.offsets[1] + 3] == face_mask((1, 2))
-    [y] = [y for y in iter_matchings_of_cardinality(ls, 1, True)
+    [y] = [y for y in flat_walk(ls, 1, True)
            if y & ((1 << E) - 1) == 1 << e]
     assert y >> E == (1 << (H.offsets[1] + 2)) | (1 << H.offsets[2])
 
@@ -254,8 +258,8 @@ def test_restriction_fiber_of_star_matching():
     from morsematch.complexes import (build_simplex, face_mask, face_vertices,
                                       skeleton)
     from morsematch.hasse import build_hasse
-    from morsematch.layers import (LayerSystem, iter_matchings_of_cardinality,
-                                   max_cardinality_info, suffix_tables)
+    from morsematch.layers import (LayerSystem, max_cardinality_info,
+                                   suffix_tables)
     from morsematch.morse import induced_inclusion
     d3 = build_simplex(3)
     sk = skeleton(d3, 1)
@@ -273,7 +277,7 @@ def test_restriction_fiber_of_star_matching():
     S = suffix_tables(ls, acyclic=True)
     best, _ = max_cardinality_info(S[0][0])
     edges = (1 << HK.edge_count) - 1
-    for y in iter_matchings_of_cardinality(ls, best, acyclic=True):
+    for y in flat_walk(ls, best, acyclic=True):
         mask = y & edges
         rho = 0
         for e in face_vertices(mask):
@@ -441,13 +445,15 @@ def test_euler_obstruction_computes_without_data():
 
 def _edges_only(monkeypatch):
     """Make every walked maximum matching carry no covered face, so each
-    face of the base reads critical."""
+    face of the base reads critical: each prefix and each member of its
+    group lose theirs, in walk order."""
     optimal_masks = verify._optimal_masks
 
     def edges_only(ls, budget):
         best, walk = optimal_masks(ls, budget)
         edges = (1 << ls.H.edge_count) - 1
-        return best, (y & edges for y in walk)
+        return best, ((acc & edges, [x & edges for x in group])
+                      for acc, group in walk)
 
     monkeypatch.setattr(verify, "_optimal_masks", edges_only)
 
@@ -475,8 +481,8 @@ def test_bijection_check_carries_its_witness(monkeypatch):
     assert r.details == {
         "message": "boundary matching lacks the expected two critical faces"}
     ls = LayerSystem(build_boundary(3))
-    first = next(verify._optimal_masks(ls, verify.DEFAULT_BUDGET)[1])
-    assert r.witness == verify._edge_pairs(ls.H, first)
+    acc, group = next(verify._optimal_masks(ls, verify.DEFAULT_BUDGET)[1])
+    assert r.witness == verify._edge_pairs(ls.H, acc | group[0])
     assert len(r.witness) == 6  # a maximum matching of the boundary
     for lower, upper in r.witness:
         assert len(upper) == len(lower) + 1 and set(lower) < set(upper)
@@ -484,14 +490,16 @@ def test_bijection_check_carries_its_witness(monkeypatch):
 
 def test_bijection_and_fibers_fail_when_a_matching_is_missing(monkeypatch):
     # drop one maximum matching of the boundary (for the bijection) or of
-    # the skeleton (for the fibers); both checks must notice
+    # the skeleton (for the fibers), the first member of the first group;
+    # both checks must notice
     import morsematch.verify as verify_mod
     optimal_masks = verify_mod._optimal_masks
 
     def lossy(ls, budget):
         best, walk = optimal_masks(ls, budget)
         if ls.D < 3:
-            next(walk)
+            acc, group = next(walk)
+            walk = chain([(acc, group[1:])], walk)
         return best, walk
 
     monkeypatch.setattr(verify_mod, "_optimal_masks", lossy)
@@ -528,6 +536,170 @@ def test_bijection_fails_when_a_fiber_is_not_one(monkeypatch, doctored, fiber):
     assert r.details == {
         "message": f"a boundary matching has {fiber} extensions"}
     assert len(r.witness) == 6  # a maximum matching of the boundary
+
+
+def _doctor_walk(monkeypatch, doctor):
+    """Pass every pair (acc, group) that a verifier's walk yields, with its
+    index i, through doctor(i, acc, group), which returns the pair to
+    yield instead."""
+    optimal_masks = verify._optimal_masks
+
+    def doctored(ls, budget):
+        best, walk = optimal_masks(ls, budget)
+        return best, (doctor(i, acc, group)
+                      for i, (acc, group) in enumerate(walk))
+
+    monkeypatch.setattr(verify, "_optimal_masks", doctored)
+
+
+def _flat_doctored_walk(ls):
+    """The doctored walk of `ls`, one matching `acc | x` at a time."""
+    walk = verify._optimal_masks(ls, verify.DEFAULT_BUDGET)[1]
+    return [acc | x for acc, group in walk for x in group]
+
+
+def _spanning_tree_per_matching(H, n, ys):
+    """The spanning-tree check one walked matching at a time, as it ran
+    before the walk yielded groups: the message and witness of the first
+    failing matching, or None."""
+    E, full = H.edge_count, (1 << len(H.face_of_gid)) - 1
+    vertices = (1 << H.offsets[1]) - 1
+    first_top = H.offsets[n - 2]
+    for y in ys:
+        free = full ^ (y >> E)
+        top = free >> first_top
+        if top.bit_count() != n or (free & vertices).bit_count() != 1:
+            return ("unexpected critical face counts on the skeleton",
+                    verify._edge_pairs(H, y))
+        edges = [verify._facet_graph_edge(H.face_of_gid[first_top + i], n)
+                 for i in face_vertices(top)]
+        if not verify._is_spanning_tree(edges, n + 1):
+            return ("critical faces do not form a spanning tree",
+                    {"matching": verify._edge_pairs(H, y), "edges": edges})
+    return None
+
+
+def _bijection_per_matching(n, ys):
+    """The top-facet-bijection check one walked matching of the boundary
+    at a time, each fiber read off the simplex's table through
+    `verify.suffix_tables` as before the walk yielded groups."""
+    S = verify.suffix_tables(LayerSystem(build_simplex(n)), True)
+    H = build_hasse(build_boundary(n))
+    E, full = H.edge_count, (1 << len(H.face_of_gid)) - 1
+    vertices = (1 << H.offsets[1]) - 1
+    first = H.offsets[n - 1]
+    top = len(S[n - 1]) - 1
+    for y in ys:
+        free = full ^ (y >> E)
+        if not (free.bit_count() == 2 and (free & vertices).bit_count() == 1
+                and (free >> first).bit_count() == 1):
+            return ("boundary matching lacks the expected two critical faces",
+                    verify._edge_pairs(H, y))
+        vec = S[n - 1][top ^ (free >> first)]
+        fiber = vec[1] if len(vec) > 1 else 0
+        if fiber != 1:
+            return (f"a boundary matching has {fiber} extensions",
+                    verify._edge_pairs(H, y))
+    return None
+
+
+@pytest.mark.parametrize("kind", ["member", "shared", "prefix"])
+def test_spanning_tree_on_a_doctored_group_fails_as_per_matching(monkeypatch,
+                                                                 kind):
+    # the grouped check tests a group's members once per prefix counts
+    # (see verify._fresh_groups); whatever is doctored, it must fail with
+    # the witness of the first failing matching in walk order.  At n = 4,
+    # pair 400 of the 625 brings a group that an earlier pair brought
+    n, at = 4, 400
+    ls = LayerSystem(skeleton(build_simplex(n), n - 2))
+    H = ls.H
+    E, first_top = H.edge_count, H.offsets[n - 2]
+    pairs = list(verify._optimal_masks(ls, verify.DEFAULT_BUDGET)[1])
+    group = pairs[at][1]
+    assert any(g is group for _, g in pairs[:at])
+    top_faces = ((1 << len(H.face_of_gid)) - 1) >> first_top << first_top
+
+    def swapped(x):
+        # move one covered top face to a critical one, so that the
+        # critical top faces keep their number but close a cycle
+        cover = x >> E & top_faces
+        for c in face_vertices(cover):
+            for f in face_vertices(top_faces ^ cover):
+                crit = (top_faces ^ cover ^ 1 << c ^ 1 << f) >> first_top
+                edges = [verify._facet_graph_edge(
+                    H.face_of_gid[first_top + i], n) for i in face_vertices(crit)]
+                if not verify._is_spanning_tree(edges, n + 1):
+                    return x ^ (1 << c ^ 1 << f) << E
+        raise AssertionError("no swap closes a cycle")
+
+    if kind == "member":
+        # one occurrence gets a copy whose 8th member uncovers a top face
+        x = group[7]
+        bad = group[:7] + [x ^ (x >> E + first_top & -(x >> E + first_top))
+                           << E + first_top] + group[8:]
+
+        def doctor(i, acc, g):
+            return (acc, bad) if i == at else (acc, g)
+    elif kind == "shared":
+        # every occurrence of the group, the same doctored list each time
+        content = tuple(group)
+        bad = group[:3] + [swapped(group[3])] + group[4:]
+
+        def doctor(i, acc, g):
+            return (acc, bad) if tuple(g) == content else (acc, g)
+    else:
+        # the prefix uncovers one of its vertices
+        def doctor(i, acc, g):
+            return (acc ^ (acc >> E & -(acc >> E)) << E, g) if i == at \
+                else (acc, g)
+
+    _doctor_walk(monkeypatch, doctor)
+    want = _spanning_tree_per_matching(H, n, _flat_doctored_walk(ls))
+    assert want is not None
+    r = verify_spanning_tree(n)
+    assert r.status == "fail"
+    assert (r.details["message"], r.witness) == want
+    if kind == "shared":
+        assert want[0] == "critical faces do not form a spanning tree"
+
+
+@pytest.mark.parametrize("kind", ["fiber", "member"])
+def test_bijection_on_a_doctored_group_fails_as_per_matching(monkeypatch,
+                                                             kind):
+    # the fibers of a group are read once, when the walk first yields it;
+    # a doctored fiber table or group member must still fail at the first
+    # failing boundary matching in walk order.  The boundary of the
+    # 3-simplex walks 64 pairs over 16 groups
+    n = 3
+    ls = LayerSystem(build_boundary(n))
+    E, first = ls.H.edge_count, ls.H.offsets[n - 1]
+    if kind == "fiber":
+        # an entry [1, 1] of the simplex's table at dimension 2 leaves one
+        # facet to pair with the top simplex; one such entry gets 2
+        tables = verify.suffix_tables
+
+        def doctor_tables(ls, acyclic):
+            S = tables(ls, acyclic)
+            if ls.D < 3:
+                return S
+            S = S[:2] + [list(S[2])] + S[3:]
+            S[2][S[2].index([1, 1], 5)] = [1, 2]
+            return S
+
+        monkeypatch.setattr(verify, "suffix_tables", doctor_tables)
+    else:
+        # pair 20's group gets a copy whose last member covers every facet
+        def doctor(i, acc, g):
+            if i != 20:
+                return acc, g
+            return acc, g[:-1] + [g[-1] | (1 << 4) - 1 << E + first]
+
+        _doctor_walk(monkeypatch, doctor)
+    want = _bijection_per_matching(n, _flat_doctored_walk(ls))
+    assert want is not None
+    r = verify_top_facet_bijection(n)
+    assert r.status == "fail"
+    assert (r.details["message"], r.witness) == want
 
 
 def test_budget_skip():
