@@ -23,7 +23,7 @@ Python integers make the growth harmless.
 Homology holds one boundary matrix at a time: in increasing degree
 (augmentation, then d_1, d_2, ...) each is built, reduced in place and
 dropped before the next is built.  The whole chain complex at once, before
-excision, is built only by the tests (`boundary_matrices` in
+excision and pairing, is built only by the tests (`boundary_matrices` in
 `tests/oracles.py`).  Only the rank, the torsion and the
 clearing set carry over: the columns Q where the unit elimination of d_d
 pivoted, on rows P, are faces of degree d, and d_{d+1} skips those rows.
@@ -37,8 +37,8 @@ This leaves its divisors and rank unchanged:
   rows, which unimodular row operations zero.
 
 The argument needs only dd = 0 and P among the rows of d_d, so it holds
-when d_d was itself reduced with rows skipped, and for the quotient complex
-of a pair.  Pivots of the residual do not feed the clearing: they use
+when d_d was itself reduced with rows skipped, for the quotient complex of
+a pair, and for the Morse complex below.  Pivots of the residual do not feed the clearing: they use
 column operations.
 
 Before any matrix is built, `_excise` removes complete element matchings
@@ -71,6 +71,38 @@ enters:
 
 R depends only on the face set, not on set iteration order, and the bases
 are `faces_by_dim` filtered to R, so they keep the canonical order.
+
+The matrices reduced are those of a Morse complex of R, not of R itself.
+`_element_pairs` runs the ascending element matching on R (Jonsson
+2008): for each vertex v of L in ascending order, every s in R with
+v not in s and s | v in R is paired upward with s | v, and both faces
+leave R.  What is left of R are the critical faces, the only basis
+elements of the Morse complex (Forman 1998; Skoldberg, Morse theory from
+an algebraic viewpoint, 2006; Kozlov, Combinatorial Algebraic Topology,
+2008, ch. 11).  Its differential takes a critical face c to
+
+    sum over the facets r of c of [c:r] phi(r),
+
+where phi(r) = r for a critical r; phi(r) = 0 for r matched downward or
+not in R; and for r paired upward with s = up[r],
+
+    phi(r) = -[s:r] sum over the facets q != r of s of [s:q] phi(q),
+
+which is r - [s:r] d s with every face paired upward flowed on in turn.
+This is exact over Z, torsion included:
+
+* A sequence of element matchings is acyclic on any family of sets: no
+  path that goes up along pairs and down along the other incidences of R
+  closes a cycle.  So the recursion for phi ends, and `_flow` evaluates it
+  with an explicit stack and memoizes it for one degree at a time.
+* Each pair (s, s | v) has incidence +-1 in the boundary of R, so the
+  division by [s:r] that algebraic Morse theory needs stays in Z.
+* Algebraic Morse theory then makes C(R) chain-homotopy equivalent to the
+  Morse complex over Z.  Its differential squares to zero, so the clearing
+  above holds on it unchanged, and its groups are those of C(R).
+
+A residual that lies in one dimension, as M(K7)'s does, has no pairs and
+is its own Morse complex.
 """
 
 from __future__ import annotations
@@ -284,47 +316,158 @@ def _excise(L: SimplicialComplex, residual: set[int]) -> set[int]:
         vertices = kept
 
 
-def _boundaries(L: SimplicialComplex,
-                faces: set[int]) -> Iterator[SparseIntMatrix]:
-    """Boundary matrices of the chain complex on the faces `faces` of L (a
-    `_chain_faces` set or a residual of `_excise`), in canonical order, one
-    degree at a time.
+def _element_pairs(L: SimplicialComplex, residual: set[int]) -> dict[int, int]:
+    """The ascending element matching of the residual R of `_excise`, made
+    in place: for each vertex v of L in ascending order, every s in R with
+    v not in s and s | v in R is paired upward, and both faces leave R.
+    Returns `up`, mapping each lower face s to its partner s | v; R is left
+    holding the critical faces (see the module docstring).
 
-    Facets outside `faces` have no row, so with the faces of a subcomplex
-    left out this is the quotient complex of the pair.  dd = 0 holds by
-    construction: L is closed under taking faces, so both paths from a face
-    down to each of its codimension-2 faces exist, with opposite signs; and
-    when the faces left out form a subcomplex (`relative_homology` checks
-    it for the dropped one, and every excision step keeps it so), a path
-    through a face left out ends at a face left out, which has no row.
-    The tests multiply the matrices out (`dd_nonzero` in `tests/oracles.py`).
+    A face is paired with a vertex it holds, so each face waits in the
+    bucket of its lowest vertex not yet visited, and a face that leaves R
+    waits no more.  Only faces whose size - 1 occurs in R can have a
+    partner below them, so a residual in one dimension indexes nothing."""
+    sizes = {f.bit_count() for f in residual}
+    upper = {k for k in sizes if k - 1 in sizes}
+    up: dict[int, int] = {}
+    if not upper:
+        return up
+    buckets: list[list[int] | None] = [[] for _ in range(L.vertex_count)]
+    for f in residual:
+        if f.bit_count() in upper:
+            buckets[(f & -f).bit_length() - 1].append(f)
+    for i in range(L.vertex_count):
+        v = 1 << i
+        above = -(v << 1)  # the bits above v
+        for f in buckets[i]:
+            if f not in residual:
+                continue
+            s = f ^ v
+            if s in residual:
+                up[s] = f
+                residual.discard(s)
+                residual.discard(f)
+            elif rest := f & above:
+                buckets[(rest & -rest).bit_length() - 1].append(f)
+        buckets[i] = None
+    return up
 
-    No matrix is kept here once yielded.  The augmentation is the boundary
-    down to the empty face, mask 0.
+
+def _flow(r: int, up: dict[int, int], index: dict[int, int],
+          memo: dict[int, dict[int, int]]) -> dict[int, int]:
+    """phi(r) for a face r paired upward, as {row of `index`: coefficient}:
+    -[s:r] sum over the facets q != r of s = up[r] of [s:q] phi(q), where
+    phi is the row of a critical face in `index`, memoized in `memo` for a
+    face paired upward, and 0 otherwise.  The facets a face waits for are
+    flowed first, from an explicit stack; the matching is acyclic, so the
+    waits never close a cycle."""
+    stack = [r]
+    while stack:
+        t = stack[-1]
+        if t in memo:
+            stack.pop()
+            continue
+        s = up[t]
+        x = s
+        waits = []
+        while x:
+            b = x & -x
+            q = s ^ b
+            if q != t and q in up and q not in memo:
+                waits.append(q)
+            x ^= b
+        if waits:
+            stack.extend(waits)
+            continue
+        acc: dict[int, int] = {}
+        sign = 1
+        x = s
+        while x:
+            b = x & -x
+            q = s ^ b
+            if q == t:
+                own = sign
+            else:
+                pos = index.get(q)
+                if pos is not None:
+                    acc[pos] = acc.get(pos, 0) + sign
+                elif q in memo:
+                    for pos, w in memo[q].items():
+                        acc[pos] = acc.get(pos, 0) + sign * w
+            sign = -sign
+            x ^= b
+        memo[t] = {pos: -own * w for pos, w in acc.items() if w}
+        stack.pop()
+    return memo[r]
+
+
+def _boundaries(L: SimplicialComplex, faces: set[int],
+                up: dict[int, int] | None = None) -> Iterator[SparseIntMatrix]:
+    """Boundary matrices of the chain complex on the faces `faces` of L, in
+    canonical order, one degree at a time; with `up`, the pairs of
+    `_element_pairs`, the differentials of its Morse complex on the
+    critical faces `faces`.
+
+    Without pairs, `faces` is a `_chain_faces` set or a residual of
+    `_excise`, and facets outside it have no row, so with the faces of a
+    subcomplex left out this is the quotient complex of the pair.  dd = 0
+    holds by construction: L is closed under taking faces, so both paths
+    from a face down to each of its codimension-2 faces exist, with
+    opposite signs; and when the faces left out form a subcomplex
+    (`relative_homology` checks it for the dropped one, and every excision
+    step keeps it so), a path through a face left out ends at a face left
+    out, which has no row.
+
+    With pairs, column c is the sum over the facets r of c of [c:r] phi(r)
+    (`_flow`): a critical facet is its own row, a facet paired upward flows
+    along its pair, and any other facet is 0.  dd = 0 holds because the
+    Morse complex is a chain complex (see the module docstring).  The tests
+    multiply the matrices out (`dd_nonzero` in `tests/oracles.py`).
+
+    No matrix and no flow is kept here once yielded.  The augmentation is
+    the boundary down to the empty face, mask 0.
     """
     lower = [0] if 0 in faces else []
     for by_dim in L.faces_by_dim:
         basis = [f for f in by_dim if f in faces]
-        yield _boundary(lower, basis)
+        index = dict(zip(lower, range(len(lower))))
+        m = SparseIntMatrix(len(lower), len(basis))
+        rows = m.row
+        memo: dict[int, dict[int, int]] = {}
+        if not up:
+            for j, f in enumerate(basis):
+                sign = 1
+                x = f
+                while x:
+                    b = x & -x
+                    pos = index.get(f ^ b)
+                    if pos is not None:
+                        rows[pos][j] = sign
+                    sign = -sign
+                    x ^= b
+        else:
+            for j, f in enumerate(basis):
+                col: dict[int, int] = {}
+                sign = 1
+                x = f
+                while x:
+                    b = x & -x
+                    r = f ^ b
+                    pos = index.get(r)
+                    if pos is not None:
+                        col[pos] = col.get(pos, 0) + sign
+                    elif r in up:
+                        for pos, w in _flow(r, up, index, memo).items():
+                            col[pos] = col.get(pos, 0) + sign * w
+                    sign = -sign
+                    x ^= b
+                for pos, w in col.items():
+                    if w:
+                        rows[pos][j] = w
+        del index, memo
+        yield m
+        del m
         lower = basis
-
-
-def _boundary(lower: list[int], basis: list[int]) -> SparseIntMatrix:
-    """The boundary from the faces `basis` to the faces `lower`."""
-    index = dict(zip(lower, range(len(lower))))
-    m = SparseIntMatrix(len(lower), len(basis))
-    rows = m.row
-    for j, f in enumerate(basis):
-        sign = 1
-        x = f
-        while x:
-            b = x & -x
-            pos = index.get(f ^ b)
-            if pos is not None:
-                rows[pos][j] = sign
-            sign = -sign
-            x ^= b
-    return m
 
 
 class HomologyResult:
@@ -412,8 +555,12 @@ def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
 
 def _excised_homology(L: SimplicialComplex, drop: Sequence[int],
                       augment: bool, reduced: bool) -> HomologyResult:
-    """Homology of the chain complex of L outside `drop`.  The chain set
-    lives only as the argument of `_excise`, so it is freed as `_excise`
-    returns its fresh residual, before the first boundary matrix."""
-    return _homology_from_chain(
-        _boundaries(L, _excise(L, _chain_faces(L, drop, augment))), reduced)
+    """Homology of the chain complex of L outside `drop`, reduced on the
+    Morse complex of the element matching of its excised residual.  The
+    chain set lives only as the argument of `_excise`, so it is freed as
+    `_excise` returns its fresh residual, and the vertex buckets of
+    `_element_pairs` as it returns, both before the first boundary
+    matrix."""
+    residual = _excise(L, _chain_faces(L, drop, augment))
+    up = _element_pairs(L, residual)
+    return _homology_from_chain(_boundaries(L, residual, up), reduced)

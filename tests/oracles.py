@@ -8,7 +8,8 @@ dd = 0 is checked by multiplying the boundary matrices out.  These are the
 slow-but-obvious routes the fast implementations are checked against.
 The exceptions: `boundary_matrices`, the whole chain complex at once,
 which the package's `homology` never builds, is made of the package's own
-boundary matrices, so that dd = 0 and the SNF are checked on them; the
+boundary matrices, so that dd = 0 and the SNF are checked on them;
+`morse_matching_defect` checks pairs the package made, on its own DFS; the
 list-based layer transfer at the end reads the package's layer tables and
 checks only the packed coefficient arithmetic; the path-search layer
 enumerator reads the package's `Layer` records; and the eager walk reads
@@ -144,6 +145,62 @@ def dd_nonzero(mats) -> tuple[int, int, int] | None:
             for j in sorted(acc):
                 if acc[j]:
                     return d, i, j
+    return None
+
+
+def morse_matching_defect(family, pairs) -> str | None:
+    """Why `pairs` ((lower, upper) face masks) is not an acyclic matching
+    with unit incidences on the face family `family`, or None when it is.
+
+    Each face is taken apart into its vertex list; the incidence of a
+    pair is (-1)^i when dropping the i-th vertex of upper gives lower, and
+    0 otherwise.  Acyclicity is a DFS over the modified Hasse digraph of
+    the whole family: every face points to each of its facets in the
+    family, except that a pair points from lower to upper."""
+    family = set(family)
+    matched: set[int] = set()
+    reversed_edges = set()
+    for lo, up in pairs:
+        if lo not in family or up not in family:
+            return f"pair {_bits(lo)} < {_bits(up)} leaves the family"
+        if lo in matched or up in matched:
+            return f"pair {_bits(lo)} < {_bits(up)} meets another pair"
+        matched.update((lo, up))
+        vs = _bits(up)
+        incidence = [(-1) ** i for i in range(len(vs))
+                     if vs[:i] + vs[i + 1:] == _bits(lo)]
+        if incidence not in ([1], [-1]):
+            return f"pair {_bits(lo)} < {_bits(up)} has incidence {incidence}"
+        reversed_edges.add((lo, up))
+    succ: dict[int, list[int]] = {f: [] for f in family}
+    for f in family:
+        vs = _bits(f)
+        for i in range(len(vs)):
+            g = sum(1 << v for v in vs[:i] + vs[i + 1:])
+            if g not in family:
+                continue
+            if (g, f) in reversed_edges:
+                succ[g].append(f)
+            else:
+                succ[f].append(g)
+    color = dict.fromkeys(family, 0)  # 0 white, 1 grey, 2 black
+    for root in sorted(family):
+        if color[root]:
+            continue
+        stack = [(root, iter(succ[root]))]
+        color[root] = 1
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if color[nxt] == 1:
+                    return f"the pairs close a cycle through {_bits(nxt)}"
+                if color[nxt] == 0:
+                    color[nxt] = 1
+                    stack.append((nxt, iter(succ[nxt])))
+                    break
+            else:
+                color[node] = 2
+                stack.pop()
     return None
 
 

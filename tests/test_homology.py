@@ -11,13 +11,15 @@ from morsematch.complexes import (SimplicialComplex, build_boundary,
                                   build_simplex, cone, euler_characteristic,
                                   face_mask, relabel, skeleton)
 from morsematch.homology import (SparseIntMatrix, _boundaries, _chain_faces,
-                                 _excise, _homology_from_chain,
-                                 divisor_chain, homology, relative_homology,
+                                 _element_pairs, _excise,
+                                 _homology_from_chain, divisor_chain,
+                                 homology, relative_homology,
                                  smith_normal_form)
 from morsematch.morse import build_matching_complex, induced_inclusion
 from morsematch.specs import build_from_spec
 
-from oracles import boundary_matrices, dd_nonzero, snf_divisors_sympy
+from oracles import (boundary_matrices, dd_nonzero, morse_matching_defect,
+                     snf_divisors_sympy)
 
 # antipodal 6-vertex triangulation of the projective plane; the standard
 # example with 2-torsion in degree 1
@@ -525,10 +527,12 @@ def test_excised_homology_matches_the_full_chain(pair):
     for reduced in (True, False):
         assert homology(L, reduced).groups == _groups(
             boundary_matrices(L, reduced), smith_normal_form)
+        _check_morse_complex(L, frozenset(), reduced)
         if not K.is_void:
             assert relative_homology(L, K, reduced).groups == _groups(
                 list(_boundaries(L, _chain_faces(L, K.face_index, False))),
                 smith_normal_form)
+            _check_morse_complex(L, K.face_index, False)
 
 
 def test_excision_keeps_the_class_of_two_points():
@@ -555,3 +559,62 @@ def test_excision_residual_sizes(m_d3):
     residual = _excise(k7.complex, _chain_faces(k7.complex, frozenset(), True))
     assert len(residual) == 46656
     assert {f.bit_count() - 1 for f in residual} == {5}
+    # and so the element matching pairs nothing and leaves the residual
+    # as it was
+    kept = set(residual)
+    assert _element_pairs(k7.complex, residual) == {}
+    assert residual == kept
+
+
+# -- element matching and Morse complex --------------------------------------
+
+def _check_morse_complex(L, drop, augment: bool) -> dict[int, int]:
+    """Pair the residual of L outside `drop` as `homology` does, check the
+    pairs with the independent oracle, dd = 0 on the Morse matrices and
+    their groups against the residual's own boundary matrices, and return
+    the critical faces counted by dimension."""
+    R = _excise(L, _chain_faces(L, drop, augment))
+    residual = set(R)
+    up = _element_pairs(L, R)
+    assert morse_matching_defect(residual, up.items()) is None
+    assert R == residual - set(up) - set(up.values())
+    mats = list(_boundaries(L, R, up))
+    assert dd_nonzero(mats) is None
+    assert _groups(mats, smith_normal_form) == _groups(
+        list(_boundaries(L, residual)), smith_normal_form)
+    counts: dict[int, int] = {}
+    for f in R:
+        counts[f.bit_count() - 1] = counts.get(f.bit_count() - 1, 0) + 1
+    return counts
+
+
+def test_morse_complexes_of_the_n3_matching_complexes(
+        m_d3, m_bd3, mp_d3, mp_bd3, gm_d3, gm_bd3):
+    # critical faces by dimension of the element matching of each residual;
+    # M(simplex:3) and MP(simplex:3) are perfect, one critical face per
+    # Betti number
+    cases = [(m_d3, {4: 99}), (mp_d3, {3: 81}), (gm_d3, {4: 50, 5: 11}),
+             (m_bd3, {3: 29, 4: 32}), (mp_bd3, {3: 84, 4: 3}),
+             (gm_bd3, {3: 9, 4: 48})]
+    for mc, counts in cases:
+        assert _check_morse_complex(mc.complex, frozenset(), True) == counts
+    # the pair (M(simplex:3), M(boundary:3)): 114 - 18 = 96 = beta_4
+    emb = relabel(m_bd3.complex, induced_inclusion(m_bd3.hasse, m_d3.hasse),
+                  28)
+    assert _check_morse_complex(m_d3.complex, emb.face_index, False) == \
+        {4: 114, 5: 18}
+
+
+def test_morse_matching_oracle_refuses_bad_pairs():
+    # on the faces of the triangle 012: the empty face is outside the
+    # family, 01 < 012 meets 0 < 01, 0 < 12 is no facet, and the pairs
+    # 1 < 01, 0 < 02, 2 < 12 close the cycle 01 -> 0 -> 02 -> 2 -> 12 -> 1
+    tri = [face_mask(f) for f in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2),
+                                  (0, 1, 2))]
+    v0, v1, v2, e01, e02, e12, t = tri
+    assert morse_matching_defect(tri, [(v0, e01), (e12, t)]) is None
+    assert "leaves" in morse_matching_defect(tri, [(0, v0)])
+    assert "meets" in morse_matching_defect(tri, [(v0, e01), (e01, t)])
+    assert "incidence" in morse_matching_defect(tri, [(v0, e12)])
+    assert "cycle" in morse_matching_defect(
+        tri, [(v1, e01), (v0, e02), (v2, e12)])
