@@ -434,36 +434,25 @@ def _boundaries(L: SimplicialComplex, faces: set[int],
         m = SparseIntMatrix(len(lower), len(basis))
         rows = m.row
         memo: dict[int, dict[int, int]] = {}
-        if not up:
-            for j, f in enumerate(basis):
-                sign = 1
-                x = f
-                while x:
-                    b = x & -x
-                    pos = index.get(f ^ b)
-                    if pos is not None:
-                        rows[pos][j] = sign
-                    sign = -sign
-                    x ^= b
-        else:
-            for j, f in enumerate(basis):
-                col: dict[int, int] = {}
-                sign = 1
-                x = f
-                while x:
-                    b = x & -x
-                    r = f ^ b
-                    pos = index.get(r)
-                    if pos is not None:
-                        col[pos] = col.get(pos, 0) + sign
-                    elif r in up:
-                        for pos, w in _flow(r, up, index, memo).items():
-                            col[pos] = col.get(pos, 0) + sign * w
-                    sign = -sign
-                    x ^= b
-                for pos, w in col.items():
-                    if w:
-                        rows[pos][j] = w
+        # with no rows every column is zero, as in a residual in one dimension
+        for j, f in enumerate(basis if lower else ()):
+            col: dict[int, int] = {}
+            sign = 1
+            x = f
+            while x:
+                b = x & -x
+                r = f ^ b
+                pos = index.get(r)
+                if pos is not None:
+                    col[pos] = col.get(pos, 0) + sign
+                elif up and r in up:
+                    for pos, w in _flow(r, up, index, memo).items():
+                        col[pos] = col.get(pos, 0) + sign * w
+                sign = -sign
+                x ^= b
+            for pos, w in col.items():
+                if w:
+                    rows[pos][j] = w
         del index, memo
         yield m
         del m

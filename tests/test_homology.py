@@ -474,13 +474,23 @@ def test_each_degree_is_reduced_and_dropped_before_the_next_is_built(
     assert live == [1] * degrees
 
 
-def test_chain_set_is_freed_before_the_first_boundary_matrix():
-    # on MP(simplex:3), built before tracing starts, the peak of homology
-    # stays below the chain set plus the peak of reducing the residual:
-    # the chain set is dropped as _excise returns, before any boundary
-    # matrix is built, so the two never coexist
+def test_chain_set_is_freed_before_the_first_boundary_matrix(monkeypatch):
+    # on MP(simplex:3), built before tracing starts: when homology builds its
+    # first boundary matrix, only the residual and the pairs of
+    # _element_pairs are alive, so the chain set went as _excise returned
+    # and the vertex buckets as _element_pairs did; and the peak of homology
+    # is the larger of the peaks of its stages, never a sum of two
     L = build_matching_complex(build_simplex(3), "MP").complex
-    R = _excise(L, _chain_faces(L, frozenset(), True))
+    R0 = _excise(L, _chain_faces(L, frozenset(), True))
+    R = set(R0)
+    up = _element_pairs(L, R)
+    # the residual's table, the pairs, and the ints made for their lower
+    # faces (ints up to 256 are cached); the slack covers frames and small
+    # objects, far below the chain set (about 512 KiB) or the buckets
+    # (about 100 KiB)
+    live = (sys.getsizeof(R) + sys.getsizeof(up)
+            + sum(sys.getsizeof(s) for s in up if s > 256))
+    slack = 32 << 10
 
     def traced(fn):
         gc.collect()
@@ -491,14 +501,25 @@ def test_chain_set_is_freed_before_the_first_boundary_matrix():
         finally:
             tracemalloc.stop()
 
-    chain, (chain_size, _) = traced(
-        lambda: _chain_faces(L, frozenset(), True))
-    del chain
+    _, (_, excise_peak) = traced(
+        lambda: _excise(L, _chain_faces(L, frozenset(), True)))
+    _, (_, pairs_peak) = traced(lambda: _element_pairs(L, set(R0)))
     want, (_, reduce_peak) = traced(
-        lambda: _homology_from_chain(_boundaries(L, R), True))
+        lambda: _homology_from_chain(_boundaries(L, R, up), True))
+
+    module = sys.modules["morsematch.homology"]
+    build = module._boundaries
+    at_build = []
+
+    def spy_build(*args):
+        at_build.append(tracemalloc.get_traced_memory()[0])
+        return build(*args)
+
+    monkeypatch.setattr(module, "_boundaries", spy_build)
     got, (_, peak) = traced(lambda: homology(L))
     assert got.groups == want.groups
-    assert peak < chain_size + reduce_peak
+    assert at_build[0] < live + slack
+    assert peak < max(excise_peak, pairs_peak, live + reduce_peak) + slack
 
 
 # -- excision ----------------------------------------------------------------
