@@ -1,6 +1,6 @@
 """Exact integral simplicial homology via sparse Smith normal form.
 
-Boundary convention: the facet of a face mask obtained by clearing its i-th
+Boundary convention: the facet of a face mask obtained by removing its i-th
 lowest set bit (dropping its i-th vertex in ascending order, i = 0, 1, ...)
 carries sign (-1)^i, so the sign alternates with bit position, +1 on the
 lowest bit.  Bases are the canonical lex-ordered face lists, so matrices are
@@ -21,25 +21,12 @@ turns the diagonal into the divisibility chain.  All arithmetic is exact;
 Python integers make the growth harmless.
 
 Homology holds one boundary matrix at a time: in increasing degree
-(augmentation, then d_1, d_2, ...) each is built, reduced in place and
-dropped before the next is built.  The whole chain complex at once, before
-excision and pairing, is built only by the tests (`boundary_matrices` in
-`tests/oracles.py`).  Only the rank, the torsion and the
-clearing set carry over: the columns Q where the unit elimination of d_d
-pivoted, on rows P, are faces of degree d, and d_{d+1} skips those rows.
-This leaves its divisors and rank unchanged:
-
-* A pivot row changes only by subtracting earlier pivot rows, so the pivot
-  block factors as d_d[P, Q] = L U with L unit lower triangular and U
-  triangular with a +-1 diagonal; det d_d[P, Q] = +-1.
-* From d_d d_{d+1} = 0, d_{d+1}[Q, :] = -d_d[P, Q]^-1 d_d[P, Q'] d_{d+1}[Q', :]
-  (Q' the other faces of degree d), an integer combination of the kept
-  rows, which unimodular row operations zero.
-
-The argument needs only dd = 0 and P among the rows of d_d, so it holds
-when d_d was itself reduced with rows skipped, for the quotient complex of
-a pair, and for the Morse complex below.  Pivots of the residual do not feed the clearing: they use
-column operations.
+(augmentation, then d_1, d_2, ...) each is built, reduced in place on its
+own and dropped before the next is built.  The whole chain complex at once,
+before excision and pairing, is built only by the tests (`boundary_matrices`
+in `tests/oracles.py`).  Only the rank and the torsion carry over: degree d
+has n_d - rank d_d - rank d_{d+1} free generators and the torsion of
+d_{d+1}.
 
 Before any matrix is built, `_excise` removes complete element matchings
 (Jonsson, Simplicial Complexes of Graphs, 2008; Forman, Morse theory for
@@ -50,16 +37,15 @@ augmented.  For a pair (L, K), K's faces are checked to lie in that one
 set, and removed there, before anything is excised; no face index is built.
 `_excise` returns a fresh set, sized to what is left, and the chain set is
 dropped as it returns, before the first boundary matrix is built.  The
-vertices of L are visited in ascending order, in rounds, until a round
-excises nothing; vertex v is excised when every f in R with v in f has
-f ^ v in R, and then all those f and f ^ v leave R.  This is exact over Z,
-torsion included.  Let A be the faces left out so far: the dropped
-subcomplex and the stars excised before v.  A is a subcomplex, and the
-rule says that the part of the closed star st v in A is closed under
-adding v, so it is a cone on v, as st v is.  Hence C(A + st v, A) =
-C(st v, st v & A) is acyclic, and the long exact sequence of the triple
-makes C(L, A) -> C(L, A + st v) a quasi-isomorphism.  Where each case
-enters:
+vertices of L are visited once, in ascending order; vertex v is excised
+when every f in R with v in f has f ^ v in R, and then all those f and
+f ^ v leave R.  Each such step alone is exact over Z, torsion included.
+Let A be the faces left out so far: the dropped subcomplex and the stars
+excised before v.  A is a subcomplex, and the rule says that the part of
+the closed star st v in A is closed under adding v, so it is a cone on v,
+as st v is.  Hence C(A + st v, A) = C(st v, st v & A) is acyclic, and the
+long exact sequence of the triple makes C(L, A) -> C(L, A + st v) a
+quasi-isomorphism.  Where each case enters:
 
 * Reduced absolute homology starts from the augmented chain; the first
   vertex always passes and takes the empty face with it.
@@ -98,8 +84,7 @@ This is exact over Z, torsion included:
 * Each pair (s, s | v) has incidence +-1 in the boundary of R, so the
   division by [s:r] that algebraic Morse theory needs stays in Z.
 * Algebraic Morse theory then makes C(R) chain-homotopy equivalent to the
-  Morse complex over Z.  Its differential squares to zero, so the clearing
-  above holds on it unchanged, and its groups are those of C(R).
+  Morse complex over Z, so its groups are those of C(R).
 
 A residual that lies in one dimension, as M(K7)'s does, has no pairs and
 is its own Morse complex.
@@ -187,21 +172,12 @@ def _reduce_column(rows: list[dict[int, int]], col_rows: list[set[int]],
                 col_rows[c2].discard(r2)
 
 
-def smith_normal_form(A: SparseIntMatrix,
-                      skip_rows: set[int] | frozenset[int] = frozenset(),
-                      unit_pivots: set[int] | None = None
-                      ) -> tuple[tuple[int, ...], int]:
+def smith_normal_form(A: SparseIntMatrix) -> tuple[tuple[int, ...], int]:
     """Elementary divisors d1 | d2 | ... | dr (all positive) and the rank.
 
-    Consumes A: it reduces `A.row` in place and empties every row.  Rows in
-    `skip_rows` are emptied and left out; the caller vouches that they are
-    integer combinations of the other rows (see the module docstring).  The
-    columns where the unit elimination pivots are added to `unit_pivots`
-    when it is given.
+    Consumes A: it reduces `A.row` in place and empties every row.
     """
     rows = A.row
-    for r in skip_rows:
-        rows[r] = {}
     # a matrix with no entries has rank 0; one column set each would cost
     # about 200 MB on the 0 x 823,543 residual d_6 of M(K8)
     if not any(rows):
@@ -231,8 +207,6 @@ def smith_normal_form(A: SparseIntMatrix,
                 col_rows[c2].discard(r)
             rows[r] = {}
             units += 1
-            if unit_pivots is not None:
-                unit_pivots.add(c)
             progress = True
 
     # unit-free residual: Euclid steps on the smallest entry until the
@@ -290,30 +264,23 @@ def _chain_faces(L: SimplicialComplex, drop, augment: bool) -> set[int]:
 
 def _excise(L: SimplicialComplex, residual: set[int]) -> set[int]:
     """The chain faces `residual` (a `_chain_faces` set of L, excised in
-    place) left once complete element matchings are excised: in rounds,
-    each vertex v in ascending order whose star in the residual R is a cone
-    on v (f ^ v in R for every f in R holding v) takes its star and those
-    faces out of R, until a round excises nothing (see the module
-    docstring).  A vertex that passes has an empty star from then on."""
-    vertices = L.faces_by_dim[0]
-    while True:
-        kept = []
-        for v in vertices:
-            # one scan collects the star and checks it; most vertices fail,
-            # and the first face missing its f ^ v stops the scan
-            star = []
-            for f in residual:
-                if f & v:
-                    if f ^ v not in residual:
-                        kept.append(v)
-                        break
-                    star.append(f)
-            else:
-                residual.difference_update(star)
-                residual.difference_update([f ^ v for f in star])
-        if len(kept) == len(vertices):
-            return set(residual)  # a fresh table sized to what is left
-        vertices = kept
+    place) left once complete element matchings are excised: each vertex v
+    in ascending order whose star in the residual R is a cone on v (f ^ v
+    in R for every f in R holding v) takes its star and those faces out of
+    R (see the module docstring)."""
+    for v in L.faces_by_dim[0]:
+        # one scan collects the star and checks it; most vertices fail, and
+        # the first face missing its f ^ v stops the scan
+        star = []
+        for f in residual:
+            if f & v:
+                if f ^ v not in residual:
+                    break
+                star.append(f)
+        else:
+            residual.difference_update(star)
+            residual.difference_update([f ^ v for f in star])
+    return set(residual)  # a fresh table sized to what is left
 
 
 def _element_pairs(L: SimplicialComplex, residual: set[int]) -> dict[int, int]:
@@ -493,18 +460,13 @@ class HomologyResult:
 
 def _homology_from_chain(chain: Iterator[SparseIntMatrix],
                          reduced: bool) -> HomologyResult:
-    # increasing degree: the unit pivot columns of d_d are faces of degree d,
-    # the rows of d_{d+1} that those pivots already decide
     sizes, ranks, torsion = [], [], []
-    cleared: set[int] = set()
     for m in chain:
         sizes.append(m.cols)
-        pivots: set[int] = set()
-        divisors, rank = smith_normal_form(m, cleared, pivots)
+        divisors, rank = smith_normal_form(m)
         del m  # d_d is dropped before d_{d+1} is built
         ranks.append(rank)
         torsion.append(tuple(x for x in divisors if x > 1))
-        cleared = pivots
     ranks.append(0)
     torsion.append(())
     groups = [(n - ranks[d] - ranks[d + 1], torsion[d + 1])

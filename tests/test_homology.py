@@ -101,12 +101,12 @@ def test_snf_basic():
 
 
 def test_snf_consumes_its_argument():
-    # the elimination works on A.row itself: pivot rows and skipped rows are
-    # emptied, and so are the rows of the unit-free residual
+    # the elimination works on A.row itself: pivot rows are emptied, and so
+    # are the rows of the unit-free residual
     m = SparseIntMatrix(3, 3)
     for i in range(3):
         m.set(i, i, 1)
-    assert smith_normal_form(m, {2}) == ((1, 1), 2)
+    assert smith_normal_form(m) == ((1, 1, 1), 3)
     assert m.row == [{}, {}, {}]
     m = sparse_from_dense([[1, 1, 0], [0, 2, 4], [0, 6, 8]])
     assert smith_normal_form(m) == ((1, 2, 4), 3)
@@ -114,17 +114,11 @@ def test_snf_consumes_its_argument():
 
 
 def test_snf_of_a_matrix_without_entries():
-    # 0 x n, all-zero m x n, and entries only in skipped rows: rank 0, no
-    # divisors and no pivot columns, and every row is left empty
-    inputs = [(lambda: SparseIntMatrix(0, 5), ()),
-              (lambda: SparseIntMatrix(4, 3), ()),
-              (lambda: sparse_from_dense([[0, 3], [0, 0], [5, 0]]), {0, 2})]
-    for make, skip in inputs:
-        for pivots in (None, set()):
-            m = make()
-            assert smith_normal_form(m, skip, pivots) == ((), 0)
-            assert m.row == [{}] * m.rows
-            assert pivots in (None, set())
+    # 0 x n and all-zero m x n: rank 0, no divisors, and every row is left
+    # empty
+    for m in (SparseIntMatrix(0, 5), SparseIntMatrix(4, 3)):
+        assert smith_normal_form(m) == ((), 0)
+        assert m.row == [{}] * m.rows
     # the return comes before one set per column is allocated, about
     # 200 bytes each
     m = SparseIntMatrix(0, 100_000)
@@ -344,11 +338,12 @@ def test_homology_of_triangle_matching_complex(d2):
     assert h.nonzero() == {1: (4, ())}
 
 
-# -- clearing ----------------------------------------------------------------
+# -- reference groups --------------------------------------------------------
 
 def _groups(mats, snf):
     """Groups of a chain complex from `snf` applied to each boundary matrix
-    on its own, with no rows cleared: the reference for the clearing."""
+    on its own: the reference for `homology`, run on the full chain
+    complex, before excision and pairing."""
     sizes = [m.cols for m in mats]
     snfs = [snf(m) for m in mats]
     ranks = [r for _, r in snfs] + [0]
@@ -365,7 +360,7 @@ def _sympy_snf(m):
 
 
 @pytest.mark.parametrize("reduced", [True, False])
-def test_cleared_homology_matches_uncleared_and_sympy(reduced):
+def test_homology_matches_the_full_chain_and_sympy(reduced):
     rp2 = SimplicialComplex.from_facets(map(face_mask, RP2_FACETS))
     suspension = SimplicialComplex.from_facets(
         [face_mask(f + (apex,)) for f in RP2_FACETS for apex in (6, 7)])
@@ -373,7 +368,7 @@ def test_cleared_homology_matches_uncleared_and_sympy(reduced):
         build_matching_complex(build_from_spec(spec), variant).complex
         for spec in ("simplex:2", "boundary:2") for variant in ("M", "MP", "GM")]
     # too large for sympy in a tier-1 run (~30 s); on MP of this base the
-    # uncleared SNF meets sympy in the matching-complex SNF test above
+    # SNF meets sympy in the matching-complex SNF test above
     large = [build_matching_complex(build_from_spec("cone:boundary:2"),
                                     variant).complex
              for variant in ("M", "MP", "GM")]
@@ -391,7 +386,7 @@ def test_cleared_homology_matches_uncleared_and_sympy(reduced):
 
 
 @pytest.mark.parametrize("reduced", [True, False])
-def test_cleared_relative_homology_matches_uncleared(m_d3, m_bd3, reduced):
+def test_relative_homology_matches_the_full_chain(m_d3, m_bd3, reduced):
     emb = relabel(m_bd3.complex, induced_inclusion(m_bd3.hasse, m_d3.hasse),
                   28)
     rel = relative_homology(m_d3.complex, emb, reduced)
@@ -399,35 +394,6 @@ def test_cleared_relative_homology_matches_uncleared(m_d3, m_bd3, reduced):
     mats = list(_boundaries(m_d3.complex,
                             _chain_faces(m_d3.complex, emb.face_index, False)))
     assert rel.groups == _groups(mats, smith_normal_form)
-
-
-def test_clearing_leaves_rank_plus_betti_rows(m_d3, monkeypatch):
-    # every pivot of M(Delta^3) is a unit, so rank d_d rows of d_{d+1} are
-    # cleared and the kept rows number rank d_{d+1} + beta_d, on the full
-    # chain complex and on the residual that `homology` reduces
-    # the package's function `homology` shadows the submodule's name
-    module = sys.modules["morsematch.homology"]
-    seen = []
-
-    def spy(A, skip_rows=frozenset(), unit_pivots=None):
-        result = smith_normal_form(A, skip_rows, unit_pivots)
-        seen.append((A.rows, len(skip_rows), result[1]))
-        return result
-
-    monkeypatch.setattr(module, "smith_normal_form", spy)
-    full = _homology_from_chain(_boundaries(
-        m_d3.complex, _chain_faces(m_d3.complex, frozenset(), True)), True)
-    assert [skipped for _, skipped, _ in seen] == \
-        [0, 1, 27, 273, 1271, 2661, 1872]
-    assert seen[4] == (3932, 1271, 2661)
-    for d, (rows, skipped, rank) in enumerate(seen[1:]):
-        assert rows - skipped - rank == full.betti(d)
-
-    seen.clear()
-    h = homology(m_d3.complex)
-    assert h.groups == full.groups
-    for d, (rows, skipped, rank) in enumerate(seen[1:]):
-        assert rows - skipped - rank == h.betti(d)
 
 
 def _live_matrices() -> int:
@@ -453,9 +419,9 @@ def test_each_degree_is_reduced_and_dropped_before_the_next_is_built(
             del m
             d += 1
 
-    def spy_reduce(A, skip_rows=frozenset(), unit_pivots=None):
+    def spy_reduce(A):
         events.append(("reduce", len(live) - 1))
-        return reduce(A, skip_rows, unit_pivots)
+        return reduce(A)
 
     monkeypatch.setattr(module, "_boundaries", spy_build)
     monkeypatch.setattr(module, "smith_normal_form", spy_reduce)
@@ -570,10 +536,14 @@ def test_excision_keeps_the_class_of_two_points():
     assert homology(two_points, reduced=False).nonzero() == {0: (2, ())}
 
 
-def test_excision_residual_sizes(m_d3):
+def test_excision_residual_sizes(m_d3, m_bd3, mp_d3, mp_bd3, gm_d3, gm_bd3):
     assert m_d3.complex.total_faces() == 12820
-    assert len(_excise(m_d3.complex,
-                       _chain_faces(m_d3.complex, frozenset(), True))) == 1719
+    k6 = build_matching_complex(build_from_spec("skeleton:simplex:5:1"), "M")
+    for mc, size in [(m_d3, 1719), (mp_d3, 7339), (gm_d3, 1257),
+                     (m_bd3, 669), (mp_bd3, 1215), (gm_bd3, 585),
+                     (k6, 3125)]:
+        assert len(_excise(mc.complex,
+                           _chain_faces(mc.complex, frozenset(), True))) == size
     # M(K_7): the residual is exactly the 6^6 spheres of its homology, all
     # of dimension 5, so every boundary matrix of the residual is zero
     k7 = build_matching_complex(build_from_spec("skeleton:simplex:6:1"), "M")
